@@ -41,6 +41,10 @@ AGREEMENT_TOL = 1e-12
 # relative tolerance of the mean level.
 EQUALIZED_RTOL = 1e-9
 
+# Negative spherical-equalizer entries down to this size are float dust
+# around an exact 0 and are snapped to 0.0.
+SPHERICAL_DUST = 1e-12
+
 
 @dataclass(frozen=True)
 class Player:
@@ -203,7 +207,11 @@ def _spherical_equalizer(Y: np.ndarray) -> np.ndarray | None:
     s = 1.0 - ssd
     if s <= 0.0:
         return None
-    return 1.0 / m + (Y - y_bar) / math.sqrt(m * s)
+    q = 1.0 / m + (Y - y_bar) / math.sqrt(m * s)
+    # Members near one vertex leave entries such as -1.7e-16 where the
+    # exact report is 0; snap that float dust so q is a valid Forecast.
+    q[(q < 0.0) & (q >= -SPHERICAL_DUST)] = 0.0
+    return q
 
 
 def _bisect_equalizer(

@@ -315,10 +315,10 @@ def check_strict_properness(
     grid = grid_array(m, resolution)
     table = score_table(rule, grid)
     # Zero-belief states contribute nothing to the expectation even where
-    # the score there is -inf, so neutralize those columns first.
+    # the score there is -inf, so neutralize those columns first (in place:
+    # score_table returns a fresh array).
     zero_cols = p == 0.0
     if zero_cols.any():
-        table = table.copy()
         table[:, zero_cols] = 0.0
     with np.errstate(invalid="ignore"):
         expectations = table @ p
@@ -331,17 +331,21 @@ def check_strict_properness(
             "expected score at the truthful report is not finite; "
             "the belief lies outside the rule's domain"
         )
-    self_rows = np.abs(grid - p[None, :]).max(axis=1) <= 1e-12
-    bad_rows = ~np.isfinite(expectations)
-    competitor = ~self_rows & ~bad_rows
-    skipped = int(bad_rows.sum())
+    # The truthful report matches the belief in every entry: narrow the
+    # candidate rows one column at a time instead of comparing whole rows.
+    truthful = np.flatnonzero(np.abs(grid[:, 0] - p[0]) <= 1e-12)
+    for j in range(1, m):
+        truthful = truthful[np.abs(grid[truthful, j] - p[j]) <= 1e-12]
+    competitor = np.isfinite(expectations)
+    skipped = len(competitor) - int(competitor.sum())
+    competitor[truthful] = False
     checked = int(competitor.sum())
     if checked == 0:
         return PropernessReport(True, -math.inf, None, 0, skipped)
     margins = expectations[competitor] - truth_value
     best = int(np.argmax(margins))
     max_margin = float(margins[best])
-    nearest = Forecast(tuple(float(x) for x in grid[competitor][best]))
+    nearest = Forecast(tuple(float(x) for x in grid[np.flatnonzero(competitor)[best]]))
     return PropernessReport(max_margin < 0.0, max_margin, nearest, checked, skipped)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,11 +20,16 @@ from .errors import (
     NonPositiveWeight,
     SumOutOfTolerance,
     TooFewStates,
+    ValidationError,
 )
 
 # Absolute tolerance on the simplex sum constraint. Downstream formulas
 # tolerate this much drift without renormalization.
 SUM_TOL = 1e-9
+
+# Largest lattice grid_array builds: 4 M points of m floats each. m = 6 at
+# resolution 50 (3.48 M points) fits; m = 7 at resolution 50 (32.5 M) does not.
+MAX_GRID_POINTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -115,41 +120,54 @@ def weighted_mean(
     return Forecast(tuple(float(x) for x in mean))
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """All tuples of `parts` non-negative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def simplex_grid(m: int, resolution: int) -> list[Forecast]:
     """All lattice forecasts with entries k_j/resolution summing to 1.
 
     Count equals C(resolution + m - 1, m - 1). Order is deterministic
-    (lexicographic in the integer compositions).
+    (lexicographic in the integer compositions), the same as grid_array.
     """
-    if m < 2:
-        raise TooFewStates(f"need at least 2 states, got {m}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
-    out = []
-    for comp in _compositions(resolution, m):
-        out.append(Forecast(tuple(k / resolution for k in comp)))
-    return out
+    return [Forecast(tuple(map(float, row))) for row in grid_array(m, resolution)]
 
 
 def grid_array(m: int, resolution: int) -> np.ndarray:
-    """The same lattice as simplex_grid, as an (N, m) float array.
+    """All lattice points with entries k_j/resolution summing to 1, as an
+    (N, m) float array with N = C(resolution + m - 1, m - 1).
 
-    Rows appear in the same order as simplex_grid. Used by vectorized
-    grid sweeps where Forecast objects would be overhead.
+    Rows are the integer compositions of resolution into m parts in
+    lexicographic order, divided by resolution. Lattices above
+    MAX_GRID_POINTS raise ValidationError before anything is allocated.
     """
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    comps = np.asarray(list(_compositions(resolution, m)), dtype=np.float64)
-    return comps / resolution
+    n = math.comb(resolution + m - 1, m - 1)
+    if n > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"resolution {resolution} over {m} states gives {n:,} lattice "
+            f"points, above the limit of {MAX_GRID_POINTS:,}"
+        )
+    # Integer parts first, in the smallest type that holds resolution, then
+    # one contiguous division: filling the float columns of an (N, m) array
+    # one by one is strided and about twice as slow.
+    parts = np.empty((n, m), dtype=np.min_scalar_type(resolution))
+    # Stars and bars, one column at a time: every partial row (the heads
+    # chosen so far) with `remaining` units left branches into heads
+    # 0..remaining, in order, which keeps the rows lexicographic.
+    remaining = np.array([resolution])
+    for col in range(m - 1):
+        branches = remaining + 1
+        starts = np.cumsum(branches) - branches
+        head = np.arange(int(branches.sum())) - np.repeat(starts, branches)
+        remaining = np.repeat(remaining, branches) - head
+        # A partial row with r units left over the k = m - 1 - col columns
+        # still open ends in C(r + k - 1, k - 1) full rows, all contiguous.
+        open_cols = m - 1 - col
+        if open_cols > 1:
+            tails = np.array(
+                [math.comb(r + open_cols - 1, open_cols - 1) for r in range(resolution + 1)]
+            )
+            head = np.repeat(head, tails[remaining])
+        parts[:, col] = head
+    parts[:, m - 1] = remaining
+    return parts / resolution

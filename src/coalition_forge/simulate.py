@@ -6,7 +6,7 @@ Reproducibility contract: all randomness flows through counter-based
 Philox 4x64 streams keyed by (seed, stream index), one stream per trial.
 Results therefore depend only on the scenario and the seed, never on
 thread count or execution order. The worker pool is capped by the
-COALITION_FORGE_THREADS environment variable (default: logical cores).
+COALITION_FORGE_THREADS environment variable (default: 1, serial).
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def _thread_budget() -> int:
         if value < 1:
             raise ValidationError("COALITION_FORGE_THREADS must be >= 1")
         return value
-    return os.cpu_count() or 1
+    return 1
 
 
 def expected_surplus_sweep(

@@ -332,6 +332,15 @@ def test_spherical_equalizer_guard_returns_none():
     assert _spherical_equalizer(np.array([0.0, 2.0])) is None
 
 
+def test_spherical_near_vertex_members_get_a_valid_report():
+    # The unsnapped equalizer puts about -5.6e-17 on the third state.
+    players = _players((1 - 7.19e-11, 7.19e-11, 0.0), (1.0, 0.0, 0.0), (0.2, 0.3, 0.5))
+    result = arbitrage_report(spherical_rule(), players, PAIR)
+    assert min(result.q.probs) >= 0.0
+    assert result.q.probs[2] == 0.0
+    assert max(abs(x) for x in result.surplus_by_outcome) < 1e-12
+
+
 def test_grid_search_matches_closed_forms():
     wide = _players((0.2, 0.8), (0.8, 0.2))
     best = grid_search_equalizer(quadratic_rule(), wide, PAIR, 1000)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 
 import pytest
 
@@ -365,6 +366,28 @@ def test_cli_verify_equalizing_report_fixes_it(capsys):
 def test_cli_verify_custom_resolution(capsys):
     assert main(["verify", "--scenario", "example1", "--resolution", "20"]) == 0
     capsys.readouterr()
+
+
+def test_cli_verify_refuses_oversized_lattice(tmp_path, capsys):
+    # Seven states at resolution 50 is a 32.5 M point lattice: a clean
+    # error (exit 2) before any of it is allocated.
+    uniform = [1 / 7] * 7
+    skewed = [0.4] + [0.1] * 6
+    raw = _minimal_raw(
+        event={"m": 7},
+        players=[{"belief": uniform}, {"belief": skewed}],
+    )
+    path = _write_scenario(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--scenario", path, "--resolution", "50"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 20 * 2**20
+    err = capsys.readouterr().err
+    assert "resolution 50" in err and "32,468,436" in err
 
 
 def test_cli_simulate_sweep_csv_stdout(tmp_path, capsys):

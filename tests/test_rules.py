@@ -242,6 +242,21 @@ def test_properness_handles_zero_belief_state():
     assert report.passed
 
 
+def test_properness_lattice_belief_excludes_exactly_the_truthful_row():
+    for rule in (quadratic_rule(), logarithmic_rule(), spherical_rule(), linear_rule()):
+        for probs, resolution in (
+            ((0.25, 0.5, 0.25), 8),
+            ((0.0, 0.5, 0.5), 6),
+            ((0.2, 0.2, 0.4, 0.2), 10),
+        ):
+            belief = Forecast(probs)
+            n = len(grid_array(belief.m, resolution))
+            report = check_strict_properness(rule, belief, resolution)
+            assert report.checked + report.skipped + 1 == n
+            if report.nearest_competitor is not None:
+                assert report.nearest_competitor != belief
+
+
 def test_properness_spherical_three_states():
     belief = Forecast((1 / 3, 1 / 3, 1 / 3))
     report = check_strict_properness(spherical_rule(), belief, 30)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,12 +15,14 @@ from coalition_forge import (
     NonPositiveWeight,
     SumOutOfTolerance,
     TooFewStates,
+    ValidationError,
     grid_array,
     simplex_grid,
     two_norm,
     validate_forecast,
     weighted_mean,
 )
+from coalition_forge.simplex import MAX_GRID_POINTS
 
 from conftest import random_forecast
 
@@ -157,13 +160,32 @@ def test_simplex_grid_counts_match_compositions():
             assert len(simplex_grid(m, resolution)) == expected
 
 
-def test_grid_array_matches_grid_order():
-    points = simplex_grid(3, 7)
-    arr = grid_array(3, 7)
-    assert arr.shape == (len(points), 3)
-    np.testing.assert_allclose(
-        arr, np.asarray([p.probs for p in points]), atol=1e-15
-    )
+def test_grid_array_matches_independent_enumeration():
+    # Stars and bars: m - 1 bars among resolution + m - 1 slots, the gaps
+    # between them being the composition. combinations() yields the bar
+    # positions in lexicographic order, which is the compositions' order.
+    for m in range(2, 7):
+        for resolution in (1, 2, 5, 9):
+            slots = resolution + m - 1
+            compositions = []
+            for bars in itertools.combinations(range(slots), m - 1):
+                edges = (-1,) + bars + (slots,)
+                compositions.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+            arr = grid_array(m, resolution)
+            assert arr.shape == (math.comb(slots, m - 1), m)
+            expected = np.asarray(
+                [[k / resolution for k in comp] for comp in compositions]
+            )
+            assert arr.tobytes() == expected.tobytes()
+
+
+def test_grid_array_refuses_lattices_above_the_point_limit():
+    # m = 6 at the default verify resolution still fits; m = 7 does not.
+    assert math.comb(50 + 6 - 1, 6 - 1) <= MAX_GRID_POINTS
+    with pytest.raises(ValidationError, match=r"resolution 50 .*32,468,436.*4,000,000"):
+        grid_array(7, 50)
+    with pytest.raises(ValidationError):
+        simplex_grid(7, 50)
 
 
 def test_grid_points_are_valid_forecasts():

@@ -29,6 +29,7 @@ from coalition_forge import (
     score,
     substream,
 )
+from coalition_forge.simulate import _thread_budget
 
 
 def test_substream_reproducibility_and_independence():
@@ -166,6 +167,11 @@ def test_sweep_deterministic_across_runs_and_thread_counts(monkeypatch):
     threaded = expected_surplus_sweep(_competitive_spec(), **kwargs)
     assert serial.rows == first.rows
     assert threaded.rows == first.rows
+
+
+def test_thread_budget_defaults_to_serial(monkeypatch):
+    monkeypatch.delenv("COALITION_FORGE_THREADS", raising=False)
+    assert _thread_budget() == 1
 
 
 def test_thread_budget_env_validation(monkeypatch):
