@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedRule,
     ValidationError,
 )
-from .rules import ConvexGenerator, RuleKind, ScoringRule, score, score_table
+from .rules import ConvexGenerator, RuleKind, ScoringRule, _score_columns, score_table
 from .simplex import Forecast, grid_array, weighted_mean
 
 # Members whose beliefs differ by at most this much (max-norm, pairwise)
@@ -166,22 +166,29 @@ def members_agree(P: np.ndarray, tol: float = AGREEMENT_TOL) -> bool:
     return float((P.max(axis=0) - P.min(axis=0)).max()) <= tol
 
 
-def _geometric_equalizer(P: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
-    """Floored weighted geometric mean, renormalized to the simplex.
+def _log_mean(P: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
+    """Wager-weighted mean of log(P + floor) per state: the log of the
+    floored weighted geometric mean, before normalization.
 
-    Works in log space so long products of small probabilities cannot
-    underflow. With floor 0 any zero member entry is fatal: the aggregate
-    would pin that state to zero and the logarithmic score there is
-    undefined.
+    With floor 0 any zero member entry is fatal: the aggregate would pin
+    that state to zero and the logarithmic score there is undefined.
     """
     if floor == 0.0 and (P <= 0.0).any():
         raise DegenerateBelief(
             "a member belief has a zero entry; the unfloored logarithmic "
             "rule cannot aggregate it"
         )
+    return (w[:, None] / w.sum() * np.log(P + floor)).sum(axis=0)
+
+
+def _geometric_equalizer(P: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
+    """Floored weighted geometric mean, renormalized to the simplex.
+
+    Works in log space so long products of small probabilities cannot
+    underflow.
+    """
     m = P.shape[1]
-    v = w / w.sum()
-    log_g = (v[:, None] * np.log(P + floor)).sum(axis=0)
+    log_g = _log_mean(P, w, floor)
     # softmax-style normalization: G_j / sum_k G_k without leaving log space
     log_g -= log_g.max()
     g = np.exp(log_g)
@@ -193,6 +200,12 @@ def _spherical_y(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w[:, None] * P / norms[:, None]).sum(axis=0) / w.sum()
 
 
+def _spherical_spread(Y: np.ndarray) -> tuple[float, float]:
+    """Mean of Y and the sum of squared deviations from it."""
+    y_bar = float(Y.mean())
+    return y_bar, float(((Y - y_bar) ** 2).sum())
+
+
 def _spherical_equalizer(Y: np.ndarray) -> np.ndarray | None:
     """Equalizing report from the aggregated unit-vector sums.
 
@@ -202,8 +215,7 @@ def _spherical_equalizer(Y: np.ndarray) -> np.ndarray | None:
     must not turn into sqrt of a negative number.
     """
     m = Y.shape[0]
-    y_bar = Y.mean()
-    ssd = float(((Y - y_bar) ** 2).sum())
+    y_bar, ssd = _spherical_spread(Y)
     s = 1.0 - ssd
     if s <= 0.0:
         return None
@@ -268,10 +280,7 @@ def binary_equalizer(
     P, w = _member_arrays(players, coalition)
     if P.shape[1] != 2:
         raise DimensionMismatch("binary equalizer needs exactly 2 states")
-    p = P[:, 0]
-    if float(p.max() - p.min()) <= AGREEMENT_TOL:
-        return float(p[0])
-    return _bisect_equalizer(gen, p, w / w.sum(), tol)
+    return _bisect_equalizer(gen, P[:, 0], w / w.sum(), tol)
 
 
 def _equalizing_array(
@@ -298,6 +307,28 @@ def _equalizing_array(
     )
 
 
+def _column_fsum(table: np.ndarray) -> np.ndarray:
+    """Exactly rounded column sums (math.fsum), so totals do not depend on
+    the order of players."""
+    return np.asarray([math.fsum(col) for col in table.T.tolist()])
+
+
+def _coalition_gain(
+    rule: ScoringRule,
+    players: list[Player] | tuple[Player, ...],
+    coalition: Coalition,
+    reports: list[Forecast],
+) -> np.ndarray:
+    """Per-outcome coalition gain sum_i w_i (S(r_i, j) - S(p_i, j)) when
+    member i reports reports[i] instead of their belief p_i, under a plain
+    wagered-score contract. One score_table call covers both plays."""
+    k = len(coalition.members)
+    beliefs = [players[i].belief for i in coalition.members]
+    w = np.asarray([players[i].wager for i in coalition.members], dtype=np.float64)
+    table = _score_columns(rule, [*reports, *beliefs], range(reports[0].m))
+    return _column_fsum(w[:, None] * (table[:k] - table[k:]))
+
+
 def surplus_by_outcome(
     rule: ScoringRule,
     players: list[Player] | tuple[Player, ...],
@@ -307,16 +338,8 @@ def surplus_by_outcome(
     """Coalition gain per outcome when every member reports q instead of
     their own belief, under a plain wagered-score contract."""
     coalition.validate(len(players))
-    m = q.m
-    out = []
-    for j in range(m):
-        s_q = score(rule, q, j)
-        gain = math.fsum(
-            players[i].wager * (s_q - score(rule, players[i].belief, j))
-            for i in coalition.members
-        )
-        out.append(gain)
-    return tuple(out)
+    gain = _coalition_gain(rule, players, coalition, [q] * len(coalition.members))
+    return tuple(gain.tolist())
 
 
 def closed_form_surplus(
@@ -340,14 +363,8 @@ def closed_form_surplus(
         return float(rule.b * (w * ((P - q[None, :]) ** 2).sum(axis=1)).sum())
     if kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG):
         floor = rule.floor if kind is RuleKind.GENERALIZED_LOG else 0.0
-        if floor == 0.0 and (P <= 0.0).any():
-            raise DegenerateBelief(
-                "a member belief has a zero entry; the unfloored logarithmic "
-                "rule cannot aggregate it"
-            )
         m = P.shape[1]
-        v = w / w_c
-        log_g = (v[:, None] * np.log(P + floor)).sum(axis=0)
+        log_g = _log_mean(P, w, floor)
         shift = log_g.max()
         log_total = shift + math.log(float(np.exp(log_g - shift).sum()))
         return float(
@@ -356,10 +373,8 @@ def closed_form_surplus(
         )
     if kind is RuleKind.SPHERICAL:
         Y = _spherical_y(P, w)
-        m = Y.shape[0]
-        y_bar = float(Y.mean())
-        ssd = float(((Y - y_bar) ** 2).sum())
-        return float(rule.b * w_c * (math.sqrt((1.0 - ssd) / m) - y_bar))
+        y_bar, ssd = _spherical_spread(Y)
+        return float(rule.b * w_c * (math.sqrt((1.0 - ssd) / Y.shape[0]) - y_bar))
     raise UnsupportedRule(
         f"no closed-form surplus for rule kind {kind.value!r}"
     )
@@ -377,8 +392,7 @@ def spherical_aux(
     coalition.validate(len(players), minimum=1)
     P, w = _member_arrays(players, coalition)
     Y = _spherical_y(P, w)
-    y_bar = float(Y.mean())
-    ssd = float(((Y - y_bar) ** 2).sum())
+    y_bar, ssd = _spherical_spread(Y)
     sum_sq = float((Y * Y).sum())
     return SphericalAux(tuple(float(y) for y in Y), y_bar, ssd, sum_sq)
 
@@ -424,20 +438,21 @@ def verify_dominance_oracle(
     q: Forecast,
     tol_pos: float = 1e-12,
 ) -> DominanceVerdict:
-    """Recompute per-outcome coalition margins from raw score calls only.
+    """Recompute per-outcome coalition margins from raw score rows only.
 
-    No closed forms, no vectorized tables: this is the independent check
-    that the coordinated report beats truthful reporting in every state.
+    No closed forms and no table algebra: a plain loop over the rows of q
+    and of each member belief is the independent check that the
+    coordinated report beats truthful reporting in every state.
     """
     coalition.validate(len(players))
     m = q.m
+    beliefs = [players[i].belief for i in coalition.members]
+    q_row, *belief_rows = _score_columns(rule, [q, *beliefs], range(m)).tolist()
     margins = []
     for j in range(m):
         total = 0.0
-        for i in coalition.members:
-            total += players[i].wager * (
-                score(rule, q, j) - score(rule, players[i].belief, j)
-            )
+        for i, row in zip(coalition.members, belief_rows):
+            total += players[i].wager * (q_row[j] - row[j])
         margins.append(total)
     if all(g > tol_pos for g in margins):
         return DominanceVerdict(Verdict.DOMINATES, tuple(margins), None)

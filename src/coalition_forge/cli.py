@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .arbitrage import (
     Verdict,
+    _coalition_gain,
     arbitrage_report,
     closed_form_surplus,
     verify_dominance_oracle,
@@ -30,7 +31,6 @@ from .arbitrage import (
 from .errors import (
     CoalitionForgeError,
     InvalidCoalition,
-    UnsupportedRule,
     ValidationError,
 )
 from .mechanisms import (
@@ -38,7 +38,7 @@ from .mechanisms import (
     payment_table,
     uniform_prior,
 )
-from .rules import RuleKind, check_strict_properness, score
+from .rules import RuleKind, check_strict_properness
 from .scenario import Scenario, load_scenario
 from .simulate import (
     SweepResult,
@@ -231,8 +231,8 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
                 arb = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
                 if not arb.agreement:
                     coordinated = [arb.q] * len(sc.coalition.members)
-            except (UnsupportedRule, CoalitionForgeError):
-                coordinated = None
+            except CoalitionForgeError:
+                pass
 
     identical = (
         coordinated is not None
@@ -268,18 +268,16 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
         and len(sc.players) > len(sc.coalition.members)
         and coordinated is not None
     ):
-        w_c = sc.coalition.wager_total(list(sc.players))
-        w_n = math.fsum(p.wager for p in sc.players)
+        players = list(sc.players)
+        w_c = sc.coalition.wager_total(players)
+        w_n = math.fsum(p.wager for p in players)
+        gain = _coalition_gain(sc.rule, players, sc.coalition, coordinated)
         max_err = 0.0
-        for j in range(sc.m):
+        for j, traditional in enumerate(gain.tolist()):
             direct = coalition_surplus_competitive(
-                sc.rule, list(sc.players), sc.coalition, coordinated, j
+                sc.rule, players, sc.coalition, coordinated, j
             )
-            scaled = (1.0 - w_c / w_n) * math.fsum(
-                sc.players[i].wager
-                * (score(sc.rule, r, j) - score(sc.rule, sc.players[i].belief, j))
-                for i, r in zip(sc.coalition.members, coordinated)
-            )
+            scaled = (1.0 - w_c / w_n) * traditional
             max_err = max(
                 max_err, abs(direct - scaled) / max(1.0, abs(scaled))
             )
@@ -374,31 +372,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             sc.mechanism, sim.sampler, sim.n, sim.fractions, sim.trials, seed
         )
         csv_text = _sweep_csv(result)
-        envelope = _envelope("simulate", digest, _sweep_payload(result))
-        if args.out:
-            _write_pair(args.out, csv_text, envelope)
-        if args.format == "csv":
-            sys.stdout.write(csv_text)
-        elif args.format == "json":
-            print(json.dumps(envelope, indent=2))
-        else:
-            print("fraction      mean        se  trials  per-member")
-            for r in result.rows:
-                print(
-                    f"{r.fraction:>8.3f}  {r.mean:>8.5f}  {r.se:>8.5f}"
-                    f"  {r.trials:>6}  {r.mean_per_member:>10.6f}"
-                )
-            summary = f"argmax fraction: {result.argmax_fraction}"
-            if result.vertex is not None:
-                summary += f"; fitted vertex: {result.vertex:.4f}"
-            print(summary)
-        return 0
-
-    if sim.mode == "intermediary":
+        payload = _sweep_payload(result)
+        lines = ["fraction      mean        se  trials  per-member"]
+        for r in result.rows:
+            lines.append(
+                f"{r.fraction:>8.3f}  {r.mean:>8.5f}  {r.se:>8.5f}"
+                f"  {r.trials:>6}  {r.mean_per_member:>10.6f}"
+            )
+        summary = f"argmax fraction: {result.argmax_fraction}"
+        if result.vertex is not None:
+            summary += f"; fitted vertex: {result.vertex:.4f}"
+        lines.append(summary)
+    elif sim.mode == "intermediary":
         if sc.coalition is None:
             raise InvalidCoalition("intermediary runs need a coalition")
         run = intermediary_run(
-            sc.mechanism, list(sc.players), sc.coalition, seed, scenario_id=digest[:12]
+            sc.mechanism, list(sc.players), sc.coalition, scenario_id=digest[:12]
         )
         csv_text = _csv_text(
             ["outcome", "profit"],
@@ -410,37 +399,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "min_profit": run.min_profit,
             "no_arbitrage": run.no_arbitrage,
         }
-        envelope = _envelope("simulate", digest, payload)
-        if args.out:
-            _write_pair(args.out, csv_text, envelope)
-        if args.format == "csv":
-            sys.stdout.write(csv_text)
-        elif args.format == "json":
-            print(json.dumps(envelope, indent=2))
-        else:
-            for j, p in enumerate(run.profit_by_outcome):
-                print(f"E{j + 1}: profit {_fmt(p)}")
-            print(f"minimum profit: {_fmt(run.min_profit)}")
-            if run.no_arbitrage:
-                print("clients agree: no arbitrage available")
-        return 0
+        lines = [f"E{j + 1}: profit {_fmt(p)}" for j, p in enumerate(run.profit_by_outcome)]
+        lines.append(f"minimum profit: {_fmt(run.min_profit)}")
+        if run.no_arbitrage:
+            lines.append("clients agree: no arbitrage available")
+    else:  # market_session
+        if sc.coalition is None:
+            raise InvalidCoalition("market sessions need a coalition")
+        result = market_session(
+            sc.mechanism, sim.ordering, sc.coalition, sim.sampler, seed
+        )
+        csv_text = _csv_text(
+            ["outcome", "surplus"],
+            [[j + 1, s] for j, s in enumerate(result.surplus_by_outcome)],
+        )
+        payload = {
+            "surplus_by_outcome": list(result.surplus_by_outcome),
+            "ordering_ok": result.ordering_ok,
+            "agreement": result.agreement,
+            "q": list(result.arbitrage.q.probs),
+        }
+        lines = [f"E{j + 1}: surplus {_fmt(s)}" for j, s in enumerate(result.surplus_by_outcome)]
+        lines.append(f"ordering satisfies alternation: {result.ordering_ok}")
+        if result.agreement:
+            lines.append("members agree: surplus is zero")
 
-    # market_session
-    if sc.coalition is None:
-        raise InvalidCoalition("market sessions need a coalition")
-    result = market_session(
-        sc.mechanism, sim.ordering, sc.coalition, sim.sampler, seed
-    )
-    csv_text = _csv_text(
-        ["outcome", "surplus"],
-        [[j + 1, s] for j, s in enumerate(result.surplus_by_outcome)],
-    )
-    payload = {
-        "surplus_by_outcome": list(result.surplus_by_outcome),
-        "ordering_ok": result.ordering_ok,
-        "agreement": result.agreement,
-        "q": list(result.arbitrage.q.probs),
-    }
     envelope = _envelope("simulate", digest, payload)
     if args.out:
         _write_pair(args.out, csv_text, envelope)
@@ -449,11 +432,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif args.format == "json":
         print(json.dumps(envelope, indent=2))
     else:
-        for j, s in enumerate(result.surplus_by_outcome):
-            print(f"E{j + 1}: surplus {_fmt(s)}")
-        print(f"ordering satisfies alternation: {result.ordering_ok}")
-        if result.agreement:
-            print("members agree: surplus is zero")
+        print("\n".join(lines))
     return 0
 
 

@@ -134,7 +134,3 @@ class CoalitionIsEveryoneWarning(UserWarning):
 class OrderingViolationWarning(UserWarning):
     """A coalition member directly precedes another; the sequential dominance
     guarantee is withdrawn, though the computation proceeds."""
-
-
-class NoArbitrageWarning(UserWarning):
-    """All coalition members agree, so no coordinated report beats truth."""

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .arbitrage import Coalition, Player
+import numpy as np
+
+from .arbitrage import Coalition, Player, _coalition_gain, _column_fsum
 from .errors import (
     CoalitionIsEveryoneWarning,
     DimensionMismatch,
@@ -28,7 +30,7 @@ from .errors import (
     UnsupportedMechanism,
     ValidationError,
 )
-from .rules import ScoringRule, normalize_to_unit_interval, score
+from .rules import ScoringRule, _score_columns, normalize_to_unit_interval
 from .simplex import Forecast
 
 
@@ -94,11 +96,45 @@ def _require_reports(players: Sequence[Player]) -> list[Forecast]:
         if p.report is None:
             raise MissingReport(i)
         reports.append(p.report)
-    m = reports[0].m
-    for r in reports:
-        if r.m != m:
-            raise DimensionMismatch("player reports have mixed lengths")
     return reports
+
+
+def _column(table: np.ndarray) -> tuple[float, ...]:
+    return tuple(table[:, 0].tolist())
+
+
+def _pool_table(
+    rule: ScoringRule,
+    players: Sequence[Player],
+    outcomes: Sequence[int],
+    competitive: bool,
+) -> np.ndarray:
+    """Wagered scores w_i S(r_i, j) for every player i and requested
+    outcome j. The competitive pool subtracts each player's wager share of
+    the column total, so its columns sum to zero."""
+    if competitive and len(players) < 2:
+        raise SinglePlayer("competitive payments need at least 2 players")
+    reports = _require_reports(players)
+    w = np.asarray([p.wager for p in players], dtype=np.float64)
+    wagered = w[:, None] * _score_columns(rule, reports, outcomes)
+    if not competitive:
+        return wagered
+    share = w / math.fsum(p.wager for p in players)
+    return wagered - share[:, None] * _column_fsum(wagered)
+
+
+def _market_table(
+    rule: ScoringRule,
+    reports: Sequence[Forecast],
+    prior: Forecast | None,
+    outcomes: Sequence[int],
+) -> np.ndarray:
+    """Score differences between consecutive rows of [prior; reports]."""
+    if prior is None:
+        raise MissingPrior("market scoring needs an opening report")
+    if not reports:
+        return np.empty((0, len(outcomes)))
+    return np.diff(_score_columns(rule, [prior, *reports], outcomes), axis=0)
 
 
 def traditional_payments(
@@ -106,10 +142,7 @@ def traditional_payments(
 ) -> tuple[float, ...]:
     """Each player receives their wagered score; nobody else's report
     matters."""
-    reports = _require_reports(players)
-    return tuple(
-        p.wager * score(rule, r, outcome) for p, r in zip(players, reports)
-    )
+    return _column(_pool_table(rule, players, [outcome], competitive=False))
 
 
 def competitive_payments(
@@ -119,15 +152,7 @@ def competitive_payments(
 
     Payments sum to zero in every state, so the pool finances itself.
     """
-    if len(players) < 2:
-        raise SinglePlayer("competitive payments need at least 2 players")
-    reports = _require_reports(players)
-    wagered = [
-        p.wager * score(rule, r, outcome) for p, r in zip(players, reports)
-    ]
-    w_n = math.fsum(p.wager for p in players)
-    total = math.fsum(wagered)
-    return tuple(s - (p.wager / w_n) * total for p, s in zip(players, wagered))
+    return _column(_pool_table(rule, players, [outcome], competitive=True))
 
 
 def market_scoring_payments(
@@ -141,16 +166,7 @@ def market_scoring_payments(
     The total paid out telescopes to the last report's score minus the
     prior's.
     """
-    if prior is None:
-        raise MissingPrior("market scoring needs an opening report")
-    if not reports:
-        return ()
-    chain = [prior, *reports]
-    for r in chain:
-        if r.m != prior.m:
-            raise DimensionMismatch("reports and prior have mixed lengths")
-    scores = [score(rule, r, outcome) for r in chain]
-    return tuple(scores[k + 1] - scores[k] for k in range(len(reports)))
+    return _column(_market_table(rule, reports, prior, [outcome]))
 
 
 def uniform_prior(m: int) -> Forecast:
@@ -158,31 +174,22 @@ def uniform_prior(m: int) -> Forecast:
 
 
 def payment_table(spec: MechanismSpec, players: Sequence[Player]) -> PaymentTable:
-    """Full n-by-m payment table under a mechanism.
+    """Full n-by-m payment table under a mechanism, from one score table.
 
     Market scoring treats the player sequence as the reporting order and
     ignores wagers; a missing prior defaults to uniform.
     """
     if not players:
         raise ValidationError("no players")
+    reports = _require_reports(players)
+    m = reports[0].m
     if spec.kind is MechanismKind.MARKET:
-        reports = _require_reports(players)
-        prior = spec.market_prior or uniform_prior(reports[0].m)
-        m = prior.m
-        cols = [market_scoring_payments(spec.rule, reports, prior, j) for j in range(m)]
+        prior = spec.market_prior or uniform_prior(m)
+        table = _market_table(spec.rule, reports, prior, range(prior.m))
     else:
-        reports = _require_reports(players)
-        m = reports[0].m
-        pay = (
-            traditional_payments
-            if spec.kind is MechanismKind.TRADITIONAL
-            else competitive_payments
-        )
-        cols = [pay(spec.rule, players, j) for j in range(m)]
-    rows = tuple(
-        tuple(cols[j][i] for j in range(m)) for i in range(len(players))
-    )
-    return PaymentTable(rows)
+        competitive = spec.kind is MechanismKind.COMPETITIVE
+        table = _pool_table(spec.rule, players, range(m), competitive)
+    return PaymentTable(tuple(tuple(row) for row in table.tolist()))
 
 
 def _broadcast_coordinated(
@@ -214,6 +221,34 @@ def _with_reports(
     return out
 
 
+def _competitive_surplus(
+    rule: ScoringRule,
+    players: Sequence[Player],
+    coalition: Coalition,
+    coordinated: Forecast | Sequence[Forecast],
+    outcomes: Sequence[int],
+) -> np.ndarray:
+    """coalition_surplus_competitive at every requested outcome."""
+    coalition.validate(len(players))
+    member_reports = _broadcast_coordinated(coordinated, coalition)
+    if len(coalition.members) == len(players):
+        warnings.warn(
+            "coalition holds the entire pool; competitive surplus is "
+            "identically zero",
+            CoalitionIsEveryoneWarning,
+            stacklevel=3,
+        )
+    truthful = [players[i].belief for i in coalition.members]
+    coord = _pool_table(
+        rule, _with_reports(players, coalition, member_reports), outcomes, competitive=True
+    )
+    truth = _pool_table(
+        rule, _with_reports(players, coalition, truthful), outcomes, competitive=True
+    )
+    members = list(coalition.members)
+    return _column_fsum(coord[members] - truth[members])
+
+
 def coalition_surplus_competitive(
     rule: ScoringRule,
     players: Sequence[Player],
@@ -228,24 +263,8 @@ def coalition_surplus_competitive(
     A coalition holding the whole pool gains exactly zero; that case is
     flagged with a warning rather than an error.
     """
-    coalition.validate(len(players))
-    member_reports = _broadcast_coordinated(coordinated, coalition)
-    if len(coalition.members) == len(players):
-        warnings.warn(
-            "coalition holds the entire pool; competitive surplus is "
-            "identically zero",
-            CoalitionIsEveryoneWarning,
-            stacklevel=2,
-        )
-    truthful = [players[i].belief for i in coalition.members]
-    col_coord = competitive_payments(
-        rule, _with_reports(players, coalition, member_reports), outcome
-    )
-    col_truth = competitive_payments(
-        rule, _with_reports(players, coalition, truthful), outcome
-    )
-    return math.fsum(
-        col_coord[i] - col_truth[i] for i in coalition.members
+    return float(
+        _competitive_surplus(rule, players, coalition, coordinated, [outcome])[0]
     )
 
 
@@ -303,14 +322,11 @@ def coalition_surplus_market(
     prior = prior or uniform_prior(m)
     seq_coord = [coord_players[i].report for i in ordering]
     seq_truth = [truth_players[i].report for i in ordering]
-    col_coord = market_scoring_payments(rule, seq_coord, prior, outcome)
-    col_truth = market_scoring_payments(rule, seq_truth, prior, outcome)
-    members = set(coalition.members)
-    return math.fsum(
-        c - t
-        for idx, c, t in zip(ordering, col_coord, col_truth)
-        if idx in members
-    )
+    gain = (
+        _market_table(rule, seq_coord, prior, [outcome])
+        - _market_table(rule, seq_truth, prior, [outcome])
+    )[:, 0]
+    return math.fsum(gain[np.isin(ordering, coalition.members)].tolist())
 
 
 def intermediary_profit_by_outcome(
@@ -321,21 +337,12 @@ def intermediary_profit_by_outcome(
 ) -> tuple[float, ...]:
     """Per-outcome profit of an intermediary who submits q for every
     member and reimburses each member their truthful payment."""
-    m = q.m
     if spec.kind is MechanismKind.TRADITIONAL:
-        return tuple(
-            math.fsum(
-                players[i].wager
-                * (score(spec.rule, q, j) - score(spec.rule, players[i].belief, j))
-                for i in coalition.members
-            )
-            for j in range(m)
-        )
+        members = [q] * len(coalition.members)
+        return tuple(_coalition_gain(spec.rule, players, coalition, members).tolist())
     if spec.kind is MechanismKind.COMPETITIVE:
-        return tuple(
-            coalition_surplus_competitive(spec.rule, players, coalition, q, j)
-            for j in range(m)
-        )
+        gain = _competitive_surplus(spec.rule, players, coalition, q, range(q.m))
+        return tuple(gain.tolist())
     raise UnsupportedMechanism(
         "intermediary runs support traditional and competitive mechanisms; "
         "sequential markets go through a market session"

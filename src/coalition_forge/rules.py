@@ -192,39 +192,9 @@ def savage_binary_score(gen: ConvexGenerator, r: float, outcome: int) -> float:
 
 
 def score(rule: ScoringRule, report: Forecast, outcome: int) -> float:
-    """Score of a single report at a single realized outcome (0-based)."""
-    m = report.m
-    if not (0 <= outcome < m):
-        raise DimensionMismatch(f"outcome index {outcome} out of range for m={m}")
-    a = rule.offsets_for(m)
-    r = report.probs
-    b = rule.b
-    kind = rule.kind
-    if kind is RuleKind.QUADRATIC:
-        return float(a[outcome] + b * (2.0 * r[outcome] - math.fsum(x * x for x in r)))
-    if kind is RuleKind.LOGARITHMIC or (
-        kind is RuleKind.GENERALIZED_LOG and rule.floor == 0.0
-    ):
-        if r[outcome] <= 0.0:
-            raise LogOfZero(
-                f"state {outcome + 1} has probability {r[outcome]!r}; "
-                "the logarithmic score is undefined there"
-            )
-        return float(a[outcome] + b * math.log(r[outcome]))
-    if kind is RuleKind.GENERALIZED_LOG:
-        l = rule.floor
-        tail = math.fsum(math.log(x + l) for x in r)
-        return float(a[outcome] + b * math.log(r[outcome] + l) + b * l * tail)
-    if kind is RuleKind.SPHERICAL:
-        norm = math.sqrt(math.fsum(x * x for x in r))
-        return float(a[outcome] + b * r[outcome] / norm)
-    if kind is RuleKind.CUSTOM_BINARY:
-        if m != 2:
-            raise DimensionMismatch("custom binary rules support exactly 2 states")
-        return float(a[outcome] + b * savage_binary_score(rule.generator, r[0], outcome))
-    if kind is RuleKind.LINEAR:
-        return float(a[outcome] + b * r[outcome])
-    raise UnsupportedRule(f"unknown rule kind {kind!r}")
+    """Score of a single report at a single realized outcome (0-based):
+    one entry of score_table, raising where that entry is undefined."""
+    return float(_score_columns(rule, [report], [outcome])[0, 0])
 
 
 def score_table(rule: ScoringRule, reports: np.ndarray) -> np.ndarray:
@@ -261,24 +231,52 @@ def score_table(rule: ScoringRule, reports: np.ndarray) -> np.ndarray:
     if kind is RuleKind.CUSTOM_BINARY:
         if m != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
-        out = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                try:
-                    out[i, j] = savage_binary_score(rule.generator, R[i, 0], j)
-                except OutOfDomain:
-                    out[i, j] = -np.inf
+        lo, hi = rule.generator.domain
+        out = np.full((n, m), -np.inf)
+        for i, r in enumerate(R[:, 0].tolist()):
+            if lo < r < hi:
+                out[i] = [savage_binary_score(rule.generator, r, j) for j in range(m)]
         return a[None, :] + b * out
     raise UnsupportedRule(f"unknown rule kind {kind!r}")
+
+
+def _score_columns(
+    rule: ScoringRule, reports: Sequence[Forecast], outcomes: Sequence[int]
+) -> np.ndarray:
+    """score_table of the reports, restricted to the given outcome columns.
+
+    Where a requested entry is undefined (-inf in score_table) this raises
+    what a strict score does: LogOfZero for a zero-probability state under
+    the logarithmic rules, OutOfDomain for a custom binary report outside
+    the generator's domain. Entries are checked outcome by outcome, reports
+    in order; mixed lengths and out-of-range outcomes are DimensionMismatch.
+    """
+    m = reports[0].m
+    if any(r.m != m for r in reports):
+        raise DimensionMismatch("reports have mixed lengths")
+    for j in outcomes:
+        if not (0 <= j < m):
+            raise DimensionMismatch(f"outcome index {j} out of range for m={m}")
+    table = score_table(rule, np.asarray([r.probs for r in reports], dtype=np.float64))
+    for j in outcomes:
+        for i in np.flatnonzero(table[:, j] == -np.inf):
+            r = reports[i]
+            if rule.kind is RuleKind.CUSTOM_BINARY:
+                savage_binary_score(rule.generator, r[0], j)
+            elif rule.kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG) and r[j] <= 0.0:
+                raise LogOfZero(
+                    f"state {j + 1} has probability {r[j]!r}; "
+                    "the logarithmic score is undefined there"
+                )
+    return table[:, list(outcomes)]
 
 
 def expected_score(rule: ScoringRule, report: Forecast, belief: Forecast) -> float:
     """Expectation of the report's score under the belief distribution."""
     if report.m != belief.m:
         raise DimensionMismatch(f"report m={report.m} vs belief m={belief.m}")
-    return math.fsum(
-        belief[j] * score(rule, report, j) for j in range(report.m)
-    )
+    row = _score_columns(rule, [report], range(report.m))[0].tolist()
+    return math.fsum(p * s for p, s in zip(belief.probs, row))
 
 
 @dataclass(frozen=True)

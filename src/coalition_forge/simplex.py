@@ -1,4 +1,4 @@
-"""Probability-vector primitives: validation, norms, weighted means, and
+"""Probability-vector primitives: validation, weighted means, and
 lattice enumeration on the simplex.
 
 A Forecast is an immutable point of the m-dimensional probability simplex.
@@ -85,11 +85,6 @@ def validate_forecast(raw: Sequence[float], tol: float = SUM_TOL) -> Forecast:
     if abs(total - 1.0) > tol:
         raise SumOutOfTolerance(total, tol)
     return Forecast(vals)
-
-
-def two_norm(f: Forecast) -> float:
-    """Euclidean norm of the vector; lies in [1/sqrt(m), 1]."""
-    return math.sqrt(math.fsum(p * p for p in f.probs))
 
 
 def weighted_mean(

@@ -4,16 +4,13 @@ sessions.
 
 Reproducibility contract: all randomness flows through counter-based
 Philox 4x64 streams keyed by (seed, stream index), one stream per trial.
-Results therefore depend only on the scenario and the seed, never on
-thread count or execution order. The worker pool is capped by the
-COALITION_FORGE_THREADS environment variable (default: 1, serial).
+Results therefore depend only on the scenario and the seed. Trials run
+serially, fraction by fraction.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -59,7 +56,6 @@ class BetaBinary:
 
     alpha: float
     beta: float
-    seed: int | None = None
 
     def __post_init__(self):
         if self.alpha <= 0.0 or self.beta <= 0.0:
@@ -79,7 +75,6 @@ class DirichletM:
     """Beliefs over m states drawn from a Dirichlet distribution."""
 
     alphas: tuple[float, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.alphas) < 2:
@@ -102,7 +97,6 @@ class FiniteMixture:
 
     points: tuple[tuple[float, ...], ...]
     weights: tuple[float, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.points:
@@ -130,12 +124,8 @@ class FiniteMixture:
 BeliefSampler = Union[BetaBinary, DirichletM, FiniteMixture]
 
 
-def _resolve_seed(sampler: BeliefSampler, seed: int | None) -> int:
-    if seed is not None:
-        return int(seed)
-    if sampler.seed is not None:
-        return int(sampler.seed)
-    return 0
+def _resolve_seed(seed: int | None) -> int:
+    return 0 if seed is None else int(seed)
 
 
 def sample_population(
@@ -144,7 +134,7 @@ def sample_population(
     """n equal-wager players with i.i.d. beliefs; deterministic in seed."""
     if n < 2:
         raise ValidationError(f"population needs n >= 2, got {n}")
-    rng = substream(_resolve_seed(sampler, seed), 0)
+    rng = substream(_resolve_seed(seed), 0)
     beliefs = sampler.draw(rng, n)
     return [
         Player(Forecast(tuple(float(x) for x in row)), 1.0) for row in beliefs
@@ -187,21 +177,6 @@ class SweepResult:
     vertex: float | None
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get("COALITION_FORGE_THREADS")
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValidationError(
-                f"COALITION_FORGE_THREADS must be an integer, got {raw!r}"
-            ) from exc
-        if value < 1:
-            raise ValidationError("COALITION_FORGE_THREADS must be >= 1")
-        return value
-    return 1
-
-
 def expected_surplus_sweep(
     mechanism: MechanismSpec,
     sampler: BeliefSampler,
@@ -242,7 +217,7 @@ def expected_surplus_sweep(
         sizes.append(c)
     rule = mechanism.rule
     m = sampler.m
-    base_seed = _resolve_seed(sampler, seed)
+    base_seed = _resolve_seed(seed)
     competitive = mechanism.kind is MechanismKind.COMPETITIVE
     surplus = np.empty((len(fractions), trials))
 
@@ -269,25 +244,9 @@ def expected_surplus_sweep(
         coal_coord = c * s_q - (c / n) * total_coord
         return coal_coord - coal_truth
 
-    def run_block(fi: int, t0: int, t1: int) -> None:
-        for t in range(t0, t1):
+    for fi in range(len(fractions)):
+        for t in range(trials):
             surplus[fi, t] = one_trial(fi, t)
-
-    threads = min(_thread_budget(), len(fractions) * 4)
-    if threads <= 1:
-        for fi in range(len(fractions)):
-            run_block(fi, 0, trials)
-    else:
-        block = max(1, math.ceil(trials / 4))
-        jobs = [
-            (fi, t0, min(t0 + block, trials))
-            for fi in range(len(fractions))
-            for t0 in range(0, trials, block)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_block, *job) for job in jobs]
-            for fut in futures:
-                fut.result()
 
     rows = []
     for fi, f in enumerate(fractions):
@@ -337,14 +296,10 @@ def intermediary_run(
     mechanism: MechanismSpec,
     players: Sequence[Player],
     coalition: Coalition,
-    seed: int | None = None,
     scenario_id: str = "",
 ) -> IntermediaryRun:
-    """Profit the intermediary locks in for each outcome.
-
-    The computation involves no sampling; seed is accepted for signature
-    uniformity with the other experiment entry points and is unused.
-    """
+    """Profit the intermediary locks in for each outcome; no sampling is
+    involved."""
     arb = arbitrage_report(mechanism.rule, players, coalition)
     m = players[coalition.members[0]].belief.m
     if arb.agreement:
@@ -386,11 +341,7 @@ def market_session(
         raise ValidationError(
             "ordering must be a permutation of all player indices"
         )
-    rng = substream(_resolve_seed(sampler, seed), 0)
-    beliefs = sampler.draw(rng, n)
-    players = [
-        Player(Forecast(tuple(float(x) for x in row)), 1.0) for row in beliefs
-    ]
+    players = sample_population(sampler, n, seed)
     arb = arbitrage_report(mechanism.rule, players, coalition)
     ordering_ok = ordering_satisfies_alternation(ordering, coalition)
     m = sampler.m

@@ -478,6 +478,28 @@ def test_cli_simulate_market_session_json(capsys):
     assert len(payload["q"]) == 2
 
 
+def test_cli_bundled_outputs_print_plain_floats(tmp_path, capsys):
+    # A numpy scalar reaching repr() prints as np.float64(...). simulate
+    # writes the csv and json forms to --out files beside its table output,
+    # so one run per scenario covers all three formats.
+    for name in sorted(BUNDLED_NAMES):
+        texts = []
+        for command in ("score", "arbitrage", "verify"):
+            for fmt in ("csv", "json", "table"):
+                main([command, "--scenario", name, "--format", fmt])
+                captured = capsys.readouterr()
+                texts.append(captured.out + captured.err)
+        base = tmp_path / name
+        main(["simulate", "--scenario", name, "--out", str(base)])
+        captured = capsys.readouterr()
+        texts.append(captured.out + captured.err)
+        for suffix in (".csv", ".json"):
+            written = tmp_path / (name + suffix)
+            if written.exists():
+                texts.append(written.read_text(encoding="utf-8"))
+        assert all("np." not in text for text in texts), name
+
+
 def test_cli_simulate_needs_simulation_block(capsys):
     assert main(["simulate", "--scenario", "example1"]) == 2
     assert "simulation" in capsys.readouterr().err

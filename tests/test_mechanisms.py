@@ -16,6 +16,7 @@ from coalition_forge import (
     MechanismKind,
     MechanismSpec,
     MissingPrior,
+    LogOfZero,
     MissingReport,
     OrderingViolationWarning,
     Player,
@@ -35,6 +36,7 @@ from coalition_forge import (
     quadratic_rule,
     score,
     spherical_rule,
+    surplus_by_outcome,
     traditional_payments,
     uniform_prior,
 )
@@ -234,6 +236,41 @@ def test_payment_table_matches_per_outcome_functions():
     for j in (0, 1):
         assert trad.column(j) == traditional_payments(rule, players, j)
         assert comp.column(j) == competitive_payments(rule, players, j)
+
+
+def test_log_of_zero_raises_from_tables_and_surpluses():
+    rule = logarithmic_rule()
+    players = _reporting(((0.5, 0.5), (0.0, 1.0)), ((0.3, 0.7), (0.4, 0.6)))
+    for kind in MechanismKind:
+        with pytest.raises(LogOfZero):
+            payment_table(MechanismSpec(kind, rule), players)
+    # The zero entry only matters in the state it has no mass on.
+    assert traditional_payments(rule, players, 1)[0] == 0.0
+    with pytest.raises(LogOfZero):
+        traditional_payments(rule, players, 0)
+    with pytest.raises(LogOfZero):
+        surplus_by_outcome(rule, players, Coalition((0, 1)), Forecast((0.0, 1.0)))
+
+
+def test_per_outcome_functions_reject_outcomes_out_of_range():
+    rule = quadratic_rule()
+    players = _reporting(
+        ((0.2, 0.8), (0.5, 0.5)), ((0.8, 0.2), (0.5, 0.5)), ((0.6, 0.4), (0.6, 0.4))
+    )
+    coalition = Coalition((0, 1))
+    q = Forecast((0.5, 0.5))
+    reports = [p.report for p in players]
+    for outcome in (-1, 2):
+        with pytest.raises(DimensionMismatch):
+            traditional_payments(rule, players, outcome)
+        with pytest.raises(DimensionMismatch):
+            competitive_payments(rule, players, outcome)
+        with pytest.raises(DimensionMismatch):
+            market_scoring_payments(rule, reports, uniform_prior(2), outcome)
+        with pytest.raises(DimensionMismatch):
+            coalition_surplus_competitive(rule, players, coalition, q, outcome)
+        with pytest.raises(DimensionMismatch):
+            coalition_surplus_market(rule, players, (0, 2, 1), coalition, q, outcome)
 
 
 def test_mechanism_spec_prior_validation():

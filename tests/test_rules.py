@@ -187,27 +187,88 @@ def test_generator_domain_validation():
         ConvexGenerator(g=lambda r: r, g_prime=lambda r: 1.0, domain=(0.5, 0.2))
 
 
-def test_score_table_matches_scalar_score():
+def _reference_score(kind: str, r, j: int, a, b: float, floor: float) -> float:
+    """The six families written out entry by entry, independent of the
+    package; -inf where the score is undefined, as in score_table."""
+    sq = math.fsum(x * x for x in r)
+    if kind == "quadratic":
+        raw = 2.0 * r[j] - sq
+    elif kind == "logarithmic":
+        raw = math.log(r[j]) if r[j] > 0.0 else -math.inf
+    elif kind == "generalized_logarithmic":
+        raw = math.log(r[j] + floor) + floor * math.fsum(math.log(x + floor) for x in r)
+    elif kind == "spherical":
+        raw = r[j] / math.sqrt(sq)
+    elif kind == "linear":
+        raw = r[j]
+    else:  # custom binary from the negative-entropy generator: the log score
+        x = r[0] if j == 0 else 1.0 - r[0]
+        raw = math.log(x) if 0.0 < r[0] < 1.0 else -math.inf
+    return a[j] + b * raw
+
+
+def test_score_table_matches_written_out_formulas():
     rng = np.random.default_rng(303)
-    rules = [
-        quadratic_rule(a=(0.2, -0.1), b=1.3),
-        logarithmic_rule(),
-        generalized_log_rule(0.05),
-        spherical_rule(b=2.0),
-        linear_rule(),
-        custom_binary_rule(logit_generator()),
-    ]
-    for rule in rules:
-        batch = np.asarray(
-            [random_forecast(rng, 2).probs for _ in range(25)]
-        )
-        table = score_table(rule, batch)
-        assert table.shape == (25, 2)
-        for i in range(25):
-            for j in range(2):
-                assert table[i, j] == pytest.approx(
-                    score(rule, Forecast(tuple(batch[i])), j), abs=1e-12
-                )
+    floor = 0.05
+    for kind, ms in [
+        ("quadratic", (2, 3, 5)),
+        ("logarithmic", (2, 3, 5)),
+        ("generalized_logarithmic", (2, 3, 5)),
+        ("spherical", (2, 3, 5)),
+        ("linear", (2, 3, 5)),
+        ("custom_binary", (2,)),
+    ]:
+        for m in ms:
+            a = tuple(float(x) for x in rng.uniform(-1.0, 1.0, m))
+            b = 1.7
+            rule = {
+                "quadratic": lambda: quadratic_rule(a, b),
+                "logarithmic": lambda: logarithmic_rule(a, b),
+                "generalized_logarithmic": lambda: generalized_log_rule(floor, a, b),
+                "spherical": lambda: spherical_rule(a, b),
+                "linear": lambda: linear_rule(a, b),
+                "custom_binary": lambda: custom_binary_rule(logit_generator(), a, b),
+            }[kind]()
+            # Interior points plus a vertex and a point with a zero entry.
+            batch = [random_forecast(rng, m).probs for _ in range(20)]
+            batch.append((1.0,) + (0.0,) * (m - 1))
+            batch.append((0.0, 0.5) + (0.5 / (m - 1),) * (m - 2) if m > 2 else (0.0, 1.0))
+            batch = [tuple(x / math.fsum(row) for x in row) for row in batch]
+            table = score_table(rule, np.asarray(batch))
+            assert table.shape == (len(batch), m)
+            for i, r in enumerate(batch):
+                for j in range(m):
+                    expected = _reference_score(kind, r, j, a, b, floor)
+                    if expected == -math.inf:
+                        assert table[i, j] == -np.inf, (kind, m, r, j)
+                    else:
+                        assert table[i, j] == pytest.approx(
+                            expected, rel=1e-12, abs=1e-12
+                        ), (kind, m, r, j)
+
+
+def test_score_raises_only_where_the_table_is_undefined():
+    log = logarithmic_rule(a=(0.5, -0.5), b=2.0)
+    edge = Forecast((0.0, 1.0))
+    with pytest.raises(LogOfZero):
+        score(log, edge, 0)
+    assert score(log, edge, 1) == -0.5
+    with pytest.raises(LogOfZero):
+        expected_score(log, edge, Forecast((0.5, 0.5)))
+    custom = custom_binary_rule(logit_generator())
+    for r in [(1.0, 0.0), (0.0, 1.0)]:
+        for j in (0, 1):
+            with pytest.raises(OutOfDomain):
+                score(custom, Forecast(r), j)
+    narrow = custom_binary_rule(
+        ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
+    )
+    with pytest.raises(OutOfDomain):
+        score(narrow, Forecast((0.1, 0.9)), 1)
+    assert score(narrow, Forecast((0.5, 0.5)), 1) == pytest.approx(-0.25)
+    for outcome in (-1, 2):
+        with pytest.raises(DimensionMismatch):
+            score(quadratic_rule(), Forecast((0.5, 0.5)), outcome)
 
 
 def test_score_table_uses_neg_inf_for_log_of_zero():

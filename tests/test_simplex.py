@@ -18,7 +18,6 @@ from coalition_forge import (
     ValidationError,
     grid_array,
     simplex_grid,
-    two_norm,
     validate_forecast,
     weighted_mean,
 )
@@ -67,26 +66,6 @@ def test_forecast_sequence_protocol():
     assert f[1] == 0.9
     assert list(f) == [0.1, 0.9]
     np.testing.assert_array_equal(f.as_array(), np.array([0.1, 0.9]))
-
-
-def test_two_norm_known_values():
-    assert two_norm(Forecast((0.5, 0.5))) == pytest.approx(math.sqrt(0.5))
-    assert two_norm(Forecast((1.0, 0.0))) == pytest.approx(1.0)
-    assert two_norm(Forecast((0.1, 0.9))) == pytest.approx(0.9055385138137417)
-
-
-def test_two_norm_bounds_on_random_forecasts():
-    # Norm of a probability vector lies in [1/sqrt(m), 1], with the lower
-    # bound attained at the uniform vector and the upper at a vertex.
-    rng = np.random.default_rng(101)
-    for _ in range(200):
-        m = int(rng.integers(2, 5))
-        f = random_forecast(rng, m)
-        norm = two_norm(f)
-        assert 1.0 / math.sqrt(m) - 1e-12 <= norm <= 1.0 + 1e-12
-    assert two_norm(Forecast((1 / 3, 1 / 3, 1 / 3))) == pytest.approx(
-        1.0 / math.sqrt(3)
-    )
 
 
 def test_weighted_mean_symmetric_pair():

@@ -29,7 +29,6 @@ from coalition_forge import (
     score,
     substream,
 )
-from coalition_forge.simulate import _thread_budget
 
 
 def test_substream_reproducibility_and_independence():
@@ -102,18 +101,6 @@ def test_sample_population_deterministic_in_seed():
     assert [p.belief.probs for p in a] != [p.belief.probs for p in c]
 
 
-def test_sample_population_uses_sampler_seed_as_fallback():
-    seeded = BetaBinary(2.0, 2.0, seed=5)
-    unseeded = BetaBinary(2.0, 2.0)
-    a = sample_population(seeded, 4)
-    b = sample_population(unseeded, 4, seed=5)
-    assert [p.belief.probs for p in a] == [p.belief.probs for p in b]
-    # An explicit seed wins over the sampler's own.
-    c = sample_population(seeded, 4, seed=6)
-    d = sample_population(unseeded, 4, seed=6)
-    assert [p.belief.probs for p in c] == [p.belief.probs for p in d]
-
-
 def test_sample_population_needs_two_players():
     with pytest.raises(ValidationError):
         sample_population(BetaBinary(2.0, 2.0), 1, seed=0)
@@ -155,37 +142,12 @@ def test_sweep_validation():
         expected_surplus_sweep(_competitive_spec(), sampler, 10, (), 5, seed=0)
 
 
-def test_sweep_deterministic_across_runs_and_thread_counts(monkeypatch):
+def test_sweep_deterministic_across_runs():
     sampler = BetaBinary(2.0, 2.0)
     kwargs = dict(sampler=sampler, n=20, fractions=(0.2, 0.5), trials=40, seed=11)
     first = expected_surplus_sweep(_competitive_spec(), **kwargs)
     second = expected_surplus_sweep(_competitive_spec(), **kwargs)
     assert first == second
-    monkeypatch.setenv("COALITION_FORGE_THREADS", "1")
-    serial = expected_surplus_sweep(_competitive_spec(), **kwargs)
-    monkeypatch.setenv("COALITION_FORGE_THREADS", "3")
-    threaded = expected_surplus_sweep(_competitive_spec(), **kwargs)
-    assert serial.rows == first.rows
-    assert threaded.rows == first.rows
-
-
-def test_thread_budget_defaults_to_serial(monkeypatch):
-    monkeypatch.delenv("COALITION_FORGE_THREADS", raising=False)
-    assert _thread_budget() == 1
-
-
-def test_thread_budget_env_validation(monkeypatch):
-    sampler = BetaBinary(2.0, 2.0)
-    monkeypatch.setenv("COALITION_FORGE_THREADS", "abc")
-    with pytest.raises(ValidationError):
-        expected_surplus_sweep(
-            _competitive_spec(), sampler, 10, (0.5,), 4, seed=0
-        )
-    monkeypatch.setenv("COALITION_FORGE_THREADS", "0")
-    with pytest.raises(ValidationError):
-        expected_surplus_sweep(
-            _competitive_spec(), sampler, 10, (0.5,), 4, seed=0
-        )
 
 
 def test_sweep_competitive_is_scaled_traditional_with_shared_seed():
@@ -259,13 +221,18 @@ def test_sweep_row_per_member_accounting():
 
 
 def test_sweep_records_resolved_seed():
-    sampler = BetaBinary(2.0, 2.0, seed=31)
+    sampler = BetaBinary(2.0, 2.0)
     result = expected_surplus_sweep(
-        _competitive_spec(), sampler, 10, (0.5,), 5
+        _competitive_spec(), sampler, 10, (0.5,), 5, seed=31
     )
     assert result.seed == 31
     assert result.mechanism is MechanismKind.COMPETITIVE
     assert result.n == 10
+    unseeded = expected_surplus_sweep(_competitive_spec(), sampler, 10, (0.5,), 5)
+    assert unseeded.seed == 0
+    assert unseeded == expected_surplus_sweep(
+        _competitive_spec(), sampler, 10, (0.5,), 5, seed=0
+    )
 
 
 def test_intermediary_run_frozen_examples():
