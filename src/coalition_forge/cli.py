@@ -34,7 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .mechanisms import (
-    coalition_surplus_competitive,
+    MechanismKind,
+    _coalition_surplus,
     payment_table,
     uniform_prior,
 )
@@ -272,11 +273,12 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
         w_c = sc.coalition.wager_total(players)
         w_n = math.fsum(p.wager for p in players)
         gain = _coalition_gain(sc.rule, players, sc.coalition, coordinated)
+        competitive = _coalition_surplus(
+            MechanismKind.COMPETITIVE, sc.rule, players, sc.coalition,
+            coordinated, range(len(gain)),
+        )
         max_err = 0.0
-        for j, traditional in enumerate(gain.tolist()):
-            direct = coalition_surplus_competitive(
-                sc.rule, players, sc.coalition, coordinated, j
-            )
+        for direct, traditional in zip(competitive.tolist(), gain.tolist()):
             scaled = (1.0 - w_c / w_n) * traditional
             max_err = max(
                 max_err, abs(direct - scaled) / max(1.0, abs(scaled))

@@ -206,47 +206,65 @@ def _broadcast_coordinated(
     return coordinated
 
 
-def _with_reports(
-    players: Sequence[Player], coalition: Coalition, member_reports: list[Forecast]
-) -> list[Player]:
-    """Players with members reporting as instructed and outsiders keeping
-    their submitted report (their belief if they never submitted one)."""
-    by_member = dict(zip(coalition.members, member_reports))
-    out = []
-    for i, p in enumerate(players):
-        if i in by_member:
-            out.append(Player(p.belief, p.wager, by_member[i]))
-        else:
-            out.append(Player(p.belief, p.wager, p.report or p.belief))
-    return out
-
-
-def _competitive_surplus(
+def _coalition_surplus(
+    kind: MechanismKind,
     rule: ScoringRule,
     players: Sequence[Player],
     coalition: Coalition,
     coordinated: Forecast | Sequence[Forecast],
     outcomes: Sequence[int],
+    ordering: Sequence[int] | None = None,
+    prior: Forecast | None = None,
+    stacklevel: int = 3,
 ) -> np.ndarray:
-    """coalition_surplus_competitive at every requested outcome."""
-    coalition.validate(len(players))
-    member_reports = _broadcast_coordinated(coordinated, coalition)
-    if len(coalition.members) == len(players):
+    """Coalition gain over truthful play at every requested outcome under
+    the competitive pool or sequential market scoring, outsider reports
+    held fixed (an outsider who never submitted one reports their belief).
+
+    One score table holds both plays: [prior;] the coordinated reports in
+    reporting order (player order for the pool), then the members' beliefs
+    in the same order; truthful play swaps the member rows for the belief
+    rows. Warnings are attributed stacklevel frames up.
+    """
+    n = len(players)
+    coalition.validate(n)
+    market = kind is MechanismKind.MARKET
+    ordering = list(ordering if market else range(n))
+    if sorted(ordering) != list(range(n)):
+        raise ValidationError("ordering must be a permutation of all player indices")
+    instructed = dict(zip(coalition.members, _broadcast_coordinated(coordinated, coalition)))
+    if market and not ordering_satisfies_alternation(ordering, coalition):
+        warnings.warn(
+            "a coalition member reports directly after another member; "
+            "the guaranteed-gain argument does not apply",
+            OrderingViolationWarning,
+            stacklevel=stacklevel,
+        )
+    if not market and len(instructed) == n:
         warnings.warn(
             "coalition holds the entire pool; competitive surplus is "
             "identically zero",
             CoalitionIsEveryoneWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-    truthful = [players[i].belief for i in coalition.members]
-    coord = _pool_table(
-        rule, _with_reports(players, coalition, member_reports), outcomes, competitive=True
-    )
-    truth = _pool_table(
-        rule, _with_reports(players, coalition, truthful), outcomes, competitive=True
-    )
-    members = list(coalition.members)
-    return _column_fsum(coord[members] - truth[members])
+    members = [i for i in ordering if i in instructed]
+    is_member = np.isin(ordering, members)
+    head = [prior or uniform_prior(players[0].belief.m)] if market else []
+    played = [instructed.get(i) or players[i].report or players[i].belief for i in ordering]
+    beliefs = [players[i].belief for i in members]
+    table = _score_columns(rule, [*head, *played, *beliefs], outcomes)
+    k = len(head) + n
+    truth = np.arange(k)
+    truth[len(head):][is_member] = np.arange(k, k + len(members))
+    if market:
+        gain = np.diff(table[:k], axis=0) - np.diff(table[truth], axis=0)
+        return _column_fsum(gain[is_member])
+    w = np.asarray([players[i].wager for i in [*ordering, *members]], dtype=np.float64)
+    wagered = w[:, None] * table
+    share = w[n:, None] / math.fsum(p.wager for p in players)
+    coord = wagered[:n][is_member] - share * _column_fsum(wagered[:n])
+    truthful = wagered[n:] - share * _column_fsum(wagered[truth])
+    return _column_fsum(coord - truthful)
 
 
 def coalition_surplus_competitive(
@@ -263,9 +281,10 @@ def coalition_surplus_competitive(
     A coalition holding the whole pool gains exactly zero; that case is
     flagged with a warning rather than an error.
     """
-    return float(
-        _competitive_surplus(rule, players, coalition, coordinated, [outcome])[0]
+    gain = _coalition_surplus(
+        MechanismKind.COMPETITIVE, rule, players, coalition, coordinated, [outcome]
     )
+    return float(gain[0])
 
 
 def ordering_satisfies_alternation(
@@ -300,33 +319,11 @@ def coalition_surplus_market(
     sequences, but the dominance guarantee is withdrawn and a warning is
     emitted.
     """
-    coalition.validate(len(players))
-    ordering = list(ordering)
-    if sorted(ordering) != list(range(len(players))):
-        raise ValidationError(
-            "ordering must be a permutation of all player indices"
-        )
-    member_reports = _broadcast_coordinated(coordinated, coalition)
-    if not ordering_satisfies_alternation(ordering, coalition):
-        warnings.warn(
-            "a coalition member reports directly after another member; "
-            "the guaranteed-gain argument does not apply",
-            OrderingViolationWarning,
-            stacklevel=2,
-        )
-    coord_players = _with_reports(players, coalition, member_reports)
-    truth_players = _with_reports(
-        players, coalition, [players[i].belief for i in coalition.members]
+    gain = _coalition_surplus(
+        MechanismKind.MARKET, rule, players, coalition, coordinated, [outcome],
+        ordering, prior,
     )
-    m = players[0].belief.m
-    prior = prior or uniform_prior(m)
-    seq_coord = [coord_players[i].report for i in ordering]
-    seq_truth = [truth_players[i].report for i in ordering]
-    gain = (
-        _market_table(rule, seq_coord, prior, [outcome])
-        - _market_table(rule, seq_truth, prior, [outcome])
-    )[:, 0]
-    return math.fsum(gain[np.isin(ordering, coalition.members)].tolist())
+    return float(gain[0])
 
 
 def intermediary_profit_by_outcome(
@@ -341,7 +338,9 @@ def intermediary_profit_by_outcome(
         members = [q] * len(coalition.members)
         return tuple(_coalition_gain(spec.rule, players, coalition, members).tolist())
     if spec.kind is MechanismKind.COMPETITIVE:
-        gain = _competitive_surplus(spec.rule, players, coalition, q, range(q.m))
+        gain = _coalition_surplus(
+            spec.kind, spec.rule, players, coalition, q, range(q.m)
+        )
         return tuple(gain.tolist())
     raise UnsupportedMechanism(
         "intermediary runs support traditional and competitive mechanisms; "

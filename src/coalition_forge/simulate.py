@@ -31,10 +31,9 @@ from .errors import (
 from .mechanisms import (
     MechanismKind,
     MechanismSpec,
-    coalition_surplus_market,
+    _coalition_surplus,
     intermediary_profit_by_outcome,
     ordering_satisfies_alternation,
-    uniform_prior,
 )
 from .rules import score_table
 from .simplex import Forecast, validate_forecast
@@ -345,15 +344,12 @@ def market_session(
     arb = arbitrage_report(mechanism.rule, players, coalition)
     ordering_ok = ordering_satisfies_alternation(ordering, coalition)
     m = sampler.m
-    prior = mechanism.market_prior or uniform_prior(m)
     if arb.agreement:
         return MarketSessionResult(
             tuple(0.0 for _ in range(m)), ordering_ok, True, arb
         )
-    surpluses = tuple(
-        coalition_surplus_market(
-            mechanism.rule, players, ordering, coalition, arb.q, j, prior
-        )
-        for j in range(m)
+    surpluses = _coalition_surplus(
+        mechanism.kind, mechanism.rule, players, coalition, arb.q, range(m),
+        ordering, mechanism.market_prior, stacklevel=2,
     )
-    return MarketSessionResult(surpluses, ordering_ok, False, arb)
+    return MarketSessionResult(tuple(surpluses.tolist()), ordering_ok, False, arb)

@@ -3,9 +3,15 @@ and the command-line interface (output shapes and exit codes)."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import hashlib
+import io
 import json
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -478,28 +484,84 @@ def test_cli_simulate_market_session_json(capsys):
     assert len(payload["q"]) == 2
 
 
-def test_cli_bundled_outputs_print_plain_floats(tmp_path, capsys):
-    # A numpy scalar reaching repr() prints as np.float64(...). simulate
-    # writes the csv and json forms to --out files beside its table output,
-    # so one run per scenario covers all three formats.
+DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
+_TIMESTAMP_LINE = re.compile(r'^ *"timestamp": "[^"]*",\n', re.MULTILINE)
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, {"stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def bundled_outputs(out_dir):
+    """Every bundled scenario through score, arbitrage and verify in each
+    format, and through simulate with its --out files: a map from
+    "<scenario> <command> [<format>]" to the exit code and output texts."""
+    runs = {}
     for name in sorted(BUNDLED_NAMES):
-        texts = []
         for command in ("score", "arbitrage", "verify"):
             for fmt in ("csv", "json", "table"):
-                main([command, "--scenario", name, "--format", fmt])
-                captured = capsys.readouterr()
-                texts.append(captured.out + captured.err)
-        base = tmp_path / name
-        main(["simulate", "--scenario", name, "--out", str(base)])
-        captured = capsys.readouterr()
-        texts.append(captured.out + captured.err)
+                runs[f"{name} {command} {fmt}"] = _run_cli(
+                    [command, "--scenario", name, "--format", fmt]
+                )
+        base = Path(out_dir) / name
+        code, texts = _run_cli(["simulate", "--scenario", name, "--out", str(base)])
         for suffix in (".csv", ".json"):
-            written = tmp_path / (name + suffix)
+            written = base.with_suffix(suffix)
             if written.exists():
-                texts.append(written.read_text(encoding="utf-8"))
-        assert all("np." not in text for text in texts), name
+                texts["out" + suffix] = written.read_text(encoding="utf-8")
+        runs[f"{name} simulate"] = (code, texts)
+    return runs
+
+
+def output_digests(runs):
+    """Exit codes and sha256 digests of the texts, JSON timestamps removed."""
+    return {
+        key: {
+            "exit_code": code,
+            **{
+                label: hashlib.sha256(
+                    _TIMESTAMP_LINE.sub("", text).encode("utf-8")
+                ).hexdigest()
+                for label, text in texts.items()
+            },
+        }
+        for key, (code, texts) in runs.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def bundled_runs(tmp_path_factory):
+    return bundled_outputs(tmp_path_factory.mktemp("bundled"))
+
+
+def test_cli_bundled_outputs_print_plain_floats(bundled_runs):
+    # A numpy scalar reaching repr() prints as np.float64(...).
+    for key, (_, texts) in bundled_runs.items():
+        assert all("np." not in text for text in texts.values()), key
+
+
+def test_cli_bundled_outputs_are_byte_stable(bundled_runs):
+    # The recorded digests pin every bundled output byte for byte; a change
+    # that moves any of them on purpose re-records them with
+    # `PYTHONPATH=src python tests/test_cli.py`.
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    actual = output_digests(bundled_runs)
+    assert sorted(actual) == sorted(expected)
+    changed = sorted(key for key in expected if actual[key] != expected[key])
+    assert not changed, changed
 
 
 def test_cli_simulate_needs_simulation_block(capsys):
     assert main(["simulate", "--scenario", "example1"]) == 2
     assert "simulation" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    # Re-record tests/data/cli_digests.json from the current program:
+    # PYTHONPATH=src python tests/test_cli.py
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = output_digests(bundled_outputs(tmp))
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")

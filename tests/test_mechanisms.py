@@ -250,6 +250,21 @@ def test_log_of_zero_raises_from_tables_and_surpluses():
         traditional_payments(rule, players, 0)
     with pytest.raises(LogOfZero):
         surplus_by_outcome(rule, players, Coalition((0, 1)), Forecast((0.0, 1.0)))
+    # An outsider's zero entry leaves both surpluses undefined at that
+    # outcome only.
+    players = _reporting(
+        ((0.5, 0.5), (0.0, 1.0)), ((0.3, 0.7), (0.4, 0.6)), ((0.6, 0.4), (0.6, 0.4))
+    )
+    coalition = Coalition((1, 2))
+    q = Forecast((0.5, 0.5))
+    with pytest.raises(LogOfZero):
+        coalition_surplus_competitive(rule, players, coalition, q, 0)
+    with pytest.raises(LogOfZero):
+        coalition_surplus_market(rule, players, (1, 0, 2), coalition, q, 0)
+    assert math.isfinite(coalition_surplus_competitive(rule, players, coalition, q, 1))
+    assert math.isfinite(
+        coalition_surplus_market(rule, players, (1, 0, 2), coalition, q, 1)
+    )
 
 
 def test_per_outcome_functions_reject_outcomes_out_of_range():
@@ -364,11 +379,13 @@ def test_coalition_of_everyone_warns_and_gains_nothing():
         Player(Forecast((0.2, 0.8)), 1.0),
         Player(Forecast((0.8, 0.2)), 1.0),
     ]
-    with pytest.warns(CoalitionIsEveryoneWarning):
+    with pytest.warns(CoalitionIsEveryoneWarning) as record:
         surplus = coalition_surplus_competitive(
             quadratic_rule(), players, Coalition((0, 1)), Forecast((0.5, 0.5)), 0
         )
     assert surplus == pytest.approx(0.0, abs=1e-12)
+    # The warning points at the caller, not into the library.
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_alternation_predicate():
@@ -430,10 +447,11 @@ def test_market_surplus_warns_on_adjacent_members():
         Player(Forecast((0.6, 0.4)), 1.0),
         Player(Forecast((0.8, 0.2)), 1.0),
     ]
-    with pytest.warns(OrderingViolationWarning):
+    with pytest.warns(OrderingViolationWarning) as record:
         coalition_surplus_market(
             rule, players, (0, 1, 3, 2), Coalition((1, 3)), Forecast((0.5, 0.5)), 0
         )
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_market_surplus_validates_ordering():

@@ -1,6 +1,8 @@
 """Property tests of the payment-table algebra on extreme beliefs:
 self-financing competitive columns, the (1 - w_C/W) scaling of the
-competitive coalition gain, and market-scoring telescoping.
+competitive coalition gain, and market-scoring telescoping; and of the
+scenario format: every valid scenario survives scenario_to_dict and
+parse_scenario unchanged.
 
 Beliefs come from Dirichlet draws with alpha = 0.01, which pile almost all
 mass on one state, and, under the quadratic and spherical rules, from rows
@@ -10,6 +12,7 @@ its draws keep every entry at 1e-12 or more.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -24,10 +27,13 @@ from coalition_forge import (
     Player,
     coalition_surplus_competitive,
     generalized_log_rule,
+    canonical_json,
     logarithmic_rule,
     market_scoring_payments,
+    parse_scenario,
     payment_table,
     quadratic_rule,
+    scenario_to_dict,
     score,
     spherical_rule,
     surplus_by_outcome,
@@ -117,3 +123,105 @@ def test_market_payments_telescope_on_extreme_reports(pool):
         column = market_scoring_payments(rule, reports, q, j)
         assert column == table.column(j)
         assert abs(math.fsum(column) - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def probability_lists(draw, m):
+    """m non-negative entries summing to 1, with exact zeros and
+    near-vertex rows among them."""
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=m, max_size=m)
+    )
+    weights[draw(st.integers(0, m - 1))] += 1.0
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
+@st.composite
+def scenario_documents(draw):
+    """A valid scenario in its JSON form: every rule kind and mechanism
+    name, players with and without reports, a coalition, labels and each
+    simulation mode, every optional field sometimes left out."""
+    m = draw(st.integers(2, 4))
+    mechanism = draw(
+        st.sampled_from(["traditional", "competitive", "market", "kilgour_gerchak", "lambert"])
+    )
+    kinds = ["quadratic", "spherical", "generalized_logarithmic"]
+    if mechanism != "lambert":
+        kinds += ["logarithmic", "linear"]
+    rule = {"kind": draw(st.sampled_from(kinds))}
+    if draw(st.booleans()):
+        rule["a"] = draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rule["b"] = draw(POSITIVE)
+    if rule["kind"] == "generalized_logarithmic":
+        floors = st.floats(1e-6, 1.0)
+        rule["l"] = draw(floors if mechanism == "lambert" else st.one_of(st.just(0.0), floors))
+    doc = {"schema_version": 1, "event": {"m": m}, "rule": rule, "mechanism": mechanism}
+    if mechanism == "market" and draw(st.booleans()):
+        doc["mechanism"] = {"kind": "market", "prior": draw(probability_lists(m))}
+    if draw(st.booleans()):
+        doc["event"]["labels"] = draw(st.lists(st.text(max_size=4), min_size=m, max_size=m))
+    n = draw(st.integers(0, 5))
+    equal_wager = draw(POSITIVE)
+    players = []
+    for _ in range(n):
+        player = {"belief": draw(probability_lists(m))}
+        if mechanism == "kilgour_gerchak":
+            player["wager"] = equal_wager
+        elif draw(st.booleans()):
+            player["wager"] = draw(POSITIVE)
+        if draw(st.booleans()):
+            player["report"] = draw(probability_lists(m))
+        players.append(player)
+    if players:
+        doc["players"] = players
+        if draw(st.booleans()):
+            doc["coalition"] = draw(
+                st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+            )
+    if draw(st.booleans()):
+        doc["simulation"] = draw(simulation_blocks(m))
+    return doc
+
+
+@st.composite
+def simulation_blocks(draw, m):
+    mode = draw(st.sampled_from(["sweep", "intermediary", "market_session"]))
+    samplers = ["dirichlet", "finite_mixture"] + (["beta_binary"] if m == 2 else [])
+    kind = draw(st.sampled_from(samplers))
+    if kind == "beta_binary":
+        sampler = {"kind": kind, "alpha": draw(POSITIVE), "beta": draw(POSITIVE)}
+    elif kind == "dirichlet":
+        sampler = {"kind": kind, "alpha": draw(st.lists(POSITIVE, min_size=m, max_size=m))}
+    else:
+        points = draw(st.lists(probability_lists(m), min_size=1, max_size=3))
+        weights = draw(st.lists(POSITIVE, min_size=len(points), max_size=len(points)))
+        sampler = {"kind": kind, "points": points, "weights": weights}
+    sim = {"mode": mode}
+    if mode != "intermediary" or draw(st.booleans()):
+        sim["sampler"] = sampler
+    if mode == "sweep" or draw(st.booleans()):
+        sim["n"] = draw(st.integers(2, 50))
+        sim["fractions"] = draw(
+            st.lists(st.floats(1e-6, 1.0, exclude_min=True), min_size=1, max_size=4)
+        )
+        sim["trials"] = draw(st.integers(1, 100))
+    if draw(st.booleans()):
+        sim["seed"] = draw(st.integers(0, 2**63 - 1))
+    if mode == "market_session" or draw(st.booleans()):
+        size = draw(st.integers(1, 6))
+        sim["ordering"] = [i + 1 for i in draw(st.permutations(range(size)))]
+    return sim
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(scenario_documents())
+def test_scenario_round_trips_through_its_json_form(doc):
+    sc = parse_scenario(doc)
+    assert parse_scenario(scenario_to_dict(sc)) == sc
+    # The same holds through the serialized text a scenario file holds.
+    assert parse_scenario(json.loads(canonical_json(scenario_to_dict(sc)))) == sc

@@ -29,6 +29,7 @@ from coalition_forge import (
     score,
     substream,
 )
+from coalition_forge import simulate
 
 
 def test_substream_reproducibility_and_independence():
@@ -306,11 +307,13 @@ def test_market_session_flags_ordering_violation():
     sampler = FiniteMixture(((0.2, 0.8), (0.8, 0.2)), (1.0, 1.0))
     coalition = Coalition((1, 2))
     seed = _seed_with_member_disagreement(sampler, coalition, 4)
-    with pytest.warns(OrderingViolationWarning):
+    with pytest.warns(OrderingViolationWarning) as record:
         result = market_session(
             _market_spec(), (0, 1, 2, 3), coalition, sampler, seed=seed
         )
     assert not result.ordering_ok
+    # One warning per session, attributed to the session itself.
+    assert [w.filename for w in record] == [simulate.__file__]
 
 
 def test_market_session_agreement_gives_zero_surplus():
