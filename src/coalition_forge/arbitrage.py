@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .rules import ConvexGenerator, RuleKind, ScoringRule, _score_columns, score_table
-from .simplex import Forecast, grid_array, weighted_mean
+from .simplex import Forecast, _clear_dust, _lattice_blocks, weighted_mean
 
 # Members whose beliefs differ by at most this much (max-norm, pairwise)
 # are treated as agreeing; the strict-dominance guarantees need genuine
@@ -40,10 +40,6 @@ AGREEMENT_TOL = 1e-12
 # Surplus entries are "equalized" when their spread is within this
 # relative tolerance of the mean level.
 EQUALIZED_RTOL = 1e-9
-
-# Negative spherical-equalizer entries down to this size are float dust
-# around an exact 0 and are snapped to 0.0.
-SPHERICAL_DUST = 1e-12
 
 
 @dataclass(frozen=True)
@@ -219,11 +215,7 @@ def _spherical_equalizer(Y: np.ndarray) -> np.ndarray | None:
     s = 1.0 - ssd
     if s <= 0.0:
         return None
-    q = 1.0 / m + (Y - y_bar) / math.sqrt(m * s)
-    # Members near one vertex leave entries such as -1.7e-16 where the
-    # exact report is 0; snap that float dust so q is a valid Forecast.
-    q[(q < 0.0) & (q >= -SPHERICAL_DUST)] = 0.0
-    return q
+    return 1.0 / m + (Y - y_bar) / math.sqrt(m * s)
 
 
 def _bisect_equalizer(
@@ -288,23 +280,29 @@ def _equalizing_array(
 ) -> np.ndarray | None:
     """Equalizing report as a bare array; None signals the spherical
     near-agreement guard. Assumes genuine disagreement was ruled out
-    by the caller for the None interpretation to matter."""
+    by the caller for the None interpretation to matter.
+
+    Members near a vertex leave entries such as -1.7e-16 where the exact
+    report is 0; that float dust is snapped to 0 so q is a valid Forecast.
+    """
     kind = rule.kind
     if kind is RuleKind.QUADRATIC:
-        return (w[:, None] * P).sum(axis=0) / w.sum()
-    if kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG):
+        q = (w[:, None] * P).sum(axis=0) / w.sum()
+    elif kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG):
         floor = rule.floor if kind is RuleKind.GENERALIZED_LOG else 0.0
-        return _geometric_equalizer(P, w, floor)
-    if kind is RuleKind.SPHERICAL:
-        return _spherical_equalizer(_spherical_y(P, w))
-    if kind is RuleKind.CUSTOM_BINARY:
+        q = _geometric_equalizer(P, w, floor)
+    elif kind is RuleKind.SPHERICAL:
+        q = _spherical_equalizer(_spherical_y(P, w))
+    elif kind is RuleKind.CUSTOM_BINARY:
         if P.shape[1] != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
         q1 = _bisect_equalizer(rule.generator, P[:, 0], w / w.sum(), 1e-12)
-        return np.asarray([q1, 1.0 - q1])
-    raise UnsupportedRule(
-        f"no equalizing construction for rule kind {kind.value!r}"
-    )
+        q = np.asarray([q1, 1.0 - q1])
+    else:
+        raise UnsupportedRule(
+            f"no equalizing construction for rule kind {kind.value!r}"
+        )
+    return None if q is None else _clear_dust(q)
 
 
 def _column_fsum(table: np.ndarray) -> np.ndarray:
@@ -486,11 +484,16 @@ def grid_search_equalizer(
             "a member belief cannot be scored under this rule"
         )
     t = (w[:, None] * truthful).sum(axis=0)
-    grid = grid_array(m, resolution)
-    table = score_table(rule, grid)
-    margins = float(w.sum()) * table - t[None, :]
-    with np.errstate(invalid="ignore"):
-        worst = margins.min(axis=1)
-    worst = np.where(np.isnan(worst), -np.inf, worst)
-    best = int(np.argmax(worst))
-    return Forecast(tuple(float(x) for x in grid[best]))
+    w_c = float(w.sum())
+    # One block at a time, keeping the first maximum in lattice order: a
+    # later block replaces it only when strictly larger.
+    best_worst, best = -math.inf, None
+    for grid in _lattice_blocks(m, resolution):
+        margins = w_c * score_table(rule, grid) - t[None, :]
+        with np.errstate(invalid="ignore"):
+            worst = margins.min(axis=1)
+        worst = np.where(np.isnan(worst), -np.inf, worst)
+        k = int(np.argmax(worst))
+        if best is None or worst[k] > best_worst:
+            best_worst, best = worst[k], grid[k].tolist()
+    return Forecast(tuple(best))

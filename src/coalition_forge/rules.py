@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedRule,
     ValidationError,
 )
-from .simplex import Forecast, grid_array
+from .simplex import Forecast, _lattice_blocks
 
 
 class RuleKind(str, Enum):
@@ -212,23 +212,33 @@ def score_table(rule: ScoringRule, reports: np.ndarray) -> np.ndarray:
     a = rule.offsets_for(m)
     b = rule.b
     kind = rule.kind
+    # Each branch works in place on one fresh array, in the order of
+    # operations of a + b * f(R), which would allocate a temporary per step.
     if kind is RuleKind.QUADRATIC:
-        return a[None, :] + b * (2.0 * R - (R * R).sum(axis=1, keepdims=True))
-    if kind is RuleKind.LOGARITHMIC or (
+        out = 2.0 * R
+        out -= (R * R).sum(axis=1, keepdims=True)
+        out *= b
+    elif kind is RuleKind.LOGARITHMIC or (
         kind is RuleKind.GENERALIZED_LOG and rule.floor == 0.0
     ):
         with np.errstate(divide="ignore"):
-            return a[None, :] + b * np.log(R)
-    if kind is RuleKind.GENERALIZED_LOG:
+            out = np.log(R)
+        out *= b
+    elif kind is RuleKind.GENERALIZED_LOG:
         l = rule.floor
-        shifted = np.log(R + l)
-        return a[None, :] + b * shifted + b * l * shifted.sum(axis=1, keepdims=True)
-    if kind is RuleKind.SPHERICAL:
-        norms = np.sqrt((R * R).sum(axis=1, keepdims=True))
-        return a[None, :] + b * R / norms
-    if kind is RuleKind.LINEAR:
-        return a[None, :] + b * R
-    if kind is RuleKind.CUSTOM_BINARY:
+        out = R + l
+        np.log(out, out=out)
+        tail = b * l * out.sum(axis=1, keepdims=True)
+        out *= b
+        out += a
+        out += tail
+        return out
+    elif kind is RuleKind.SPHERICAL:
+        out = b * R
+        out /= np.sqrt((R * R).sum(axis=1, keepdims=True))
+    elif kind is RuleKind.LINEAR:
+        out = b * R
+    elif kind is RuleKind.CUSTOM_BINARY:
         if m != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
         lo, hi = rule.generator.domain
@@ -236,8 +246,11 @@ def score_table(rule: ScoringRule, reports: np.ndarray) -> np.ndarray:
         for i, r in enumerate(R[:, 0].tolist()):
             if lo < r < hi:
                 out[i] = [savage_binary_score(rule.generator, r, j) for j in range(m)]
-        return a[None, :] + b * out
-    raise UnsupportedRule(f"unknown rule kind {kind!r}")
+        out *= b
+    else:
+        raise UnsupportedRule(f"unknown rule kind {kind!r}")
+    out += a
+    return out
 
 
 def _score_columns(
@@ -310,40 +323,45 @@ def check_strict_properness(
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
     m = belief.m
     p = belief.as_array()
-    grid = grid_array(m, resolution)
-    table = score_table(rule, grid)
+    blocks = _lattice_blocks(m, resolution)
     # Zero-belief states contribute nothing to the expectation even where
     # the score there is -inf, so neutralize those columns first (in place:
     # score_table returns a fresh array).
     zero_cols = p == 0.0
-    if zero_cols.any():
-        table[:, zero_cols] = 0.0
-    with np.errstate(invalid="ignore"):
-        expectations = table @ p
     truth_table = score_table(rule, p[None, :])
-    if zero_cols.any():
-        truth_table[:, zero_cols] = 0.0
+    truth_table[:, zero_cols] = 0.0
     truth_value = float(truth_table[0] @ p)
     if not math.isfinite(truth_value):
         raise ValidationError(
             "expected score at the truthful report is not finite; "
             "the belief lies outside the rule's domain"
         )
-    # The truthful report matches the belief in every entry: narrow the
-    # candidate rows one column at a time instead of comparing whole rows.
-    truthful = np.flatnonzero(np.abs(grid[:, 0] - p[0]) <= 1e-12)
-    for j in range(1, m):
-        truthful = truthful[np.abs(grid[truthful, j] - p[j]) <= 1e-12]
-    competitor = np.isfinite(expectations)
-    skipped = len(competitor) - int(competitor.sum())
-    competitor[truthful] = False
-    checked = int(competitor.sum())
-    if checked == 0:
-        return PropernessReport(True, -math.inf, None, 0, skipped)
-    margins = expectations[competitor] - truth_value
-    best = int(np.argmax(margins))
-    max_margin = float(margins[best])
-    nearest = Forecast(tuple(float(x) for x in grid[np.flatnonzero(competitor)[best]]))
+    checked = skipped = 0
+    max_margin, nearest = -math.inf, None
+    # One block at a time, keeping the first maximum in lattice order: a
+    # later block replaces it only when strictly larger.
+    for grid in blocks:
+        table = score_table(rule, grid)
+        table[:, zero_cols] = 0.0
+        with np.errstate(invalid="ignore"):
+            expectations = table @ p
+        # The truthful report matches the belief in every entry: narrow the
+        # candidate rows one column at a time instead of comparing whole rows.
+        truthful = np.flatnonzero(np.abs(grid[:, 0] - p[0]) <= 1e-12)
+        for j in range(1, m):
+            truthful = truthful[np.abs(grid[truthful, j] - p[j]) <= 1e-12]
+        competitor = np.isfinite(expectations)
+        skipped += len(competitor) - int(competitor.sum())
+        competitor[truthful] = False
+        rows = np.flatnonzero(competitor)
+        checked += len(rows)
+        if len(rows) == 0:
+            continue
+        margins = expectations[rows] - truth_value
+        best = int(np.argmax(margins))
+        if margins[best] > max_margin:
+            max_margin = float(margins[best])
+            nearest = Forecast(tuple(grid[rows[best]].tolist()))
     return PropernessReport(max_margin < 0.0, max_margin, nearest, checked, skipped)
 
 

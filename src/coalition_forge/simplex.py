@@ -27,9 +27,16 @@ from .errors import (
 # tolerate this much drift without renormalization.
 SUM_TOL = 1e-9
 
-# Largest lattice grid_array builds: 4 M points of m floats each. m = 6 at
-# resolution 50 (3.48 M points) fits; m = 7 at resolution 50 (32.5 M) does not.
+# Largest lattice grid_array or _lattice_blocks accepts. Scoring streams the
+# lattice in blocks, so this bounds time, not memory: m = 6 at resolution 50
+# (3.48 M points) fits; m = 7 at resolution 50 (32.5 M) does not.
 MAX_GRID_POINTS = 4_000_000
+
+# Most rows in one block of _lattice_blocks.
+BLOCK_ROWS = 16_384
+
+# Entries this far below zero are float dust around an exact 0.
+_DUST = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,37 +139,119 @@ def grid_array(m: int, resolution: int) -> np.ndarray:
     lexicographic order, divided by resolution. Lattices above
     MAX_GRID_POINTS raise ValidationError before anything is allocated.
     """
+    (grid,) = _lattice_blocks(m, resolution, MAX_GRID_POINTS)
+    return grid
+
+
+def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
+    """grid_array(m, resolution) as consecutive row blocks of at most
+    block_rows rows (BLOCK_ROWS when None), in the same order.
+
+    The compositions form a tree: the rows below a partial row share its
+    first entries. A block is a run of sibling subtrees; a subtree larger
+    than block_rows is split by its next entry, recursively. Arguments are
+    checked at the call, before the first block is built.
+
+    While block_rows >= max(m, 3) no block is a single row: numpy
+    multiplies a one-row matrix by a vector with its dot kernel, which can
+    round differently from the matrix-vector kernel of longer blocks, and
+    a blocked product must give every row the bits the whole lattice gets.
+    """
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")
     if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+        raise ValidationError(f"resolution must be >= 1, got {resolution}")
     n = math.comb(resolution + m - 1, m - 1)
     if n > MAX_GRID_POINTS:
         raise ValidationError(
             f"resolution {resolution} over {m} states gives {n:,} lattice "
             f"points, above the limit of {MAX_GRID_POINTS:,}"
         )
-    # Integer parts first, in the smallest type that holds resolution, then
-    # one contiguous division: filling the float columns of an (N, m) array
-    # one by one is strided and about twice as slow.
-    parts = np.empty((n, m), dtype=np.min_scalar_type(resolution))
-    # Stars and bars, one column at a time: every partial row (the heads
-    # chosen so far) with `remaining` units left branches into heads
-    # 0..remaining, in order, which keeps the rows lexicographic.
-    remaining = np.array([resolution])
-    for col in range(m - 1):
-        branches = remaining + 1
-        starts = np.cumsum(branches) - branches
-        head = np.arange(int(branches.sum())) - np.repeat(starts, branches)
-        remaining = np.repeat(remaining, branches) - head
-        # A partial row with r units left over the k = m - 1 - col columns
-        # still open ends in C(r + k - 1, k - 1) full rows, all contiguous.
-        open_cols = m - 1 - col
-        if open_cols > 1:
-            tails = np.array(
-                [math.comb(r + open_cols - 1, open_cols - 1) for r in range(resolution + 1)]
-            )
-            head = np.repeat(head, tails[remaining])
-        parts[:, col] = head
-    parts[:, m - 1] = remaining
-    return parts / resolution
+    limit = BLOCK_ROWS if block_rows is None else block_rows
+    # rows[k][r] = C(r + k - 1, k - 1), the full rows below a partial row
+    # with r units left over k open columns (k >= 2). By the hockey-stick
+    # identity each table is the running sum of the one before.
+    rows = {}
+    for k in range(2, m):
+        rows[k] = np.arange(1, resolution + 2) if k == 2 else np.cumsum(rows[k - 1])
+    dtype = np.min_scalar_type(resolution)
+
+    def block(prefix: tuple[int, ...], heads: np.ndarray, r: int) -> np.ndarray:
+        # The rows below prefix + (h,) for h in heads, r units after prefix.
+        remaining = r - heads
+        d = len(prefix)
+        k = m - d - 1
+        size = len(heads) if k == 1 else int(rows[k][remaining].sum())
+        # Integer parts first, in the smallest type that holds resolution,
+        # then one contiguous division: filling the float columns one by
+        # one is strided and about twice as slow.
+        parts = np.empty((size, m), dtype=dtype)
+        parts[:, :d] = prefix
+        head = heads
+        # Stars and bars, one column at a time: every partial row with
+        # `remaining` units left branches into heads 0..remaining, in
+        # order, which keeps the rows lexicographic.
+        for col in range(d, m - 1):
+            if col > d:
+                branches = remaining + 1
+                starts = np.cumsum(branches) - branches
+                head = np.arange(int(branches.sum())) - np.repeat(starts, branches)
+                remaining = np.repeat(remaining, branches) - head
+            # A partial row ends in rows[open][remaining] full rows, all
+            # contiguous.
+            open_cols = m - 1 - col
+            parts[:, col] = np.repeat(head, rows[open_cols][remaining]) if open_cols > 1 else head
+        parts[:, m - 1] = remaining
+        return parts / resolution
+
+    def split(prefix: tuple[int, ...], r: int) -> list:
+        # The rows below prefix, which leaves r units over k >= 2 open
+        # columns, in lattice order: blocks (prefix, r, heads) and subtrees
+        # too large for one block (prefix + (h,), r - h, None).
+        k = m - len(prefix)
+        if k == 2:
+            # One row per head: split them into equal blocks.
+            pieces = -(-(r + 1) // limit)
+            return [
+                (prefix, r, np.arange((r + 1) * i // pieces, (r + 1) * (i + 1) // pieces))
+                for i in range(pieces)
+            ]
+        child = rows[k - 1][r::-1]  # rows below next entry h, falling in h
+        h = 0
+        out = []
+        while h <= r and child[h] > limit:
+            out.append((prefix + (h,), r - h, None))
+            h += 1
+        # The rest fit a block each. Group them into runs from the last head
+        # back, so that the last head, a single row, shares its block.
+        back = np.cumsum(child[h:][::-1])  # rows below heads r, r - 1, ..., h
+        edges, done = [r + 1], 0
+        while edges[-1] > h:
+            taken = int(np.searchsorted(back, done + limit, side="right"))
+            edges.append(r + 1 - taken)
+            done = int(back[taken - 1])
+        edges.reverse()
+        return out + [(prefix, r, np.arange(a, b)) for a, b in zip(edges, edges[1:])]
+
+    def stream():
+        # Depth first with an explicit stack: a subtree can be split once
+        # per state, more often than Python allows nested calls.
+        todo = [((), resolution, None)]
+        while todo:
+            prefix, r, heads = todo.pop()
+            if heads is None:
+                todo.extend(reversed(split(prefix, r)))
+            else:
+                yield block(prefix, heads, r)
+
+    return stream()
+
+
+def _clear_dust(q: np.ndarray) -> np.ndarray:
+    """Snap entries in [-1e-12, 0) of q to 0, in place, and return q.
+
+    Such entries are rounding error around an exact 0; anything more
+    negative is left for Forecast to reject.
+    """
+    q[(q < 0.0) & (q >= -_DUST)] = 0.0
+    return q

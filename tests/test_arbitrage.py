@@ -25,20 +25,24 @@ from coalition_forge import (
     Verdict,
     arbitrage_report,
     binary_equalizer,
+    binary_quadratic_generator,
     closed_form_surplus,
     custom_binary_rule,
     generalized_log_rule,
+    grid_array,
     grid_search_equalizer,
     linear_rule,
     logarithmic_rule,
     logit_generator,
     quadratic_rule,
+    score_table,
     spherical_rule,
     surplus_by_outcome,
     spherical_aux,
     verify_dominance_oracle,
     weighted_mean,
 )
+from coalition_forge import simplex
 from coalition_forge.arbitrage import _spherical_equalizer
 
 from conftest import disagreeing_players, full_coalition, random_forecast
@@ -339,6 +343,65 @@ def test_spherical_near_vertex_members_get_a_valid_report():
     assert min(result.q.probs) >= 0.0
     assert result.q.probs[2] == 0.0
     assert max(abs(x) for x in result.surplus_by_outcome) < 1e-12
+
+
+def test_generalized_log_near_vertex_members_get_a_valid_report():
+    # The unsnapped equalizer puts about -6.9e-18 on the third state.
+    eps = 1.9840934620783596e-09
+    players = _players((1.0, 0.0, 0.0), (1 - eps, eps, 0.0))
+    result = arbitrage_report(generalized_log_rule(0.05), players, PAIR)
+    assert min(result.q.probs) >= 0.0
+    assert result.q.probs[2] == 0.0
+    assert max(abs(x) for x in result.surplus_by_outcome) < 1e-12
+
+
+def _unblocked_grid_search(rule, players, coalition, resolution):
+    """grid_search_equalizer over the whole lattice at once: one score
+    table and the first maximum of the worst-outcome margin."""
+    P = np.asarray([players[i].belief.probs for i in coalition.members])
+    w = np.asarray([players[i].wager for i in coalition.members])
+    t = (w[:, None] * score_table(rule, P)).sum(axis=0)
+    grid = grid_array(P.shape[1], resolution)
+    margins = float(w.sum()) * score_table(rule, grid) - t[None, :]
+    with np.errstate(invalid="ignore"):
+        worst = margins.min(axis=1)
+    worst = np.where(np.isnan(worst), -np.inf, worst)
+    return Forecast(tuple(grid[int(np.argmax(worst))].tolist()))
+
+
+@pytest.mark.parametrize("block_rows", [7, 50, None])
+def test_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(simplex, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(707)
+    for _ in range(24):
+        m = int(rng.integers(2, 5))
+        resolution = int(rng.integers(10, {2: 400, 3: 40, 4: 18}[m]))
+        a = tuple(rng.uniform(-1.0, 1.0, size=m)) if rng.random() < 0.5 else None
+        b = float(rng.uniform(0.3, 2.0))
+        rule = [
+            quadratic_rule(a, b),
+            logarithmic_rule(a, b),
+            generalized_log_rule(float(rng.uniform(0.01, 0.3)), a, b),
+            spherical_rule(a, b),
+        ][int(rng.integers(4))]
+        players = disagreeing_players(rng, int(rng.integers(2, 5)), m)
+        coalition = full_coalition(players)
+        expected = _unblocked_grid_search(rule, players, coalition, resolution)
+        assert grid_search_equalizer(rule, players, coalition, resolution) == expected
+
+
+def test_grid_search_on_an_unscorable_lattice_returns_its_first_row(monkeypatch):
+    # No lattice report at resolution 10 lies inside the generator's open
+    # domain, so every row scores -inf; the members' beliefs do lie inside.
+    monkeypatch.setattr(simplex, "BLOCK_ROWS", 3)
+    quad = binary_quadratic_generator()
+    narrow = ConvexGenerator(quad.g, quad.g_prime, domain=(0.41, 0.49))
+    rule = custom_binary_rule(narrow)
+    players = _players((0.42, 0.58), (0.48, 0.52))
+    best = grid_search_equalizer(rule, players, PAIR, 10)
+    assert best == _unblocked_grid_search(rule, players, PAIR, 10)
+    assert best.probs == (0.0, 1.0)
 
 
 def test_grid_search_matches_closed_forms():

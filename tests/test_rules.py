@@ -4,6 +4,7 @@ properness checking, and unit-interval normalization."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from coalition_forge import (
     LogOfZero,
     NonMonotoneGenerator,
     OutOfDomain,
+    PropernessReport,
     RuleKind,
     ScoringRule,
     UnboundedRule,
@@ -37,6 +39,8 @@ from coalition_forge import (
     score_table,
     spherical_rule,
 )
+
+from coalition_forge import simplex
 
 from conftest import random_forecast
 
@@ -349,6 +353,115 @@ def test_properness_custom_binary_logit():
 def test_properness_resolution_validation():
     with pytest.raises(ValidationError):
         check_strict_properness(quadratic_rule(), Forecast((0.5, 0.5)), 1)
+
+
+def _unblocked_properness(rule, belief, resolution):
+    """check_strict_properness over the whole lattice at once: one score
+    table, one matmul and the first maximum; None where the truthful
+    expected score is not finite."""
+    p = belief.as_array()
+    zero_cols = p == 0.0
+    grid = grid_array(belief.m, resolution)
+    table = score_table(rule, grid)
+    table[:, zero_cols] = 0.0
+    with np.errstate(invalid="ignore"):
+        expectations = table @ p
+    truth = score_table(rule, p[None, :])
+    truth[:, zero_cols] = 0.0
+    truth_value = float(truth[0] @ p)
+    if not math.isfinite(truth_value):
+        return None
+    finite = np.isfinite(expectations)
+    rows = np.flatnonzero(finite & ~(np.abs(grid - p) <= 1e-12).all(axis=1))
+    skipped = len(grid) - int(finite.sum())
+    if len(rows) == 0:
+        return PropernessReport(True, -math.inf, None, 0, skipped)
+    margins = expectations[rows] - truth_value
+    best = int(np.argmax(margins))
+    nearest = Forecast(tuple(grid[rows[best]].tolist()))
+    return PropernessReport(
+        bool(margins[best] < 0.0), float(margins[best]), nearest, len(rows), skipped
+    )
+
+
+def _random_rule(rng, m):
+    a = tuple(rng.uniform(-1.0, 1.0, size=m)) if rng.random() < 0.5 else None
+    b = float(rng.uniform(0.3, 2.0))
+    choice = int(rng.integers(6 if m == 2 else 5))
+    if choice == 0:
+        return quadratic_rule(a, b)
+    if choice == 1:
+        return logarithmic_rule(a, b)
+    if choice == 2:
+        return generalized_log_rule(float(rng.uniform(0.01, 0.3)), a, b)
+    if choice == 3:
+        return spherical_rule(a, b)
+    if choice == 4:
+        return linear_rule(a, b)
+    return custom_binary_rule(logit_generator(), a, b)
+
+
+def _random_belief(rng, m, resolution):
+    p = rng.dirichlet(np.ones(m))
+    kind = int(rng.integers(4))
+    if kind == 1:
+        p[int(rng.integers(m))] = 0.0
+        p /= p.sum()
+    elif kind >= 2:
+        # On the lattice, with a zero state in half of these.
+        weights = p.copy()
+        if kind == 3:
+            weights[int(rng.integers(m))] = 0.0
+        p = rng.multinomial(resolution, weights / weights.sum()) / resolution
+    return Forecast(tuple(p.tolist()))
+
+
+@pytest.mark.parametrize("block_rows", [7, 50, None])
+def test_properness_equals_unblocked_oracle(monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(simplex, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(606)
+    top = {2: 300, 3: 40, 4: 16, 5: 10}
+    for _ in range(60):
+        m = int(rng.integers(2, 6))
+        resolution = int(rng.integers(2, top[m]))
+        rule = _random_rule(rng, m)
+        belief = _random_belief(rng, m, resolution)
+        expected = _unblocked_properness(rule, belief, resolution)
+        if expected is None:
+            # The truthful score is undefined, as for a custom binary rule
+            # at a vertex belief.
+            with pytest.raises(ValidationError, match="not finite"):
+                check_strict_properness(rule, belief, resolution)
+        else:
+            assert check_strict_properness(rule, belief, resolution) == expected
+
+
+def test_properness_ties_keep_the_first_maximum_in_lattice_order(monkeypatch):
+    # Every report has expected linear score exactly 1/4 against the
+    # uniform belief (all terms are dyadic), so every competitor ties at
+    # margin 0 and the first row of the lattice is the nearest competitor.
+    monkeypatch.setattr(simplex, "BLOCK_ROWS", 7)
+    belief = Forecast((0.25, 0.25, 0.25, 0.25))
+    report = check_strict_properness(linear_rule(), belief, 8)
+    assert report == _unblocked_properness(linear_rule(), belief, 8)
+    assert report.max_margin == 0.0 and not report.passed
+    assert report.nearest_competitor.probs == (0.0, 0.0, 0.0, 1.0)
+    assert report.checked == math.comb(11, 3) - 1
+
+
+def test_properness_memory_is_bounded_by_the_block():
+    # 316,251 lattice points: the whole grid and its score table would be
+    # 12.7 MB each.
+    belief = Forecast((0.3, 0.1, 0.2, 0.25, 0.15))
+    tracemalloc.start()
+    try:
+        report = check_strict_properness(spherical_rule(), belief, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert report == _unblocked_properness(spherical_rule(), belief, 50)
 
 
 def test_normalize_quadratic():

@@ -21,6 +21,7 @@ from coalition_forge import (
     validate_forecast,
     weighted_mean,
 )
+from coalition_forge import simplex
 from coalition_forge.simplex import MAX_GRID_POINTS
 
 from conftest import random_forecast
@@ -165,6 +166,40 @@ def test_grid_array_refuses_lattices_above_the_point_limit():
         grid_array(7, 50)
     with pytest.raises(ValidationError):
         simplex_grid(7, 50)
+
+
+def test_grid_array_rejects_resolution_below_one():
+    with pytest.raises(ValidationError, match="resolution"):
+        grid_array(3, 0)
+
+
+def test_lattice_blocks_concatenate_to_grid_array():
+    for m in range(2, 7):
+        for resolution in (1, 2, 5, 9, 20):
+            whole = grid_array(m, resolution)
+            joined = np.concatenate(list(simplex._lattice_blocks(m, resolution)))
+            assert joined.dtype == whole.dtype
+            assert joined.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("limit", [1, 7, 50])
+def test_lattice_blocks_split_subtrees_larger_than_a_block(monkeypatch, limit):
+    # At these limits most first entries lead to more rows than one block
+    # holds, so blocks come from splits two to four entries deep.
+    monkeypatch.setattr(simplex, "BLOCK_ROWS", limit)
+    for m in range(2, 7):
+        for resolution in (1, 5, 9):
+            blocks = list(simplex._lattice_blocks(m, resolution))
+            assert max(len(b) for b in blocks) <= limit
+            if limit >= m:
+                assert min(len(b) for b in blocks) >= 2
+            joined = np.concatenate(blocks)
+            assert joined.tobytes() == grid_array(m, resolution).tobytes()
+
+
+def test_clear_dust_snaps_only_rounding_error():
+    q = simplex._clear_dust(np.array([0.5, -1e-12, -3e-17, 0.5, -2e-12, -0.0]))
+    assert q.tolist() == [0.5, 0.0, 0.0, 0.5, -2e-12, -0.0]
 
 
 def test_grid_points_are_valid_forecasts():
