@@ -54,6 +54,8 @@ class Player:
     def __post_init__(self):
         if self.wager <= 0.0:
             raise NonPositiveWager(f"wager {self.wager!r} must be > 0")
+        if not math.isfinite(self.wager):
+            raise ValidationError(f"wager {self.wager!r} must be finite")
         if self.report is not None and self.report.m != self.belief.m:
             raise DimensionMismatch(
                 f"report m={self.report.m} vs belief m={self.belief.m}"

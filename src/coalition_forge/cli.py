@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -57,16 +58,22 @@ _CLOSED_FORM_KINDS = (
 )
 
 
+@functools.cache
+def _bundled_names() -> tuple[str, ...]:
+    # The bundled package does not change while the process runs.
+    return tuple(bundled.names())
+
+
 def _resolve_scenario(value: str) -> Path:
     p = Path(value)
     if p.exists():
         return p
     name = value[:-5] if value.endswith(".json") else value
-    if name in bundled.names():
+    if name in _bundled_names():
         return bundled.path(name)
     raise ValidationError(
         f"scenario {value!r} is neither a file nor a bundled name "
-        f"(bundled: {', '.join(bundled.names())})"
+        f"(bundled: {', '.join(_bundled_names())})"
     )
 
 
@@ -480,9 +487,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and reused: parsing
+    # keeps no state in the parser, and building one costs more than the
+    # rest of a small command.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CoalitionForgeError as exc:

@@ -349,6 +349,8 @@ def check_strict_properness(
         # candidate rows one column at a time instead of comparing whole rows.
         truthful = np.flatnonzero(np.abs(grid[:, 0] - p[0]) <= 1e-12)
         for j in range(1, m):
+            if len(truthful) == 0:
+                break
             truthful = truthful[np.abs(grid[truthful, j] - p[j]) <= 1e-12]
         competitor = np.isfinite(expectations)
         skipped += len(competitor) - int(competitor.sum())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .mechanisms import MechanismKind, MechanismSpec
 from .rules import RuleKind, ScoringRule, normalize_to_unit_interval
-from .simplex import Forecast, validate_forecast
+from .simplex import Forecast
 from .simulate import BeliefSampler, BetaBinary, DirichletM, FiniteMixture
 
 SCHEMA_VERSION = 1
@@ -98,9 +99,22 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
-def _as_number(value: Any, path: str) -> float:
+def _number_problem(value: Any) -> str | None:
+    """Why value is not a finite number, or None when it is one. JSON
+    gives NaN and Infinity literals, and 1e999, as non-finite floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(path, f"expected a number, got {value!r}")
+        return f"expected a number, got {value!r}"
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    return None if finite else f"expected a finite number, got {value!r}"
+
+
+def _as_number(value: Any, path: str) -> float:
+    problem = _number_problem(value)
+    if problem is not None:
+        raise ScenarioError(path, problem)
     return float(value)
 
 
@@ -109,8 +123,14 @@ def _as_forecast(value: Any, m: int, path: str) -> Forecast:
         raise ScenarioError(path, f"expected a probability list, got {value!r}")
     if len(value) != m:
         raise ScenarioError(path, f"expected {m} entries, got {len(value)}")
+    # The path of an entry is formatted only for the entry that fails, not
+    # for every entry of every forecast in the file.
+    for k, x in enumerate(value):
+        problem = _number_problem(x)
+        if problem is not None:
+            raise ScenarioError(path, f"{path}[{k + 1}]: {problem}")
     try:
-        return validate_forecast([_as_number(x, f"{path}[{k + 1}]") for k, x in enumerate(value)])
+        return Forecast(tuple(map(float, value)))
     except CoalitionForgeError as exc:
         raise ScenarioError(path, str(exc)) from exc
 

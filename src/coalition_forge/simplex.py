@@ -32,8 +32,10 @@ SUM_TOL = 1e-9
 # (3.48 M points) fits; m = 7 at resolution 50 (32.5 M) does not.
 MAX_GRID_POINTS = 4_000_000
 
-# Most rows in one block of _lattice_blocks.
+# Most rows, and most entries, in one block of _lattice_blocks. Up to
+# m = 8 states the row cap binds; wider lattices get fewer rows per block.
 BLOCK_ROWS = 16_384
+BLOCK_ENTRIES = 2**17
 
 # Entries this far below zero are float dust around an exact 0.
 _DUST = 1e-12
@@ -56,7 +58,8 @@ class Forecast:
             if p < 0.0:
                 raise NegativeEntry(f"negative entry {p!r}")
         total = math.fsum(self.probs)
-        if abs(total - 1.0) > SUM_TOL:
+        # Written so that a NaN entry, whose sum is NaN, fails it too.
+        if not abs(total - 1.0) <= SUM_TOL:
             raise SumOutOfTolerance(total, SUM_TOL)
 
     @property
@@ -76,22 +79,13 @@ class Forecast:
         return np.asarray(self.probs, dtype=np.float64)
 
 
-def validate_forecast(raw: Sequence[float], tol: float = SUM_TOL) -> Forecast:
+def validate_forecast(raw: Sequence[float]) -> Forecast:
     """Validate a raw sequence as a probability vector.
 
-    Raises NegativeEntry, SumOutOfTolerance (reporting the actual sum), or
-    TooFewStates. Entries are never renormalized.
+    Raises NegativeEntry, SumOutOfTolerance (reporting the actual sum, and
+    for a NaN entry), or TooFewStates. Entries are never renormalized.
     """
-    vals = tuple(float(x) for x in raw)
-    if len(vals) < 2:
-        raise TooFewStates(f"need at least 2 states, got {len(vals)}")
-    for p in vals:
-        if p < 0.0:
-            raise NegativeEntry(f"negative entry {p!r}")
-    total = math.fsum(vals)
-    if abs(total - 1.0) > tol:
-        raise SumOutOfTolerance(total, tol)
-    return Forecast(vals)
+    return Forecast(tuple(float(x) for x in raw))
 
 
 def weighted_mean(
@@ -145,17 +139,23 @@ def grid_array(m: int, resolution: int) -> np.ndarray:
 
 def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
     """grid_array(m, resolution) as consecutive row blocks of at most
-    block_rows rows (BLOCK_ROWS when None), in the same order.
+    block_rows rows, in the same order. When block_rows is None the limit
+    is BLOCK_ROWS rows or BLOCK_ENTRIES entries, whichever is fewer rows,
+    but the entry cap alone never takes it below max(m, 3) rows.
 
     The compositions form a tree: the rows below a partial row share its
     first entries. A block is a run of sibling subtrees; a subtree larger
     than block_rows is split by its next entry, recursively. Arguments are
     checked at the call, before the first block is built.
 
-    While block_rows >= max(m, 3) no block is a single row: numpy
-    multiplies a one-row matrix by a vector with its dot kernel, which can
-    round differently from the matrix-vector kernel of longer blocks, and
-    a blocked product must give every row the bits the whole lattice gets.
+    While the row limit is at least max(m, 3) no block is a single row:
+    numpy multiplies a one-row matrix by a vector with its dot kernel,
+    which can round differently from the matrix-vector kernel of longer
+    blocks. Up to 7 states that kernel gives every row of a block the bits
+    the whole lattice gets. From 8 states on, OpenBLAS computes the last
+    len % 4 rows of each product with its remainder kernel, so a row at
+    the end of a block can differ from the whole-lattice product in the
+    last bits.
     """
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")
@@ -167,7 +167,9 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
             f"resolution {resolution} over {m} states gives {n:,} lattice "
             f"points, above the limit of {MAX_GRID_POINTS:,}"
         )
-    limit = BLOCK_ROWS if block_rows is None else block_rows
+    limit = block_rows
+    if limit is None:
+        limit = min(BLOCK_ROWS, max(BLOCK_ENTRIES // m, m, 3))
     # rows[k][r] = C(r + k - 1, k - 1), the full rows below a partial row
     # with r units left over k open columns (k >= 2). By the hockey-stick
     # identity each table is the running sum of the one before.

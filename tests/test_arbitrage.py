@@ -472,6 +472,11 @@ def test_custom_binary_rejects_three_states():
 def test_player_and_coalition_validation():
     with pytest.raises(NonPositiveWager):
         Player(Forecast((0.5, 0.5)), 0.0)
+    with pytest.raises(NonPositiveWager):
+        Player(Forecast((0.5, 0.5)), -math.inf)
+    for wager in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="must be finite"):
+            Player(Forecast((0.5, 0.5)), wager)
     with pytest.raises(DimensionMismatch):
         Player(Forecast((0.5, 0.5)), 1.0, report=Forecast((0.2, 0.3, 0.5)))
     with pytest.raises(InvalidCoalition):

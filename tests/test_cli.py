@@ -8,7 +8,11 @@ import copy
 import hashlib
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -19,14 +23,16 @@ from coalition_forge import (
     MechanismKind,
     RuleKind,
     ScenarioError,
+    ValidationError,
     canonical_json,
     load_scenario,
     parse_scenario,
     scenario_digest,
     scenario_to_dict,
 )
+from coalition_forge import cli
 from coalition_forge import scenarios as bundled
-from coalition_forge.cli import main
+from coalition_forge.cli import build_parser, main
 
 BUNDLED_NAMES = {
     "example1",
@@ -163,6 +169,12 @@ def test_parse_labels():
         (lambda r: r["players"][1].update(belief=[0.5, 0.6]), "players[2].belief"),
         (lambda r: r["players"][0].update(report=[0.5]), "players[1].report"),
         (lambda r: r["players"][0].update(wager="big"), "players[1].wager"),
+        (lambda r: r["players"][1].update(belief=["0.5", 0.5]), "players[2].belief[1]"),
+        (lambda r: r["players"][0].update(belief=[0.5, True]), "players[1].belief[2]"),
+        (lambda r: r["players"][0].update(belief=[-0.1, 1.1]), "players[1].belief"),
+        (lambda r: r["players"][0].update(report=[0.5, "x"]), "players[1].report[2]"),
+        (lambda r: r["players"][1].update(belief=[math.nan, 0.5]), "players[2].belief[1]"),
+        (lambda r: r["players"][0].update(wager=math.inf), "players[1].wager"),
         (lambda r: r.update(coalition=[1, 9]), "coalition[2]"),
         (lambda r: r.update(coalition=[1, 1]), "coalition"),
         (lambda r: r.update(coalition=[]), "coalition"),
@@ -174,6 +186,41 @@ def test_scenario_errors_carry_field_paths(mutate, path_fragment):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
     assert path_fragment in err.value.field_path or path_fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate,field_path,detail",
+    [
+        (lambda r: r["players"][1].update(belief=["0.5", 0.5]),
+         "players[2].belief", "players[2].belief[1]: expected a number, got '0.5'"),
+        (lambda r: r["players"][0].update(belief=[True, 0.0]),
+         "players[1].belief", "players[1].belief[1]: expected a number, got True"),
+        (lambda r: r["players"][0].update(report=[0.5, None]),
+         "players[1].report", "players[1].report[2]: expected a number, got None"),
+        (lambda r: r["players"][0].update(belief=[-0.1, 1.1]),
+         "players[1].belief", "negative entry -0.1"),
+        (lambda r: r["players"][0].update(belief=[0.5, 0.6]),
+         "players[1].belief", "entries sum to 1.1, outside 1 +/- 1e-09"),
+        (lambda r: r["players"][1].update(belief=[0.5, math.nan]),
+         "players[2].belief", "players[2].belief[2]: expected a finite number, got nan"),
+        (lambda r: r["players"][0].update(wager=math.inf),
+         "players[1].wager", "expected a finite number, got inf"),
+        (lambda r: r["players"][0].update(wager=10**400),
+         "players[1].wager", f"expected a finite number, got {10**400!r}"),
+        (lambda r: r.update(rule={"kind": "quadratic", "b": -math.inf}),
+         "rule.b", "expected a finite number, got -inf"),
+        (lambda r: r.update(mechanism={"kind": "market", "prior": [math.nan, 1.0]}),
+         "mechanism.prior", "mechanism.prior[1]: expected a finite number, got nan"),
+    ],
+)
+def test_number_errors_name_the_entry(mutate, field_path, detail):
+    # A bad entry of a forecast reports the forecast as the field and
+    # names the entry in the detail.
+    raw = _minimal_raw()
+    mutate(raw)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert (err.value.field_path, err.value.detail) == (field_path, detail)
 
 
 def test_lambert_rejects_unbounded_rule():
@@ -299,6 +346,24 @@ def test_cli_rejects_invalid_json(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["score", "--scenario", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
+    # JSON's NaN and Infinity literals, and 1e999, parse to non-finite
+    # floats; they are invalid input (exit 2), not a crash.
+    raw = _minimal_raw()
+    raw["players"][0]["belief"] = [math.nan, 0.5]
+    path = _write_scenario(tmp_path, raw)
+    assert "NaN" in Path(path).read_text(encoding="utf-8")
+    assert main(["arbitrage", "--scenario", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: players[1].belief: players[1].belief[1]: expected a finite number, got nan\n"
+    )
+    text = json.dumps(_minimal_raw()).replace('"quadratic"', '"quadratic", "b": 1e999')
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: rule.b: expected a finite number, got inf\n"
 
 
 def test_cli_arbitrage_json_envelope(capsys):
@@ -534,6 +599,14 @@ def output_digests(runs):
 
 @pytest.fixture(scope="module")
 def bundled_runs(tmp_path_factory):
+    # main() keeps one parser for the process. Build it afresh and send it
+    # through an argument error and --version first, so that the pinned
+    # digests also show that neither leaves state behind.
+    cli._parser.cache_clear()
+    for argv, code in ((["score", "--format", "yaml"], 2), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            _run_cli(argv)
+        assert exc.value.code == code
     return bundled_outputs(tmp_path_factory.mktemp("bundled"))
 
 
@@ -557,6 +630,70 @@ def test_cli_bundled_outputs_are_byte_stable(bundled_runs):
 def test_cli_simulate_needs_simulation_block(capsys):
     assert main(["simulate", "--scenario", "example1"]) == 2
     assert "simulation" in capsys.readouterr().err
+
+
+def test_cli_reused_parser_keeps_no_arguments(capsys):
+    # A --seed given to one call must not become the default of the next.
+    argv = ["simulate", "--scenario", "market_session", "--format", "csv"]
+    assert main(argv + ["--seed", "99"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(argv) == 0
+    reused = capsys.readouterr().out
+    cli._parser.cache_clear()
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert reused == fresh
+    assert seeded != fresh
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for _ in range(20):
+        assert main(["score", "--scenario", "example1", "--format", "csv"]) == 0
+    assert len(built) == 1
+    # build_parser itself still gives a new parser on every call.
+    assert build_parser() is not build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    # Count every ArgumentParser made while importing the CLI, then the
+    # ones build_parser makes (one per command and the top level).
+    code = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import coalition_forge.cli\n"
+        "on_import = len(made)\n"
+        "coalition_forge.cli.build_parser()\n"
+        "print(on_import, len(made))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stdout.split() == ["0", "5"]
+
+
+def test_resolve_scenario_accepts_only_bundled_names(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli._resolve_scenario("example1") == bundled.path("example1")
+    assert cli._resolve_scenario("example1.json") == bundled.path("example1")
+    for value in ("../cli", "../cli.json", "__init__", "mystery"):
+        with pytest.raises(ValidationError, match="neither a file nor a bundled name"):
+            cli._resolve_scenario(value)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ properness checking, and unit-interval normalization."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -437,6 +438,29 @@ def test_properness_equals_unblocked_oracle(monkeypatch, block_rows):
             assert check_strict_properness(rule, belief, resolution) == expected
 
 
+@pytest.mark.parametrize("block_entries", [2**11, None])
+def test_properness_equals_unblocked_oracle_at_wide_m(monkeypatch, block_entries):
+    # Above 8 states the entry cap sets the block rows; at 2**11 entries
+    # and 70 states it falls below m and the max(m, 3) floor takes over.
+    if block_entries is not None:
+        monkeypatch.setattr(simplex, "BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(707)
+    for m, resolution in ((10, 8), (12, 6), (20, 4), (30, 3), (70, 2)):
+        assert math.comb(resolution + m - 1, m - 1) > simplex.BLOCK_ENTRIES // m
+        for _ in range(3):
+            rule = _random_rule(rng, m)
+            belief = _random_belief(rng, m, resolution)
+            expected = _unblocked_properness(rule, belief, resolution)
+            assert expected is not None
+            report = check_strict_properness(rule, belief, resolution)
+            # From 8 states on, OpenBLAS computes the last len % 4 rows of a
+            # matrix-vector product with its remainder kernel, so a row at
+            # the end of a block can differ from the whole-lattice product
+            # in the last bits; every other field is exact.
+            assert report.max_margin == pytest.approx(expected.max_margin, rel=1e-14)
+            assert dataclasses.replace(report, max_margin=expected.max_margin) == expected
+
+
 def test_properness_ties_keep_the_first_maximum_in_lattice_order(monkeypatch):
     # Every report has expected linear score exactly 1/4 against the
     # uniform belief (all terms are dyadic), so every competitor ties at
@@ -462,6 +486,20 @@ def test_properness_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert peak <= 16 * 2**20
     assert report == _unblocked_properness(spherical_rule(), belief, 50)
+
+
+def test_properness_memory_is_bounded_at_wide_m():
+    # 45,760 lattice points over 64 states: a block of 16,384 rows is
+    # 8.4 MB before scoring (a 24 MB peak); a block of 2**17 entries is 1 MB.
+    belief = Forecast((1.0 / 64,) * 64)
+    tracemalloc.start()
+    try:
+        report = check_strict_properness(spherical_rule(), belief, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert report.passed and report.checked == math.comb(66, 63)
 
 
 def test_normalize_quadratic():

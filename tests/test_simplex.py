@@ -61,6 +61,26 @@ def test_validate_rejects_single_state():
         validate_forecast([1.0])
 
 
+@pytest.mark.parametrize(
+    "probs", [(math.nan, 0.5), (math.nan, 1.0), (0.5, math.inf), (math.inf, math.nan)]
+)
+def test_forecast_rejects_non_finite_entries(probs):
+    # NaN passes both p < 0 and |sum - 1| > tol; the sum test must fail it.
+    with pytest.raises(SumOutOfTolerance):
+        Forecast(probs)
+    with pytest.raises(SumOutOfTolerance):
+        validate_forecast(list(probs))
+
+
+def test_validate_forecast_checks_with_the_forecast_tolerance():
+    # Off by 1e-8: outside the 1e-9 budget, and there is no looser one.
+    with pytest.raises(SumOutOfTolerance) as err:
+        validate_forecast([0.3, 0.7 + 1e-8])
+    assert err.value.tol == simplex.SUM_TOL
+    with pytest.raises(TypeError):
+        validate_forecast([0.3, 0.7], tol=1e-6)
+
+
 def test_forecast_sequence_protocol():
     f = Forecast((0.1, 0.9))
     assert len(f) == 2
@@ -195,6 +215,22 @@ def test_lattice_blocks_split_subtrees_larger_than_a_block(monkeypatch, limit):
                 assert min(len(b) for b in blocks) >= 2
             joined = np.concatenate(blocks)
             assert joined.tobytes() == grid_array(m, resolution).tobytes()
+
+
+def test_lattice_blocks_cap_entries_at_wide_m():
+    # Up to 8 states the row cap binds and the blocks are the BLOCK_ROWS
+    # blocks; wider lattices get fewer rows, never fewer than m.
+    for m, resolution in ((6, 30), (8, 12)):
+        capped = [len(b) for b in simplex._lattice_blocks(m, resolution)]
+        rows = [len(b) for b in simplex._lattice_blocks(m, resolution, simplex.BLOCK_ROWS)]
+        assert capped == rows and len(rows) > 1
+    for m, resolution in ((9, 10), (40, 3), (120, 2)):
+        limit = max(simplex.BLOCK_ENTRIES // m, m, 3)
+        assert limit < simplex.BLOCK_ROWS
+        blocks = list(simplex._lattice_blocks(m, resolution))
+        assert max(len(b) for b in blocks) <= limit
+        assert min(len(b) for b in blocks) >= 2
+        assert np.concatenate(blocks).tobytes() == grid_array(m, resolution).tobytes()
 
 
 def test_clear_dust_snaps_only_rounding_error():
