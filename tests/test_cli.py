@@ -173,8 +173,16 @@ def test_parse_labels():
         (lambda r: r["players"][0].update(belief=[0.5, True]), "players[1].belief[2]"),
         (lambda r: r["players"][0].update(belief=[-0.1, 1.1]), "players[1].belief"),
         (lambda r: r["players"][0].update(report=[0.5, "x"]), "players[1].report[2]"),
-        (lambda r: r["players"][1].update(belief=[math.nan, 0.5]), "players[2].belief[1]"),
-        (lambda r: r["players"][0].update(wager=math.inf), "players[1].wager"),
+        pytest.param(
+            lambda r: r["players"][1].update(belief=[math.nan, 0.5]),
+            "players[2].belief[1]",
+            id="<lambda>-players[2].belief[1]-nan",
+        ),
+        pytest.param(
+            lambda r: r["players"][0].update(wager=math.inf),
+            "players[1].wager",
+            id="<lambda>-players[1].wager-inf",
+        ),
         (lambda r: r.update(coalition=[1, 9]), "coalition[2]"),
         (lambda r: r.update(coalition=[1, 1]), "coalition"),
         (lambda r: r.update(coalition=[]), "coalition"),
