@@ -570,15 +570,20 @@ def _run_cli(argv):
 
 def bundled_outputs(out_dir):
     """Every bundled scenario through score, arbitrage and verify in each
-    format, and through simulate with its --out files: a map from
-    "<scenario> <command> [<format>]" to the exit code and output texts."""
+    format, on stdout and through --out, and through simulate with its
+    --out files: a map from "<scenario> <command> [<format>] [--out]" to
+    the exit code and output texts."""
     runs = {}
     for name in sorted(BUNDLED_NAMES):
         for command in ("score", "arbitrage", "verify"):
             for fmt in ("csv", "json", "table"):
-                runs[f"{name} {command} {fmt}"] = _run_cli(
-                    [command, "--scenario", name, "--format", fmt]
-                )
+                argv = [command, "--scenario", name, "--format", fmt]
+                runs[f"{name} {command} {fmt}"] = _run_cli(argv)
+                path = Path(out_dir) / f"{name}-{command}.{fmt}"
+                code, texts = _run_cli(argv + ["--out", str(path)])
+                if path.exists():
+                    texts["out"] = path.read_text(encoding="utf-8")
+                runs[f"{name} {command} {fmt} --out"] = (code, texts)
         base = Path(out_dir) / name
         code, texts = _run_cli(["simulate", "--scenario", name, "--out", str(base)])
         for suffix in (".csv", ".json"):
