@@ -43,7 +43,6 @@ from .mechanisms import (
 from .rules import RuleKind, check_strict_properness
 from .scenario import Scenario, load_scenario
 from .simulate import (
-    SweepResult,
     expected_surplus_sweep,
     intermediary_run,
     market_session,
@@ -77,40 +76,56 @@ def _resolve_scenario(value: str) -> Path:
     )
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
-    return buf.getvalue()
-
-
-def _envelope(command: str, digest: str, payload: dict) -> dict:
-    return {
-        "scenario_digest": digest,
-        "tool_version": __version__,
-        "command": command,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "payload": payload,
-    }
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _state_names(sc: Scenario) -> list[str]:
-    return [f"E{j + 1}" for j in range(sc.m)]
+def _write(
+    args: argparse.Namespace,
+    digest: str,
+    header: list[str],
+    rows: list[list],
+    payload: dict,
+    lines: list[str],
+) -> None:
+    """Write a command's result in the chosen --format: header and rows as
+    CSV, payload inside the JSON envelope, or lines as a table.
+
+    Without --out the text goes to stdout and ends in a newline. --out
+    PATH writes the text to PATH as it is and prints nothing; only
+    simulate --out BASE writes both BASE.csv and BASE.json and still
+    prints.
+    """
+    envelope = {
+        "scenario_digest": digest,
+        "tool_version": __version__,
+        "command": args.command,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "payload": payload,
+    }
+
+    @functools.cache
+    def text(fmt: str) -> str:
+        if fmt == "json":
+            return json.dumps(envelope, indent=2)
+        if fmt == "table":
+            return "\n".join(lines)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [repr(x) if isinstance(x, float) else x for x in row] for row in rows
+        )
+        return buf.getvalue()
+
+    chosen = text(args.format)
+    if args.out and args.command == "simulate":
+        for fmt in ("csv", "json"):
+            Path(f"{args.out}.{fmt}").write_text(text(fmt), encoding="utf-8")
+    elif args.out:
+        Path(args.out).write_text(chosen, encoding="utf-8")
+        return
+    sys.stdout.write(chosen if chosen.endswith("\n") else chosen + "\n")
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -125,31 +140,19 @@ def cmd_score(args: argparse.Namespace) -> int:
                 f"outcome {args.outcome} out of range 1..{sc.m}"
             )
         outcomes = [args.outcome - 1]
-    names = _state_names(sc)
-    if args.format == "csv":
-        header = ["player"] + [names[j] for j in outcomes]
-        rows = [
-            [i + 1] + [table.payments[i][j] for j in outcomes]
-            for i in range(table.n)
-        ]
-        _emit(_csv_text(header, rows), args.out)
-    elif args.format == "json":
-        payload = {
-            "outcomes": [j + 1 for j in outcomes],
-            "payments": [
-                [table.payments[i][j] for j in outcomes] for i in range(table.n)
-            ],
-        }
-        _emit(json.dumps(_envelope("score", digest, payload), indent=2), args.out)
-    else:
-        width = max(8, *(len(n) for n in names))
-        lines = ["player  " + "  ".join(f"{names[j]:>{width}}" for j in outcomes)]
-        for i in range(table.n):
-            cells = "  ".join(
-                f"{_fmt(table.payments[i][j]):>{width}}" for j in outcomes
-            )
-            lines.append(f"{i + 1:>6}  {cells}")
-        _emit("\n".join(lines), args.out)
+    names = [f"E{j + 1}" for j in outcomes]
+    payments = [[row[j] for j in outcomes] for row in table.payments]
+    width = max(8, len(f"E{sc.m}"))
+    lines = ["player  " + "  ".join(f"{name:>{width}}" for name in names)]
+    for i, row in enumerate(payments):
+        cells = "  ".join(f"{_fmt(x):>{width}}" for x in row)
+        lines.append(f"{i + 1:>6}  {cells}")
+    _write(
+        args, digest, ["player"] + names,
+        [[i + 1] + row for i, row in enumerate(payments)],
+        {"outcomes": [j + 1 for j in outcomes], "payments": payments},
+        lines,
+    )
     return 0
 
 
@@ -169,42 +172,36 @@ def cmd_arbitrage(args: argparse.Namespace) -> int:
     verdict = verify_dominance_oracle(
         sc.rule, list(sc.players), sc.coalition, result.q
     )
-    if args.format == "csv":
-        header = ["outcome", "q", "surplus", "oracle_margin"]
-        rows = [
-            [j + 1, result.q[j], result.surplus_by_outcome[j], verdict.margins[j]]
-            for j in range(sc.m)
-        ]
-        _emit(_csv_text(header, rows), args.out)
-    elif args.format == "json":
-        payload = {
-            "q": list(result.q.probs),
-            "surplus_by_outcome": list(result.surplus_by_outcome),
-            "equalized": result.equalized,
-            "agreement": result.agreement,
-            "closed_form_surplus": closed,
-            "verdict": verdict.verdict.value,
-            "oracle_margins": list(verdict.margins),
-            "witness_outcome": None if verdict.witness is None else verdict.witness + 1,
-        }
-        _emit(json.dumps(_envelope("arbitrage", digest, payload), indent=2), args.out)
-    else:
-        lines = [
-            "equalizing report q: ("
-            + ", ".join(_fmt(x) for x in result.q.probs) + ")",
-        ]
-        for j in range(sc.m):
-            lines.append(
-                f"  {_state_names(sc)[j]}: surplus {_fmt(result.surplus_by_outcome[j])}"
-                f"  oracle margin {_fmt(verdict.margins[j])}"
-            )
-        if closed is not None:
-            lines.append(f"closed-form surplus: {_fmt(closed)}")
-        lines.append(f"equalized across outcomes: {result.equalized}")
-        lines.append(f"oracle verdict: {verdict.verdict.value}")
-        if verdict.witness is not None:
-            lines.append(f"worst outcome: E{verdict.witness + 1}")
-        _emit("\n".join(lines), args.out)
+    q = list(result.q.probs)
+    surplus = list(result.surplus_by_outcome)
+    margins = list(verdict.margins)
+    witness = None if verdict.witness is None else verdict.witness + 1
+    lines = ["equalizing report q: (" + ", ".join(_fmt(x) for x in q) + ")"]
+    for j, (s, margin) in enumerate(zip(surplus, margins)):
+        lines.append(
+            f"  E{j + 1}: surplus {_fmt(s)}  oracle margin {_fmt(margin)}"
+        )
+    if closed is not None:
+        lines.append(f"closed-form surplus: {_fmt(closed)}")
+    lines.append(f"equalized across outcomes: {result.equalized}")
+    lines.append(f"oracle verdict: {verdict.verdict.value}")
+    if witness is not None:
+        lines.append(f"worst outcome: E{witness}")
+    payload = {
+        "q": q,
+        "surplus_by_outcome": surplus,
+        "equalized": result.equalized,
+        "agreement": result.agreement,
+        "closed_form_surplus": closed,
+        "verdict": verdict.verdict.value,
+        "oracle_margins": margins,
+        "witness_outcome": witness,
+    }
+    _write(
+        args, digest, ["outcome", "q", "surplus", "oracle_margin"],
+        [[j + 1, *cells] for j, cells in enumerate(zip(q, surplus, margins))],
+        payload, lines,
+    )
     return 1 if verdict.verdict is Verdict.FAILS else 0
 
 
@@ -313,60 +310,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     sc, digest = load_scenario(_resolve_scenario(args.scenario))
     checks = _verify_checks(sc, args.resolution)
     failed = any(c["status"] == "fail" for c in checks)
-    if args.format == "csv":
-        _emit(
-            _csv_text(
-                ["check", "status", "detail"],
-                [[c["check"], c["status"], c["detail"]] for c in checks],
-            ),
-            args.out,
-        )
-    elif args.format == "json":
-        payload = {"checks": checks, "passed": not failed}
-        _emit(json.dumps(_envelope("verify", digest, payload), indent=2), args.out)
-    else:
-        lines = [
-            f"{c['check']}: {c['status'].upper()}  ({c['detail']})" for c in checks
-        ]
-        lines.append("result: FAIL" if failed else "result: PASS")
-        _emit("\n".join(lines), args.out)
+    lines = [
+        f"{c['check']}: {c['status'].upper()}  ({c['detail']})" for c in checks
+    ]
+    lines.append("result: FAIL" if failed else "result: PASS")
+    _write(
+        args, digest, ["check", "status", "detail"],
+        [[c["check"], c["status"], c["detail"]] for c in checks],
+        {"checks": checks, "passed": not failed}, lines,
+    )
     return 1 if failed else 0
-
-
-def _sweep_csv(result: SweepResult) -> str:
-    return _csv_text(
-        ["fraction", "mean", "se", "trials"],
-        [[r.fraction, r.mean, r.se, r.trials] for r in result.rows],
-    )
-
-
-def _sweep_payload(result: SweepResult) -> dict:
-    return {
-        "mechanism": result.mechanism.value,
-        "n": result.n,
-        "seed": result.seed,
-        "rows": [
-            {
-                "fraction": r.fraction,
-                "mean": r.mean,
-                "se": r.se,
-                "trials": r.trials,
-                "coalition_size": r.coalition_size,
-                "mean_per_member": r.mean_per_member,
-            }
-            for r in result.rows
-        ],
-        "argmax_fraction": result.argmax_fraction,
-        "fit": list(result.fit),
-        "vertex": result.vertex,
-    }
-
-
-def _write_pair(base: str, csv_text: str, envelope: dict) -> None:
-    Path(base + ".csv").write_text(csv_text, encoding="utf-8")
-    Path(base + ".json").write_text(
-        json.dumps(envelope, indent=2), encoding="utf-8"
-    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -380,8 +333,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result = expected_surplus_sweep(
             sc.mechanism, sim.sampler, sim.n, sim.fractions, sim.trials, seed
         )
-        csv_text = _sweep_csv(result)
-        payload = _sweep_payload(result)
+        header = ["fraction", "mean", "se", "trials"]
+        rows = [[r.fraction, r.mean, r.se, r.trials] for r in result.rows]
+        payload = {
+            "mechanism": result.mechanism.value,
+            "n": result.n,
+            "seed": result.seed,
+            "rows": [
+                {
+                    "fraction": r.fraction,
+                    "mean": r.mean,
+                    "se": r.se,
+                    "trials": r.trials,
+                    "coalition_size": r.coalition_size,
+                    "mean_per_member": r.mean_per_member,
+                }
+                for r in result.rows
+            ],
+            "argmax_fraction": result.argmax_fraction,
+            "fit": list(result.fit),
+            "vertex": result.vertex,
+        }
         lines = ["fraction      mean        se  trials  per-member"]
         for r in result.rows:
             lines.append(
@@ -398,10 +370,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         run = intermediary_run(
             sc.mechanism, list(sc.players), sc.coalition, scenario_id=digest[:12]
         )
-        csv_text = _csv_text(
-            ["outcome", "profit"],
-            [[j + 1, p] for j, p in enumerate(run.profit_by_outcome)],
-        )
+        header = ["outcome", "profit"]
+        rows = [[j + 1, p] for j, p in enumerate(run.profit_by_outcome)]
         payload = {
             "scenario_id": run.scenario_id,
             "profit_by_outcome": list(run.profit_by_outcome),
@@ -418,10 +388,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result = market_session(
             sc.mechanism, sim.ordering, sc.coalition, sim.sampler, seed
         )
-        csv_text = _csv_text(
-            ["outcome", "surplus"],
-            [[j + 1, s] for j, s in enumerate(result.surplus_by_outcome)],
-        )
+        header = ["outcome", "surplus"]
+        rows = [[j + 1, s] for j, s in enumerate(result.surplus_by_outcome)]
         payload = {
             "surplus_by_outcome": list(result.surplus_by_outcome),
             "ordering_ok": result.ordering_ok,
@@ -433,15 +401,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if result.agreement:
             lines.append("members agree: surplus is zero")
 
-    envelope = _envelope("simulate", digest, payload)
-    if args.out:
-        _write_pair(args.out, csv_text, envelope)
-    if args.format == "csv":
-        sys.stdout.write(csv_text)
-    elif args.format == "json":
-        print(json.dumps(envelope, indent=2))
-    else:
-        print("\n".join(lines))
+    _write(args, digest, header, rows, payload, lines)
     return 0
 
 

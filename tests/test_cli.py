@@ -506,6 +506,19 @@ def test_cli_simulate_out_writes_csv_and_json(tmp_path, capsys):
     assert len(payload["fit"]) == 3
 
 
+def test_cli_simulate_out_prints_the_envelope_it_writes(tmp_path, capsys):
+    # One envelope per call: the printed JSON and OUT.json match byte for
+    # byte, timestamp included.
+    base = tmp_path / "run"
+    argv = ["simulate", "--scenario", "intermediary", "--format", "json"]
+    assert main(argv + ["--out", str(base)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (tmp_path / "run.json").read_text(encoding="utf-8") + "\n"
+    assert (tmp_path / "run.csv").read_text(encoding="utf-8").startswith(
+        "outcome,profit\n"
+    )
+
+
 def test_cli_simulate_deterministic_and_seed_override(tmp_path, capsys):
     path = _write_scenario(tmp_path, _sweep_raw())
     base_a = str(tmp_path / "a")
