@@ -8,6 +8,8 @@ surplus is under plain, self-financed, and sequential mechanisms, and
 what coalition size maximizes it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arbitrage import (
     AGREEMENT_TOL,
     ArbitrageResult,
@@ -61,7 +63,6 @@ from .mechanisms import (
     coalition_surplus_market,
     competitive_payments,
     intermediary_profit_by_outcome,
-    kilgour_gerchak,
     lambert,
     market_scoring_payments,
     ordering_satisfies_alternation,
@@ -100,7 +101,6 @@ from .scenario import (
 from .simplex import (
     Forecast,
     grid_array,
-    simplex_grid,
     validate_forecast,
     weighted_mean,
 )
@@ -122,102 +122,10 @@ from .simulate import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AGREEMENT_TOL",
-    "ArbitrageResult",
-    "BeliefSampler",
-    "BetaBinary",
-    "Coalition",
-    "CoalitionForgeError",
-    "CoalitionIsEveryoneWarning",
-    "ConvexGenerator",
-    "DegenerateBelief",
-    "DimensionMismatch",
-    "DirichletM",
-    "DominanceVerdict",
-    "FiniteMixture",
-    "Forecast",
-    "FractionOutOfRange",
-    "GeneratorMismatch",
-    "IntermediaryRun",
-    "InvalidCoalition",
-    "LengthMismatch",
-    "LogOfZero",
-    "MarketSessionResult",
-    "MechanismKind",
-    "MechanismSpec",
-    "MissingPrior",
-    "MissingReport",
-    "NegativeEntry",
-    "NoConvergence",
-    "NonMonotoneGenerator",
-    "NonPositiveWager",
-    "NonPositiveWeight",
-    "NumericalError",
-    "OrderingViolationWarning",
-    "OutOfDomain",
-    "PaymentTable",
-    "Player",
-    "PropernessReport",
-    "RuleKind",
-    "Scenario",
-    "ScenarioError",
-    "ScoringRule",
-    "SinglePlayer",
-    "SphericalAux",
-    "SumOutOfTolerance",
-    "SweepResult",
-    "SweepRow",
-    "TooFewStates",
-    "UnboundedRule",
-    "UnsupportedMechanism",
-    "UnsupportedRule",
-    "ValidationError",
-    "Verdict",
-    "arbitrage_report",
-    "binary_equalizer",
-    "binary_quadratic_generator",
-    "canonical_json",
-    "check_strict_properness",
-    "closed_form_surplus",
-    "coalition_surplus_competitive",
-    "coalition_surplus_market",
-    "competitive_payments",
-    "custom_binary_rule",
-    "expected_score",
-    "expected_surplus_sweep",
-    "generalized_log_rule",
-    "grid_array",
-    "grid_search_equalizer",
-    "intermediary_profit_by_outcome",
-    "intermediary_run",
-    "kilgour_gerchak",
-    "lambert",
-    "linear_rule",
-    "load_scenario",
-    "logarithmic_rule",
-    "logit_generator",
-    "market_scoring_payments",
-    "market_session",
-    "normalize_to_unit_interval",
-    "ordering_satisfies_alternation",
-    "parse_scenario",
-    "payment_table",
-    "quadratic_rule",
-    "sample_population",
-    "savage_binary_score",
-    "scenario_digest",
-    "scenario_to_dict",
-    "score",
-    "score_table",
-    "simplex_grid",
-    "spherical_aux",
-    "spherical_rule",
-    "substream",
-    "surplus_by_outcome",
-    "traditional_payments",
-    "uniform_prior",
-    "validate_forecast",
-    "verify_dominance_oracle",
-    "weighted_mean",
-]
+# The public API is every name imported above; the submodules those
+# imports bind are not part of it.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -57,11 +57,6 @@ class MechanismSpec:
             raise ValidationError("market_prior applies only to market scoring")
 
 
-def kilgour_gerchak(rule: ScoringRule) -> MechanismSpec:
-    """Competitive preset intended for equal-wager pools."""
-    return MechanismSpec(MechanismKind.COMPETITIVE, rule)
-
-
 def lambert(rule: ScoringRule, m: int) -> MechanismSpec:
     """Competitive preset with the rule rescaled into [0, 1], so each
     player's loss is strictly bounded by their wager."""

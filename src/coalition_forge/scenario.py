@@ -21,8 +21,8 @@ from .errors import (
     CoalitionForgeError,
     ScenarioError,
 )
-from .mechanisms import MechanismKind, MechanismSpec
-from .rules import RuleKind, ScoringRule, normalize_to_unit_interval
+from .mechanisms import MechanismKind, MechanismSpec, lambert
+from .rules import RuleKind, ScoringRule
 from .simplex import Forecast
 from .simulate import BeliefSampler, BetaBinary, DirichletM, FiniteMixture
 
@@ -200,10 +200,7 @@ def _parse_mechanism(
         return MechanismSpec(MechanismKind.COMPETITIVE, rule), name
     if name == "lambert":
         try:
-            return (
-                MechanismSpec(MechanismKind.COMPETITIVE, normalize_to_unit_interval(rule, m)),
-                name,
-            )
+            return lambert(rule, m), name
         except CoalitionForgeError as exc:
             raise ScenarioError(path, str(exc)) from exc
     raise ScenarioError(

@@ -116,15 +116,6 @@ def weighted_mean(
     return Forecast(tuple(float(x) for x in mean))
 
 
-def simplex_grid(m: int, resolution: int) -> list[Forecast]:
-    """All lattice forecasts with entries k_j/resolution summing to 1.
-
-    Count equals C(resolution + m - 1, m - 1). Order is deterministic
-    (lexicographic in the integer compositions), the same as grid_array.
-    """
-    return [Forecast(tuple(map(float, row))) for row in grid_array(m, resolution)]
-
-
 def grid_array(m: int, resolution: int) -> np.ndarray:
     """All lattice points with entries k_j/resolution summing to 1, as an
     (N, m) float array with N = C(resolution + m - 1, m - 1).

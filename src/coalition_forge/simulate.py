@@ -57,8 +57,8 @@ class BetaBinary:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValidationError("Beta parameters must be > 0")
+        if not all(math.isfinite(a) and a > 0.0 for a in (self.alpha, self.beta)):
+            raise ValidationError("Beta parameters must be finite and > 0")
 
     @property
     def m(self) -> int:
@@ -78,8 +78,8 @@ class DirichletM:
     def __post_init__(self):
         if len(self.alphas) < 2:
             raise ValidationError("need at least 2 Dirichlet parameters")
-        if any(a <= 0.0 for a in self.alphas):
-            raise ValidationError("Dirichlet parameters must be > 0")
+        if not all(math.isfinite(a) and a > 0.0 for a in self.alphas):
+            raise ValidationError("Dirichlet parameters must be finite and > 0")
 
     @property
     def m(self) -> int:
@@ -102,8 +102,8 @@ class FiniteMixture:
             raise ValidationError("need at least one mixture point")
         if len(self.points) != len(self.weights):
             raise ValidationError("points and weights differ in length")
-        if any(w <= 0.0 for w in self.weights):
-            raise ValidationError("mixture weights must be > 0")
+        if not all(math.isfinite(w) and w > 0.0 for w in self.weights):
+            raise ValidationError("mixture weights must be finite and > 0")
         m = len(self.points[0])
         for pt in self.points:
             if len(pt) != m:

@@ -27,11 +27,11 @@ from coalition_forge import (
     coalition_surplus_market,
     competitive_payments,
     intermediary_profit_by_outcome,
-    kilgour_gerchak,
     lambert,
     logarithmic_rule,
     market_scoring_payments,
     ordering_satisfies_alternation,
+    parse_scenario,
     payment_table,
     quadratic_rule,
     score,
@@ -143,10 +143,17 @@ def test_lambert_preset_bounds_losses_by_wagers():
 
 
 def test_kilgour_gerchak_preset_keeps_rule():
-    rule = quadratic_rule()
-    spec = kilgour_gerchak(rule)
-    assert spec.kind is MechanismKind.COMPETITIVE
-    assert spec.rule is rule
+    sc = parse_scenario(
+        {
+            "schema_version": 1,
+            "event": {"m": 2},
+            "rule": {"kind": "quadratic"},
+            "mechanism": "kilgour_gerchak",
+            "players": [{"belief": [0.2, 0.8]}, {"belief": [0.8, 0.2]}],
+        }
+    )
+    assert sc.mechanism.kind is MechanismKind.COMPETITIVE
+    assert sc.mechanism.rule is sc.rule
 
 
 def test_competitive_expected_payment_maximized_at_truth():

@@ -17,7 +17,6 @@ from coalition_forge import (
     TooFewStates,
     ValidationError,
     grid_array,
-    simplex_grid,
     validate_forecast,
     weighted_mean,
 )
@@ -135,21 +134,19 @@ def test_weighted_mean_stays_on_simplex():
 
 
 def test_simplex_grid_binary_resolution_two():
-    points = simplex_grid(2, 2)
-    assert [p.probs for p in points] == [
-        (0.0, 1.0),
-        (0.5, 0.5),
-        (1.0, 0.0),
+    assert grid_array(2, 2).tolist() == [
+        [0.0, 1.0],
+        [0.5, 0.5],
+        [1.0, 0.0],
     ]
 
 
 def test_simplex_grid_resolution_one_gives_vertices():
-    points = simplex_grid(3, 1)
-    assert {p.probs for p in points} == {
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0),
-        (0.0, 0.0, 1.0),
-    }
+    assert grid_array(3, 1).tolist() == [
+        [0.0, 0.0, 1.0],
+        [0.0, 1.0, 0.0],
+        [1.0, 0.0, 0.0],
+    ]
 
 
 def test_simplex_grid_counts_match_compositions():
@@ -157,7 +154,7 @@ def test_simplex_grid_counts_match_compositions():
     for m in (2, 3, 4):
         for resolution in (1, 5, 12, 20):
             expected = math.comb(resolution + m - 1, m - 1)
-            assert len(simplex_grid(m, resolution)) == expected
+            assert grid_array(m, resolution).shape == (expected, m)
 
 
 def test_grid_array_matches_independent_enumeration():
@@ -184,8 +181,6 @@ def test_grid_array_refuses_lattices_above_the_point_limit():
     assert math.comb(50 + 6 - 1, 6 - 1) <= MAX_GRID_POINTS
     with pytest.raises(ValidationError, match=r"resolution 50 .*32,468,436.*4,000,000"):
         grid_array(7, 50)
-    with pytest.raises(ValidationError):
-        simplex_grid(7, 50)
 
 
 def test_grid_array_rejects_resolution_below_one():
@@ -239,5 +234,5 @@ def test_clear_dust_snaps_only_rounding_error():
 
 
 def test_grid_points_are_valid_forecasts():
-    for f in simplex_grid(4, 9):
-        validate_forecast(list(f.probs))
+    for row in grid_array(4, 9):
+        validate_forecast(row.tolist())

@@ -92,6 +92,23 @@ def test_finite_mixture_validation():
         FiniteMixture(((0.5, 0.6),), (1.0,))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: BetaBinary(x, 1.0),
+        lambda x: BetaBinary(1.0, x),
+        lambda x: DirichletM((x, 1.0)),
+        lambda x: FiniteMixture(((0.5, 0.5),), (x,)),
+    ],
+    ids=["beta_alpha", "beta_beta", "dirichlet", "mixture_weight"],
+)
+def test_samplers_reject_non_finite_parameters(make, bad):
+    # NaN passes a `<= 0` test, and infinity makes the sweep's mean NaN.
+    with pytest.raises(ValidationError, match="finite"):
+        make(bad)
+
+
 def test_sample_population_deterministic_in_seed():
     sampler = BetaBinary(2.0, 2.0)
     a = sample_population(sampler, 6, seed=9)
