@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -96,17 +97,16 @@ def _write(
     simulate --out BASE writes both BASE.csv and BASE.json and still
     prints.
     """
-    envelope = {
-        "scenario_digest": digest,
-        "tool_version": __version__,
-        "command": args.command,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "payload": payload,
-    }
 
-    @functools.cache
     def text(fmt: str) -> str:
         if fmt == "json":
+            envelope = {
+                "scenario_digest": digest,
+                "tool_version": __version__,
+                "command": args.command,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "payload": payload,
+            }
             return json.dumps(envelope, indent=2)
         if fmt == "table":
             return "\n".join(lines)
@@ -118,10 +118,14 @@ def _write(
         )
         return buf.getvalue()
 
-    chosen = text(args.format)
+    # Each text is made at most once, so stdout and simulate's BASE.json
+    # share one envelope and its timestamp.
+    fmt = args.format
+    chosen = text(fmt)
     if args.out and args.command == "simulate":
-        for fmt in ("csv", "json"):
-            Path(f"{args.out}.{fmt}").write_text(text(fmt), encoding="utf-8")
+        for kind in ("csv", "json"):
+            body = chosen if kind == fmt else text(kind)
+            Path(f"{args.out}.{kind}").write_text(body, encoding="utf-8")
     elif args.out:
         Path(args.out).write_text(chosen, encoding="utf-8")
         return
@@ -335,25 +339,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         header = ["fraction", "mean", "se", "trials"]
         rows = [[r.fraction, r.mean, r.se, r.trials] for r in result.rows]
-        payload = {
-            "mechanism": result.mechanism.value,
-            "n": result.n,
-            "seed": result.seed,
-            "rows": [
-                {
-                    "fraction": r.fraction,
-                    "mean": r.mean,
-                    "se": r.se,
-                    "trials": r.trials,
-                    "coalition_size": r.coalition_size,
-                    "mean_per_member": r.mean_per_member,
-                }
-                for r in result.rows
-            ],
-            "argmax_fraction": result.argmax_fraction,
-            "fit": list(result.fit),
-            "vertex": result.vertex,
-        }
+        # The JSON mirrors SweepResult and its rows field for field.
+        payload = {**dataclasses.asdict(result), "mechanism": result.mechanism.value}
         lines = ["fraction      mean        se  trials  per-member"]
         for r in result.rows:
             lines.append(
@@ -372,12 +359,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         header = ["outcome", "profit"]
         rows = [[j + 1, p] for j, p in enumerate(run.profit_by_outcome)]
-        payload = {
-            "scenario_id": run.scenario_id,
-            "profit_by_outcome": list(run.profit_by_outcome),
-            "min_profit": run.min_profit,
-            "no_arbitrage": run.no_arbitrage,
-        }
+        payload = dataclasses.asdict(run)
         lines = [f"E{j + 1}: profit {_fmt(p)}" for j, p in enumerate(run.profit_by_outcome)]
         lines.append(f"minimum profit: {_fmt(run.min_profit)}")
         if run.no_arbitrage:
