@@ -29,8 +29,15 @@ from .errors import (
     UnsupportedRule,
     ValidationError,
 )
-from .rules import ConvexGenerator, RuleKind, ScoringRule, _score_columns, score_table
-from .simplex import Forecast, _clear_dust, _lattice_blocks, weighted_mean
+from .rules import (
+    ConvexGenerator,
+    RuleKind,
+    ScoringRule,
+    _score_columns,
+    _score_into,
+    score_table,
+)
+from .simplex import Forecast, _block_rows, _clear_dust, _lattice_blocks, weighted_mean
 
 # Members whose beliefs differ by at most this much (max-norm, pairwise)
 # are treated as agreeing; the strict-dominance guarantees need genuine
@@ -487,14 +494,29 @@ def grid_search_equalizer(
         )
     t = (w[:, None] * truthful).sum(axis=0)
     w_c = float(w.sum())
+    blocks = _lattice_blocks(m, resolution)
+    # One workspace per call, sized like the lattice's blocks.
+    capacity = _block_rows(m, resolution)
+    margins_buf = np.empty((capacity, m))
+    worst_buf = np.empty(capacity)
+    undefined_buf = np.empty(capacity, dtype=bool)
     # One block at a time, keeping the first maximum in lattice order: a
     # later block replaces it only when strictly larger.
     best_worst, best = -math.inf, None
-    for grid in _lattice_blocks(m, resolution):
-        margins = w_c * score_table(rule, grid) - t[None, :]
+    for grid in blocks:
+        n = len(grid)
+        margins, worst, undefined = margins_buf[:n], worst_buf[:n], undefined_buf[:n]
+        _score_into(rule, grid, margins)
+        margins *= w_c
+        margins -= t
+        # The row minima, one column at a time: a minimum is exact in any
+        # order, and numpy reduces short rows one at a time, slowly.
         with np.errstate(invalid="ignore"):
-            worst = margins.min(axis=1)
-        worst = np.where(np.isnan(worst), -np.inf, worst)
+            np.minimum(margins[:, 0], margins[:, 1], out=worst)
+            for j in range(2, m):
+                np.minimum(worst, margins[:, j], out=worst)
+        np.isnan(worst, out=undefined)
+        worst[undefined] = -np.inf
         k = int(np.argmax(worst))
         if best is None or worst[k] > best_worst:
             best_worst, best = worst[k], grid[k].tolist()

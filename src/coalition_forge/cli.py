@@ -95,7 +95,7 @@ def _write(
     Without --out the text goes to stdout and ends in a newline. --out
     PATH writes the text to PATH as it is and prints nothing; only
     simulate --out BASE writes both BASE.csv and BASE.json and still
-    prints.
+    prints. A path that cannot be written is a ValidationError naming it.
     """
 
     def text(fmt: str) -> str:
@@ -118,16 +118,21 @@ def _write(
         )
         return buf.getvalue()
 
+    def save(path: str, body: str) -> None:
+        try:
+            Path(path).write_text(body, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
     # Each text is made at most once, so stdout and simulate's BASE.json
     # share one envelope and its timestamp.
     fmt = args.format
     chosen = text(fmt)
     if args.out and args.command == "simulate":
         for kind in ("csv", "json"):
-            body = chosen if kind == fmt else text(kind)
-            Path(f"{args.out}.{kind}").write_text(body, encoding="utf-8")
+            save(f"{args.out}.{kind}", chosen if kind == fmt else text(kind))
     elif args.out:
-        Path(args.out).write_text(chosen, encoding="utf-8")
+        save(args.out, chosen)
         return
     sys.stdout.write(chosen if chosen.endswith("\n") else chosen + "\n")
 

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedRule,
     ValidationError,
 )
-from .simplex import Forecast, _lattice_blocks
+from .simplex import Forecast, _block_rows, _lattice_blocks
 
 
 class RuleKind(str, Enum):
@@ -208,41 +208,59 @@ def score_table(rule: ScoringRule, reports: np.ndarray) -> np.ndarray:
     R = np.asarray(reports, dtype=np.float64)
     if R.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d report batch, got shape {R.shape}")
-    n, m = R.shape
+    out = np.empty(R.shape)
+    _score_into(rule, R, out)
+    return out
+
+
+def _score_into(rule: ScoringRule, R: np.ndarray, out: np.ndarray) -> None:
+    """score_table(rule, R) written into out, an (n, m) float array apart
+    from R; what out held before is never read.
+
+    Each branch works in place, in the order of operations of
+    a + b * f(R), so the scans that reuse one buffer get the bits a fresh
+    table gets. Row norms are summed from R * R computed in out, before
+    out takes the scores.
+    """
+    m = R.shape[1]
     a = rule.offsets_for(m)
     b = rule.b
     kind = rule.kind
-    # Each branch works in place on one fresh array, in the order of
-    # operations of a + b * f(R), which would allocate a temporary per step.
     if kind is RuleKind.QUADRATIC:
-        out = 2.0 * R
-        out -= (R * R).sum(axis=1, keepdims=True)
+        np.multiply(R, R, out=out)
+        norms = _row_sums(out)
+        np.multiply(R, 2.0, out=out)
+        out -= norms
         out *= b
     elif kind is RuleKind.LOGARITHMIC or (
         kind is RuleKind.GENERALIZED_LOG and rule.floor == 0.0
     ):
         with np.errstate(divide="ignore"):
-            out = np.log(R)
+            np.log(R, out=out)
         out *= b
     elif kind is RuleKind.GENERALIZED_LOG:
         l = rule.floor
-        out = R + l
+        np.add(R, l, out=out)
         np.log(out, out=out)
-        tail = b * l * out.sum(axis=1, keepdims=True)
+        tail = _row_sums(out)
+        tail *= b * l
         out *= b
         out += a
         out += tail
-        return out
+        return
     elif kind is RuleKind.SPHERICAL:
-        out = b * R
-        out /= np.sqrt((R * R).sum(axis=1, keepdims=True))
+        np.multiply(R, R, out=out)
+        norms = _row_sums(out)
+        np.sqrt(norms, out=norms)
+        np.multiply(R, b, out=out)
+        out /= norms
     elif kind is RuleKind.LINEAR:
-        out = b * R
+        np.multiply(R, b, out=out)
     elif kind is RuleKind.CUSTOM_BINARY:
         if m != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
         lo, hi = rule.generator.domain
-        out = np.full((n, m), -np.inf)
+        out.fill(-np.inf)
         for i, r in enumerate(R[:, 0].tolist()):
             if lo < r < hi:
                 out[i] = [savage_binary_score(rule.generator, r, j) for j in range(m)]
@@ -250,7 +268,26 @@ def score_table(rule: ScoringRule, reports: np.ndarray) -> np.ndarray:
     else:
         raise UnsupportedRule(f"unknown rule kind {kind!r}")
     out += a
-    return out
+
+
+def _row_sums(X: np.ndarray) -> np.ndarray:
+    """X.sum(axis=1, keepdims=True), bit for bit, for a C-ordered X.
+
+    numpy sums a row of fewer than 8 entries from left to right onto 0.0,
+    one row per inner loop, which makes short rows slow; adding whole
+    columns in that order gives the same bits in a fraction of the time
+    once there are more than about 40 rows per column (a call per column
+    costs more below that). Longer rows are summed pairwise, so they go
+    to numpy as they are.
+    """
+    n, m = X.shape
+    if m >= 8 or n < 64 * m:
+        return X.sum(axis=1, keepdims=True)
+    sums = np.add(X[:, :1], X[:, 1:2])
+    for j in range(2, m):
+        sums += X[:, j : j + 1]
+    sums += 0.0
+    return sums
 
 
 def _score_columns(
@@ -336,34 +373,50 @@ def check_strict_properness(
             "expected score at the truthful report is not finite; "
             "the belief lies outside the rule's domain"
         )
+    # One workspace per call, sized like the lattice's blocks: every block
+    # is scored, multiplied and masked in it.
+    capacity = _block_rows(m, resolution)
+    table_buf = np.empty((capacity, m))
+    margins_buf = np.empty(capacity)
+    competitor_buf = np.empty(capacity, dtype=bool)
     checked = skipped = 0
     max_margin, nearest = -math.inf, None
     # One block at a time, keeping the first maximum in lattice order: a
     # later block replaces it only when strictly larger.
     for grid in blocks:
-        table = score_table(rule, grid)
-        table[:, zero_cols] = 0.0
-        with np.errstate(invalid="ignore"):
-            expectations = table @ p
+        n = len(grid)
+        table, margins, competitor = table_buf[:n], margins_buf[:n], competitor_buf[:n]
         # The truthful report matches the belief in every entry: narrow the
         # candidate rows one column at a time instead of comparing whole rows.
-        truthful = np.flatnonzero(np.abs(grid[:, 0] - p[0]) <= 1e-12)
+        # The first column's test runs in the margins buffer, still free.
+        np.subtract(grid[:, 0], p[0], out=margins)
+        np.abs(margins, out=margins)
+        np.less_equal(margins, 1e-12, out=competitor)
+        truthful = np.flatnonzero(competitor)
         for j in range(1, m):
             if len(truthful) == 0:
                 break
             truthful = truthful[np.abs(grid[truthful, j] - p[j]) <= 1e-12]
-        competitor = np.isfinite(expectations)
-        skipped += len(competitor) - int(competitor.sum())
+        _score_into(rule, grid, table)
+        table[:, zero_cols] = 0.0
+        with np.errstate(invalid="ignore"):
+            np.matmul(table, p, out=margins)
+        np.isfinite(margins, out=competitor)
+        skipped += n - int(np.count_nonzero(competitor))
         competitor[truthful] = False
-        rows = np.flatnonzero(competitor)
-        checked += len(rows)
-        if len(rows) == 0:
+        rows = int(np.count_nonzero(competitor))
+        checked += rows
+        if rows == 0:
             continue
-        margins = expectations[rows] - truth_value
+        # Non-competitors drop to -inf, so the first maximum over the block
+        # is the first maximum over its competitors.
+        margins -= truth_value
+        np.logical_not(competitor, out=competitor)
+        margins[competitor] = -np.inf
         best = int(np.argmax(margins))
         if margins[best] > max_margin:
             max_margin = float(margins[best])
-            nearest = Forecast(tuple(grid[rows[best]].tolist()))
+            nearest = Forecast(tuple(grid[best].tolist()))
     return PropernessReport(max_margin < 0.0, max_margin, nearest, checked, skipped)
 
 

@@ -412,8 +412,14 @@ def parse_scenario(raw: Any) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> tuple[Scenario, str]:
-    """Read, digest, and parse a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read, digest, and parse a scenario file. A file that cannot be
+    read as UTF-8 text is a ScenarioError naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(str(path), f"cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(str(path), f"not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

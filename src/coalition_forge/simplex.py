@@ -128,11 +128,41 @@ def grid_array(m: int, resolution: int) -> np.ndarray:
     return grid
 
 
+def _block_rows(m: int, resolution: int, block_rows: int | None = None) -> int:
+    """Rows of the buffers behind _lattice_blocks(m, resolution, block_rows):
+    the block limit, or the whole lattice when it is smaller. Checks the
+    arguments as _lattice_blocks does."""
+    if m < 2:
+        raise TooFewStates(f"need at least 2 states, got {m}")
+    if resolution < 1:
+        raise ValidationError(f"resolution must be >= 1, got {resolution}")
+    n = math.comb(resolution + m - 1, m - 1)
+    if n > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"resolution {resolution} over {m} states gives {n:,} lattice "
+            f"points, above the limit of {MAX_GRID_POINTS:,}"
+        )
+    return min(_block_limit(m, block_rows), n)
+
+
+def _block_limit(m: int, block_rows: int | None) -> int:
+    # Most rows in one block of _lattice_blocks.
+    if block_rows is not None:
+        return block_rows
+    return min(BLOCK_ROWS, max(BLOCK_ENTRIES // m, m, 3))
+
+
 def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
     """grid_array(m, resolution) as consecutive row blocks of at most
     block_rows rows, in the same order. When block_rows is None the limit
     is BLOCK_ROWS rows or BLOCK_ENTRIES entries, whichever is fewer rows,
     but the entry cap alone never takes it below max(m, 3) rows.
+
+    Each generator allocates one integer and one float buffer of
+    _block_rows(m, resolution, block_rows) rows when it starts, and every
+    block is built in them: a block is a view that stays valid only until
+    the next block is requested. Copy a block to keep it. Generators share
+    nothing, so each may run on its own thread.
 
     The compositions form a tree: the rows below a partial row share its
     first entries. A block is a run of sibling subtrees; a subtree larger
@@ -148,19 +178,8 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
     the end of a block can differ from the whole-lattice product in the
     last bits.
     """
-    if m < 2:
-        raise TooFewStates(f"need at least 2 states, got {m}")
-    if resolution < 1:
-        raise ValidationError(f"resolution must be >= 1, got {resolution}")
-    n = math.comb(resolution + m - 1, m - 1)
-    if n > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"resolution {resolution} over {m} states gives {n:,} lattice "
-            f"points, above the limit of {MAX_GRID_POINTS:,}"
-        )
-    limit = block_rows
-    if limit is None:
-        limit = min(BLOCK_ROWS, max(BLOCK_ENTRIES // m, m, 3))
+    capacity = _block_rows(m, resolution, block_rows)
+    limit = _block_limit(m, block_rows)
     # rows[k][r] = C(r + k - 1, k - 1), the full rows below a partial row
     # with r units left over k open columns (k >= 2). By the hockey-stick
     # identity each table is the running sum of the one before.
@@ -169,16 +188,16 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
         rows[k] = np.arange(1, resolution + 2) if k == 2 else np.cumsum(rows[k - 1])
     dtype = np.min_scalar_type(resolution)
 
-    def block(prefix: tuple[int, ...], heads: np.ndarray, r: int) -> np.ndarray:
-        # The rows below prefix + (h,) for h in heads, r units after prefix.
+    def fill(
+        prefix: tuple[int, ...], heads: np.ndarray, r: int, parts_buf: np.ndarray
+    ) -> np.ndarray:
+        # The integer parts of the rows below prefix + (h,) for h in heads,
+        # r units after prefix, written to the head of parts_buf.
         remaining = r - heads
         d = len(prefix)
         k = m - d - 1
         size = len(heads) if k == 1 else int(rows[k][remaining].sum())
-        # Integer parts first, in the smallest type that holds resolution,
-        # then one contiguous division: filling the float columns one by
-        # one is strided and about twice as slow.
-        parts = np.empty((size, m), dtype=dtype)
+        parts = parts_buf[:size]
         parts[:, :d] = prefix
         head = heads
         # Stars and bars, one column at a time: every partial row with
@@ -193,9 +212,12 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
             # A partial row ends in rows[open][remaining] full rows, all
             # contiguous.
             open_cols = m - 1 - col
-            parts[:, col] = np.repeat(head, rows[open_cols][remaining]) if open_cols > 1 else head
+            if open_cols > 1:
+                parts[:, col] = np.repeat(head.astype(dtype), rows[open_cols][remaining])
+            else:
+                parts[:, col] = head
         parts[:, m - 1] = remaining
-        return parts / resolution
+        return parts
 
     def split(prefix: tuple[int, ...], r: int) -> list:
         # The rows below prefix, which leaves r units over k >= 2 open
@@ -227,6 +249,11 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
         return out + [(prefix, r, np.arange(a, b)) for a, b in zip(edges, edges[1:])]
 
     def stream():
+        # Integer parts first, in the smallest type that holds resolution,
+        # then one contiguous division: filling the float columns one by
+        # one is strided and about twice as slow.
+        parts_buf = np.empty((capacity, m), dtype=dtype)
+        grid_buf = np.empty((capacity, m))
         # Depth first with an explicit stack: a subtree can be split once
         # per state, more often than Python allows nested calls.
         todo = [((), resolution, None)]
@@ -234,8 +261,13 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
             prefix, r, heads = todo.pop()
             if heads is None:
                 todo.extend(reversed(split(prefix, r)))
-            else:
-                yield block(prefix, heads, r)
+                continue
+            parts = fill(prefix, heads, r, parts_buf)
+            # A block that fills the buffer is the buffer itself, so the one
+            # block of grid_array is an array of its own, not a view.
+            grid = grid_buf if len(parts) == capacity else grid_buf[:len(parts)]
+            np.divide(parts, resolution, out=grid)
+            yield grid
 
     return stream()
 

@@ -356,6 +356,39 @@ def test_cli_rejects_invalid_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["score", "--scenario", "example1", "--out", "missing_dir/x.csv"], "missing_dir/x.csv"),
+        (
+            ["simulate", "--scenario", "intermediary", "--out", "missing_dir/base"],
+            "missing_dir/base.csv",
+        ),
+    ],
+    ids=["score", "simulate"],
+)
+def test_cli_out_path_that_cannot_be_written_is_invalid_input(
+    tmp_path, monkeypatch, capsys, argv, written
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {written}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_unreadable_scenario_is_invalid_input(tmp_path, capsys):
+    assert main(["score", "--scenario", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: cannot read: Is a directory\n"
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(_minimal_raw()).encode("utf-16-le"))
+    assert main(["score", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "can't decode byte 0xff in position 0" in err
+
+
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
     # JSON's NaN and Infinity literals, and 1e999, parse to non-finite
     # floats; they are invalid input (exit 2), not a crash.

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,7 @@ from coalition_forge import (
     spherical_rule,
 )
 
-from coalition_forge import simplex
+from coalition_forge import rules, simplex
 
 from conftest import random_forecast
 
@@ -282,6 +283,57 @@ def test_score_table_uses_neg_inf_for_log_of_zero():
     assert table[0, 1] == pytest.approx(0.0)
 
 
+def test_score_into_writes_every_entry_of_a_dirty_buffer():
+    # The in-place kernel never reads what its output held: written into
+    # NaN-filled rows of a larger buffer, as the lattice scans use it, each
+    # table is score_table's bit for bit and the rows past it stay NaN.
+    rng = np.random.default_rng(909)
+    narrow = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
+    for m in (2, 3, 5, 9):
+        a = tuple(float(x) for x in rng.uniform(-1.0, 1.0, m))
+        R = rng.dirichlet(np.full(m, 0.5), size=40)
+        R[::4, int(rng.integers(m))] = 0.0  # zero entries: -inf under log
+        R[1] = np.eye(m)[m - 1]
+        kinds = [
+            quadratic_rule(a, 1.7),
+            quadratic_rule(),
+            logarithmic_rule(a, 0.6),
+            generalized_log_rule(0.05, a, 1.7),
+            generalized_log_rule(0.0, a, 1.3),
+            spherical_rule(a, 2.5),
+            linear_rule(a, 0.4),
+        ]
+        if m == 2:
+            R[2] = (0.05, 0.95)  # outside the narrow generator's domain
+            kinds += [
+                custom_binary_rule(logit_generator(), a, 1.7),
+                custom_binary_rule(narrow, b=0.8),
+            ]
+        for rule in kinds:
+            expected = score_table(rule, R)
+            buf = np.full((len(R) + 7, m), np.nan)
+            rules._score_into(rule, R, buf[: len(R)])
+            assert buf[: len(R)].tobytes() == expected.tobytes(), rule.kind
+            assert np.isnan(buf[len(R):]).all()
+        assert np.isneginf(score_table(logarithmic_rule(a), R)).any()
+
+
+def test_row_sums_match_numpy_sum_bit_for_bit():
+    # Column by column in numpy's order for short rows, numpy's own sum
+    # for long ones: the bytes agree, signed zeros, infinities and NaN
+    # included, or every table that sums rows would drift.
+    rng = np.random.default_rng(919)
+    specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
+    for m in range(2, 13):
+        X = rng.standard_normal((2000, m)) * 10.0 ** rng.integers(-20, 20, (2000, m))
+        special = rng.random(X.shape) < 0.2
+        X[special] = rng.choice(specials, int(special.sum()))
+        with np.errstate(invalid="ignore"):
+            for rows in (X, X[:37]):
+                expected = rows.sum(axis=1, keepdims=True)
+                assert rules._row_sums(rows).tobytes() == expected.tobytes(), m
+
+
 def test_properness_quadratic_passes():
     report = check_strict_properness(quadratic_rule(), Forecast((0.3, 0.7)), 100)
     assert report.passed
@@ -472,6 +524,45 @@ def test_properness_ties_keep_the_first_maximum_in_lattice_order(monkeypatch):
     assert report.max_margin == 0.0 and not report.passed
     assert report.nearest_competitor.probs == (0.0, 0.0, 0.0, 1.0)
     assert report.checked == math.comb(11, 3) - 1
+
+
+def test_properness_checks_on_threads_match_serial_reports():
+    # Every call scans the lattice in a workspace of its own: four threads
+    # checking multi-block lattices at once, each in its own order, get
+    # the serial reports field for field.
+    cases = [
+        (quadratic_rule((0.1, -0.2, 0.3), 1.5), Forecast((0.2, 0.3, 0.5)), 300),
+        (spherical_rule(), Forecast((0.3, 0.1, 0.2, 0.25, 0.15)), 30),
+        (logarithmic_rule(), Forecast((0.5, 0.0, 0.25, 0.25)), 60),
+        (generalized_log_rule(0.1), Forecast((0.1, 0.2, 0.3, 0.15, 0.1, 0.15)), 20),
+    ]
+    for rule, belief, resolution in cases:
+        assert math.comb(resolution + belief.m - 1, belief.m - 1) > 2 * simplex.BLOCK_ROWS
+    serial = [check_strict_properness(*case) for case in cases]
+    results: dict[int, list] = {}
+    errors: list[BaseException] = []
+    start = threading.Barrier(4)
+
+    def work(t):
+        try:
+            start.wait(timeout=60)
+            order = [(t + k) % len(cases) for k in range(2 * len(cases))]
+            results[t] = [(i, check_strict_properness(*cases[i])) for i in order]
+        except BaseException as exc:  # reported on the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(results) == [0, 1, 2, 3]
+    for reports in results.values():
+        for i, report in reports:
+            for field in dataclasses.fields(PropernessReport):
+                assert getattr(report, field.name) == getattr(serial[i], field.name), field.name
 
 
 def test_properness_memory_is_bounded_by_the_block():

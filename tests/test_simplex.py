@@ -192,7 +192,7 @@ def test_lattice_blocks_concatenate_to_grid_array():
     for m in range(2, 7):
         for resolution in (1, 2, 5, 9, 20):
             whole = grid_array(m, resolution)
-            joined = np.concatenate(list(simplex._lattice_blocks(m, resolution)))
+            joined = np.concatenate([b.copy() for b in simplex._lattice_blocks(m, resolution)])
             assert joined.dtype == whole.dtype
             assert joined.tobytes() == whole.tobytes()
 
@@ -204,7 +204,7 @@ def test_lattice_blocks_split_subtrees_larger_than_a_block(monkeypatch, limit):
     monkeypatch.setattr(simplex, "BLOCK_ROWS", limit)
     for m in range(2, 7):
         for resolution in (1, 5, 9):
-            blocks = list(simplex._lattice_blocks(m, resolution))
+            blocks = [b.copy() for b in simplex._lattice_blocks(m, resolution)]
             assert max(len(b) for b in blocks) <= limit
             if limit >= m:
                 assert min(len(b) for b in blocks) >= 2
@@ -222,10 +222,34 @@ def test_lattice_blocks_cap_entries_at_wide_m():
     for m, resolution in ((9, 10), (40, 3), (120, 2)):
         limit = max(simplex.BLOCK_ENTRIES // m, m, 3)
         assert limit < simplex.BLOCK_ROWS
-        blocks = list(simplex._lattice_blocks(m, resolution))
+        blocks = [b.copy() for b in simplex._lattice_blocks(m, resolution)]
         assert max(len(b) for b in blocks) <= limit
         assert min(len(b) for b in blocks) >= 2
         assert np.concatenate(blocks).tobytes() == grid_array(m, resolution).tobytes()
+
+
+def test_lattice_blocks_generators_keep_buffers_of_their_own():
+    # A generator builds every block in the same buffers, so a block is a
+    # view that the next one overwrites; two generators over one lattice,
+    # advanced in turn with the first a block ahead, still each give the
+    # lattice, because neither writes into the other's buffers.
+    for m, resolution, limit in ((3, 40, 50), (5, 12, 7), (6, 30, None)):
+        first = simplex._lattice_blocks(m, resolution, limit)
+        second = simplex._lattice_blocks(m, resolution, limit)
+        previous = next(first)
+        first_blocks, second_blocks = [previous.copy()], []
+        for block in first:
+            other = next(second)
+            assert np.shares_memory(block, previous)
+            assert not np.shares_memory(block, other)
+            first_blocks.append(block.copy())
+            second_blocks.append(other.copy())
+            previous = block
+        second_blocks.extend(b.copy() for b in second)
+        whole = grid_array(m, resolution).tobytes()
+        assert len(first_blocks) > 2
+        assert np.concatenate(first_blocks).tobytes() == whole
+        assert np.concatenate(second_blocks).tobytes() == whole
 
 
 def test_clear_dust_snaps_only_rounding_error():
