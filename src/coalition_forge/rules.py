@@ -364,7 +364,7 @@ def check_strict_properness(
     # Zero-belief states contribute nothing to the expectation even where
     # the score there is -inf, so neutralize those columns first (in place:
     # score_table returns a fresh array).
-    zero_cols = p == 0.0
+    zero_cols = np.flatnonzero(p == 0.0)
     truth_table = score_table(rule, p[None, :])
     truth_table[:, zero_cols] = 0.0
     truth_value = float(truth_table[0] @ p)
@@ -398,7 +398,8 @@ def check_strict_properness(
                 break
             truthful = truthful[np.abs(grid[truthful, j] - p[j]) <= 1e-12]
         _score_into(rule, grid, table)
-        table[:, zero_cols] = 0.0
+        if len(zero_cols):
+            table[:, zero_cols] = 0.0
         with np.errstate(invalid="ignore"):
             np.matmul(table, p, out=margins)
         np.isfinite(margins, out=competitor)
@@ -411,8 +412,9 @@ def check_strict_properness(
         # Non-competitors drop to -inf, so the first maximum over the block
         # is the first maximum over its competitors.
         margins -= truth_value
-        np.logical_not(competitor, out=competitor)
-        margins[competitor] = -np.inf
+        if rows < n:
+            np.logical_not(competitor, out=competitor)
+            margins[competitor] = -np.inf
         best = int(np.argmax(margins))
         if margins[best] > max_margin:
             max_margin = float(margins[best])
