@@ -37,11 +37,23 @@ from .rules import (
     _score_into,
     score_table,
 )
-from .simplex import Forecast, _block_rows, _clear_dust, _lattice_blocks, weighted_mean
+from .simplex import (
+    Forecast,
+    _block_rows,
+    _clear_dust,
+    _lattice_blocks,
+    _stack,
+    weighted_mean,
+)
 
 # Members whose beliefs differ by at most this much (max-norm, pairwise)
 # are treated as agreeing; the strict-dominance guarantees need genuine
-# disagreement.
+# disagreement. The surplus grows with the square of the disagreement, so
+# members 1e-7 apart leave one near 1e-14, below rounding error: a
+# coalition whose smallest per-outcome surplus at the equalizing report is
+# not above this same bound agrees as well. It is also the dominance
+# oracle's default tol_pos, so no surplus that counts as agreement can
+# count as DOMINATES there.
 AGREEMENT_TOL = 1e-12
 
 # Surplus entries are "equalized" when their spread is within this
@@ -107,9 +119,11 @@ class Coalition:
 class ArbitrageResult:
     """The equalizing report q with its per-outcome surplus and flags.
 
-    agreement means the members shared one belief, so the surplus is zero;
-    equalized means the surplus spread across outcomes is negligible
-    relative to its level.
+    agreement means the members shared one belief, so the surplus is zero,
+    or were so close that the smallest per-outcome surplus at the
+    equalizing report is not above AGREEMENT_TOL; q and surplus_by_outcome
+    are then the equalizer's, as computed. equalized means the surplus
+    spread across outcomes is negligible relative to its level.
     """
 
     q: Forecast
@@ -156,13 +170,11 @@ class DominanceVerdict:
 def _member_arrays(
     players: list[Player] | tuple[Player, ...], coalition: Coalition
 ) -> tuple[np.ndarray, np.ndarray]:
-    beliefs = [players[i].belief for i in coalition.members]
-    m = beliefs[0].m
-    for f in beliefs:
-        if f.m != m:
-            raise DimensionMismatch("member beliefs have mixed lengths")
-    P = np.asarray([f.probs for f in beliefs], dtype=np.float64)
-    w = np.asarray([players[i].wager for i in coalition.members], dtype=np.float64)
+    chosen = [players[i] for i in coalition.members]
+    P = _stack([p.belief for p in chosen])
+    if P is None:
+        raise DimensionMismatch("member beliefs have mixed lengths")
+    w = np.asarray([p.wager for p in chosen], dtype=np.float64)
     return P, w
 
 
@@ -412,7 +424,9 @@ def arbitrage_report(
     """Equalizing report and surplus for a coalition under a rule.
 
     Dispatches per family; agreeing members get their shared belief back
-    with zero surplus and the agreement flag set.
+    with zero surplus and the agreement flag set. Members that disagree
+    but whose equalizer gains no more than AGREEMENT_TOL in some outcome
+    get the equalizer and its surplus, with the agreement flag set.
     """
     coalition.validate(len(players))
     P, w = _member_arrays(players, coalition)
@@ -430,12 +444,15 @@ def arbitrage_report(
                           [players[i].wager for i in coalition.members])
         zeros = tuple(0.0 for _ in range(P.shape[1]))
         return ArbitrageResult(q, zeros, equalized=True, agreement=True)
-    q = Forecast(tuple(float(x) for x in q_arr))
+    q = Forecast(tuple(q_arr.tolist()))
     surpluses = surplus_by_outcome(rule, players, coalition, q)
     mean_s = math.fsum(surpluses) / len(surpluses)
     spread = max(surpluses) - min(surpluses)
     equalized = spread <= EQUALIZED_RTOL * max(1.0, abs(mean_s))
-    return ArbitrageResult(q, surpluses, equalized, agreement=False)
+    # A surplus this small is rounding error: the members agree on the
+    # surplus's own scale, whatever their beliefs' distance.
+    agreement = min(surpluses) <= AGREEMENT_TOL
+    return ArbitrageResult(q, surpluses, equalized, agreement)
 
 
 def verify_dominance_oracle(
@@ -443,7 +460,7 @@ def verify_dominance_oracle(
     players: list[Player] | tuple[Player, ...],
     coalition: Coalition,
     q: Forecast,
-    tol_pos: float = 1e-12,
+    tol_pos: float = AGREEMENT_TOL,
 ) -> DominanceVerdict:
     """Recompute per-outcome coalition margins from raw score rows only.
 
@@ -453,13 +470,15 @@ def verify_dominance_oracle(
     """
     coalition.validate(len(players))
     m = q.m
-    beliefs = [players[i].belief for i in coalition.members]
-    q_row, *belief_rows = _score_columns(rule, [q, *beliefs], range(m)).tolist()
+    chosen = [players[i] for i in coalition.members]
+    table = _score_columns(rule, [q, *(p.belief for p in chosen)], range(m))
+    q_row, *belief_rows = table.tolist()
+    wagers = [p.wager for p in chosen]
     margins = []
     for j in range(m):
         total = 0.0
-        for i, row in zip(coalition.members, belief_rows):
-            total += players[i].wager * (q_row[j] - row[j])
+        for w, row in zip(wagers, belief_rows):
+            total += w * (q_row[j] - row[j])
         margins.append(total)
     if all(g > tol_pos for g in margins):
         return DominanceVerdict(Verdict.DOMINATES, tuple(margins), None)

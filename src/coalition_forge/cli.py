@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .arbitrage import (
+    AGREEMENT_TOL,
     Verdict,
     _coalition_gain,
     arbitrage_report,
@@ -171,9 +172,19 @@ def cmd_arbitrage(args: argparse.Namespace) -> int:
         raise InvalidCoalition("scenario has no coalition")
     result = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
     if result.agreement:
-        sys.stderr.write(
-            "coalition members agree; no coordinated report beats truth\n"
-        )
+        # Members that share one belief get zero surplus; a nonzero one is
+        # the equalizer's, kept when the surplus test fired.
+        if any(result.surplus_by_outcome):
+            sys.stderr.write(
+                "coalition members agree on the surplus scale: the equalizing "
+                "report's smallest per-outcome surplus "
+                f"{_fmt(min(result.surplus_by_outcome))} is not above "
+                f"{_fmt(AGREEMENT_TOL)}\n"
+            )
+        else:
+            sys.stderr.write(
+                "coalition members agree; no coordinated report beats truth\n"
+            )
         return 3
     closed = None
     if sc.rule.kind in _CLOSED_FORM_KINDS:

@@ -224,6 +224,8 @@ def _coalition_surplus(
     n = len(players)
     coalition.validate(n)
     market = kind is MechanismKind.MARKET
+    if market and ordering is None:
+        raise ValidationError("ordering must be a permutation of all player indices")
     ordering = list(ordering if market else range(n))
     if sorted(ordering) != list(range(n)):
         raise ValidationError("ordering must be a permutation of all player indices")
@@ -242,10 +244,20 @@ def _coalition_surplus(
             CoalitionIsEveryoneWarning,
             stacklevel=stacklevel,
         )
-    members = [i for i in ordering if i in instructed]
-    is_member = np.isin(ordering, members)
+    # One walk in reporting order: what each player reports, and which of
+    # them are members.
+    played, members, mask = [], [], []
+    for i in ordering:
+        report = instructed.get(i)
+        mask.append(report is not None)
+        if report is None:
+            player = players[i]
+            report = player.report or player.belief
+        else:
+            members.append(i)
+        played.append(report)
+    is_member = np.array(mask)
     head = [prior or uniform_prior(players[0].belief.m)] if market else []
-    played = [instructed.get(i) or players[i].report or players[i].belief for i in ordering]
     beliefs = [players[i].belief for i in members]
     table = _score_columns(rule, [*head, *played, *beliefs], outcomes)
     k = len(head) + n
@@ -329,15 +341,15 @@ def intermediary_profit_by_outcome(
 ) -> tuple[float, ...]:
     """Per-outcome profit of an intermediary who submits q for every
     member and reimburses each member their truthful payment."""
-    if spec.kind is MechanismKind.TRADITIONAL:
+    traditional = spec.kind is MechanismKind.TRADITIONAL
+    if not traditional and spec.kind is not MechanismKind.COMPETITIVE:
+        raise UnsupportedMechanism(
+            "intermediary runs support traditional and competitive mechanisms; "
+            "sequential markets go through a market session"
+        )
+    coalition.validate(len(players))
+    if traditional:
         members = [q] * len(coalition.members)
         return tuple(_coalition_gain(spec.rule, players, coalition, members).tolist())
-    if spec.kind is MechanismKind.COMPETITIVE:
-        gain = _coalition_surplus(
-            spec.kind, spec.rule, players, coalition, q, range(q.m)
-        )
-        return tuple(gain.tolist())
-    raise UnsupportedMechanism(
-        "intermediary runs support traditional and competitive mechanisms; "
-        "sequential markets go through a market session"
-    )
+    gain = _coalition_surplus(spec.kind, spec.rule, players, coalition, q, range(q.m))
+    return tuple(gain.tolist())

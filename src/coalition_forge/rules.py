@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedRule,
     ValidationError,
 )
-from .simplex import Forecast, _block_rows, _lattice_blocks
+from .simplex import Forecast, _block_rows, _lattice_blocks, _stack
 
 
 class RuleKind(str, Enum):
@@ -300,25 +300,34 @@ def _score_columns(
     the logarithmic rules, OutOfDomain for a custom binary report outside
     the generator's domain. Entries are checked outcome by outcome, reports
     in order; mixed lengths and out-of-range outcomes are DimensionMismatch.
+    When every outcome is requested in order the table is returned as
+    score_table built it, not copied.
     """
-    m = reports[0].m
-    if any(r.m != m for r in reports):
+    R = _stack(reports)
+    if R is None:
         raise DimensionMismatch("reports have mixed lengths")
-    for j in outcomes:
+    m = R.shape[1]
+    cols = list(outcomes)
+    for j in cols:
         if not (0 <= j < m):
             raise DimensionMismatch(f"outcome index {j} out of range for m={m}")
-    table = score_table(rule, np.asarray([r.probs for r in reports], dtype=np.float64))
-    for j in outcomes:
-        for i in np.flatnonzero(table[:, j] == -np.inf):
-            r = reports[i]
-            if rule.kind is RuleKind.CUSTOM_BINARY:
-                savage_binary_score(rule.generator, r[0], j)
-            elif rule.kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG) and r[j] <= 0.0:
-                raise LogOfZero(
-                    f"state {j + 1} has probability {r[j]!r}; "
-                    "the logarithmic score is undefined there"
-                )
-    return table[:, list(outcomes)]
+    table = score_table(rule, R)
+    if cols != list(range(m)):
+        table = table[:, cols]
+    # One test of every requested entry; only when it finds one undefined
+    # are they walked in order, to raise for the first.
+    if (table == -np.inf).any():
+        for k, j in enumerate(cols):
+            for i in np.flatnonzero(table[:, k] == -np.inf):
+                r = reports[i]
+                if rule.kind is RuleKind.CUSTOM_BINARY:
+                    savage_binary_score(rule.generator, r[0], j)
+                elif rule.kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG) and r[j] <= 0.0:
+                    raise LogOfZero(
+                        f"state {j + 1} has probability {r[j]!r}; "
+                        "the logarithmic score is undefined there"
+                    )
+    return table
 
 
 def expected_score(rule: ScoringRule, report: Forecast, belief: Forecast) -> float:

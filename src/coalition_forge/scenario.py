@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import AbstractSet, Any
 
 from .arbitrage import Coalition, Player
 from .errors import (
@@ -37,6 +37,8 @@ _RULE_KINDS = {
 }
 
 _MODES = ("sweep", "intermediary", "market_session")
+
+_PLAYER_FIELDS = frozenset({"belief", "wager", "report"})
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def _require(data: dict, key: str, path: str) -> Any:
     return data[key]
 
 
-def _check_keys(data: dict, allowed: set[str], path: str) -> None:
+def _check_keys(data: dict, allowed: AbstractSet[str], path: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ScenarioError(path or "<root>", f"unknown field(s) {sorted(unknown)!r}")
@@ -218,20 +220,61 @@ def _parse_players(data: Any, m: int) -> tuple[Player, ...]:
         raise ScenarioError(path, f"expected a list, got {data!r}")
     players = []
     for k, entry in enumerate(data):
-        ppath = f"{path}[{k + 1}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(ppath, f"expected an object, got {entry!r}")
-        _check_keys(entry, {"belief", "wager", "report"}, ppath)
-        belief = _as_forecast(_require(entry, "belief", ppath), m, f"{ppath}.belief")
-        wager = _as_number(entry.get("wager", 1.0), f"{ppath}.wager")
-        report = None
-        if "report" in entry and entry["report"] is not None:
-            report = _as_forecast(entry["report"], m, f"{ppath}.report")
-        try:
-            players.append(Player(belief, wager, report))
-        except CoalitionForgeError as exc:
-            raise ScenarioError(ppath, str(exc)) from exc
+        player = _screened_player(entry, m)
+        if player is None:
+            player = _checked_player(entry, m, f"{path}[{k + 1}]")
+        players.append(player)
     return tuple(players)
+
+
+def _is_number_list(value: Any, m: int) -> bool:
+    """Whether value is a list of m JSON numbers: floats or integers, not
+    booleans. Whether they are finite is left to Forecast, which rejects
+    NaN and infinite entries."""
+    return type(value) is list and len(value) == m and {*map(type, value)} <= {float, int}
+
+
+def _screened_player(entry: Any, m: int) -> Player | None:
+    """The player a well-formed entry describes, in one pass that formats
+    no field path, or None when any check fails or the numbers are of
+    types JSON does not give. _checked_player then walks the entry."""
+    if type(entry) is not dict or not entry.keys() <= _PLAYER_FIELDS or "belief" not in entry:
+        return None
+    belief = entry["belief"]
+    wager = entry.get("wager", 1.0)
+    report = entry.get("report")
+    if not (
+        _is_number_list(belief, m)
+        and type(wager) in (float, int)
+        and (report is None or _is_number_list(report, m))
+    ):
+        return None
+    try:
+        return Player(
+            Forecast(tuple(map(float, belief))),
+            float(wager),
+            None if report is None else Forecast(tuple(map(float, report))),
+        )
+    except (CoalitionForgeError, OverflowError):  # OverflowError: an int past the float range
+        return None
+
+
+def _checked_player(entry: Any, m: int, ppath: str) -> Player:
+    """An entry checked field by field, which raises the first problem
+    under its field path. Numbers of types JSON does not give, such as
+    numpy floats, pass these checks and the entry is parsed here."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(ppath, f"expected an object, got {entry!r}")
+    _check_keys(entry, _PLAYER_FIELDS, ppath)
+    belief = _as_forecast(_require(entry, "belief", ppath), m, f"{ppath}.belief")
+    wager = _as_number(entry.get("wager", 1.0), f"{ppath}.wager")
+    report = None
+    if "report" in entry and entry["report"] is not None:
+        report = _as_forecast(entry["report"], m, f"{ppath}.report")
+    try:
+        return Player(belief, wager, report)
+    except CoalitionForgeError as exc:
+        raise ScenarioError(ppath, str(exc)) from exc
 
 
 def _parse_coalition(data: Any, n_players: int) -> Coalition | None:
@@ -240,15 +283,20 @@ def _parse_coalition(data: Any, n_players: int) -> Coalition | None:
     path = "coalition"
     if not isinstance(data, list) or not data:
         raise ScenarioError(path, "expected a non-empty list of 1-based player indices")
-    members = []
-    for k, v in enumerate(data):
-        idx = _as_int(v, f"{path}[{k + 1}]")
-        if not (1 <= idx <= n_players):
-            raise ScenarioError(
-                f"{path}[{k + 1}]",
-                f"player index {idx} out of range 1..{n_players}",
-            )
-        members.append(idx - 1)
+    # One screen of every index; only a list that fails it is walked entry
+    # by entry, which formats the path of the entry that fails.
+    if {*map(type, data)} == {int} and 1 <= min(data) and max(data) <= n_players:
+        members = [idx - 1 for idx in data]
+    else:
+        members = []
+        for k, v in enumerate(data):
+            idx = _as_int(v, f"{path}[{k + 1}]")
+            if not (1 <= idx <= n_players):
+                raise ScenarioError(
+                    f"{path}[{k + 1}]",
+                    f"player index {idx} out of range 1..{n_players}",
+                )
+            members.append(idx - 1)
     if len(set(members)) != len(members):
         raise ScenarioError(path, "member indices must be distinct")
     return Coalition(tuple(members))

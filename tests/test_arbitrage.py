@@ -3,6 +3,7 @@ oracle, and the brute-force grid search."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import zlib
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from coalition_forge import (
+    AGREEMENT_TOL,
     Coalition,
     ConvexGenerator,
     DegenerateBelief,
@@ -192,6 +194,24 @@ def test_agreement_detected_and_surplus_zero():
         assert result.surplus_by_outcome == (0.0, 0.0)
         verdict = verify_dominance_oracle(rule, players, PAIR, result.q)
         assert verdict.verdict is Verdict.TIES
+
+
+def test_agreement_decided_on_the_surplus_scale():
+    # Spherical members about 6e-8 apart disagree by belief distance, but
+    # their equalizer gains about 1e-15 in each outcome, which the oracle
+    # cannot tell from zero: that is agreement too, and q and the surplus
+    # stay the equalizer's.
+    players = _players((3.5e-8, 1 - 3.5e-8), (9.4e-8, 1 - 9.4e-8), (0.5, 0.5))
+    result = arbitrage_report(spherical_rule(), players, PAIR)
+    assert result.agreement
+    assert result.equalized
+    assert 0.0 < min(result.surplus_by_outcome) <= AGREEMENT_TOL
+    assert 3.5e-8 < result.q.probs[0] < 9.4e-8
+    verdict = verify_dominance_oracle(spherical_rule(), players, PAIR, result.q)
+    assert verdict.verdict is Verdict.TIES
+    # One bound serves both tests, so they cannot drift apart.
+    tol_pos = inspect.signature(verify_dominance_oracle).parameters["tol_pos"]
+    assert tol_pos.default == AGREEMENT_TOL
 
 
 def test_binary_equalizer_logit_matches_geometric_mean():

@@ -138,6 +138,12 @@ def test_parse_defaults():
     assert sc.coalition.members == (0, 1)
     assert sc.simulation is None
     assert sc.rule.kind is RuleKind.QUADRATIC
+    # Integer numbers parse to their float forms.
+    other = {"belief": [0.8, 0.2]}
+    ints = parse_scenario(_minimal_raw(players=[{"belief": [1, 0], "wager": 2}, other]))
+    floats = parse_scenario(_minimal_raw(players=[{"belief": [1.0, 0.0], "wager": 2.0}, other]))
+    assert ints == floats
+    assert [type(x) for x in (*ints.players[0].belief.probs, ints.players[0].wager)] == [float] * 3
 
 
 def test_parse_labels():
@@ -147,6 +153,11 @@ def test_parse_labels():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
     assert err.value.field_path == "event.labels"
+
+
+def _sixty_players(last):
+    """A mutation that gives the scenario 60 players, the last one last."""
+    return lambda r: r["players"].extend([{"belief": [0.5, 0.5]}] * 57 + [last])
 
 
 @pytest.mark.parametrize(
@@ -186,6 +197,9 @@ def test_parse_labels():
         (lambda r: r.update(coalition=[1, 9]), "coalition[2]"),
         (lambda r: r.update(coalition=[1, 1]), "coalition"),
         (lambda r: r.update(coalition=[]), "coalition"),
+        (_sixty_players({"belief": [0.5, 0.5], "odds": 2}), "players[60]"),
+        (_sixty_players({"belief": [0.5, True]}), "players[60].belief[2]"),
+        (_sixty_players({"belief": [math.nan, 0.5]}), "players[60].belief[1]"),
     ],
 )
 def test_scenario_errors_carry_field_paths(mutate, path_fragment):
@@ -219,6 +233,20 @@ def test_scenario_errors_carry_field_paths(mutate, path_fragment):
          "rule.b", "expected a finite number, got -inf"),
         (lambda r: r.update(mechanism={"kind": "market", "prior": [math.nan, 1.0]}),
          "mechanism.prior", "mechanism.prior[1]: expected a finite number, got nan"),
+        (_sixty_players({"belief": [0.5, True]}),
+         "players[60].belief", "players[60].belief[2]: expected a number, got True"),
+        (_sixty_players({"belief": [math.nan, 0.5]}),
+         "players[60].belief", "players[60].belief[1]: expected a finite number, got nan"),
+        (_sixty_players({"belief": [0.5, 0.5], "odds": 2}),
+         "players[60]", "unknown field(s) ['odds']"),
+        (lambda r: r["players"][0].update(report=[math.nan, 0.5]),
+         "players[1].report", "players[1].report[1]: expected a finite number, got nan"),
+        (lambda r: r.update(coalition=[2, True]), "coalition[2]", "expected an integer, got True"),
+        (lambda r: r.update(coalition=[2, 0]), "coalition[2]", "player index 0 out of range 1..2"),
+        # Integers are numbers and pass; a boolean is not one.
+        (lambda r: (r["players"][0].update(belief=[1, 0], wager=2),
+                    r["players"][1].update(wager=True)),
+         "players[2].wager", "expected a number, got True"),
     ],
 )
 def test_number_errors_name_the_entry(mutate, field_path, detail):
@@ -441,6 +469,26 @@ def test_cli_arbitrage_agreement_exit_code(tmp_path, capsys):
     path = _write_scenario(tmp_path, raw)
     assert main(["arbitrage", "--scenario", path]) == 3
     assert "agree" in capsys.readouterr().err
+
+
+def test_cli_near_agreement_is_agreement_on_the_surplus_scale(tmp_path, capsys):
+    # Members about 6e-8 apart: the equalizer's surplus is about 1e-15, so
+    # arbitrage exits as for agreement, naming the surplus test, and
+    # verify skips the dominance check instead of failing it.
+    raw = _minimal_raw(rule={"kind": "spherical"})
+    raw["players"] = [
+        {"belief": [3.5e-8, 1 - 3.5e-8]},
+        {"belief": [9.4e-8, 1 - 9.4e-8]},
+        {"belief": [0.5, 0.5]},
+    ]
+    path = _write_scenario(tmp_path, raw)
+    assert main(["arbitrage", "--scenario", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("coalition members agree on the surplus scale: ")
+    assert "smallest per-outcome surplus 6.06335e-16 is not above 1e-12" in err
+    assert main(["verify", "--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert "dominance: SKIPPED" in out
 
 
 def test_cli_arbitrage_needs_coalition(capsys):

@@ -13,6 +13,7 @@ from coalition_forge import (
     CoalitionIsEveryoneWarning,
     DimensionMismatch,
     Forecast,
+    InvalidCoalition,
     MechanismKind,
     MechanismSpec,
     MissingPrior,
@@ -470,6 +471,11 @@ def test_market_surplus_validates_ordering():
         coalition_surplus_market(
             quadratic_rule(), players, (0, 0), Coalition((0, 1)), Forecast((0.5, 0.5)), 0
         )
+    # A missing ordering is invalid input too, not a TypeError.
+    with pytest.raises(ValidationError, match="ordering must be a permutation"):
+        coalition_surplus_market(
+            quadratic_rule(), players, None, Coalition((0, 1)), Forecast((0.5, 0.5)), 0
+        )
 
 
 def test_coordinated_reports_as_list():
@@ -525,6 +531,23 @@ def test_intermediary_profit_rejects_market():
         intermediary_profit_by_outcome(
             spec, players, Coalition((0, 1)), Forecast((0.5, 0.5))
         )
+
+
+@pytest.mark.parametrize("kind", [MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE])
+def test_intermediary_profit_validates_the_coalition(kind):
+    # Both kinds check the coalition first: an index out of range or a
+    # single member is InvalidCoalition, not an IndexError or a number.
+    spec = MechanismSpec(kind, quadratic_rule())
+    players = [
+        Player(Forecast((0.2, 0.8)), 1.0),
+        Player(Forecast((0.8, 0.2)), 1.0),
+        Player(Forecast((0.5, 0.5)), 1.0),
+    ]
+    q = Forecast((0.5, 0.5))
+    with pytest.raises(InvalidCoalition, match="member index 6 out of range for 3 players"):
+        intermediary_profit_by_outcome(spec, players, Coalition((0, 5)), q)
+    with pytest.raises(InvalidCoalition, match="needs at least 2 members, got 1"):
+        intermediary_profit_by_outcome(spec, players, Coalition((0,)), q)
 
 
 def test_competitive_surplus_positive_at_equalizer_random():

@@ -1,5 +1,6 @@
-"""Tests for the package surface: the public names and the runtime
-dependencies."""
+"""Tests for the package surface: the public names, the runtime
+dependencies and the benchmark's self-test, which reaches into private
+helpers."""
 
 from __future__ import annotations
 
@@ -39,3 +40,16 @@ def test_runtime_needs_only_numpy():
         timeout=60, check=True,
     )
     assert done.stdout.split() == ["coalition_forge", "numpy"]
+
+
+def test_benchmark_self_test_passes():
+    # bench/selftest.py shows every benchmark check rejecting a corrupted
+    # output; it calls private arbitrage helpers, so a change to them that
+    # breaks it shows here.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=root, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "FAILED" not in done.stdout

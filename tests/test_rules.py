@@ -277,6 +277,93 @@ def test_score_raises_only_where_the_table_is_undefined():
             score(quadratic_rule(), Forecast((0.5, 0.5)), outcome)
 
 
+def _score_columns_by_entry(rule, reports, outcomes):
+    """rules._score_columns as first written, testing the table entry by
+    entry: the reference for which error comes first and its text."""
+    m = reports[0].m
+    if any(r.m != m for r in reports):
+        raise DimensionMismatch("reports have mixed lengths")
+    for j in outcomes:
+        if not (0 <= j < m):
+            raise DimensionMismatch(f"outcome index {j} out of range for m={m}")
+    table = score_table(rule, np.asarray([r.probs for r in reports], dtype=np.float64))
+    for j in outcomes:
+        for i in np.flatnonzero(table[:, j] == -np.inf):
+            r = reports[i]
+            if rule.kind is RuleKind.CUSTOM_BINARY:
+                savage_binary_score(rule.generator, r[0], j)
+            elif rule.kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG) and r[j] <= 0.0:
+                raise LogOfZero(
+                    f"state {j + 1} has probability {r[j]!r}; "
+                    "the logarithmic score is undefined there"
+                )
+    return table[:, list(outcomes)]
+
+
+def _returned_or_raised(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_score_columns_raises_what_the_entry_loop_raised():
+    # Batches with several undefined entries, in different rows and
+    # outcomes: the first error, its type and its text are the entry
+    # loop's, and every table is score_table's bit for bit.
+    rng = np.random.default_rng(4242)
+    narrow = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
+    candidates = [  # a rule and its number of states, None for any
+        (logarithmic_rule(), None),
+        (generalized_log_rule(0.0, b=2.0), None),
+        (generalized_log_rule(0.1, a=(0.0, 1.0, 2.0)), 3),
+        (custom_binary_rule(logit_generator()), 2),
+        (custom_binary_rule(narrow, a=(0.5, -0.5)), 2),
+        (quadratic_rule(), None),
+        (spherical_rule(), None),
+    ]
+    raised = defined = 0
+    for trial in range(700):
+        rule, m = candidates[trial % len(candidates)]
+        m = m or int(rng.integers(2, 6))
+        reports = []
+        for _ in range(int(rng.integers(1, 8))):
+            p = rng.dirichlet(np.ones(m))
+            if rng.random() < 0.4:
+                # Zeros under the log rules; reports at 0 and 1 under the
+                # custom binary rules.
+                p[rng.random(m) < 0.5] = 0.0
+                if p.sum() == 0.0:
+                    p[int(rng.integers(m))] = 1.0
+                p /= p.sum()
+            reports.append(Forecast(tuple(p.tolist())))
+        outcomes = [
+            range(m),
+            list(range(m))[::-1],
+            [int(rng.integers(m))],
+            [int(j) for j in rng.integers(m, size=3)],
+        ][trial // len(candidates) % 4]
+        got = _returned_or_raised(rules._score_columns, rule, reports, outcomes)
+        want = _returned_or_raised(_score_columns_by_entry, rule, reports, outcomes)
+        if isinstance(want, tuple):
+            assert got == want
+            raised += 1
+            continue
+        full = score_table(rule, np.asarray([r.probs for r in reports]))
+        for table in (want, full[:, list(outcomes)]):
+            assert got.shape == table.shape
+            assert got.tobytes() == table.tobytes()
+        defined += 1
+    assert raised > 100 and defined > 300
+    # Mixed lengths and outcomes out of range raise as before.
+    mixed = [Forecast((0.5, 0.5)), Forecast((0.2, 0.3, 0.5))]
+    for reports, outcomes in ((mixed, [0]), (mixed[:1], [2]), (mixed[1:], [0, -1])):
+        got = _returned_or_raised(rules._score_columns, quadratic_rule(), reports, outcomes)
+        want = _returned_or_raised(_score_columns_by_entry, quadratic_rule(), reports, outcomes)
+        assert got == want
+        assert got[0] is DimensionMismatch
+
+
 def test_score_table_uses_neg_inf_for_log_of_zero():
     table = score_table(logarithmic_rule(), np.array([[0.0, 1.0]]))
     assert table[0, 0] == -np.inf
