@@ -33,6 +33,8 @@ from .rules import (
     ConvexGenerator,
     RuleKind,
     ScoringRule,
+    _apply_rows,
+    _row_tile,
     _score_columns,
     _score_into,
     score_table,
@@ -519,15 +521,18 @@ def grid_search_equalizer(
     margins_buf = np.empty((capacity, m))
     worst_buf = np.empty(capacity)
     undefined_buf = np.empty(capacity, dtype=bool)
+    # Tiles after the buffers, as in rules._properness_scan.
+    offsets = _row_tile(rule.offsets_for(m), capacity)
+    t_tile = _row_tile(t, capacity)
     # One block at a time, keeping the first maximum in lattice order: a
     # later block replaces it only when strictly larger.
     best_worst, best = -math.inf, None
     for grid in blocks:
         n = len(grid)
         margins, worst, undefined = margins_buf[:n], worst_buf[:n], undefined_buf[:n]
-        _score_into(rule, grid, margins)
+        _score_into(rule, grid, margins, offsets)
         margins *= w_c
-        margins -= t
+        _apply_rows(np.subtract, margins, t_tile)
         # The row minima, one column at a time: a minimum is exact in any
         # order, and numpy reduces short rows one at a time, slowly.
         with np.errstate(invalid="ignore"):

@@ -29,6 +29,7 @@ from .arbitrage import (
     _coalition_gain,
     arbitrage_report,
     closed_form_surplus,
+    members_agree,
     verify_dominance_oracle,
 )
 from .errors import (
@@ -42,8 +43,9 @@ from .mechanisms import (
     payment_table,
     uniform_prior,
 )
-from .rules import RuleKind, check_strict_properness
+from .rules import RuleKind, _properness_scan
 from .scenario import Scenario, load_scenario
+from .simplex import _stack
 from .simulate import (
     expected_surplus_sweep,
     intermediary_run,
@@ -233,8 +235,7 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
         beliefs = [uniform_prior(sc.m)]
     worst_margin = -math.inf
     all_pass = True
-    for belief in beliefs:
-        report = check_strict_properness(sc.rule, belief, resolution)
+    for report in _properness_scan(sc.rule, beliefs, resolution):
         worst_margin = max(worst_margin, report.max_margin)
         all_pass = all_pass and report.passed
     checks.append(
@@ -246,7 +247,9 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
         }
     )
 
-    coordinated = None
+    # Members without reports coordinate on the equalizing report, unless
+    # they agree; then agreement names the test that found it.
+    coordinated = agreement = None
     if sc.coalition is not None and len(sc.coalition.members) >= 2:
         member_reports = [sc.players[i].report for i in sc.coalition.members]
         if all(r is not None for r in member_reports):
@@ -256,6 +259,16 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
                 arb = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
                 if not arb.agreement:
                     coordinated = [arb.q] * len(sc.coalition.members)
+                elif members_agree(_stack([sc.players[i].belief for i in sc.coalition.members])):
+                    agreement = (
+                        "the coalition agrees by belief distance: members within "
+                        f"{AGREEMENT_TOL!r} of each other"
+                    )
+                else:
+                    agreement = (
+                        "the coalition agrees by surplus scale: smallest equalizing "
+                        f"surplus at most {AGREEMENT_TOL!r}"
+                    )
             except CoalitionForgeError:
                 pass
 
@@ -283,16 +296,16 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
             {
                 "check": "dominance",
                 "status": "skipped",
-                "detail": "no identical coordinated report available",
+                "detail": agreement or "no identical coordinated report available",
             }
         )
 
-    if (
+    proper_subset = (
         sc.coalition is not None
         and len(sc.coalition.members) >= 2
         and len(sc.players) > len(sc.coalition.members)
-        and coordinated is not None
-    ):
+    )
+    if proper_subset and coordinated is not None:
         players = list(sc.players)
         w_c = sc.coalition.wager_total(players)
         w_n = math.fsum(p.wager for p in players)
@@ -320,7 +333,8 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
             {
                 "check": "surplus_scaling_identity",
                 "status": "skipped",
-                "detail": "needs a coalition that is a proper subset of the players",
+                "detail": (agreement if proper_subset and agreement
+                           else "needs a coalition that is a proper subset of the players"),
             }
         )
     return checks

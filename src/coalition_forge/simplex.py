@@ -58,7 +58,11 @@ class Forecast:
         for p in self.probs:
             if p < 0.0:
                 raise NegativeEntry(f"negative entry {p!r}")
-        total = math.fsum(self.probs)
+        try:
+            total = math.fsum(self.probs)
+        except OverflowError:
+            # Finite entries whose exact sum passes the float range.
+            total = math.inf
         # Written so that a NaN entry, whose sum is NaN, fails it too.
         if not abs(total - 1.0) <= SUM_TOL:
             raise SumOutOfTolerance(total, SUM_TOL)
@@ -202,6 +206,7 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
     for k in range(2, m):
         rows[k] = np.arange(1, resolution + 2) if k == 2 else np.cumsum(rows[k - 1])
     dtype = np.min_scalar_type(resolution)
+    index_type = np.min_scalar_type(capacity)
 
     def fill(
         prefix: tuple[int, ...], heads: np.ndarray, r: int, parts_buf: np.ndarray
@@ -214,11 +219,15 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
         size = len(heads) if k == 1 else int(rows[k][remaining].sum())
         parts = parts_buf[:size]
         parts[:, :d] = prefix
+        if d == m - 2:
+            parts[:, d] = heads
+            parts[:, m - 1] = remaining
+            return parts
         head = heads
         # Stars and bars, one column at a time: every partial row with
         # `remaining` units left branches into heads 0..remaining, in
         # order, which keeps the rows lexicographic.
-        for col in range(d, m - 1):
+        for col in range(d, m - 2):
             if col > d:
                 branches = remaining + 1
                 starts = np.cumsum(branches) - branches
@@ -226,12 +235,21 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
                 remaining = np.repeat(remaining, branches) - head
             # A partial row ends in rows[open][remaining] full rows, all
             # contiguous.
-            open_cols = m - 1 - col
-            if open_cols > 1:
-                parts[:, col] = np.repeat(head.astype(dtype), rows[open_cols][remaining])
-            else:
-                parts[:, col] = head
-        parts[:, m - 1] = remaining
+            parts[:, col] = np.repeat(head.astype(dtype), rows[m - 1 - col][remaining])
+        # The last two columns, one row per unit split: below a partial row
+        # with r units left they run (0, r), (1, r - 1), ..., (r, 0). Both
+        # are written straight into parts, from position arrays in the
+        # smallest type that holds a block's row count.
+        branches = remaining + 1
+        starts = (np.cumsum(branches) - branches).astype(index_type)
+        np.subtract(
+            np.arange(size, dtype=index_type), np.repeat(starts, branches),
+            out=parts[:, m - 2], casting="unsafe",
+        )
+        np.subtract(
+            np.repeat(remaining.astype(dtype), branches), parts[:, m - 2],
+            out=parts[:, m - 1],
+        )
         return parts
 
     def split(prefix: tuple[int, ...], r: int) -> list:
@@ -285,6 +303,31 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
             yield grid
 
     return stream()
+
+
+def _lattice_index(p: Sequence[float], resolution: int) -> int | None:
+    """Position in grid_array(len(p), resolution) of the row within 1e-12
+    of p in every entry, or None when no row is.
+
+    Lattice values k/resolution are more than 2e-12 apart on any lattice
+    below MAX_GRID_POINTS, so an entry matches at most one of them, the
+    nearest, and at most one row matches.
+    """
+    parts = [round(x * resolution) for x in p]
+    if sum(parts) != resolution or any(
+        abs(k / resolution - x) > 1e-12 for k, x in zip(parts, p)
+    ):
+        return None
+    # The rows before the match are those whose first entry that differs
+    # from it is smaller. Below entry j with r units still open, a head
+    # h < k leaves the compositions of r - h over the columns after j; the
+    # hockey-stick identity sums them over h in closed form.
+    index, r = 0, resolution
+    for j, k in enumerate(parts[:-1]):
+        after = len(parts) - j - 1
+        index += math.comb(r + after, after) - math.comb(r - k + after, after)
+        r -= k
+    return index
 
 
 def _clear_dust(q: np.ndarray) -> np.ndarray:

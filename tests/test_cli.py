@@ -223,6 +223,8 @@ def test_scenario_errors_carry_field_paths(mutate, path_fragment):
          "players[1].belief", "negative entry -0.1"),
         (lambda r: r["players"][0].update(belief=[0.5, 0.6]),
          "players[1].belief", "entries sum to 1.1, outside 1 +/- 1e-09"),
+        (lambda r: r["players"][0].update(belief=[1e308, 1e308]),
+         "players[1].belief", "entries sum to inf, outside 1 +/- 1e-09"),
         (lambda r: r["players"][1].update(belief=[0.5, math.nan]),
          "players[2].belief", "players[2].belief[2]: expected a finite number, got nan"),
         (lambda r: r["players"][0].update(wager=math.inf),
@@ -435,6 +437,21 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
     assert capsys.readouterr().err == "error: rule.b: expected a finite number, got inf\n"
 
 
+def test_cli_belief_whose_sum_overflows_is_invalid_input(tmp_path, capsys):
+    # Each entry is finite but their sum is not: exit 2 with the field
+    # path, not a traceback.
+    raw = _minimal_raw()
+    raw["players"][0]["belief"] = [1e308, 1e308]
+    path = _write_scenario(tmp_path, raw)
+    for command in ("score", "arbitrage", "verify"):
+        assert main([command, "--scenario", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: players[1].belief: entries sum to inf, outside 1 +/- 1e-09\n"
+        )
+
+
 def test_cli_arbitrage_json_envelope(capsys):
     assert main(["arbitrage", "--scenario", "example1", "--format", "json"]) == 0
     envelope = json.loads(capsys.readouterr().out)
@@ -489,6 +506,40 @@ def test_cli_near_agreement_is_agreement_on_the_surplus_scale(tmp_path, capsys):
     assert main(["verify", "--scenario", path]) == 0
     out = capsys.readouterr().out
     assert "dominance: SKIPPED" in out
+
+
+def test_cli_verify_names_agreement_as_the_reason_to_skip(tmp_path, capsys):
+    # A proper sub-coalition that agrees has nothing to arbitrage: both
+    # coalition checks are skipped, naming the test that found agreement.
+    raw = _minimal_raw(rule={"kind": "spherical"})
+    raw["players"] = [
+        {"belief": [3.5e-8, 1 - 3.5e-8]},
+        {"belief": [9.4e-8, 1 - 9.4e-8]},
+        {"belief": [0.5, 0.5]},
+    ]
+    near = _write_scenario(tmp_path, raw, "near.json")
+    surplus = "the coalition agrees by surplus scale: smallest equalizing surplus at most 1e-12"
+    distance = "the coalition agrees by belief distance: members within 1e-12 of each other"
+    for scenario, reason in ((near, surplus), ("market_session", distance)):
+        assert main(["verify", "--scenario", scenario]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            f"dominance: SKIPPED  ({reason})",
+            f"surplus_scaling_identity: SKIPPED  ({reason})",
+            "result: PASS",
+        ]
+    # When the coalition is every player, the scaling identity still
+    # names that.
+    raw["coalition"] = [1, 2, 3]
+    raw["players"][2]["belief"] = [6e-8, 1 - 6e-8]
+    everyone = _write_scenario(tmp_path, raw, "everyone.json")
+    assert main(["verify", "--scenario", everyone]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"dominance: SKIPPED  ({surplus})"
+    assert lines[2] == (
+        "surplus_scaling_identity: SKIPPED  "
+        "(needs a coalition that is a proper subset of the players)"
+    )
 
 
 def test_cli_arbitrage_needs_coalition(capsys):

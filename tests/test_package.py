@@ -4,11 +4,15 @@ helpers."""
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
 
 import coalition_forge
 
@@ -21,6 +25,31 @@ def test_star_import_binds_exactly_all():
     assert len(coalition_forge.__all__) == len(set(coalition_forge.__all__))
     assert not [n for n in namespace if n.startswith("_")]
     assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
+
+
+def test_no_module_holds_an_array():
+    # Workspaces, tiles and tables live for one call: an array bound at
+    # module level would be state shared by every caller and thread, and
+    # memory held for the life of the process. The scans run first, so a
+    # cache they filled would show.
+    from coalition_forge import (
+        Coalition, Forecast, Player, check_strict_properness, grid_search_equalizer,
+        quadratic_rule,
+    )
+
+    rule = quadratic_rule((0.1, 0.2, 0.3))
+    check_strict_properness(rule, Forecast((0.2, 0.3, 0.5)), 100)
+    players = [Player(Forecast((0.2, 0.3, 0.5)), 1.0), Player(Forecast((0.5, 0.3, 0.2)), 2.0)]
+    grid_search_equalizer(rule, players, Coalition((0, 1)), 100)
+    found = []
+    for info in pkgutil.walk_packages(coalition_forge.__path__, "coalition_forge."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            inner = value.values() if isinstance(value, dict) else (
+                value if isinstance(value, (list, tuple, set, frozenset)) else ())
+            if isinstance(value, np.ndarray) or any(isinstance(v, np.ndarray) for v in inner):
+                found.append(f"{info.name}.{name}")
+    assert found == []
 
 
 def test_runtime_needs_only_numpy():

@@ -1,4 +1,5 @@
-"""Property tests of the payment-table algebra on extreme beliefs:
+"""Property tests of the paper's identities on extreme beliefs: the
+equalizing report dominates, equalizes and earns its closed-form surplus;
 self-financing competitive columns, the (1 - w_C/W) scaling of the
 competitive coalition gain, and market-scoring telescoping; and of the
 scenario format: every valid scenario survives scenario_to_dict and
@@ -21,10 +22,13 @@ from hypothesis import strategies as st
 
 from coalition_forge import (
     Coalition,
+    DegenerateBelief,
     Forecast,
     MechanismKind,
     MechanismSpec,
     Player,
+    arbitrage_report,
+    closed_form_surplus,
     coalition_surplus_competitive,
     generalized_log_rule,
     canonical_json,
@@ -35,8 +39,11 @@ from coalition_forge import (
     quadratic_rule,
     scenario_to_dict,
     score,
+    score_table,
     spherical_rule,
     surplus_by_outcome,
+    verify_dominance_oracle,
+    Verdict,
 )
 
 RULES = {
@@ -123,6 +130,61 @@ def test_market_payments_telescope_on_extreme_reports(pool):
         column = market_scoring_payments(rule, reports, q, j)
         assert column == table.column(j)
         assert abs(math.fsum(column) - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@st.composite
+def extreme_coalitions(draw):
+    """A rule name, 2 to 4 members with extreme beliefs over 2 to 7 states
+    and wagers in [0.5, 3), and one uniform outsider. Members come from
+    Dirichlet draws (alpha down to 0.01), from one belief spread by 1e-11
+    to 1e-5 (near agreement), or within 1e-12 to 1e-6 of one vertex."""
+    name = draw(st.sampled_from(sorted(RULES)))
+    m = draw(st.integers(2, 7))
+    k = draw(st.integers(2, 4))
+    alpha = draw(st.sampled_from([0.01, 0.1, 1.0, 50.0]))
+    shape = draw(st.sampled_from(["spread", "near_agreement", "near_vertex"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "spread":
+        rows = rng.dirichlet(np.full(m, alpha), size=k)
+    elif shape == "near_agreement":
+        spread = 10.0 ** rng.uniform(-11.0, -5.0)
+        rows = rng.dirichlet(np.full(m, alpha)) + spread * rng.dirichlet(np.ones(m), size=k)
+    else:
+        distance = 10.0 ** rng.uniform(-12.0, -6.0, size=(k, 1))
+        rows = distance * rng.dirichlet(np.full(m, alpha), size=k)
+        rows[:, rng.integers(m)] += 1.0 - distance[:, 0]
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    wagers = rng.uniform(0.5, 3.0, size=k)
+    players = [Player(Forecast(tuple(row.tolist())), float(w)) for row, w in zip(rows, wagers)]
+    players.append(Player(Forecast((1.0 / m,) * m), 1.0))
+    return name, players, Coalition(tuple(range(k)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(extreme_coalitions())
+def test_equalizer_dominates_equalizes_and_meets_its_closed_form(case):
+    name, players, coalition = case
+    rule = RULES[name]
+    try:
+        result = arbitrage_report(rule, players, coalition)
+    except DegenerateBelief:
+        # The unfloored logarithmic rule cannot aggregate a zero entry.
+        assert name == "logarithmic"
+        return
+    assert result.equalized
+    if result.agreement:
+        return
+    verdict = verify_dominance_oracle(rule, players, coalition, result.q)
+    assert verdict.verdict is Verdict.DOMINATES
+    # The surplus is a difference of wagered scores, so its rounding error
+    # scales with them, not with the surplus: near 1e-10 under the log
+    # rule a relative bound fails. Allow 8 ulps of the scores' total.
+    members = [players[i] for i in coalition.members]
+    table = score_table(rule, np.asarray([result.q.probs] + [p.belief.probs for p in members]))
+    peaks = np.abs(table).max(axis=1)
+    scale = math.fsum(p.wager * (peaks[0] + peak) for p, peak in zip(members, peaks[1:]))
+    direct = math.fsum(result.surplus_by_outcome) / result.q.m
+    assert abs(closed_form_surplus(rule, players, coalition) - direct) <= 8 * 2**-52 * scale
 
 
 POSITIVE = st.floats(1e-3, 1e3)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from coalition_forge import (
+    Coalition,
     ConvexGenerator,
     DimensionMismatch,
     Forecast,
@@ -31,6 +32,7 @@ from coalition_forge import (
     expected_score,
     generalized_log_rule,
     grid_array,
+    grid_search_equalizer,
     linear_rule,
     logarithmic_rule,
     logit_generator,
@@ -44,7 +46,7 @@ from coalition_forge import (
 
 from coalition_forge import rules, simplex
 
-from conftest import random_forecast
+from conftest import random_forecast, random_players
 
 
 def test_quadratic_score_values():
@@ -650,6 +652,79 @@ def test_properness_checks_on_threads_match_serial_reports():
         for i, report in reports:
             for field in dataclasses.fields(PropernessReport):
                 assert getattr(report, field.name) == getattr(serial[i], field.name), field.name
+
+
+@pytest.mark.parametrize("block_rows", [7, 50, None])
+def test_properness_scan_equals_one_check_per_belief(monkeypatch, block_rows):
+    # One scan over k beliefs gives the k reports of k separate checks,
+    # field for field, with zero states, on- and off-lattice beliefs and
+    # beliefs within 1e-12 of a lattice point mixed in one call.
+    if block_rows is not None:
+        monkeypatch.setattr(simplex, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(818)
+    top = {2: 300, 3: 40, 4: 16, 5: 10, 9: 4}
+    for _ in range(30):
+        m = int(rng.choice([2, 3, 4, 5, 9]))
+        resolution = int(rng.integers(2, top[m]))
+        rule = _random_rule(rng, m)
+        beliefs = []
+        while len(beliefs) < int(rng.integers(1, 7)):
+            belief = _random_belief(rng, m, resolution)
+            if rng.random() < 0.3:
+                # Off the lattice by less than the truthful-row tolerance.
+                nudged = np.asarray(belief.probs) + rng.uniform(-4e-13, 4e-13, m)
+                belief = Forecast(tuple(np.where(np.asarray(belief.probs) > 0.0, nudged, 0.0).tolist()))
+            if _unblocked_properness(rule, belief, resolution) is not None:
+                beliefs.append(belief)
+        reports = rules._properness_scan(rule, beliefs, resolution)
+        expected = [check_strict_properness(rule, belief, resolution) for belief in beliefs]
+        assert len(reports) == len(expected)
+        for report, one in zip(reports, expected):
+            for field in dataclasses.fields(PropernessReport):
+                assert getattr(report, field.name) == getattr(one, field.name), field.name
+
+
+def test_properness_scan_arguments():
+    rule = logarithmic_rule()
+    assert rules._properness_scan(rule, [], 10) == []
+    with pytest.raises(ValidationError, match="resolution"):
+        rules._properness_scan(rule, [], 1)
+    with pytest.raises(DimensionMismatch):
+        rules._properness_scan(rule, [Forecast((0.5, 0.5)), Forecast((0.2, 0.3, 0.5))], 10)
+    # A belief outside the rule's domain fails the whole scan, as its own
+    # check fails.
+    binary = custom_binary_rule(logit_generator())
+    with pytest.raises(ValidationError, match="not finite"):
+        rules._properness_scan(binary, [Forecast((0.4, 0.6)), Forecast((1.0, 0.0))], 10)
+
+
+@pytest.mark.parametrize("tile_entries", [12, 100, None])
+def test_tables_do_not_depend_on_the_offset_tile(monkeypatch, tile_entries):
+    # Offsets go onto a table through a tile of whole rows, chunk by chunk;
+    # every tile size gives the bits of numpy's row broadcast, -inf
+    # entries included, in the scans and the grid search too.
+    rng = np.random.default_rng(919)
+    grid = grid_array(3, 100)
+    cases = [(_random_rule(rng, 3), random_forecast(rng, 3)) for _ in range(12)]
+    cases.append((quadratic_rule((0.0, 0.0, 0.0)), Forecast((0.0, 0.5, 0.5))))
+    players = random_players(rng, 3, 3)
+    coalition = Coalition((0, 1, 2))
+    expected = []
+    for rule, belief in cases:
+        table = np.empty(grid.shape)
+        rules._score_into(rule, grid, table, rule.offsets_for(3)[None, :])
+        search = None
+        if rule.kind in (RuleKind.QUADRATIC, RuleKind.SPHERICAL, RuleKind.LINEAR):
+            search = grid_search_equalizer(rule, players, coalition, 60)
+        expected.append((table.tobytes(), _unblocked_properness(rule, belief, 100), search))
+    if tile_entries is not None:
+        monkeypatch.setattr(rules, "_TILE_ENTRIES", tile_entries)
+    for (rule, belief), (table, report, search) in zip(cases, expected):
+        assert score_table(rule, grid).tobytes() == table
+        if report is not None:
+            assert check_strict_properness(rule, belief, 100) == report
+        if search is not None:
+            assert grid_search_equalizer(rule, players, coalition, 60) == search
 
 
 def test_properness_memory_is_bounded_by_the_block():

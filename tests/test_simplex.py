@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ def test_forecast_rejects_non_finite_entries(probs):
         Forecast(probs)
     with pytest.raises(SumOutOfTolerance):
         validate_forecast(list(probs))
+
+
+def test_forecast_rejects_entries_whose_sum_overflows():
+    # Finite entries whose exact sum passes the float range: math.fsum
+    # raises OverflowError, which must surface as a ValidationError.
+    for probs in [(1e308, 1e308), (0.5, 1.7e308, 1.7e308)]:
+        with pytest.raises(SumOutOfTolerance) as err:
+            Forecast(probs)
+        assert err.value.actual_sum == math.inf
+        with pytest.raises(ValidationError):
+            validate_forecast(list(probs))
 
 
 def test_validate_forecast_checks_with_the_forecast_tolerance():
@@ -250,6 +262,39 @@ def test_lattice_blocks_generators_keep_buffers_of_their_own():
         assert len(first_blocks) > 2
         assert np.concatenate(first_blocks).tobytes() == whole
         assert np.concatenate(second_blocks).tobytes() == whole
+
+
+@pytest.mark.parametrize("m,resolution", [(2, 9), (3, 7), (4, 6), (6, 3), (9, 2)])
+def test_lattice_index_is_the_row_position(m, resolution):
+    grid = grid_array(m, resolution)
+    rng = np.random.default_rng(m * 100 + resolution)
+    for i, row in enumerate(grid.tolist()):
+        assert simplex._lattice_index(row, resolution) == i
+        # Within 1e-12 of a lattice value in every entry is the same row.
+        nudged = [x + float(rng.uniform(-9e-13, 9e-13)) if x > 0.0 else x for x in row]
+        assert simplex._lattice_index(nudged, resolution) == i
+    assert simplex._lattice_index([0.5 + 2e-12, 0.5 - 2e-12] + [0.0] * (m - 2), resolution) is None
+    off = [1.0 / (resolution + 1)] * (resolution + 1)
+    assert simplex._lattice_index((off + [0.0] * m)[:m], resolution) is None
+
+
+def test_lattice_blocks_allocate_little_beyond_their_buffers():
+    # A pass keeps one integer and one float buffer of the block's size;
+    # the last two columns of each block are written straight into the
+    # integer one. Building them as int64 arrays of the block's length,
+    # about 3.5 at a time, took 440 KB above the buffers at m=5,
+    # resolution 50, beyond a quarter of them.
+    for m, resolution in [(5, 50), (6, 30), (3, 400)]:
+        capacity = simplex._block_rows(m, resolution)
+        buffers = capacity * m * (8 + np.min_scalar_type(resolution).itemsize)
+        tracemalloc.start()
+        try:
+            blocks = sum(1 for _ in simplex._lattice_blocks(m, resolution))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks > 1
+        assert peak - buffers <= buffers // 4, (m, resolution, peak - buffers)
 
 
 def test_clear_dust_snaps_only_rounding_error():
