@@ -35,6 +35,7 @@ from .arbitrage import (
 from .errors import (
     CoalitionForgeError,
     InvalidCoalition,
+    ScenarioError,
     ValidationError,
 )
 from .mechanisms import (
@@ -397,6 +398,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:  # market_session
         if sc.coalition is None:
             raise InvalidCoalition("market sessions need a coalition")
+        # The session's players are the ordering's; the coalition is
+        # checked against them here, where both are known.
+        top = max(sc.coalition.members) + 1
+        if top > len(sim.ordering):
+            raise ScenarioError(
+                "simulation.ordering",
+                f"orders {len(sim.ordering)} players; the coalition names player {top}",
+            )
         result = market_session(
             sc.mechanism, sim.ordering, sc.coalition, sim.sampler, seed
         )

@@ -44,8 +44,9 @@ class MechanismKind(str, Enum):
 class MechanismSpec:
     """A mechanism kind bound to a scoring rule.
 
-    market_prior is the opening report the first market participant is
-    paid against; None defers to a uniform prior at payment time.
+    kind may be given by its name. market_prior is the opening report the
+    first market participant is paid against; None defers to a uniform
+    prior at payment time.
     """
 
     kind: MechanismKind
@@ -53,6 +54,11 @@ class MechanismSpec:
     market_prior: Forecast | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, MechanismKind):
+            try:
+                object.__setattr__(self, "kind", MechanismKind(self.kind))
+            except ValueError:
+                raise ValidationError(f"unknown mechanism kind {self.kind!r}") from None
         if self.market_prior is not None and self.kind is not MechanismKind.MARKET:
             raise ValidationError("market_prior applies only to market scoring")
 

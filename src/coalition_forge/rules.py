@@ -111,10 +111,11 @@ def binary_quadratic_generator() -> ConvexGenerator:
 class ScoringRule:
     """A scoring rule family member.
 
-    affine_offsets holds one additive constant per state (None means all
-    zero); b is a positive scale. floor applies to the generalized
-    logarithmic family only; generator to custom binary rules only.
-    Positive affine transforms preserve strict properness.
+    kind may be given by its name. affine_offsets holds one additive
+    constant per state (None means all zero); b is a positive scale.
+    floor applies to the generalized logarithmic family only; generator
+    to custom binary rules only. Positive affine transforms preserve
+    strict properness.
     """
 
     kind: RuleKind
@@ -124,6 +125,11 @@ class ScoringRule:
     generator: ConvexGenerator | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, RuleKind):
+            try:
+                object.__setattr__(self, "kind", RuleKind(self.kind))
+            except ValueError:
+                raise ValidationError(f"unknown rule kind {self.kind!r}") from None
         if self.b <= 0.0:
             raise ValidationError(f"scale b must be > 0, got {self.b!r}")
         if self.floor < 0.0:

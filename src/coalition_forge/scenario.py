@@ -14,29 +14,25 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Any
+from typing import AbstractSet, Any, Callable
 
 from .arbitrage import Coalition, Player
-from .errors import (
-    CoalitionForgeError,
-    ScenarioError,
-)
+from .errors import CoalitionForgeError, ScenarioError
 from .mechanisms import MechanismKind, MechanismSpec, lambert
 from .rules import RuleKind, ScoringRule
 from .simplex import Forecast
-from .simulate import BeliefSampler, BetaBinary, DirichletM, FiniteMixture
+from .simulate import (
+    BeliefSampler, BetaBinary, DirichletM, FiniteMixture, _resolve_seed,
+)
 
 SCHEMA_VERSION = 1
 
-_RULE_KINDS = {
-    "quadratic": RuleKind.QUADRATIC,
-    "logarithmic": RuleKind.LOGARITHMIC,
-    "generalized_logarithmic": RuleKind.GENERALIZED_LOG,
-    "spherical": RuleKind.SPHERICAL,
-    "linear": RuleKind.LINEAR,
+# The fields each simulation mode needs.
+_MODE_FIELDS = {
+    "sweep": ("sampler", "n", "fractions", "trials"),
+    "intermediary": (),
+    "market_session": ("sampler", "ordering"),
 }
-
-_MODES = ("sweep", "intermediary", "market_session")
 
 _PLAYER_FIELDS = frozenset({"belief", "wager", "report"})
 
@@ -83,6 +79,13 @@ def scenario_digest(raw: Any) -> str:
     return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()
 
 
+# Each reader below turns one kind of JSON value into its parsed form or
+# raises a ScenarioError under the value's field path. A "{}" in a path
+# stands for the index k, and the path is formatted only for an error:
+# formatting players[k].belief for every player of a large file would cost
+# more than reading the player.
+
+
 def _require(data: dict, key: str, path: str) -> Any:
     if key not in data:
         raise ScenarioError(f"{path}.{key}" if path else key, "missing required field")
@@ -90,51 +93,106 @@ def _require(data: dict, key: str, path: str) -> Any:
 
 
 def _check_keys(data: dict, allowed: AbstractSet[str], path: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ScenarioError(path or "<root>", f"unknown field(s) {sorted(unknown)!r}")
+    if not data.keys() <= allowed:
+        unknown = sorted(set(data) - allowed)
+        raise ScenarioError(path or "<root>", f"unknown field(s) {unknown!r}")
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _build(path: str, make: Callable[..., Any], *args: Any) -> Any:
+    """make(*args), with a package error it raises (a constructor's own
+    check) raised as a ScenarioError under path."""
+    try:
+        return make(*args)
+    except CoalitionForgeError as exc:
+        raise ScenarioError(path, str(exc)) from exc
+
+
+def _as_int(value: Any, path: str, least: int | None = None) -> int:
+    if type(value) is bool or not isinstance(value, int):
         raise ScenarioError(path, f"expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ScenarioError(path, f"need at least {least}, got {value}")
     return value
 
 
-def _number_problem(value: Any) -> str | None:
-    """Why value is not a finite number, or None when it is one. JSON
-    gives NaN and Infinity literals, and 1e999, as non-finite floats."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return f"expected a number, got {value!r}"
+def _as_number(value: Any, path: str, k: int | None = None) -> float:
+    """A finite number, as a float. JSON gives NaN and Infinity literals,
+    and 1e999, as non-finite floats."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ScenarioError(path.format(k), f"expected a number, got {value!r}")
     try:
-        finite = math.isfinite(value)
+        if math.isfinite(value):
+            return float(value)
     except OverflowError:  # an integer beyond the float range
-        finite = False
-    return None if finite else f"expected a finite number, got {value!r}"
+        pass
+    raise ScenarioError(path.format(k), f"expected a finite number, got {value!r}")
 
 
-def _as_number(value: Any, path: str) -> float:
-    problem = _number_problem(value)
-    if problem is not None:
-        raise ScenarioError(path, problem)
-    return float(value)
+def _as_numbers(value: Any, path: str, length: int | None = None) -> tuple[float, ...]:
+    """A non-empty list of finite numbers, of the given length if one is
+    given."""
+    if not isinstance(value, list) or not value or (length is not None and len(value) != length):
+        raise ScenarioError(path, f"expected a list of {length or 'one or more'} numbers")
+    entry = path + "[{}]"
+    return tuple([_as_number(x, entry, j) for j, x in enumerate(value, 1)])
 
 
-def _as_forecast(value: Any, m: int, path: str) -> Forecast:
+def _as_forecast(value: Any, m: int, path: str, k: int | None = None) -> Forecast:
+    """A probability list of m entries. A list of floats that Forecast
+    accepts is read in one pass; any other list is walked entry by entry,
+    which converts integers and names the entry at fault in the detail of
+    an error under the forecast's path."""
+    if type(value) is list and len(value) == m and {*map(type, value)} == {float}:
+        try:
+            return Forecast(tuple(value))
+        except CoalitionForgeError:
+            pass
+    path = path.format(k)
     if not isinstance(value, list):
         raise ScenarioError(path, f"expected a probability list, got {value!r}")
     if len(value) != m:
         raise ScenarioError(path, f"expected {m} entries, got {len(value)}")
-    # The path of an entry is formatted only for the entry that fails, not
-    # for every entry of every forecast in the file.
-    for k, x in enumerate(value):
-        problem = _number_problem(x)
-        if problem is not None:
-            raise ScenarioError(path, f"{path}[{k + 1}]: {problem}")
+    entry = path + "[{}]"
+    for j, x in enumerate(value, 1):
+        try:
+            _as_number(x, entry, j)
+        except ScenarioError as exc:
+            raise ScenarioError(path, str(exc)) from None
+    return _build(path, Forecast, tuple(map(float, value)))
+
+
+def _as_indices(value: Any, path: str, n: int | None = None) -> tuple[int, ...]:
+    """Distinct 1-based indices, each in 1..n when n is given, as 0-based
+    ones. A list that fails the one screen is walked entry by entry."""
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(path, "expected a non-empty list of 1-based indices")
+    if not ({*map(type, value)} == {int} and (n is None or 1 <= min(value) and max(value) <= n)):
+        for j, x in enumerate(value):
+            idx = _as_int(x, f"{path}[{j + 1}]")
+            if n is not None and not 1 <= idx <= n:
+                raise ScenarioError(f"{path}[{j + 1}]", f"player index {idx} out of range 1..{n}")
+    if len(set(value)) != len(value):
+        raise ScenarioError(path, "indices must be distinct")
+    return tuple([i - 1 for i in value])
+
+
+def _as_player(entry: Any, m: int, k: int) -> Player:
+    """players[k], k 1-based."""
+    if not (isinstance(entry, dict) and entry.keys() <= _PLAYER_FIELDS and "belief" in entry):
+        path = f"players[{k}]"
+        if not isinstance(entry, dict):
+            raise ScenarioError(path, f"expected an object, got {entry!r}")
+        _check_keys(entry, _PLAYER_FIELDS, path)
+        _require(entry, "belief", path)
+    belief = _as_forecast(entry["belief"], m, "players[{}].belief", k)
+    wager = _as_number(entry.get("wager", 1.0), "players[{}].wager", k)
+    report = entry.get("report")
+    if report is not None:
+        report = _as_forecast(report, m, "players[{}].report", k)
     try:
-        return Forecast(tuple(map(float, value)))
+        return Player(belief, wager, report)
     except CoalitionForgeError as exc:
-        raise ScenarioError(path, str(exc)) from exc
+        raise ScenarioError(f"players[{k}]", str(exc)) from exc
 
 
 def _parse_rule(data: Any, m: int) -> ScoringRule:
@@ -142,38 +200,30 @@ def _parse_rule(data: Any, m: int) -> ScoringRule:
     if not isinstance(data, dict):
         raise ScenarioError(path, f"expected an object, got {data!r}")
     _check_keys(data, {"kind", "a", "b", "l"}, path)
-    kind_name = _require(data, "kind", path)
-    if kind_name == "custom_binary":
+    name = _require(data, "kind", path)
+    if name == "custom_binary":
         raise ScenarioError(
             f"{path}.kind",
             "custom binary rules need a generator given in code, "
             "not in a scenario file",
         )
-    if kind_name not in _RULE_KINDS:
+    try:
+        kind = RuleKind(name)
+    except ValueError:
+        names = sorted(k.value for k in RuleKind if k is not RuleKind.CUSTOM_BINARY)
         raise ScenarioError(
-            f"{path}.kind",
-            f"unknown rule kind {kind_name!r}; expected one of "
-            f"{sorted(_RULE_KINDS)}",
-        )
-    kind = _RULE_KINDS[kind_name]
-    a = None
-    if "a" in data:
-        raw_a = data["a"]
-        if not isinstance(raw_a, list) or len(raw_a) != m:
-            raise ScenarioError(f"{path}.a", f"expected a list of {m} offsets")
-        a = tuple(_as_number(x, f"{path}.a[{k + 1}]") for k, x in enumerate(raw_a))
+            f"{path}.kind", f"unknown rule kind {name!r}; expected one of {names}"
+        ) from None
+    a = _as_numbers(data["a"], f"{path}.a", m) if "a" in data else None
     b = _as_number(data.get("b", 1.0), f"{path}.b")
     floor = _as_number(data.get("l", 0.0), f"{path}.l")
     if floor != 0.0 and kind is not RuleKind.GENERALIZED_LOG:
         raise ScenarioError(f"{path}.l", "floor applies only to the generalized logarithmic rule")
-    try:
-        return ScoringRule(kind, a, b, floor)
-    except CoalitionForgeError as exc:
-        raise ScenarioError(path, str(exc)) from exc
+    return _build(path, ScoringRule, kind, a, b, floor)
 
 
 def _parse_mechanism(
-    data: Any, rule: ScoringRule, m: int, wagers: list[float]
+    data: Any, rule: ScoringRule, m: int, players: tuple[Player, ...]
 ) -> tuple[MechanismSpec, str]:
     path = "mechanism"
     prior = None
@@ -184,122 +234,29 @@ def _parse_mechanism(
             prior = _as_forecast(data["prior"], m, f"{path}.prior")
     else:
         name = data
-    if not isinstance(name, str):
-        raise ScenarioError(path, f"expected a mechanism name, got {name!r}")
     if prior is not None and name != "market":
         raise ScenarioError(f"{path}.prior", "a prior applies only to market scoring")
-    if name == "traditional":
-        return MechanismSpec(MechanismKind.TRADITIONAL, rule), name
-    if name == "competitive":
-        return MechanismSpec(MechanismKind.COMPETITIVE, rule), name
-    if name == "market":
-        return MechanismSpec(MechanismKind.MARKET, rule, prior), name
-    if name == "kilgour_gerchak":
-        if wagers and len(set(wagers)) > 1:
-            raise ScenarioError(
-                path, "this preset requires equal wagers for all players"
-            )
-        return MechanismSpec(MechanismKind.COMPETITIVE, rule), name
+    # Two presets; every other name is a MechanismKind.
     if name == "lambert":
-        try:
-            return lambert(rule, m), name
-        except CoalitionForgeError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-    raise ScenarioError(
-        path,
-        f"unknown mechanism {name!r}; expected traditional, competitive, "
-        "market, kilgour_gerchak, or lambert",
-    )
+        return _build(path, lambert, rule, m), name
+    if name == "kilgour_gerchak" and len({p.wager for p in players}) > 1:
+        raise ScenarioError(path, "this preset requires equal wagers for all players")
+    try:
+        kind = MechanismKind("competitive" if name == "kilgour_gerchak" else name)
+    except ValueError:
+        names = [k.value for k in MechanismKind] + ["kilgour_gerchak", "lambert"]
+        raise ScenarioError(
+            path, f"unknown mechanism {name!r}; expected one of {names}"
+        ) from None
+    return _build(path, MechanismSpec, kind, rule, prior), name
 
 
 def _parse_players(data: Any, m: int) -> tuple[Player, ...]:
     if data is None:
         return ()
-    path = "players"
     if not isinstance(data, list):
-        raise ScenarioError(path, f"expected a list, got {data!r}")
-    players = []
-    for k, entry in enumerate(data):
-        player = _screened_player(entry, m)
-        if player is None:
-            player = _checked_player(entry, m, f"{path}[{k + 1}]")
-        players.append(player)
-    return tuple(players)
-
-
-def _is_number_list(value: Any, m: int) -> bool:
-    """Whether value is a list of m JSON numbers: floats or integers, not
-    booleans. Whether they are finite is left to Forecast, which rejects
-    NaN and infinite entries."""
-    return type(value) is list and len(value) == m and {*map(type, value)} <= {float, int}
-
-
-def _screened_player(entry: Any, m: int) -> Player | None:
-    """The player a well-formed entry describes, in one pass that formats
-    no field path, or None when any check fails or the numbers are of
-    types JSON does not give. _checked_player then walks the entry."""
-    if type(entry) is not dict or not entry.keys() <= _PLAYER_FIELDS or "belief" not in entry:
-        return None
-    belief = entry["belief"]
-    wager = entry.get("wager", 1.0)
-    report = entry.get("report")
-    if not (
-        _is_number_list(belief, m)
-        and type(wager) in (float, int)
-        and (report is None or _is_number_list(report, m))
-    ):
-        return None
-    try:
-        return Player(
-            Forecast(tuple(map(float, belief))),
-            float(wager),
-            None if report is None else Forecast(tuple(map(float, report))),
-        )
-    except (CoalitionForgeError, OverflowError):  # OverflowError: an int past the float range
-        return None
-
-
-def _checked_player(entry: Any, m: int, ppath: str) -> Player:
-    """An entry checked field by field, which raises the first problem
-    under its field path. Numbers of types JSON does not give, such as
-    numpy floats, pass these checks and the entry is parsed here."""
-    if not isinstance(entry, dict):
-        raise ScenarioError(ppath, f"expected an object, got {entry!r}")
-    _check_keys(entry, _PLAYER_FIELDS, ppath)
-    belief = _as_forecast(_require(entry, "belief", ppath), m, f"{ppath}.belief")
-    wager = _as_number(entry.get("wager", 1.0), f"{ppath}.wager")
-    report = None
-    if "report" in entry and entry["report"] is not None:
-        report = _as_forecast(entry["report"], m, f"{ppath}.report")
-    try:
-        return Player(belief, wager, report)
-    except CoalitionForgeError as exc:
-        raise ScenarioError(ppath, str(exc)) from exc
-
-
-def _parse_coalition(data: Any, n_players: int) -> Coalition | None:
-    if data is None:
-        return None
-    path = "coalition"
-    if not isinstance(data, list) or not data:
-        raise ScenarioError(path, "expected a non-empty list of 1-based player indices")
-    # One screen of every index; only a list that fails it is walked entry
-    # by entry, which formats the path of the entry that fails.
-    if {*map(type, data)} == {int} and 1 <= min(data) and max(data) <= n_players:
-        members = [idx - 1 for idx in data]
-    else:
-        members = []
-        for k, v in enumerate(data):
-            idx = _as_int(v, f"{path}[{k + 1}]")
-            if not (1 <= idx <= n_players):
-                raise ScenarioError(
-                    f"{path}[{k + 1}]",
-                    f"player index {idx} out of range 1..{n_players}",
-                )
-            members.append(idx - 1)
-    if len(set(members)) != len(members):
-        raise ScenarioError(path, "member indices must be distinct")
-    return Coalition(tuple(members))
+        raise ScenarioError("players", f"expected a list, got {data!r}")
+    return tuple([_as_player(entry, m, k) for k, entry in enumerate(data, 1)])
 
 
 def _parse_sampler(data: Any, m: int, path: str) -> BeliefSampler:
@@ -310,36 +267,23 @@ def _parse_sampler(data: Any, m: int, path: str) -> BeliefSampler:
         _check_keys(data, {"kind", "alpha", "beta"}, path)
         if m != 2:
             raise ScenarioError(path, "beta_binary sampler needs a binary event space")
-        return BetaBinary(
-            _as_number(_require(data, "alpha", path), f"{path}.alpha"),
-            _as_number(_require(data, "beta", path), f"{path}.beta"),
-        )
+        alpha = _as_number(_require(data, "alpha", path), f"{path}.alpha")
+        beta = _as_number(_require(data, "beta", path), f"{path}.beta")
+        return _build(path, BetaBinary, alpha, beta)
     if kind == "dirichlet":
         _check_keys(data, {"kind", "alpha"}, path)
-        raw = _require(data, "alpha", path)
-        if not isinstance(raw, list) or len(raw) != m:
-            raise ScenarioError(f"{path}.alpha", f"expected a list of {m} parameters")
-        return DirichletM(tuple(_as_number(x, f"{path}.alpha[{k + 1}]") for k, x in enumerate(raw)))
+        return _build(path, DirichletM, _as_numbers(_require(data, "alpha", path), f"{path}.alpha", m))
     if kind == "finite_mixture":
         _check_keys(data, {"kind", "points", "weights"}, path)
-        raw_pts = _require(data, "points", path)
-        raw_w = _require(data, "weights", path)
-        if not isinstance(raw_pts, list) or not raw_pts:
+        raw = _require(data, "points", path)
+        if not isinstance(raw, list) or not raw:
             raise ScenarioError(f"{path}.points", "expected a non-empty list of forecasts")
-        if not isinstance(raw_w, list) or len(raw_w) != len(raw_pts):
-            raise ScenarioError(f"{path}.weights", "expected one weight per point")
-        points = tuple(
-            tuple(f.probs)
-            for f in (
-                _as_forecast(pt, m, f"{path}.points[{k + 1}]")
-                for k, pt in enumerate(raw_pts)
-            )
-        )
-        weights = tuple(_as_number(x, f"{path}.weights[{k + 1}]") for k, x in enumerate(raw_w))
-        try:
-            return FiniteMixture(points, weights)
-        except CoalitionForgeError as exc:
-            raise ScenarioError(path, str(exc)) from exc
+        points = tuple([
+            _as_forecast(pt, m, path + ".points[{}]", k).probs
+            for k, pt in enumerate(raw, 1)
+        ])
+        weights = _as_numbers(_require(data, "weights", path), f"{path}.weights", len(points))
+        return _build(path, FiniteMixture, points, weights)
     raise ScenarioError(
         f"{path}.kind",
         f"unknown sampler kind {kind!r}; expected beta_binary, dirichlet, "
@@ -347,7 +291,7 @@ def _parse_sampler(data: Any, m: int, path: str) -> BeliefSampler:
     )
 
 
-def _parse_simulation(data: Any, m: int, n_players: int) -> SimulationSpec | None:
+def _parse_simulation(data: Any, m: int) -> SimulationSpec | None:
     if data is None:
         return None
     path = "simulation"
@@ -359,55 +303,35 @@ def _parse_simulation(data: Any, m: int, n_players: int) -> SimulationSpec | Non
         path,
     )
     mode = _require(data, "mode", path)
-    if mode not in _MODES:
-        raise ScenarioError(f"{path}.mode", f"expected one of {list(_MODES)}")
+    # A list or an object cannot be looked up: only a string is.
+    needs = _MODE_FIELDS.get(mode) if isinstance(mode, str) else None
+    if needs is None:
+        raise ScenarioError(f"{path}.mode", f"expected one of {list(_MODE_FIELDS)}")
+    for name in needs:
+        _require(data, name, path)
     sampler = None
     if "sampler" in data:
         sampler = _parse_sampler(data["sampler"], m, f"{path}.sampler")
-    n = _as_int(data["n"], f"{path}.n") if "n" in data else None
+    n = _as_int(data["n"], f"{path}.n", 2) if "n" in data else None
     fractions = None
     if "fractions" in data:
-        raw = data["fractions"]
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError(f"{path}.fractions", "expected a non-empty list")
-        fractions = tuple(_as_number(x, f"{path}.fractions[{k + 1}]") for k, x in enumerate(raw))
-        for k, f in enumerate(fractions):
-            if not (0.0 < f <= 1.0):
+        fractions = _as_numbers(data["fractions"], f"{path}.fractions")
+        for j, f in enumerate(fractions):
+            if not 0.0 < f <= 1.0:
                 raise ScenarioError(
-                    f"{path}.fractions[{k + 1}]", f"fraction {f!r} outside (0, 1]"
+                    f"{path}.fractions[{j + 1}]", f"fraction {f!r} outside (0, 1]"
                 )
-    trials = _as_int(data["trials"], f"{path}.trials") if "trials" in data else None
-    seed = _as_int(data["seed"], f"{path}.seed") if "seed" in data else None
+    trials = _as_int(data["trials"], f"{path}.trials", 1) if "trials" in data else None
+    seed = None
+    if "seed" in data:
+        seed = _build(f"{path}.seed", _resolve_seed, _as_int(data["seed"], f"{path}.seed"))
     ordering = None
     if "ordering" in data:
-        raw = data["ordering"]
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError(f"{path}.ordering", "expected a non-empty list of 1-based indices")
-        slots = [_as_int(x, f"{path}.ordering[{k + 1}]") for k, x in enumerate(raw)]
-        if sorted(slots) != list(range(1, len(slots) + 1)):
+        ordering = _as_indices(data["ordering"], f"{path}.ordering")
+        if sorted(ordering) != list(range(len(ordering))):
             raise ScenarioError(
-                f"{path}.ordering",
-                f"expected a permutation of 1..{len(slots)}",
+                f"{path}.ordering", f"expected a permutation of 1..{len(ordering)}"
             )
-        ordering = tuple(s - 1 for s in slots)
-    if mode == "sweep":
-        if sampler is None:
-            raise ScenarioError(f"{path}.sampler", "missing required field")
-        if n is None:
-            raise ScenarioError(f"{path}.n", "missing required field")
-        if n < 2:
-            raise ScenarioError(f"{path}.n", f"need n >= 2, got {n}")
-        if fractions is None:
-            raise ScenarioError(f"{path}.fractions", "missing required field")
-        if trials is None:
-            raise ScenarioError(f"{path}.trials", "missing required field")
-        if trials < 1:
-            raise ScenarioError(f"{path}.trials", f"need trials >= 1, got {trials}")
-    elif mode == "market_session":
-        if sampler is None:
-            raise ScenarioError(f"{path}.sampler", "missing required field")
-        if ordering is None:
-            raise ScenarioError(f"{path}.ordering", "missing required field")
     return SimulationSpec(mode, sampler, n, fractions, trials, seed, ordering)
 
 
@@ -433,9 +357,7 @@ def parse_scenario(raw: Any) -> Scenario:
     if not isinstance(event, dict):
         raise ScenarioError("event", f"expected an object, got {event!r}")
     _check_keys(event, {"m", "labels"}, "event")
-    m = _as_int(_require(event, "m", "event"), "event.m")
-    if m < 2:
-        raise ScenarioError("event.m", f"need at least 2 states, got {m}")
+    m = _as_int(_require(event, "m", "event"), "event.m", 2)
     labels = None
     if "labels" in event:
         raw_labels = event["labels"]
@@ -448,14 +370,13 @@ def parse_scenario(raw: Any) -> Scenario:
         labels = tuple(raw_labels)
     rule = _parse_rule(_require(raw, "rule", ""), m)
     players = _parse_players(raw.get("players"), m)
-    mechanism, mech_name = _parse_mechanism(
-        _require(raw, "mechanism", ""), rule, m, [p.wager for p in players]
-    )
-    coalition = _parse_coalition(raw.get("coalition"), len(players))
-    simulation = _parse_simulation(raw.get("simulation"), m, len(players))
+    mechanism, mech_name = _parse_mechanism(_require(raw, "mechanism", ""), rule, m, players)
+    coalition = None
+    if raw.get("coalition") is not None:
+        coalition = Coalition(_as_indices(raw["coalition"], "coalition", len(players)))
     return Scenario(
         version, m, labels, rule, mechanism, mech_name, players, coalition,
-        simulation,
+        _parse_simulation(raw.get("simulation"), m),
     )
 
 

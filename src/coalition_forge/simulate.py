@@ -124,7 +124,12 @@ BeliefSampler = Union[BetaBinary, DirichletM, FiniteMixture]
 
 
 def _resolve_seed(seed: int | None) -> int:
-    return 0 if seed is None else int(seed)
+    """The seed of a run: 0 when none is given, else an integer that
+    Philox keys take, in [0, 2**64)."""
+    seed = 0 if seed is None else int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed {seed} outside [0, 2**64)")
+    return seed
 
 
 def sample_population(

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -200,6 +201,13 @@ def _sixty_players(last):
         (_sixty_players({"belief": [0.5, 0.5], "odds": 2}), "players[60]"),
         (_sixty_players({"belief": [0.5, True]}), "players[60].belief[2]"),
         (_sixty_players({"belief": [math.nan, 0.5]}), "players[60].belief[1]"),
+        # Names that cannot be looked up in a table.
+        pytest.param(lambda r: r.update(rule={"kind": ["quadratic"]}), "rule.kind", id="rule-kind-list"),
+        pytest.param(lambda r: r.update(rule={"kind": {}}), "rule.kind", id="rule-kind-object"),
+        pytest.param(lambda r: r.update(mechanism=[]), "mechanism", id="mechanism-list"),
+        pytest.param(lambda r: r.update(mechanism={"kind": {}}), "mechanism", id="mechanism-kind-object"),
+        pytest.param(lambda r: r.update(simulation={"mode": []}), "simulation.mode", id="mode-list"),
+        pytest.param(lambda r: r.update(simulation={"mode": {}}), "simulation.mode", id="mode-object"),
     ],
 )
 def test_scenario_errors_carry_field_paths(mutate, path_fragment):
@@ -852,6 +860,105 @@ def test_resolve_scenario_accepts_only_bundled_names(tmp_path, monkeypatch):
     for value in ("../cli", "../cli.json", "__init__", "mystery"):
         with pytest.raises(ValidationError, match="neither a file nor a bundled name"):
             cli._resolve_scenario(value)
+
+
+# One value of every JSON type, and the numbers a field may reject.
+_MUTANTS = ([], [0.5, "x"], {}, {"kind": []}, "", "x", True, False, None, 10**400, math.nan, -1, -0.5, 0)
+
+
+def _json_places(value, place=()):
+    """The place of value and of everything in it: each key of an object
+    and each entry of a list, to any depth."""
+    yield place
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_places(child, place + (key,))
+
+
+def _replaced(doc, place, value):
+    if not place:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in place[:-1]:
+        node = node[key]
+    node[place[-1]] = value
+    return doc
+
+
+def test_no_invalid_scenario_escapes_as_another_error():
+    # Every place of every bundled scenario is replaced by each mutant,
+    # and 300 seeded pairs of places per scenario by two of them; parsing
+    # each result either succeeds or raises a ScenarioError.
+    rng = random.Random(12)
+    escaped = []
+    for name in sorted(BUNDLED_NAMES):
+        raw = json.loads(bundled.path(name).read_text(encoding="utf-8"))
+        places = list(_json_places(raw))
+        mutations = [[(place, value)] for place in places for value in _MUTANTS]
+        while len(mutations) < len(places) * len(_MUTANTS) + 300:
+            first, second = sorted(rng.sample(places, 2))
+            if second[:len(first)] != first:  # neither place holds the other
+                mutations.append([(first, rng.choice(_MUTANTS)), (second, rng.choice(_MUTANTS))])
+        for mutation in mutations:
+            doc = raw
+            for place, value in mutation:
+                doc = _replaced(doc, place, value)
+            try:
+                parse_scenario(doc)
+            except ScenarioError:
+                pass
+            except Exception as exc:
+                escaped.append((name, mutation, repr(exc)))
+    assert escaped == [], f"{len(escaped)} escaped, the first: {escaped[:3]}"
+
+
+def test_cli_unhashable_rule_kind_is_invalid_input(tmp_path, capsys):
+    path = _write_scenario(tmp_path, _minimal_raw(rule={"kind": []}))
+    assert main(["arbitrage", "--scenario", path]) == 2
+    assert capsys.readouterr().err.startswith("error: rule.kind: unknown rule kind []")
+
+
+@pytest.mark.parametrize(
+    "sampler,detail",
+    [
+        ({"kind": "beta_binary", "alpha": 2.0, "beta": -1}, "Beta parameters must be finite and > 0"),
+        ({"kind": "dirichlet", "alpha": [0, 1]}, "Dirichlet parameters must be finite and > 0"),
+        ({"kind": "finite_mixture", "points": [[0.5, 0.5]], "weights": [0]},
+         "mixture weights must be finite and > 0"),
+    ],
+)
+def test_sampler_errors_name_the_sampler(tmp_path, capsys, sampler, detail):
+    raw = _sweep_raw()
+    raw["simulation"]["sampler"] = sampler
+    path = _write_scenario(tmp_path, raw)
+    assert main(["simulate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == f"error: simulation.sampler: {detail}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_philox_key_range_is_invalid_input(tmp_path, capsys, seed):
+    raw = _sweep_raw(seed=seed)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert err.value.field_path == "simulation.seed"
+    assert parse_scenario(_sweep_raw(seed=2**64 - 1)).simulation.seed == 2**64 - 1
+    path = _write_scenario(tmp_path, raw)
+    assert main(["simulate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == f"error: simulation.seed: seed {seed} outside [0, 2**64)\n"
+    path = _write_scenario(tmp_path, _sweep_raw())
+    assert main(["simulate", "--scenario", path, "--seed", str(seed)]) == 2
+    assert capsys.readouterr().err == f"error: seed {seed} outside [0, 2**64)\n"
+
+
+def test_cli_market_session_ordering_shorter_than_the_coalition(tmp_path, capsys):
+    raw = json.loads(bundled.path("market_session").read_text(encoding="utf-8"))
+    raw["simulation"]["ordering"] = [1, 2, 3]
+    path = _write_scenario(tmp_path, raw)
+    assert main(["simulate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: simulation.ordering: orders 3 players; the coalition names player 4\n"
+    )
 
 
 if __name__ == "__main__":

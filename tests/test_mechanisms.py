@@ -550,6 +550,26 @@ def test_intermediary_profit_validates_the_coalition(kind):
         intermediary_profit_by_outcome(spec, players, Coalition((0,)), q)
 
 
+def test_mechanism_kind_given_as_its_name():
+    # The README's example names the kind by its string.
+    rule = quadratic_rule()
+    players = [
+        Player(Forecast(b), w, Forecast((0.5, 0.5)))
+        for b, w in (((0.2, 0.8), 1.0), ((0.8, 0.2), 2.0), ((0.6, 0.4), 0.5))
+    ]
+    spec = MechanismSpec("competitive", rule)
+    assert spec.kind is MechanismKind.COMPETITIVE
+    assert spec == MechanismSpec(MechanismKind.COMPETITIVE, rule)
+    table = payment_table(spec, players)
+    assert table.n == 3
+    for j in range(table.m):
+        assert table.column_sum(j) == pytest.approx(0.0, abs=1e-12)
+    assert MechanismSpec("market", rule, uniform_prior(2)).kind is MechanismKind.MARKET
+    for bogus in ("bogus", "kilgour_gerchak", None, []):
+        with pytest.raises(ValidationError, match="unknown mechanism kind"):
+            MechanismSpec(bogus, rule)
+
+
 def test_competitive_surplus_positive_at_equalizer_random():
     rng = np.random.default_rng(2606)
     rule = quadratic_rule()

@@ -20,12 +20,14 @@ from coalition_forge import (
     LogOfZero,
     NonMonotoneGenerator,
     OutOfDomain,
+    Player,
     PropernessReport,
     RuleKind,
     ScoringRule,
     UnboundedRule,
     UnsupportedRule,
     ValidationError,
+    arbitrage_report,
     binary_quadratic_generator,
     check_strict_properness,
     custom_binary_rule,
@@ -807,3 +809,18 @@ def test_normalize_rejects_unbounded_and_unsupported():
         normalize_to_unit_interval(linear_rule(), 2)
     with pytest.raises(UnsupportedRule):
         normalize_to_unit_interval(custom_binary_rule(logit_generator()), 2)
+
+
+def test_rule_kind_given_as_its_name():
+    rule = ScoringRule("quadratic")
+    assert rule.kind is RuleKind.QUADRATIC
+    assert rule == quadratic_rule()
+    beliefs = [Forecast((0.2, 0.8)), Forecast((0.7, 0.3))]
+    assert np.array_equal(score_table(rule, beliefs), score_table(quadratic_rule(), beliefs))
+    players = [Player(b, 1.0) for b in beliefs]
+    q = arbitrage_report(rule, players, Coalition((0, 1))).q
+    assert q == arbitrage_report(quadratic_rule(), players, Coalition((0, 1))).q
+    assert ScoringRule("generalized_logarithmic", None, 1.0, 0.1) == generalized_log_rule(0.1)
+    for bogus in ("bogus", "Quadratic", None, {}):
+        with pytest.raises(ValidationError, match="unknown rule kind"):
+            ScoringRule(bogus)

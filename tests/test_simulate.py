@@ -109,6 +109,21 @@ def test_samplers_reject_non_finite_parameters(make, bad):
         make(bad)
 
 
+@pytest.mark.parametrize("seed", [-1, -5, 2**64])
+def test_seed_outside_the_philox_key_range_is_invalid(seed):
+    # Philox keys are unsigned 64-bit integers.
+    sampler = BetaBinary(2.0, 2.0)
+    with pytest.raises(ValidationError, match=r"outside \[0, 2\*\*64\)"):
+        sample_population(sampler, 4, seed=seed)
+    with pytest.raises(ValidationError, match=r"outside \[0, 2\*\*64\)"):
+        expected_surplus_sweep(_competitive_spec(), sampler, 10, (0.5,), 2, seed=seed)
+    ordering = (0, 1, 2, 3)
+    market = MechanismSpec(MechanismKind.MARKET, quadratic_rule())
+    with pytest.raises(ValidationError, match=r"outside \[0, 2\*\*64\)"):
+        market_session(market, ordering, Coalition((1, 3)), sampler, seed=seed)
+    assert len(sample_population(sampler, 4, seed=2**64 - 1)) == 4
+
+
 def test_sample_population_deterministic_in_seed():
     sampler = BetaBinary(2.0, 2.0)
     a = sample_population(sampler, 6, seed=9)
