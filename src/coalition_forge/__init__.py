@@ -78,7 +78,6 @@ from .rules import (
     binary_quadratic_generator,
     check_strict_properness,
     custom_binary_rule,
-    expected_score,
     generalized_log_rule,
     linear_rule,
     logarithmic_rule,
@@ -96,7 +95,6 @@ from .scenario import (
     load_scenario,
     parse_scenario,
     scenario_digest,
-    scenario_to_dict,
 )
 from .simplex import (
     Forecast,

@@ -185,33 +185,29 @@ def members_agree(P: np.ndarray, tol: float = AGREEMENT_TOL) -> bool:
     return float((P.max(axis=0) - P.min(axis=0)).max()) <= tol
 
 
-def _log_mean(P: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
-    """Wager-weighted mean of log(P + floor) per state: the log of the
-    floored weighted geometric mean, before normalization.
+def _geometric_equalizer(P: np.ndarray, w: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """Floored weighted geometric mean, renormalized to the simplex, and
+    the log of its normalizing constant sum_k G_k.
 
-    With floor 0 any zero member entry is fatal: the aggregate would pin
-    that state to zero and the logarithmic score there is undefined.
+    Works in log space so long products of small probabilities cannot
+    underflow. With floor 0 any zero member entry is fatal: the aggregate
+    would pin that state to zero and the logarithmic score there is
+    undefined.
     """
     if floor == 0.0 and (P <= 0.0).any():
         raise DegenerateBelief(
             "a member belief has a zero entry; the unfloored logarithmic "
             "rule cannot aggregate it"
         )
-    return (w[:, None] / w.sum() * np.log(P + floor)).sum(axis=0)
-
-
-def _geometric_equalizer(P: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
-    """Floored weighted geometric mean, renormalized to the simplex.
-
-    Works in log space so long products of small probabilities cannot
-    underflow.
-    """
     m = P.shape[1]
-    log_g = _log_mean(P, w, floor)
+    # log G_j, the wager-weighted mean of log(P + floor) per state, then a
     # softmax-style normalization: G_j / sum_k G_k without leaving log space
-    log_g -= log_g.max()
+    log_g = (w[:, None] / w.sum() * np.log(P + floor)).sum(axis=0)
+    shift = log_g.max()
+    log_g -= shift
     g = np.exp(log_g)
-    return (1.0 + m * floor) * g / g.sum() - floor
+    total = g.sum()
+    return (1.0 + m * floor) * g / total - floor, shift + math.log(float(total))
 
 
 def _spherical_y(P: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -312,8 +308,7 @@ def _equalizing_array(
     if kind is RuleKind.QUADRATIC:
         q = (w[:, None] * P).sum(axis=0) / w.sum()
     elif kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG):
-        floor = rule.floor if kind is RuleKind.GENERALIZED_LOG else 0.0
-        q = _geometric_equalizer(P, w, floor)
+        q = _geometric_equalizer(P, w, rule.floor)[0]
     elif kind is RuleKind.SPHERICAL:
         q = _spherical_equalizer(_spherical_y(P, w))
     elif kind is RuleKind.CUSTOM_BINARY:
@@ -380,18 +375,12 @@ def closed_form_surplus(
     w_c = float(w.sum())
     kind = rule.kind
     if kind is RuleKind.QUADRATIC:
-        q = (w[:, None] * P).sum(axis=0) / w_c
+        q = _equalizing_array(rule, P, w)
         return float(rule.b * (w * ((P - q[None, :]) ** 2).sum(axis=1)).sum())
     if kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG):
-        floor = rule.floor if kind is RuleKind.GENERALIZED_LOG else 0.0
-        m = P.shape[1]
-        log_g = _log_mean(P, w, floor)
-        shift = log_g.max()
-        log_total = shift + math.log(float(np.exp(log_g - shift).sum()))
-        return float(
-            rule.b * w_c * (1.0 + m * floor)
-            * (math.log(1.0 + m * floor) - log_total)
-        )
+        scale = 1.0 + P.shape[1] * rule.floor
+        log_total = _geometric_equalizer(P, w, rule.floor)[1]
+        return float(rule.b * w_c * scale * (math.log(scale) - log_total))
     if kind is RuleKind.SPHERICAL:
         Y = _spherical_y(P, w)
         y_bar, ssd = _spherical_spread(Y)
@@ -434,18 +423,17 @@ def arbitrage_report(
     P, w = _member_arrays(players, coalition)
     if rule.kind is RuleKind.CUSTOM_BINARY and P.shape[1] != 2:
         raise DimensionMismatch("custom binary rules support exactly 2 states")
-    if members_agree(P):
-        q = Forecast(tuple(float(x) for x in P[0]))
-        zeros = tuple(0.0 for _ in range(P.shape[1]))
-        return ArbitrageResult(q, zeros, equalized=True, agreement=True)
-    q_arr = _equalizing_array(rule, P, w)
+    shared = members_agree(P)
+    q_arr = None if shared else _equalizing_array(rule, P, w)
     if q_arr is None:
-        # Spherical guard fired: treat as agreement rather than propagate
-        # a sqrt of float dust.
-        q = weighted_mean([players[i].belief for i in coalition.members],
-                          [players[i].wager for i in coalition.members])
-        zeros = tuple(0.0 for _ in range(P.shape[1]))
-        return ArbitrageResult(q, zeros, equalized=True, agreement=True)
+        # A shared belief is its own report. When the spherical guard
+        # fires, the weighted mean stands in rather than a sqrt of float
+        # dust.
+        chosen = [players[i] for i in coalition.members]
+        q = chosen[0].belief if shared else weighted_mean(
+            [p.belief for p in chosen], [p.wager for p in chosen]
+        )
+        return ArbitrageResult(q, (0.0,) * P.shape[1], equalized=True, agreement=True)
     q = Forecast(tuple(q_arr.tolist()))
     surpluses = surplus_by_outcome(rule, players, coalition, q)
     mean_s = math.fsum(surpluses) / len(surpluses)

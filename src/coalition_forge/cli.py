@@ -175,18 +175,16 @@ def cmd_arbitrage(args: argparse.Namespace) -> int:
         raise InvalidCoalition("scenario has no coalition")
     result = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
     if result.agreement:
-        # Members that share one belief get zero surplus; a nonzero one is
-        # the equalizer's, kept when the surplus test fired.
-        if any(result.surplus_by_outcome):
+        # Agreement by belief distance, as verify decides it, or else by
+        # surplus scale.
+        if members_agree(_stack([sc.players[i].belief for i in sc.coalition.members])):
+            sys.stderr.write("coalition members agree; no coordinated report beats truth\n")
+        else:
             sys.stderr.write(
                 "coalition members agree on the surplus scale: the equalizing "
                 "report's smallest per-outcome surplus "
                 f"{_fmt(min(result.surplus_by_outcome))} is not above "
                 f"{_fmt(AGREEMENT_TOL)}\n"
-            )
-        else:
-            sys.stderr.write(
-                "coalition members agree; no coordinated report beats truth\n"
             )
         return 3
     closed = None

@@ -104,38 +104,37 @@ def _column(table: np.ndarray) -> tuple[float, ...]:
     return tuple(table[:, 0].tolist())
 
 
-def _pool_table(
-    rule: ScoringRule,
-    players: Sequence[Player],
-    outcomes: Sequence[int],
-    competitive: bool,
+def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Each mechanism's payment formula, applied to a score table whose
+    rows are the reports in reporting order, led under market scoring by
+    the opening report's row; w holds the reports' wagers.
+
+    Market scoring pays each row's score minus the row before it and
+    ignores wagers; the traditional scheme pays wagered scores; the
+    competitive scheme pays wagered scores minus each player's wager share
+    of the column total, so its columns sum to zero.
+    """
+    if kind is MechanismKind.MARKET:
+        return np.diff(table, axis=0)
+    wagered = w[:, None] * table
+    if kind is MechanismKind.TRADITIONAL:
+        return wagered
+    return wagered - (w / math.fsum(w.tolist()))[:, None] * _column_fsum(wagered)
+
+
+def _paid(
+    kind: MechanismKind, rule: ScoringRule, players: Sequence[Player],
+    outcomes: Sequence[int], prior: Forecast | None = None,
 ) -> np.ndarray:
-    """Wagered scores w_i S(r_i, j) for every player i and requested
-    outcome j. The competitive pool subtracts each player's wager share of
-    the column total, so its columns sum to zero."""
-    if competitive and len(players) < 2:
+    """Payments to the players, in their order, at the requested outcomes;
+    under market scoring the first report is paid against prior, uniform
+    when None."""
+    if kind is MechanismKind.COMPETITIVE and len(players) < 2:
         raise SinglePlayer("competitive payments need at least 2 players")
     reports = _require_reports(players)
     w = np.asarray([p.wager for p in players], dtype=np.float64)
-    wagered = w[:, None] * _score_columns(rule, reports, outcomes)
-    if not competitive:
-        return wagered
-    share = w / math.fsum(p.wager for p in players)
-    return wagered - share[:, None] * _column_fsum(wagered)
-
-
-def _market_table(
-    rule: ScoringRule,
-    reports: Sequence[Forecast],
-    prior: Forecast | None,
-    outcomes: Sequence[int],
-) -> np.ndarray:
-    """Score differences between consecutive rows of [prior; reports]."""
-    if prior is None:
-        raise MissingPrior("market scoring needs an opening report")
-    if not reports:
-        return np.empty((0, len(outcomes)))
-    return np.diff(_score_columns(rule, [prior, *reports], outcomes), axis=0)
+    head = [prior or uniform_prior(reports[0].m)] if kind is MechanismKind.MARKET else []
+    return _payments(kind, _score_columns(rule, [*head, *reports], outcomes), w)
 
 
 def traditional_payments(
@@ -143,7 +142,7 @@ def traditional_payments(
 ) -> tuple[float, ...]:
     """Each player receives their wagered score; nobody else's report
     matters."""
-    return _column(_pool_table(rule, players, [outcome], competitive=False))
+    return _column(_paid(MechanismKind.TRADITIONAL, rule, players, [outcome]))
 
 
 def competitive_payments(
@@ -153,7 +152,7 @@ def competitive_payments(
 
     Payments sum to zero in every state, so the pool finances itself.
     """
-    return _column(_pool_table(rule, players, [outcome], competitive=True))
+    return _column(_paid(MechanismKind.COMPETITIVE, rule, players, [outcome]))
 
 
 def market_scoring_payments(
@@ -167,7 +166,10 @@ def market_scoring_payments(
     The total paid out telescopes to the last report's score minus the
     prior's.
     """
-    return _column(_market_table(rule, reports, prior, [outcome]))
+    if prior is None:
+        raise MissingPrior("market scoring needs an opening report")
+    table = _score_columns(rule, [prior, *reports], [outcome])
+    return _column(_payments(MechanismKind.MARKET, table, None))
 
 
 def uniform_prior(m: int) -> Forecast:
@@ -182,14 +184,7 @@ def payment_table(spec: MechanismSpec, players: Sequence[Player]) -> PaymentTabl
     """
     if not players:
         raise ValidationError("no players")
-    reports = _require_reports(players)
-    m = reports[0].m
-    if spec.kind is MechanismKind.MARKET:
-        prior = spec.market_prior or uniform_prior(m)
-        table = _market_table(spec.rule, reports, prior, range(prior.m))
-    else:
-        competitive = spec.kind is MechanismKind.COMPETITIVE
-        table = _pool_table(spec.rule, players, range(m), competitive)
+    table = _paid(spec.kind, spec.rule, players, range(players[0].belief.m), spec.market_prior)
     return PaymentTable(tuple(tuple(row) for row in table.tolist()))
 
 
@@ -225,15 +220,15 @@ def _coalition_surplus(
     One score table holds both plays: [prior;] the coordinated reports in
     reporting order (player order for the pool), then the members' beliefs
     in the same order; truthful play swaps the member rows for the belief
-    rows. Warnings are attributed stacklevel frames up.
+    rows. The gain is the members' coordinated payments minus their
+    truthful ones. Warnings are attributed stacklevel frames up.
     """
     n = len(players)
     coalition.validate(n)
     market = kind is MechanismKind.MARKET
-    if market and ordering is None:
-        raise ValidationError("ordering must be a permutation of all player indices")
-    ordering = list(ordering if market else range(n))
-    if sorted(ordering) != list(range(n)):
+    if ordering is None and not market:
+        ordering = range(n)
+    if ordering is None or sorted(ordering) != list(range(n)):
         raise ValidationError("ordering must be a permutation of all player indices")
     instructed = dict(zip(coalition.members, _broadcast_coordinated(coordinated, coalition)))
     if market and not ordering_satisfies_alternation(ordering, coalition):
@@ -269,15 +264,9 @@ def _coalition_surplus(
     k = len(head) + n
     truth = np.arange(k)
     truth[len(head):][is_member] = np.arange(k, k + len(members))
-    if market:
-        gain = np.diff(table[:k], axis=0) - np.diff(table[truth], axis=0)
-        return _column_fsum(gain[is_member])
-    w = np.asarray([players[i].wager for i in [*ordering, *members]], dtype=np.float64)
-    wagered = w[:, None] * table
-    share = w[n:, None] / math.fsum(p.wager for p in players)
-    coord = wagered[:n][is_member] - share * _column_fsum(wagered[:n])
-    truthful = wagered[n:] - share * _column_fsum(wagered[truth])
-    return _column_fsum(coord - truthful)
+    w = np.asarray([players[i].wager for i in ordering], dtype=np.float64)
+    gain = _payments(kind, table[:k], w) - _payments(kind, table[truth], w)
+    return _column_fsum(gain[is_member])
 
 
 def coalition_surplus_competitive(

@@ -374,14 +374,6 @@ def _score_columns(
     return table
 
 
-def expected_score(rule: ScoringRule, report: Forecast, belief: Forecast) -> float:
-    """Expectation of the report's score under the belief distribution."""
-    if report.m != belief.m:
-        raise DimensionMismatch(f"report m={report.m} vs belief m={belief.m}")
-    row = _score_columns(rule, [report], range(report.m))[0].tolist()
-    return math.fsum(p * s for p, s in zip(belief.probs, row))
-
-
 @dataclass(frozen=True)
 class PropernessReport:
     """Outcome of a grid properness check.

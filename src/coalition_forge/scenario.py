@@ -20,7 +20,7 @@ from .arbitrage import Coalition, Player
 from .errors import CoalitionForgeError, ScenarioError
 from .mechanisms import MechanismKind, MechanismSpec, lambert
 from .rules import RuleKind, ScoringRule
-from .simplex import Forecast
+from .simplex import MAX_GRID_POINTS, Forecast
 from .simulate import (
     BeliefSampler, BetaBinary, DirichletM, FiniteMixture, _resolve_seed,
 )
@@ -358,6 +358,10 @@ def parse_scenario(raw: Any) -> Scenario:
         raise ScenarioError("event", f"expected an object, got {event!r}")
     _check_keys(event, {"m", "labels"}, "event")
     m = _as_int(_require(event, "m", "event"), "event.m", 2)
+    # Every forecast holds m entries, and a preset or a missing player
+    # list makes the program build m-entry rows itself.
+    if m > MAX_GRID_POINTS:
+        raise ScenarioError("event.m", f"at most {MAX_GRID_POINTS:,} states are supported")
     labels = None
     if "labels" in event:
         raw_labels = event["labels"]
@@ -391,69 +395,7 @@ def load_scenario(path: str | Path) -> tuple[Scenario, str]:
         raise ScenarioError(str(path), f"not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ScenarioError(str(path), f"not valid JSON: {exc}") from exc
     return parse_scenario(raw), scenario_digest(raw)
 
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Scenario back to its JSON form (1-based indices, defaults
-    materialized); parsing the result reproduces an equal Scenario."""
-    rule: dict[str, Any] = {"kind": sc.rule.kind.value, "b": sc.rule.b}
-    if sc.rule.affine_offsets is not None:
-        rule["a"] = list(sc.rule.affine_offsets)
-    if sc.rule.kind is RuleKind.GENERALIZED_LOG:
-        rule["l"] = sc.rule.floor
-    mech: Any
-    if sc.mechanism.market_prior is not None:
-        mech = {"kind": "market", "prior": list(sc.mechanism.market_prior.probs)}
-    else:
-        # The sugar name, not the resolved kind: presets like "lambert"
-        # transform the rule at parse time, so only the name reparses to
-        # an identical scenario.
-        mech = sc.mechanism_name
-    out: dict[str, Any] = {
-        "schema_version": sc.schema_version,
-        "event": {"m": sc.m},
-        "rule": rule,
-        "mechanism": mech,
-    }
-    if sc.labels is not None:
-        out["event"]["labels"] = list(sc.labels)
-    if sc.players:
-        players = []
-        for p in sc.players:
-            entry: dict[str, Any] = {
-                "belief": list(p.belief.probs), "wager": p.wager,
-            }
-            if p.report is not None:
-                entry["report"] = list(p.report.probs)
-            players.append(entry)
-        out["players"] = players
-    if sc.coalition is not None:
-        out["coalition"] = [i + 1 for i in sc.coalition.members]
-    if sc.simulation is not None:
-        sim: dict[str, Any] = {"mode": sc.simulation.mode}
-        sampler = sc.simulation.sampler
-        if isinstance(sampler, BetaBinary):
-            sim["sampler"] = {
-                "kind": "beta_binary", "alpha": sampler.alpha, "beta": sampler.beta,
-            }
-        elif isinstance(sampler, DirichletM):
-            sim["sampler"] = {"kind": "dirichlet", "alpha": list(sampler.alphas)}
-        elif isinstance(sampler, FiniteMixture):
-            sim["sampler"] = {
-                "kind": "finite_mixture",
-                "points": [list(pt) for pt in sampler.points],
-                "weights": list(sampler.weights),
-            }
-        for field_name in ("n", "trials", "seed"):
-            value = getattr(sc.simulation, field_name)
-            if value is not None:
-                sim[field_name] = value
-        if sc.simulation.fractions is not None:
-            sim["fractions"] = list(sc.simulation.fractions)
-        if sc.simulation.ordering is not None:
-            sim["ordering"] = [i + 1 for i in sc.simulation.ordering]
-        out["simulation"] = sim
-    return out

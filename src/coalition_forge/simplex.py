@@ -30,7 +30,8 @@ SUM_TOL = 1e-9
 
 # Largest lattice grid_array or _lattice_blocks accepts. Scoring streams the
 # lattice in blocks, so this bounds time, not memory: m = 6 at resolution 50
-# (3.48 M points) fits; m = 7 at resolution 50 (32.5 M) does not.
+# (3.48 M points) fits; m = 7 at resolution 50 (32.5 M) does not. It also
+# caps a scenario's event.m.
 MAX_GRID_POINTS = 4_000_000
 
 # Most rows, and most entries, in one block of _lattice_blocks. Up to

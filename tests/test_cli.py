@@ -29,11 +29,11 @@ from coalition_forge import (
     load_scenario,
     parse_scenario,
     scenario_digest,
-    scenario_to_dict,
 )
 from coalition_forge import cli
 from coalition_forge import scenarios as bundled
 from coalition_forge.cli import build_parser, main
+from coalition_forge.simplex import MAX_GRID_POINTS
 
 BUNDLED_NAMES = {
     "example1",
@@ -88,9 +88,10 @@ def test_bundled_names_and_paths():
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_NAMES))
 def test_bundled_scenarios_round_trip(name):
+    # The parser reads a bundled file and its canonical text alike.
     sc, _ = load_scenario(bundled.path(name))
-    again = parse_scenario(scenario_to_dict(sc))
-    assert again == sc
+    raw = json.loads(bundled.path(name).read_text(encoding="utf-8"))
+    assert parse_scenario(json.loads(canonical_json(raw))) == parse_scenario(raw) == sc
 
 
 def test_lambert_preset_round_trip():
@@ -101,8 +102,7 @@ def test_lambert_preset_round_trip():
     assert sc.rule.affine_offsets is None
     assert sc.mechanism.rule.affine_offsets == (0.5, 0.5)
     assert sc.mechanism_name == "lambert"
-    again = parse_scenario(scenario_to_dict(sc))
-    assert again == sc
+    assert parse_scenario(json.loads(canonical_json(raw))) == sc
 
 
 def test_kilgour_gerchak_requires_equal_wagers():
@@ -145,6 +145,26 @@ def test_parse_defaults():
     floats = parse_scenario(_minimal_raw(players=[{"belief": [1.0, 0.0], "wager": 2.0}, other]))
     assert ints == floats
     assert [type(x) for x in (*ints.players[0].belief.probs, ints.players[0].wager)] == [float] * 3
+
+
+@pytest.mark.parametrize(
+    "m", [2**70, 10**400, MAX_GRID_POINTS + 1], ids=["2**70", "10**400", "cap+1"]
+)
+def test_event_size_is_capped(tmp_path, capsys, m):
+    # Every forecast and preset row has m entries: a larger m is invalid
+    # input, named before anything of that size is built.
+    raw = {"schema_version": 1, "event": {"m": m}, "rule": {"kind": "quadratic"},
+           "mechanism": "lambert"}
+    message = f"at most {MAX_GRID_POINTS:,} states are supported"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert (err.value.field_path, err.value.detail) == ("event.m", message)
+    path = _write_scenario(tmp_path, raw)
+    for command in ("score", "verify"):
+        assert main([command, "--scenario", path]) == 2
+        assert capsys.readouterr().err == f"error: event.m: {message}\n"
+    raw.update(event={"m": MAX_GRID_POINTS}, mechanism="traditional")
+    assert parse_scenario(raw).m == MAX_GRID_POINTS
 
 
 def test_parse_labels():
@@ -392,6 +412,12 @@ def test_cli_rejects_invalid_json(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["score", "--scenario", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+    # An integer of more digits than Python converts (4,300 by default) is
+    # invalid input too.
+    text = json.dumps(_minimal_raw()).replace('"m": 2', '"m": 1' + "0" * 5000)
+    path.write_text(text, encoding="utf-8")
+    assert main(["score", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON: ")
 
 
 @pytest.mark.parametrize(
@@ -514,6 +540,26 @@ def test_cli_near_agreement_is_agreement_on_the_surplus_scale(tmp_path, capsys):
     assert main(["verify", "--scenario", path]) == 0
     out = capsys.readouterr().out
     assert "dominance: SKIPPED" in out
+
+
+def test_cli_arbitrage_and_verify_name_the_same_agreement(tmp_path, capsys):
+    # Members 1e-11 apart, beyond the belief-distance test, leave an
+    # equalizing surplus of exactly zero: both commands name the surplus
+    # scale, though no surplus entry is nonzero.
+    raw = _minimal_raw()
+    raw["players"] = [
+        {"belief": [0.3, 0.7]},
+        {"belief": [0.3 + 1e-11, 0.7 - 1e-11]},
+        {"belief": [0.5, 0.5]},
+    ]
+    path = _write_scenario(tmp_path, raw)
+    assert main(["arbitrage", "--scenario", path]) == 3
+    assert capsys.readouterr().err == (
+        "coalition members agree on the surplus scale: the equalizing report's "
+        "smallest per-outcome surplus 0 is not above 1e-12\n"
+    )
+    assert main(["verify", "--scenario", path]) == 0
+    assert "agrees by surplus scale" in capsys.readouterr().out
 
 
 def test_cli_verify_names_agreement_as_the_reason_to_skip(tmp_path, capsys):

@@ -4,6 +4,7 @@ market payment schemes, plus coalition surpluses under each."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,50 @@ def test_payment_table_matches_per_outcome_functions():
     for j in (0, 1):
         assert trad.column(j) == traditional_payments(rule, players, j)
         assert comp.column(j) == competitive_payments(rule, players, j)
+
+
+@pytest.mark.parametrize(
+    "rule", [quadratic_rule(b=1.5), spherical_rule(), logarithmic_rule()],
+    ids=["quadratic", "spherical", "logarithmic"],
+)
+def test_coalition_gains_are_payment_table_differences(rule):
+    # Each gain is the members' payments for coordinated play minus their
+    # payments for truthful play, bit for bit, from the same formula that
+    # payment_table applies.
+    rng = np.random.default_rng(1313)
+    for _ in range(30):
+        n, m = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+        players = [
+            Player(p.belief, p.wager, random_forecast(rng, m) if rng.random() < 0.5 else None)
+            for p in disagreeing_players(rng, n, m)
+        ]
+        members = sorted(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist())
+        coalition = Coalition(tuple(members))
+        coordinated = [random_forecast(rng, m) for _ in members]
+        instructed = dict(zip(members, coordinated))
+        coord = [
+            Player(p.belief, p.wager, instructed.get(i, p.report or p.belief))
+            for i, p in enumerate(players)
+        ]
+        truth = [
+            Player(p.belief, p.wager, p.belief if i in instructed else p.report or p.belief)
+            for i, p in enumerate(players)
+        ]
+        for kind in (MechanismKind.COMPETITIVE, MechanismKind.MARKET):
+            spec = MechanismSpec(kind, rule)
+            paid = payment_table(spec, coord).payments
+            owed = payment_table(spec, truth).payments
+            for j in range(m):
+                want = math.fsum(paid[i][j] - owed[i][j] for i in members)
+                if kind is MechanismKind.COMPETITIVE:
+                    got = coalition_surplus_competitive(rule, players, coalition, coordinated, j)
+                else:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", OrderingViolationWarning)
+                        got = coalition_surplus_market(
+                            rule, players, list(range(n)), coalition, coordinated, j
+                        )
+                assert got == want, (kind, j)
 
 
 def test_log_of_zero_raises_from_tables_and_surpluses():

@@ -1,12 +1,14 @@
-"""Tests for the package surface: the public names, the runtime
-dependencies and the benchmark's self-test, which reaches into private
-helpers."""
+"""Tests for the package surface: the public names and their users, the
+runtime dependencies and the benchmark's self-test, which reaches into
+private helpers."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -25,6 +27,62 @@ def test_star_import_binds_exactly_all():
     assert len(coalition_forge.__all__) == len(set(coalition_forge.__all__))
     assert not [n for n in namespace if n.startswith("_")]
     assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
+
+
+# Public names that nothing but the tests uses, each with its reason.
+UNUSED_PUBLIC_NAMES = {
+    # The coalition-path fixture draws its custom binary rules from it and
+    # logit_generator, and tests/data/coalition_path_digest.json pins that.
+    "binary_quadratic_generator",
+}
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names a module reads, looks up as attributes or spells in a string
+    other than a docstring (the benchmark's tracer keys its hooks by
+    "module.function"), leaving out uses inside the function or class of
+    the same name."""
+    used: set[str] = set()
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        found: set[str] = set()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found = {node.id}
+        elif isinstance(node, ast.Attribute):
+            found = {node.attr}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found = set() if id(node) in docstrings else set(re.findall(r"\w+", node.value))
+        used.update(found - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_public_name_has_a_user():
+    # A public name earns its place by a use outside its own definition and
+    # __init__.py: in the package, the benchmark, the README or the
+    # acceptance tests.
+    root = Path(__file__).resolve().parents[1]
+    sources = [
+        *(p for p in (root / "src").rglob("*.py") if p.name != "__init__.py"),
+        *(root / "bench").glob("*.py"),
+        root / "tests" / "test_acceptance.py",
+    ]
+    used = set().union(*(_names_used(ast.parse(p.read_text(encoding="utf-8"))) for p in sources))
+    used |= set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+    unused = sorted(set(coalition_forge.__all__) - used)
+    assert unused == sorted(UNUSED_PUBLIC_NAMES)
 
 
 def test_no_module_holds_an_array():

@@ -2,8 +2,8 @@
 equalizing report dominates, equalizes and earns its closed-form surplus;
 self-financing competitive columns, the (1 - w_C/W) scaling of the
 competitive coalition gain, and market-scoring telescoping; and of the
-scenario format: every valid scenario survives scenario_to_dict and
-parse_scenario unchanged.
+scenario format: the parser reads every valid scenario and its canonical
+JSON text to the same Scenario.
 
 Beliefs come from Dirichlet draws with alpha = 0.01, which pile almost all
 mass on one state, and, under the quadratic and spherical rules, from rows
@@ -37,7 +37,6 @@ from coalition_forge import (
     parse_scenario,
     payment_table,
     quadratic_rule,
-    scenario_to_dict,
     score,
     score_table,
     spherical_rule,
@@ -283,7 +282,6 @@ def simulation_blocks(draw, m):
 @settings(PROPERTY_SETTINGS, max_examples=300)
 @given(scenario_documents())
 def test_scenario_round_trips_through_its_json_form(doc):
-    sc = parse_scenario(doc)
-    assert parse_scenario(scenario_to_dict(sc)) == sc
-    # The same holds through the serialized text a scenario file holds.
-    assert parse_scenario(json.loads(canonical_json(scenario_to_dict(sc)))) == sc
+    # The serialized text a scenario file holds parses to the same
+    # Scenario as the document itself.
+    assert parse_scenario(json.loads(canonical_json(doc))) == parse_scenario(doc)

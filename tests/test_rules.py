@@ -31,7 +31,6 @@ from coalition_forge import (
     binary_quadratic_generator,
     check_strict_properness,
     custom_binary_rule,
-    expected_score,
     generalized_log_rule,
     grid_array,
     grid_search_equalizer,
@@ -159,25 +158,32 @@ def test_logit_generator_reproduces_log_rule():
             assert score(rule, r, j) == pytest.approx(score(log, r, j), abs=1e-12)
 
 
+def _expected_score(rule, report, belief):
+    """The report's score averaged over the belief's outcomes."""
+    return math.fsum(p * score(rule, report, j) for j, p in enumerate(belief.probs))
+
+
 def test_expected_score_at_truth_equals_generator_value():
-    # For a generator-built binary rule, truthful expected score is G(p).
+    # Savage's identity: for a generator-built binary rule, truthful
+    # expected score is G(p).
     for gen in (logit_generator(), binary_quadratic_generator()):
         rule = custom_binary_rule(gen)
         for k in range(1, 20):
             p = k / 20.0
             f = Forecast((p, 1.0 - p))
-            assert expected_score(rule, f, f) == pytest.approx(gen.g(p), abs=1e-12)
+            assert _expected_score(rule, f, f) == pytest.approx(gen.g(p), abs=1e-12)
 
 
 def test_expected_score_examples():
     rule = quadratic_rule()
     half = Forecast((0.5, 0.5))
-    assert expected_score(rule, half, half) == pytest.approx(0.5)
+    assert _expected_score(rule, half, half) == pytest.approx(0.5)
     belief = Forecast((0.7, 0.3))
     # Truth strictly beats an uninformative report under a proper rule.
-    assert expected_score(rule, belief, belief) > expected_score(rule, half, belief)
+    assert _expected_score(rule, belief, belief) > _expected_score(rule, half, belief)
+    # A two-state report has no score at a third state.
     with pytest.raises(DimensionMismatch):
-        expected_score(rule, half, Forecast((0.2, 0.3, 0.5)))
+        _expected_score(rule, half, Forecast((0.2, 0.3, 0.5)))
 
 
 def test_spot_check_rejects_concave_generator():
@@ -264,7 +270,7 @@ def test_score_raises_only_where_the_table_is_undefined():
         score(log, edge, 0)
     assert score(log, edge, 1) == -0.5
     with pytest.raises(LogOfZero):
-        expected_score(log, edge, Forecast((0.5, 0.5)))
+        _expected_score(log, edge, Forecast((0.5, 0.5)))
     custom = custom_binary_rule(logit_generator())
     for r in [(1.0, 0.0), (0.0, 1.0)]:
         for j in (0, 1):
