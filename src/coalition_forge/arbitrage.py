@@ -37,6 +37,7 @@ from .rules import (
     _row_tile,
     _score_columns,
     _score_into,
+    _unfloored_log,
     score_table,
 )
 from .simplex import (
@@ -489,7 +490,10 @@ def grid_search_equalizer(
 
     Used as an oracle against the closed-form constructions: their
     worst-outcome surplus must reach the lattice optimum up to a
-    resolution-dependent slack.
+    resolution-dependent slack. The first lattice report of the largest
+    worst-outcome surplus wins. Under the unfloored logarithmic rules a
+    report with a zero entry has a worst-outcome surplus of -inf, so only
+    the lattice interior is scored; the boundary is left out, not scored.
     """
     if resolution < 10:
         raise ValidationError(f"resolution must be >= 10, got {resolution}")
@@ -503,9 +507,10 @@ def grid_search_equalizer(
         )
     t = (w[:, None] * truthful).sum(axis=0)
     w_c = float(w.sum())
-    blocks = _lattice_blocks(m, resolution)
+    interior = _unfloored_log(rule)
+    blocks = _lattice_blocks(m, resolution, interior=interior)
     # One workspace per call, sized like the lattice's blocks.
-    capacity = _block_rows(m, resolution)
+    capacity = _block_rows(m, resolution, interior=interior)
     margins_buf = np.empty((capacity, m))
     worst_buf = np.empty(capacity)
     undefined_buf = np.empty(capacity, dtype=bool)
@@ -513,8 +518,10 @@ def grid_search_equalizer(
     offsets = _row_tile(rule.offsets_for(m), capacity)
     t_tile = _row_tile(t, capacity)
     # One block at a time, keeping the first maximum in lattice order: a
-    # later block replaces it only when strictly larger.
-    best_worst, best = -math.inf, None
+    # later block replaces it only when strictly larger. The first lattice
+    # row, (0, ..., 0, 1), stands while every row scanned is at -inf, as it
+    # does in a scan of the whole lattice, whose rows then all tie.
+    best_worst, best = -math.inf, [0.0] * (m - 1) + [1.0]
     for grid in blocks:
         n = len(grid)
         margins, worst, undefined = margins_buf[:n], worst_buf[:n], undefined_buf[:n]
@@ -530,6 +537,6 @@ def grid_search_equalizer(
         np.isnan(worst, out=undefined)
         worst[undefined] = -np.inf
         k = int(np.argmax(worst))
-        if best is None or worst[k] > best_worst:
+        if worst[k] > best_worst:
             best_worst, best = worst[k], grid[k].tolist()
     return Forecast(tuple(best))

@@ -247,9 +247,11 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
     )
 
     # Members without reports coordinate on the equalizing report, unless
-    # they agree; then agreement names the test that found it.
+    # they agree; then agreement names the test that found it. A market
+    # session's scenario may list no players, its coalition naming places
+    # in the ordering; then no one coordinates.
     coordinated = agreement = None
-    if sc.coalition is not None and len(sc.coalition.members) >= 2:
+    if sc.players and sc.coalition is not None and len(sc.coalition.members) >= 2:
         member_reports = [sc.players[i].report for i in sc.coalition.members]
         if all(r is not None for r in member_reports):
             coordinated = list(member_reports)

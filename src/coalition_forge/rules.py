@@ -26,7 +26,14 @@ from .errors import (
     UnsupportedRule,
     ValidationError,
 )
-from .simplex import Forecast, _block_rows, _lattice_blocks, _lattice_index, _stack
+from .simplex import (
+    Forecast,
+    _block_rows,
+    _interior_rows,
+    _lattice_blocks,
+    _lattice_index,
+    _stack,
+)
 
 
 class RuleKind(str, Enum):
@@ -243,9 +250,7 @@ def _score_into(
         np.multiply(R, 2.0, out=out)
         out -= norms
         out *= b
-    elif kind is RuleKind.LOGARITHMIC or (
-        kind is RuleKind.GENERALIZED_LOG and rule.floor == 0.0
-    ):
+    elif _unfloored_log(rule):
         with np.errstate(divide="ignore"):
             np.log(R, out=out)
         out *= b
@@ -279,6 +284,14 @@ def _score_into(
     else:
         raise UnsupportedRule(f"unknown rule kind {kind!r}")
     _apply_rows(np.add, out, tile)
+
+
+def _unfloored_log(rule: ScoringRule) -> bool:
+    """Whether rule scores a + b * log(r): the logarithmic rule, or the
+    generalized one with floor 0. It scores -inf at a zero entry."""
+    return rule.kind is RuleKind.LOGARITHMIC or (
+        rule.kind is RuleKind.GENERALIZED_LOG and rule.floor == 0.0
+    )
 
 
 # Entries in a tile of _row_tile: enough rows for numpy to add a row to
@@ -399,7 +412,9 @@ def check_strict_properness(
     A strictly proper rule must give the truth a strictly higher expected
     score than any other report on the grid. Boundary reports that a rule
     cannot score (zeros under a pure logarithmic rule, generator domain
-    edges) are skipped and counted, not failed.
+    edges) are skipped and counted, not failed. Under the unfloored
+    logarithmic rules a belief with no zero state rates every report with
+    a zero entry -inf, so those reports are counted, not scored.
     """
     (report,) = _properness_scan(rule, [belief], resolution)
     return report
@@ -421,11 +436,21 @@ def _properness_scan(
     m = beliefs[0].m
     if any(belief.m != m for belief in beliefs):
         raise DimensionMismatch("beliefs have mixed lengths")
-    blocks = _lattice_blocks(m, resolution)
     ps = [belief.as_array() for belief in beliefs]
     # Zero-belief states contribute nothing to the expectation even where
     # the score there is -inf, so those columns are neutralized first.
     zero_cols = [np.flatnonzero(p == 0.0) for p in ps]
+    # Under an unfloored log rule and beliefs with no zero state, a report
+    # with a zero entry has expected score -inf: only the interior is
+    # scanned, and the rest is skipped by count. At resolution m the
+    # interior is one row, which numpy multiplies with its dot kernel and
+    # rounds differently, so the whole lattice is scanned there.
+    interior = (
+        _unfloored_log(rule)
+        and resolution != m
+        and not any(len(zeros) for zeros in zero_cols)
+    )
+    blocks = _lattice_blocks(m, resolution, interior=interior)
     truth_values = []
     for p, zeros in zip(ps, zero_cols):
         truth_table = score_table(rule, p[None, :])
@@ -439,10 +464,10 @@ def _properness_scan(
         truth_values.append(truth_value)
     # The truthful report is the lattice row within 1e-12 of the belief
     # in every entry, if there is one: found once, by its position.
-    truthful = [_lattice_index(belief.probs, resolution) for belief in beliefs]
+    truthful = [_lattice_index(belief.probs, resolution, interior) for belief in beliefs]
     # One workspace per call, sized like the lattice's blocks: every block
     # is scored once, then masked and multiplied for each belief in turn.
-    capacity = _block_rows(m, resolution)
+    capacity = _block_rows(m, resolution, interior=interior)
     table_buf = np.empty((capacity, m))
     masked_buf = np.empty((capacity, m)) if any(len(z) for z in zero_cols[:-1]) else None
     margins_buf = np.empty(capacity)
@@ -451,11 +476,14 @@ def _properness_scan(
     # heap fragmented and raised peak RSS by about 0.3 MB.
     tile = _row_tile(rule.offsets_for(m), capacity)
     k = len(beliefs)
-    checked, skipped = [0] * k, [0] * k
+    left_out = 0
+    if interior:
+        left_out = math.comb(resolution + m - 1, m - 1) - _interior_rows(m, resolution)
+    checked, skipped = [0] * k, [left_out] * k
     max_margin, nearest = [-math.inf] * k, [None] * k
     # One block at a time, keeping the first maximum in lattice order: a
     # later block replaces it only when strictly larger.
-    start = 0  # lattice rows before the block
+    start = 0  # rows streamed before the block
     for grid in blocks:
         n = len(grid)
         table, margins, competitor = table_buf[:n], margins_buf[:n], competitor_buf[:n]
@@ -506,9 +534,7 @@ def normalize_to_unit_interval(rule: ScoringRule, m: int) -> ScoringRule:
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")
     kind = rule.kind
-    if kind is RuleKind.LOGARITHMIC or (
-        kind is RuleKind.GENERALIZED_LOG and rule.floor == 0.0
-    ):
+    if _unfloored_log(rule):
         raise UnboundedRule("the logarithmic score has no lower bound")
     if kind is RuleKind.QUADRATIC:
         # 2r_j - |r|^2 spans [-1, 1]: -1 reporting a different vertex,

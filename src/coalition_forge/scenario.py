@@ -59,7 +59,6 @@ class Scenario:
     labels: tuple[str, ...] | None
     rule: ScoringRule
     mechanism: MechanismSpec
-    mechanism_name: str
     players: tuple[Player, ...]
     coalition: Coalition | None
     simulation: SimulationSpec | None
@@ -224,7 +223,7 @@ def _parse_rule(data: Any, m: int) -> ScoringRule:
 
 def _parse_mechanism(
     data: Any, rule: ScoringRule, m: int, players: tuple[Player, ...]
-) -> tuple[MechanismSpec, str]:
+) -> MechanismSpec:
     path = "mechanism"
     prior = None
     if isinstance(data, dict):
@@ -238,7 +237,7 @@ def _parse_mechanism(
         raise ScenarioError(f"{path}.prior", "a prior applies only to market scoring")
     # Two presets; every other name is a MechanismKind.
     if name == "lambert":
-        return _build(path, lambert, rule, m), name
+        return _build(path, lambert, rule, m)
     if name == "kilgour_gerchak" and len({p.wager for p in players}) > 1:
         raise ScenarioError(path, "this preset requires equal wagers for all players")
     try:
@@ -248,7 +247,7 @@ def _parse_mechanism(
         raise ScenarioError(
             path, f"unknown mechanism {name!r}; expected one of {names}"
         ) from None
-    return _build(path, MechanismSpec, kind, rule, prior), name
+    return _build(path, MechanismSpec, kind, rule, prior)
 
 
 def _parse_players(data: Any, m: int) -> tuple[Player, ...]:
@@ -374,14 +373,17 @@ def parse_scenario(raw: Any) -> Scenario:
         labels = tuple(raw_labels)
     rule = _parse_rule(_require(raw, "rule", ""), m)
     players = _parse_players(raw.get("players"), m)
-    mechanism, mech_name = _parse_mechanism(_require(raw, "mechanism", ""), rule, m, players)
+    mechanism = _parse_mechanism(_require(raw, "mechanism", ""), rule, m, players)
+    simulation = _parse_simulation(raw.get("simulation"), m)
     coalition = None
     if raw.get("coalition") is not None:
-        coalition = Coalition(_as_indices(raw["coalition"], "coalition", len(players)))
-    return Scenario(
-        version, m, labels, rule, mechanism, mech_name, players, coalition,
-        _parse_simulation(raw.get("simulation"), m),
-    )
+        n = len(players)
+        if not players and simulation is not None and simulation.mode == "market_session":
+            # A market session samples one player per ordering entry, so a
+            # scenario that lists no players names members of the ordering.
+            n = len(simulation.ordering)
+        coalition = Coalition(_as_indices(raw["coalition"], "coalition", n))
+    return Scenario(version, m, labels, rule, mechanism, players, coalition, simulation)
 
 
 def load_scenario(path: str | Path) -> tuple[Scenario, str]:

@@ -148,10 +148,13 @@ def grid_array(m: int, resolution: int) -> np.ndarray:
     return grid
 
 
-def _block_rows(m: int, resolution: int, block_rows: int | None = None) -> int:
-    """Rows of the buffers behind _lattice_blocks(m, resolution, block_rows):
-    the block limit, or the whole lattice when it is smaller. Checks the
-    arguments as _lattice_blocks does."""
+def _block_rows(
+    m: int, resolution: int, block_rows: int | None = None, interior: bool = False
+) -> int:
+    """Rows of the buffers behind _lattice_blocks(m, resolution, block_rows,
+    interior): the block limit, or the rows streamed when they are fewer.
+    Checks the arguments as _lattice_blocks does; MAX_GRID_POINTS bounds
+    the whole lattice, interior or not."""
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")
     if resolution < 1:
@@ -162,7 +165,15 @@ def _block_rows(m: int, resolution: int, block_rows: int | None = None) -> int:
             f"resolution {resolution} over {m} states gives {n:,} lattice "
             f"points, above the limit of {MAX_GRID_POINTS:,}"
         )
+    if interior:
+        n = _interior_rows(m, resolution)
     return min(_block_limit(m, block_rows), n)
+
+
+def _interior_rows(m: int, resolution: int) -> int:
+    """Rows of grid_array(m, resolution) with no zero entry: the
+    compositions of resolution - m into m parts, C(resolution - 1, m - 1)."""
+    return math.comb(resolution - 1, m - 1)
 
 
 def _block_limit(m: int, block_rows: int | None) -> int:
@@ -172,24 +183,36 @@ def _block_limit(m: int, block_rows: int | None) -> int:
     return min(BLOCK_ROWS, max(BLOCK_ENTRIES // m, m, 3))
 
 
-def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
+def _lattice_blocks(
+    m: int, resolution: int, block_rows: int | None = None, interior: bool = False
+):
     """grid_array(m, resolution) as consecutive row blocks of at most
     block_rows rows, in the same order. When block_rows is None the limit
     is BLOCK_ROWS rows or BLOCK_ENTRIES entries, whichever is fewer rows,
     but the entry cap alone never takes it below max(m, 3) rows.
 
+    With interior set only the rows with every entry at least 1/resolution
+    are streamed, in the same order and with the same bits: they are the
+    compositions of resolution - m with 1 added to every part before the
+    division. Below m units the interior is empty and nothing is streamed;
+    at m units it is the one row (1/m, ..., 1/m). The scans of the
+    unfloored logarithmic rules stream only the interior, since every
+    other row scores -inf, and count the rows left out instead of scoring
+    them.
+
     Each generator allocates one integer and one float buffer of
-    _block_rows(m, resolution, block_rows) rows when it starts, and every
-    block is built in them: a block is a view that stays valid only until
-    the next block is requested. Copy a block to keep it. Generators share
-    nothing, so each may run on its own thread.
+    _block_rows(m, resolution, block_rows, interior) rows when it starts,
+    and every block is built in them: a block is a view that stays valid
+    only until the next block is requested. Copy a block to keep it.
+    Generators share nothing, so each may run on its own thread.
 
     The compositions form a tree: the rows below a partial row share its
     first entries. A block is a run of sibling subtrees; a subtree larger
     than block_rows is split by its next entry, recursively. Arguments are
     checked at the call, before the first block is built.
 
-    While the row limit is at least max(m, 3) no block is a single row:
+    While the row limit is at least max(m, 3) no block is a single row,
+    unless the rows streamed are one row in all:
     numpy multiplies a one-row matrix by a vector with its dot kernel,
     which can round differently from the matrix-vector kernel of longer
     blocks. Up to 7 states that kernel gives every row of a block the bits
@@ -198,14 +221,18 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
     the end of a block can differ from the whole-lattice product in the
     last bits.
     """
-    capacity = _block_rows(m, resolution, block_rows)
+    capacity = _block_rows(m, resolution, block_rows, interior)
     limit = _block_limit(m, block_rows)
+    # Units spread over the columns; an interior row has one more in each.
+    units = resolution - m if interior else resolution
+    if units < 0:
+        return iter(())
     # rows[k][r] = C(r + k - 1, k - 1), the full rows below a partial row
     # with r units left over k open columns (k >= 2). By the hockey-stick
     # identity each table is the running sum of the one before.
     rows = {}
     for k in range(2, m):
-        rows[k] = np.arange(1, resolution + 2) if k == 2 else np.cumsum(rows[k - 1])
+        rows[k] = np.arange(1, units + 2) if k == 2 else np.cumsum(rows[k - 1])
     dtype = np.min_scalar_type(resolution)
     index_type = np.min_scalar_type(capacity)
 
@@ -290,13 +317,15 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
         grid_buf = np.empty((capacity, m))
         # Depth first with an explicit stack: a subtree can be split once
         # per state, more often than Python allows nested calls.
-        todo = [((), resolution, None)]
+        todo = [((), units, None)]
         while todo:
             prefix, r, heads = todo.pop()
             if heads is None:
                 todo.extend(reversed(split(prefix, r)))
                 continue
             parts = fill(prefix, heads, r, parts_buf)
+            if interior:
+                parts += 1
             # A block that fills the buffer is the buffer itself, so the one
             # block of grid_array is an array of its own, not a view.
             grid = grid_buf if len(parts) == capacity else grid_buf[:len(parts)]
@@ -306,9 +335,13 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None):
     return stream()
 
 
-def _lattice_index(p: Sequence[float], resolution: int) -> int | None:
+def _lattice_index(
+    p: Sequence[float], resolution: int, interior: bool = False
+) -> int | None:
     """Position in grid_array(len(p), resolution) of the row within 1e-12
-    of p in every entry, or None when no row is.
+    of p in every entry, or None when no row is. With interior set, the
+    position among the rows _lattice_blocks streams with interior set, or
+    None when the matching row has a zero entry.
 
     Lattice values k/resolution are more than 2e-12 apart on any lattice
     below MAX_GRID_POINTS, so an entry matches at most one of them, the
@@ -319,11 +352,18 @@ def _lattice_index(p: Sequence[float], resolution: int) -> int | None:
         abs(k / resolution - x) > 1e-12 for k, x in zip(parts, p)
     ):
         return None
+    r = resolution
+    if interior:
+        # An interior row is a composition of resolution - m, plus 1.
+        if min(parts) < 1:
+            return None
+        parts = [k - 1 for k in parts]
+        r -= len(parts)
     # The rows before the match are those whose first entry that differs
     # from it is smaller. Below entry j with r units still open, a head
     # h < k leaves the compositions of r - h over the columns after j; the
     # hockey-stick identity sums them over h in closed form.
-    index, r = 0, resolution
+    index = 0
     for j, k in enumerate(parts[:-1]):
         after = len(parts) - j - 1
         index += math.comb(r + after, after) - math.comb(r - k + after, after)

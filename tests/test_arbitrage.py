@@ -411,6 +411,29 @@ def test_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
         assert grid_search_equalizer(rule, players, coalition, resolution) == expected
 
 
+@pytest.mark.parametrize("block_rows", [7, None])
+def test_log_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
+    # The log family scores only the lattice interior. At m = 11 and
+    # resolution 10 it is empty and at m = 10 one row: with no interior
+    # row above -inf, the first lattice row wins, as over the whole lattice.
+    if block_rows is not None:
+        monkeypatch.setattr(simplex, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(808)
+    cases = [(int(rng.integers(2, 6)), None) for _ in range(16)]
+    cases += [(10, 10), (10, 12), (11, 10)]
+    for m, resolution in cases:
+        if resolution is None:
+            resolution = int(rng.integers(10, {2: 300, 3: 50, 4: 20, 5: 14}[m]))
+        a = tuple(rng.uniform(-1.0, 1.0, size=m)) if rng.random() < 0.5 else None
+        b = float(rng.uniform(0.3, 2.0))
+        rule = [logarithmic_rule(a, b), generalized_log_rule(0.0, a, b)][int(rng.integers(2))]
+        players = disagreeing_players(rng, int(rng.integers(2, 5)), m)
+        coalition = full_coalition(players)
+        expected = _unblocked_grid_search(rule, players, coalition, resolution)
+        assert grid_search_equalizer(rule, players, coalition, resolution) == expected
+    assert expected.probs == (0.0,) * 10 + (1.0,)
+
+
 def test_grid_search_on_an_unscorable_lattice_returns_its_first_row(monkeypatch):
     # No lattice report at resolution 10 lies inside the generator's open
     # domain, so every row scores -inf; the members' beliefs do lie inside.

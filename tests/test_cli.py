@@ -31,6 +31,7 @@ from coalition_forge import (
     scenario_digest,
 )
 from coalition_forge import cli
+from coalition_forge.mechanisms import lambert
 from coalition_forge import scenarios as bundled
 from coalition_forge.cli import build_parser, main
 from coalition_forge.simplex import MAX_GRID_POINTS
@@ -101,8 +102,12 @@ def test_lambert_preset_round_trip():
     # rule untouched.
     assert sc.rule.affine_offsets is None
     assert sc.mechanism.rule.affine_offsets == (0.5, 0.5)
-    assert sc.mechanism_name == "lambert"
     assert parse_scenario(json.loads(canonical_json(raw))) == sc
+    # A scenario keeps the mechanism a preset names, not the name: both
+    # presets compare equal to the mechanism written out.
+    assert sc == parse_scenario(raw) and sc.mechanism == lambert(sc.rule, 2)
+    kilgour = parse_scenario(_minimal_raw(mechanism="kilgour_gerchak"))
+    assert kilgour == parse_scenario(_minimal_raw(mechanism="competitive"))
 
 
 def test_kilgour_gerchak_requires_equal_wagers():
@@ -347,6 +352,34 @@ def test_market_session_scenario_parses_ordering_to_zero_based():
     assert sc.simulation.ordering == (0, 1, 2, 3)
     assert sc.coalition.members == (1, 3)
     assert sc.mechanism.market_prior.probs == (0.5, 0.5)
+
+
+def _market_session_without_players():
+    raw = json.loads(bundled.path("market_session").read_text(encoding="utf-8"))
+    del raw["players"]
+    return raw
+
+
+def test_market_session_without_players_checks_the_coalition_against_the_ordering():
+    # The session samples one player per ordering entry; listed players
+    # are never used, so a scenario may leave them out.
+    sc = parse_scenario(_market_session_without_players())
+    assert sc.players == ()
+    assert sc.coalition.members == (1, 3)
+    assert sc.simulation == load_scenario(bundled.path("market_session"))[0].simulation
+    raw = _market_session_without_players()
+    raw["coalition"] = [2, 5]
+    with pytest.raises(ScenarioError, match=r"coalition\[2\].*out of range 1\.\.4"):
+        parse_scenario(raw)
+    # Another mode, or listed players, still bounds the coalition by them.
+    raw = _market_session_without_players()
+    raw["simulation"] = {"mode": "intermediary"}
+    with pytest.raises(ScenarioError, match=r"coalition\[1\].*out of range 1\.\.0"):
+        parse_scenario(raw)
+    raw = _market_session_without_players()
+    raw["players"] = [{"belief": [0.5, 0.5]}] * 3
+    with pytest.raises(ScenarioError, match=r"coalition\[2\].*out of range 1\.\.3"):
+        parse_scenario(raw)
 
 
 def _write_scenario(tmp_path, raw, name="scenario.json"):
@@ -743,6 +776,19 @@ def test_cli_simulate_market_session(capsys):
     assert len(surpluses) == 2
     assert surpluses[0] == pytest.approx(0.224974, abs=1e-5)
     assert surpluses[0] == pytest.approx(surpluses[1], rel=1e-9)
+
+
+def test_cli_market_session_without_players(tmp_path, capsys):
+    # simulate prints what it prints for the bundled file, which lists
+    # players it does not use; verify has no coalition players to check.
+    path = _write_scenario(tmp_path, _market_session_without_players())
+    for fmt in ("table", "csv"):
+        assert main(["simulate", "--scenario", "market_session", "--format", fmt]) == 0
+        bundled_out = capsys.readouterr().out
+        assert main(["simulate", "--scenario", path, "--format", fmt]) == 0
+        assert capsys.readouterr().out == bundled_out
+    assert main(["verify", "--scenario", path]) == 0
+    assert "dominance: SKIPPED  (no identical coordinated report available)" in capsys.readouterr().out
 
 
 def test_cli_simulate_market_session_json(capsys):

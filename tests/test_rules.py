@@ -593,12 +593,19 @@ def test_properness_equals_unblocked_oracle_at_wide_m(monkeypatch, block_entries
     # and 70 states it falls below m and the max(m, 3) floor takes over.
     if block_entries is not None:
         monkeypatch.setattr(simplex, "BLOCK_ENTRIES", block_entries)
+    # (8, 12) and (9, 11) add log checks of positive beliefs, which scan
+    # only the lattice interior; the other lattices have none.
     rng = np.random.default_rng(707)
-    for m, resolution in ((10, 8), (12, 6), (20, 4), (30, 3), (70, 2)):
+    for m, resolution in ((10, 8), (12, 6), (20, 4), (30, 3), (70, 2), (8, 12), (9, 11)):
         assert math.comb(resolution + m - 1, m - 1) > simplex.BLOCK_ENTRIES // m
-        for _ in range(3):
-            rule = _random_rule(rng, m)
-            belief = _random_belief(rng, m, resolution)
+        cases = [(_random_rule(rng, m), _random_belief(rng, m, resolution)) for _ in range(3)]
+        if resolution > m:
+            a = tuple(rng.uniform(-1.0, 1.0, size=m))
+            cases += [
+                (logarithmic_rule(a, 1.3), random_forecast(rng, m)),
+                (generalized_log_rule(0.0), random_forecast(rng, m)),
+            ]
+        for rule, belief in cases:
             expected = _unblocked_properness(rule, belief, resolution)
             assert expected is not None
             report = check_strict_properness(rule, belief, resolution)
@@ -608,6 +615,59 @@ def test_properness_equals_unblocked_oracle_at_wide_m(monkeypatch, block_entries
             # in the last bits; every other field is exact.
             assert report.max_margin == pytest.approx(expected.max_margin, rel=1e-14)
             assert dataclasses.replace(report, max_margin=expected.max_margin) == expected
+
+
+def test_properness_log_at_resolution_m_equals_unblocked_oracle():
+    # At resolution m the interior is the one row (1/m, ..., 1/m), which
+    # numpy would multiply with its dot kernel; the whole lattice is
+    # scanned there, and every report keeps the bits of the oracle.
+    rng = np.random.default_rng(505)
+    for m in range(3, 8):
+        centre = Forecast((1.0 / m,) * m)
+        for rule in (
+            logarithmic_rule(),
+            logarithmic_rule(tuple(rng.uniform(-1.0, 1.0, size=m)), 0.7),
+            generalized_log_rule(0.0, None, 1.6),
+        ):
+            for belief in (random_forecast(rng, m), random_forecast(rng, m), centre):
+                report = check_strict_properness(rule, belief, m)
+                assert report == _unblocked_properness(rule, belief, m)
+                # Every row but the centre has a zero entry.
+                assert report.skipped == math.comb(2 * m - 1, m - 1) - 1
+
+
+def test_properness_log_scores_only_the_interior(monkeypatch):
+    # A log check of beliefs with no zero state scores the C(res - 1, m - 1)
+    # lattice rows with no zero entry, besides the one-row table of each
+    # truthful report, and counts the rest as skipped; other rules, and
+    # beliefs with a zero state, score the whole lattice.
+    seen = []
+    score_into = rules._score_into
+
+    def counting(rule, R, out, tile=None):
+        seen.append(len(R))
+        return score_into(rule, R, out, tile)
+
+    monkeypatch.setattr(rules, "_score_into", counting)
+    m, resolution = 4, 20
+    whole, inside = math.comb(resolution + m - 1, m - 1), math.comb(resolution - 1, m - 1)
+    # The first belief is a lattice row, which is not its own competitor.
+    positive = [Forecast((0.1, 0.2, 0.3, 0.4)), Forecast((0.13, 0.21, 0.33, 0.33))]
+    zero = Forecast((0.0, 0.22, 0.33, 0.45))
+    for rule, beliefs, rows in (
+        (logarithmic_rule(), positive, inside),
+        (generalized_log_rule(0.0), positive[:1], inside),
+        (quadratic_rule(), positive, whole),
+        (logarithmic_rule(), [positive[0], zero], whole),
+    ):
+        seen.clear()
+        reports = rules._properness_scan(rule, beliefs, resolution)
+        assert sum(seen) == rows + len(beliefs)
+        assert [r.checked + r.skipped for r in reports] == [
+            whole - (b == positive[0]) for b in beliefs
+        ]
+    log = rules._properness_scan(logarithmic_rule(), positive, resolution)
+    assert [r.skipped for r in log] == [whole - inside] * 2
 
 
 def test_properness_ties_keep_the_first_maximum_in_lattice_order(monkeypatch):

@@ -193,6 +193,13 @@ def test_grid_array_refuses_lattices_above_the_point_limit():
     assert math.comb(50 + 6 - 1, 6 - 1) <= MAX_GRID_POINTS
     with pytest.raises(ValidationError, match=r"resolution 50 .*32,468,436.*4,000,000"):
         grid_array(7, 50)
+    # The limit bounds the whole lattice even where only its interior,
+    # 1,344,904 of 4,496,388 rows at m = 7 and resolution 35, is streamed.
+    assert simplex._interior_rows(7, 35) <= MAX_GRID_POINTS
+    with pytest.raises(ValidationError, match=r"4,496,388"):
+        simplex._lattice_blocks(7, 35, interior=True)
+    with pytest.raises(ValidationError, match=r"4,496,388"):
+        simplex._block_rows(7, 35, interior=True)
 
 
 def test_grid_array_rejects_resolution_below_one():
@@ -222,6 +229,31 @@ def test_lattice_blocks_split_subtrees_larger_than_a_block(monkeypatch, limit):
                 assert min(len(b) for b in blocks) >= 2
             joined = np.concatenate(blocks)
             assert joined.tobytes() == grid_array(m, resolution).tobytes()
+
+
+@pytest.mark.parametrize("limit", [7, 50, None])
+def test_lattice_interior_blocks_are_the_rows_without_zeros(monkeypatch, limit):
+    # The interior streams the lattice rows with every entry > 0, in
+    # lattice order and with their bits; below m units there are none.
+    if limit is not None:
+        monkeypatch.setattr(simplex, "BLOCK_ROWS", limit)
+    for m in range(2, 9):
+        for resolution in range(m - 1, m + 7):
+            grid = grid_array(m, resolution)
+            inside = grid[(grid > 0.0).all(axis=1)]
+            blocks = [b.copy() for b in simplex._lattice_blocks(m, resolution, interior=True)]
+            assert len(inside) == simplex._interior_rows(m, resolution)
+            most = simplex._block_limit(m, None)
+            assert simplex._block_rows(m, resolution, interior=True) == min(most, len(inside))
+            if not blocks:
+                assert len(inside) == 0
+                continue
+            assert max(len(b) for b in blocks) <= most
+            # Only an interior of one row has a block of one row, while the
+            # row limit is at least max(m, 3).
+            if len(inside) > 1 and most >= max(m, 3):
+                assert min(len(b) for b in blocks) >= 2, (m, resolution)
+            assert np.concatenate(blocks).tobytes() == inside.tobytes()
 
 
 def test_lattice_blocks_cap_entries_at_wide_m():
@@ -264,12 +296,16 @@ def test_lattice_blocks_generators_keep_buffers_of_their_own():
         assert np.concatenate(second_blocks).tobytes() == whole
 
 
-@pytest.mark.parametrize("m,resolution", [(2, 9), (3, 7), (4, 6), (6, 3), (9, 2)])
+@pytest.mark.parametrize("m,resolution", [(2, 9), (3, 7), (4, 6), (5, 8), (6, 3), (9, 2)])
 def test_lattice_index_is_the_row_position(m, resolution):
     grid = grid_array(m, resolution)
     rng = np.random.default_rng(m * 100 + resolution)
+    # Interior positions count only the rows with no zero entry.
+    inside = np.cumsum((grid > 0.0).all(axis=1)) - 1
     for i, row in enumerate(grid.tolist()):
         assert simplex._lattice_index(row, resolution) == i
+        expected = int(inside[i]) if min(row) > 0.0 else None
+        assert simplex._lattice_index(row, resolution, interior=True) == expected
         # Within 1e-12 of a lattice value in every entry is the same row.
         nudged = [x + float(rng.uniform(-9e-13, 9e-13)) if x > 0.0 else x for x in row]
         assert simplex._lattice_index(nudged, resolution) == i
