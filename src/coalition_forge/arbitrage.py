@@ -59,6 +59,10 @@ from .simplex import (
 # count as DOMINATES there.
 AGREEMENT_TOL = 1e-12
 
+# Bisection for a custom binary rule's equalizer stops once g_prime at
+# the midpoint is within this much of the target derivative.
+_BISECTION_TOL = 1e-12
+
 # Surplus entries are "equalized" when their spread is within this
 # relative tolerance of the mean level.
 EQUALIZED_RTOL = 1e-9
@@ -181,9 +185,9 @@ def _member_arrays(
     return P, w
 
 
-def members_agree(P: np.ndarray, tol: float = AGREEMENT_TOL) -> bool:
-    """Pairwise max-norm agreement across the rows of a belief matrix."""
-    return float((P.max(axis=0) - P.min(axis=0)).max()) <= tol
+def members_agree(P: np.ndarray) -> bool:
+    """Pairwise max-norm agreement within AGREEMENT_TOL across a belief matrix."""
+    return float((P.max(axis=0) - P.min(axis=0)).max()) <= AGREEMENT_TOL
 
 
 def _geometric_equalizer(P: np.ndarray, w: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
@@ -238,9 +242,7 @@ def _spherical_equalizer(Y: np.ndarray) -> np.ndarray | None:
     return 1.0 / m + (Y - y_bar) / math.sqrt(m * s)
 
 
-def _bisect_equalizer(
-    gen: ConvexGenerator, p: np.ndarray, v: np.ndarray, tol: float
-) -> float:
+def _bisect_equalizer(gen: ConvexGenerator, p: np.ndarray, v: np.ndarray) -> float:
     if float(p.max() - p.min()) <= AGREEMENT_TOL:
         return float(p[0])
     lo_d, hi_d = gen.domain
@@ -264,14 +266,14 @@ def _bisect_equalizer(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         residual = gen.g_prime(mid) - target
-        if abs(residual) <= tol:
+        if abs(residual) <= _BISECTION_TOL:
             return mid
         if residual < 0.0:
             lo = mid
         else:
             hi = mid
     raise NoConvergence(
-        f"bisection residual above {tol!r} after 200 iterations"
+        f"bisection residual above {_BISECTION_TOL!r} after 200 iterations"
     )
 
 
@@ -279,7 +281,6 @@ def binary_equalizer(
     gen: ConvexGenerator,
     players: list[Player] | tuple[Player, ...],
     coalition: Coalition,
-    tol: float = 1e-12,
 ) -> float:
     """First-state probability of the equalizing report for a binary rule
     built from a convex generator.
@@ -292,7 +293,7 @@ def binary_equalizer(
     P, w = _member_arrays(players, coalition)
     if P.shape[1] != 2:
         raise DimensionMismatch("binary equalizer needs exactly 2 states")
-    return _bisect_equalizer(gen, P[:, 0], w / w.sum(), tol)
+    return _bisect_equalizer(gen, P[:, 0], w / w.sum())
 
 
 def _equalizing_array(
@@ -315,7 +316,7 @@ def _equalizing_array(
     elif kind is RuleKind.CUSTOM_BINARY:
         if P.shape[1] != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
-        q1 = _bisect_equalizer(rule.generator, P[:, 0], w / w.sum(), 1e-12)
+        q1 = _bisect_equalizer(rule.generator, P[:, 0], w / w.sum())
         q = np.asarray([q1, 1.0 - q1])
     else:
         raise UnsupportedRule(

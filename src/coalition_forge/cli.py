@@ -173,11 +173,14 @@ def cmd_arbitrage(args: argparse.Namespace) -> int:
     sc, digest = load_scenario(_resolve_scenario(args.scenario))
     if sc.coalition is None:
         raise InvalidCoalition("scenario has no coalition")
+    if not sc.players:  # a market session's scenario may list none
+        raise ValidationError("scenario has no players to arbitrage: its coalition "
+                              "names places in the market session's ordering")
     result = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
     if result.agreement:
         # Agreement by belief distance, as verify decides it, or else by
         # surplus scale.
-        if members_agree(_stack([sc.players[i].belief for i in sc.coalition.members])):
+        if _beliefs_agree(sc):
             sys.stderr.write("coalition members agree; no coordinated report beats truth\n")
         else:
             sys.stderr.write(
@@ -226,21 +229,23 @@ def cmd_arbitrage(args: argparse.Namespace) -> int:
     return 1 if verdict.verdict is Verdict.FAILS else 0
 
 
+def _beliefs_agree(sc: Scenario) -> bool:
+    """Whether the coalition's members agree by belief distance."""
+    return members_agree(_stack([sc.players[i].belief for i in sc.coalition.members]))
+
+
 def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
     checks: list[dict] = []
 
     beliefs = [p.belief for p in sc.players]
     if not beliefs:
         beliefs = [uniform_prior(sc.m)]
-    worst_margin = -math.inf
-    all_pass = True
-    for report in _properness_scan(sc.rule, beliefs, resolution):
-        worst_margin = max(worst_margin, report.max_margin)
-        all_pass = all_pass and report.passed
+    reports = _properness_scan(sc.rule, beliefs, resolution)
+    worst_margin = max(report.max_margin for report in reports)
     checks.append(
         {
             "check": "properness",
-            "status": "pass" if all_pass else "fail",
+            "status": "pass" if all(report.passed for report in reports) else "fail",
             "detail": f"max margin {worst_margin!r} over {len(beliefs)} belief(s) "
             f"at resolution {resolution}",
         }
@@ -260,7 +265,7 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
                 arb = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
                 if not arb.agreement:
                     coordinated = [arb.q] * len(sc.coalition.members)
-                elif members_agree(_stack([sc.players[i].belief for i in sc.coalition.members])):
+                elif _beliefs_agree(sc):
                     agreement = (
                         "the coalition agrees by belief distance: members within "
                         f"{AGREEMENT_TOL!r} of each other"

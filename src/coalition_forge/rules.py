@@ -36,6 +36,11 @@ from .simplex import (
 )
 
 
+# ConvexGenerator.spot_check samples this many points, each at least two
+# central-difference steps inside the domain.
+_SPOT_CHECK_POINTS, _SPOT_CHECK_STEP = 33, 1e-5
+
+
 class RuleKind(str, Enum):
     QUADRATIC = "quadratic"
     LOGARITHMIC = "logarithmic"
@@ -68,12 +73,13 @@ class ConvexGenerator:
         if not (0.0 <= lo < hi <= 1.0):
             raise ValidationError(f"domain {self.domain!r} must be an interval within [0, 1]")
 
-    def spot_check(self, points: int = 33, h: float = 1e-5) -> None:
+    def spot_check(self) -> None:
         """Sample the interior: g_prime must be strictly increasing, and a
         central difference of g must match g_prime within 1e-6 relative.
 
         Raises NonMonotoneGenerator or GeneratorMismatch.
         """
+        points, h = _SPOT_CHECK_POINTS, _SPOT_CHECK_STEP
         lo, hi = self.domain
         inner_lo, inner_hi = lo + 2 * h, hi - 2 * h
         xs = [inner_lo + (inner_hi - inner_lo) * i / (points - 1) for i in range(points)]

@@ -9,6 +9,7 @@ a silent fix here would mask genuine failures in downstream dominance checks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -205,21 +206,16 @@ def _lattice_blocks(
     and every block is built in them: a block is a view that stays valid
     only until the next block is requested. Copy a block to keep it.
     Generators share nothing, so each may run on its own thread.
+    Arguments are checked at the call, before the first block is built.
 
-    The compositions form a tree: the rows below a partial row share its
-    first entries. A block is a run of sibling subtrees; a subtree larger
-    than block_rows is split by its next entry, recursively. Arguments are
-    checked at the call, before the first block is built.
-
-    While the row limit is at least max(m, 3) no block is a single row,
-    unless the rows streamed are one row in all:
-    numpy multiplies a one-row matrix by a vector with its dot kernel,
-    which can round differently from the matrix-vector kernel of longer
-    blocks. Up to 7 states that kernel gives every row of a block the bits
-    the whole lattice gets. From 8 states on, OpenBLAS computes the last
-    len % 4 rows of each product with its remainder kernel, so a row at
-    the end of a block can differ from the whole-lattice product in the
-    last bits.
+    Block i is the rows [i * step, (i + 1) * step) of the stream and the
+    last block the rest, step being the limit rounded down to a multiple
+    of 4 (below 4, the limit). A lone last row, unless it is the whole
+    stream, joins the four rows before it when the limit allows five.
+    numpy multiplies a one-row matrix by a vector with its dot kernel, and
+    OpenBLAS the last len % 4 rows of a longer one with a remainder
+    kernel; both can round unlike the main kernel, so under any limit
+    above 4 these blocks give each row the bits of the whole stream's.
     """
     capacity = _block_rows(m, resolution, block_rows, interior)
     limit = _block_limit(m, block_rows)
@@ -227,87 +223,72 @@ def _lattice_blocks(
     units = resolution - m if interior else resolution
     if units < 0:
         return iter(())
+    n = math.comb(units + m - 1, m - 1)
+    step = limit - limit % 4 if limit >= 4 else limit
+    edges = [*range(0, n, step), n]
+    if n % step == 1 and n > 1 and limit > 4:
+        # The lone last row takes four rows, at step 4 the whole block.
+        edges[-2:-1] = [n - 5] if step > 4 else []
     # rows[k][r] = C(r + k - 1, k - 1), the full rows below a partial row
     # with r units left over k open columns (k >= 2). By the hockey-stick
-    # identity each table is the running sum of the one before.
-    rows = {}
-    for k in range(2, m):
-        rows[k] = np.arange(1, units + 2) if k == 2 else np.cumsum(rows[k - 1])
+    # identity each table is the running sum of the one before, so the
+    # rows of heads 0..h - 1 below such a partial row number
+    # rows[k][r] - rows[k][r - h]. Two states need no table.
+    rows = {2: np.arange(1, units + 2)} if m > 2 else {}
+    for k in range(3, m + 1):
+        rows[k] = np.cumsum(rows[k - 1])
+    # The same tables as lists, for the scalar lookups of each block:
+    # bisect finds a value in a list several times faster than numpy.
+    row_lists = {k: rows[k].tolist() for k in range(3, m + 1)}
     dtype = np.min_scalar_type(resolution)
-    index_type = np.min_scalar_type(capacity)
 
-    def fill(
-        prefix: tuple[int, ...], heads: np.ndarray, r: int, parts_buf: np.ndarray
-    ) -> np.ndarray:
-        # The integer parts of the rows below prefix + (h,) for h in heads,
-        # r units after prefix, written to the head of parts_buf.
-        remaining = r - heads
-        d = len(prefix)
-        k = m - d - 1
-        size = len(heads) if k == 1 else int(rows[k][remaining].sum())
-        parts = parts_buf[:size]
-        parts[:, :d] = prefix
-        if d == m - 2:
-            parts[:, d] = heads
-            parts[:, m - 1] = remaining
-            return parts
-        head = heads
-        # Stars and bars, one column at a time: every partial row with
-        # `remaining` units left branches into heads 0..remaining, in
-        # order, which keeps the rows lexicographic.
-        for col in range(d, m - 2):
-            if col > d:
-                branches = remaining + 1
-                starts = np.cumsum(branches) - branches
-                head = np.arange(int(branches.sum())) - np.repeat(starts, branches)
-                remaining = np.repeat(remaining, branches) - head
-            # A partial row ends in rows[open][remaining] full rows, all
-            # contiguous.
-            parts[:, col] = np.repeat(head.astype(dtype), rows[m - 1 - col][remaining])
+    def branch(left):
+        # The heads below partial rows with `left` units left, and the
+        # units each head leaves: every partial row with r units left
+        # branches into heads 0..r (rows[2][r] = r + 1 of them), in order,
+        # which keeps the rows lexicographic.
+        branches = rows[2][left]
+        heads = _positions(branches, np.int32)
+        return heads, np.repeat(left, branches) - heads
+
+    def locate(k, r, x):
+        # The head of row x below a partial row with r units left over k
+        # open columns, and x's row below that head.
+        t = row_lists[k]
+        f = bisect_left(t, t[r] - x)
+        return r - f, x - t[r] + t[f]
+
+    # The root's branches, heads 0..units, are the same for every block;
+    # two states need none.
+    root_heads = np.arange(units + 1 if m > 2 else 0, dtype=np.int32)
+    top = root_heads, units - root_heads
+
+    def fill(a, b, parts):
+        # Rows [a, b) of the lattice, column by column from the root. Kept
+        # are the partial rows whose rows reach into the range, `left`
+        # units left in each, rows a and b - 1 being row lo of the first
+        # and row hi of the last. Each head is repeated by its rows inside.
+        left, lo, hi, inside = np.array([units]), a, b - 1, np.array([b - a])
+        for col in range(m - 2):
+            k, r0, r1 = m - col, int(left[0]), int(left[-1])
+            heads, left = top if col == 0 else branch(left)
+            first, lo = locate(k, r0, lo)
+            last, hi = locate(k, r1, hi)
+            # The first partial row's branches lead, the last's close.
+            keep = slice(first, len(heads) - r1 + last)
+            heads, left = heads[keep], left[keep]
+            inside = rows[k - 1][left]
+            inside[-1] = hi + 1
+            inside[0] -= lo
+            parts[:, col] = np.repeat(heads.astype(dtype), inside)
         # The last two columns, one row per unit split: below a partial row
-        # with r units left they run (0, r), (1, r - 1), ..., (r, 0). Both
-        # are written straight into parts, from position arrays in the
-        # smallest type that holds a block's row count.
-        branches = remaining + 1
-        starts = (np.cumsum(branches) - branches).astype(index_type)
-        np.subtract(
-            np.arange(size, dtype=index_type), np.repeat(starts, branches),
-            out=parts[:, m - 2], casting="unsafe",
-        )
-        np.subtract(
-            np.repeat(remaining.astype(dtype), branches), parts[:, m - 2],
-            out=parts[:, m - 1],
-        )
+        # with r units left they run (0, r), (1, r - 1), ..., (r, 0), the
+        # first partial row's from its row lo. Both are written straight
+        # into parts.
+        _positions(inside, np.min_scalar_type(capacity), out=parts[:, m - 2])
+        parts[:inside[0], m - 2] += lo
+        np.subtract(np.repeat(left.astype(dtype), inside), parts[:, m - 2], out=parts[:, m - 1])
         return parts
-
-    def split(prefix: tuple[int, ...], r: int) -> list:
-        # The rows below prefix, which leaves r units over k >= 2 open
-        # columns, in lattice order: blocks (prefix, r, heads) and subtrees
-        # too large for one block (prefix + (h,), r - h, None).
-        k = m - len(prefix)
-        if k == 2:
-            # One row per head: split them into equal blocks.
-            pieces = -(-(r + 1) // limit)
-            return [
-                (prefix, r, np.arange((r + 1) * i // pieces, (r + 1) * (i + 1) // pieces))
-                for i in range(pieces)
-            ]
-        child = rows[k - 1][r::-1]  # rows below next entry h, falling in h
-        h = 0
-        out = []
-        while h <= r and child[h] > limit:
-            out.append((prefix + (h,), r - h, None))
-            h += 1
-        # The rest fit a block each. Group them into runs from the last head
-        # back, so that the last head, a single row, shares its block.
-        back = np.cumsum(child[h:][::-1])  # rows below heads r, r - 1, ..., h
-        edges, done = [r + 1], 0
-        while edges[-1] > h:
-            taken = int(np.searchsorted(back, done + limit, side="right"))
-            edges.append(r + 1 - taken)
-            done = int(back[taken - 1])
-        edges.reverse()
-        return out + [(prefix, r, np.arange(a, b)) for a, b in zip(edges, edges[1:])]
 
     def stream():
         # Integer parts first, in the smallest type that holds resolution,
@@ -315,24 +296,29 @@ def _lattice_blocks(
         # one is strided and about twice as slow.
         parts_buf = np.empty((capacity, m), dtype=dtype)
         grid_buf = np.empty((capacity, m))
-        # Depth first with an explicit stack: a subtree can be split once
-        # per state, more often than Python allows nested calls.
-        todo = [((), units, None)]
-        while todo:
-            prefix, r, heads = todo.pop()
-            if heads is None:
-                todo.extend(reversed(split(prefix, r)))
-                continue
-            parts = fill(prefix, heads, r, parts_buf)
+        for a, b in zip(edges, edges[1:]):
+            parts = fill(a, b, parts_buf[:b - a])
             if interior:
                 parts += 1
             # A block that fills the buffer is the buffer itself, so the one
             # block of grid_array is an array of its own, not a view.
-            grid = grid_buf if len(parts) == capacity else grid_buf[:len(parts)]
+            grid = grid_buf if b - a == capacity else grid_buf[:b - a]
             np.divide(parts, resolution, out=grid)
             yield grid
 
     return stream()
+
+
+def _positions(sizes: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
+    """Each item's place in its group, for consecutive groups of the given
+    sizes, as dtype or written to out."""
+    starts = np.cumsum(sizes)
+    total = int(starts[-1])
+    starts -= sizes
+    return np.subtract(
+        np.arange(total, dtype=dtype), np.repeat(starts.astype(dtype), sizes),
+        out=out, casting="unsafe",
+    )
 
 
 def _lattice_index(

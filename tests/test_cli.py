@@ -791,6 +791,21 @@ def test_cli_market_session_without_players(tmp_path, capsys):
     assert "dominance: SKIPPED  (no identical coordinated report available)" in capsys.readouterr().out
 
 
+def test_cli_arbitrage_without_players_names_the_ordering(tmp_path, capsys):
+    # The coalition names places in the session's ordering, not listed
+    # players: there are no beliefs to arbitrage, as there are none to score.
+    path = _write_scenario(tmp_path, _market_session_without_players())
+    assert main(["arbitrage", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: scenario has no players to arbitrage: its coalition names "
+        "places in the market session's ordering\n"
+    )
+    assert main(["score", "--scenario", path]) == 2
+    assert "scenario has no players to score" in capsys.readouterr().err
+    assert main(["simulate", "--scenario", path]) == 0
+
+
 def test_cli_simulate_market_session_json(capsys):
     assert main(
         ["simulate", "--scenario", "market_session", "--format", "json"]

@@ -217,9 +217,9 @@ def test_lattice_blocks_concatenate_to_grid_array():
 
 
 @pytest.mark.parametrize("limit", [1, 7, 50])
-def test_lattice_blocks_split_subtrees_larger_than_a_block(monkeypatch, limit):
+def test_lattice_blocks_cut_rows_below_one_first_entry(monkeypatch, limit):
     # At these limits most first entries lead to more rows than one block
-    # holds, so blocks come from splits two to four entries deep.
+    # holds, so blocks start and end two to four entries deep.
     monkeypatch.setattr(simplex, "BLOCK_ROWS", limit)
     for m in range(2, 7):
         for resolution in (1, 5, 9):
@@ -272,6 +272,32 @@ def test_lattice_blocks_cap_entries_at_wide_m():
         assert np.concatenate(blocks).tobytes() == grid_array(m, resolution).tobytes()
 
 
+@pytest.mark.parametrize("limit", [4, 5, 7, 8, 50, None])
+def test_lattice_blocks_are_multiples_of_four_rows(limit):
+    # Blocks are fixed row ranges: all but the last a multiple of 4 rows,
+    # none above the limit, and no lone last row unless the stream is one
+    # row, which a limit of 4 cannot avoid.
+    shapes = [(2, 12), (3, 9), (4, 7), (5, 6), (6, 5), (9, 3), (12, 2)]
+    if limit is None:
+        shapes += [(3, 400), (6, 30), (9, 10), (12, 6), (40, 3), (120, 2)]
+    for m, resolution in shapes:
+        most = simplex._block_limit(m, limit)
+        for interior in (False, True):
+            blocks = simplex._lattice_blocks(m, resolution, limit, interior)
+            sizes = [len(b) for b in blocks]
+            total = simplex._interior_rows(m, resolution) if interior else len(grid_array(m, resolution))
+            assert sum(sizes) == total
+            if not sizes:
+                continue
+            assert max(sizes) <= most
+            assert all(size % 4 == 0 for size in sizes[:-1]), (m, resolution, sizes)
+            if most > 4 and total > 1:
+                assert sizes[-1] > 1, (m, resolution, interior, sizes)
+    if limit is None:
+        # 7,260 rows over 120 states at 1,092 rows a block: seven blocks.
+        assert sum(1 for _ in simplex._lattice_blocks(120, 2)) <= 8
+
+
 def test_lattice_blocks_generators_keep_buffers_of_their_own():
     # A generator builds every block in the same buffers, so a block is a
     # view that the next one overwrites; two generators over one lattice,
@@ -319,8 +345,10 @@ def test_lattice_blocks_allocate_little_beyond_their_buffers():
     # the last two columns of each block are written straight into the
     # integer one. Building them as int64 arrays of the block's length,
     # about 3.5 at a time, took 440 KB above the buffers at m=5,
-    # resolution 50, beyond a quarter of them.
-    for m, resolution in [(5, 50), (6, 30), (3, 400)]:
+    # resolution 50, beyond a quarter of them. The wide lattices keep up
+    # to about one partial row for every two rows of a block, four and
+    # more columns deep.
+    for m, resolution in [(5, 50), (6, 30), (3, 400), (9, 10), (12, 6), (40, 3), (120, 2)]:
         capacity = simplex._block_rows(m, resolution)
         buffers = capacity * m * (8 + np.min_scalar_type(resolution).itemsize)
         tracemalloc.start()
