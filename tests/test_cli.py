@@ -828,29 +828,103 @@ def _run_cli(argv):
     return code, {"stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _edge_scenarios():
+    """Scenarios that reach the CLI's edge paths, which the bundled ones
+    do not: a map from name to raw scenario."""
+    def raw(players, coalition=(1, 2), **fields):
+        scenario = _minimal_raw(
+            players=[{"belief": list(b), **extra} for b, extra in players],
+            coalition=list(coalition),
+        )
+        scenario.update(fields)
+        return scenario
+
+    near = [((3.5e-8, 1 - 3.5e-8), {}), ((9.4e-8, 1 - 9.4e-8), {}), ((0.5, 0.5), {})]
+    agreeing = [((0.3, 0.7), {}), ((0.3, 0.7), {}), ((0.6, 0.4), {})]
+    intermediary = {"mode": "intermediary", "seed": 7}
+    session = json.loads(bundled.path("market_session").read_text(encoding="utf-8"))
+    del session["players"]
+    offsets = dict(
+        coalition=(1, 3), event={"m": 3},
+        rule={"kind": "quadratic", "a": [0.1, -0.2, 0.3], "b": 2.5},
+        mechanism="competitive",
+    )
+    wagered = [((0.2, 0.3, 0.5), 1.0), ((0.5, 0.3, 0.2), 3.0), ((0.1, 0.6, 0.3), 0.5),
+               ((0.4, 0.4, 0.2), 2.0)]
+    reported = [(b, {"wager": w, "report": [0.3, 0.4, 0.3] if k in (0, 2) else list(b)})
+                for k, (b, w) in enumerate(wagered)]
+    return {
+        "edge_agree_distance": raw(agreeing),
+        "edge_agree_surplus": raw(near, rule={"kind": "spherical"}),
+        "edge_everyone": raw(
+            [((0.2, 0.3, 0.5), {"wager": 1.0}), ((0.5, 0.3, 0.2), {"wager": 2.0}),
+             ((0.1, 0.6, 0.3), {"wager": 1.0})],
+            coalition=(1, 2, 3), event={"m": 3}, mechanism="competitive",
+        ),
+        "edge_given_reports": raw([
+            ((0.2, 0.8), {"report": [0.45, 0.55]}),
+            ((0.8, 0.2), {"report": [0.55, 0.45]}),
+            ((0.5, 0.5), {"report": [0.5, 0.5]}),
+        ]),
+        "edge_intermediary_agree": raw(
+            agreeing, mechanism="competitive", simulation=intermediary,
+        ),
+        "edge_linear": raw([((0.2, 0.8), {}), ((0.7, 0.3), {})], rule={"kind": "linear"}),
+        "edge_offsets_competitive": raw(
+            [(b, {"wager": w}) for b, w in wagered], **offsets,
+            simulation={
+                "mode": "sweep", "sampler": {"kind": "dirichlet", "alpha": [1.0, 1.0, 1.0]},
+                "n": 10, "fractions": [0.3, 0.5, 1.0], "trials": 5, "seed": 3,
+            },
+        ),
+        "edge_offsets_reports": raw(reported, **offsets),
+        "edge_session_no_players": session,
+    }
+
+
 def bundled_outputs(out_dir):
-    """Every bundled scenario through score, arbitrage and verify in each
-    format, on stdout and through --out, and through simulate with its
-    --out files: a map from "<scenario> <command> [<format>] [--out]" to
-    the exit code and output texts."""
+    """Every bundled and edge scenario through score, arbitrage and
+    verify in each format, on stdout and through --out, and through
+    simulate with its --out files: a map from "<scenario> <command>
+    [<format>] [--out]" to the exit code and output texts. The edge
+    scenarios also go through score --outcome and simulate --seed."""
     runs = {}
-    for name in sorted(BUNDLED_NAMES):
-        for command in ("score", "arbitrage", "verify"):
-            for fmt in ("csv", "json", "table"):
-                argv = [command, "--scenario", name, "--format", fmt]
-                runs[f"{name} {command} {fmt}"] = _run_cli(argv)
-                path = Path(out_dir) / f"{name}-{command}.{fmt}"
-                code, texts = _run_cli(argv + ["--out", str(path)])
-                if path.exists():
-                    texts["out"] = path.read_text(encoding="utf-8")
-                runs[f"{name} {command} {fmt} --out"] = (code, texts)
-        base = Path(out_dir) / name
-        code, texts = _run_cli(["simulate", "--scenario", name, "--out", str(base)])
+
+    def run(key, argv, path):
+        runs[key] = _run_cli(argv)
+        code, texts = _run_cli(argv + ["--out", str(path)])
+        if path.exists():
+            texts["out"] = path.read_text(encoding="utf-8")
+        runs[f"{key} --out"] = (code, texts)
+
+    def simulate(key, argv, base):
+        code, texts = _run_cli(argv + ["--out", str(base)])
         for suffix in (".csv", ".json"):
             written = base.with_suffix(suffix)
             if written.exists():
                 texts["out" + suffix] = written.read_text(encoding="utf-8")
-        runs[f"{name} simulate"] = (code, texts)
+        runs[key] = (code, texts)
+
+    scenarios = {name: name for name in BUNDLED_NAMES}
+    edges = _edge_scenarios()
+    # Apart from the --out files, which simulate names BASE.json.
+    scenario_dir = Path(out_dir) / "scenarios"
+    scenario_dir.mkdir()
+    for name, raw in edges.items():
+        scenarios[name] = _write_scenario(scenario_dir, raw, f"{name}.json")
+    for name, scenario in sorted(scenarios.items()):
+        for command in ("score", "arbitrage", "verify"):
+            for fmt in ("csv", "json", "table"):
+                argv = [command, "--scenario", scenario, "--format", fmt]
+                run(f"{name} {command} {fmt}", argv, Path(out_dir) / f"{name}-{command}.{fmt}")
+                if name in edges and command == "score":
+                    run(f"{name} score --outcome 2 {fmt}", argv + ["--outcome", "2"],
+                        Path(out_dir) / f"{name}-score-outcome.{fmt}")
+        simulate(f"{name} simulate", ["simulate", "--scenario", scenario], Path(out_dir) / name)
+        if name in edges:
+            simulate(f"{name} simulate --seed 5",
+                     ["simulate", "--scenario", scenario, "--seed", "5"],
+                     Path(out_dir) / f"{name}-seed")
     return runs
 
 
