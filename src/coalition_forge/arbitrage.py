@@ -54,9 +54,9 @@ from .simplex import (
 # disagreement. The surplus grows with the square of the disagreement, so
 # members 1e-7 apart leave one near 1e-14, below rounding error: a
 # coalition whose smallest per-outcome surplus at the equalizing report is
-# not above this same bound agrees as well. It is also the dominance
-# oracle's default tol_pos, so no surplus that counts as agreement can
-# count as DOMINATES there.
+# not above this same bound agrees as well. The dominance oracle reads it
+# too, so no surplus that counts as agreement can count as DOMINATES
+# there.
 AGREEMENT_TOL = 1e-12
 
 # Bisection for a custom binary rule's equalizer stops once g_prime at
@@ -452,7 +452,6 @@ def verify_dominance_oracle(
     players: list[Player] | tuple[Player, ...],
     coalition: Coalition,
     q: Forecast,
-    tol_pos: float = AGREEMENT_TOL,
 ) -> DominanceVerdict:
     """Recompute per-outcome coalition margins from raw score rows only.
 
@@ -472,9 +471,9 @@ def verify_dominance_oracle(
         for w, row in zip(wagers, belief_rows):
             total += w * (q_row[j] - row[j])
         margins.append(total)
-    if all(g > tol_pos for g in margins):
+    if all(g > AGREEMENT_TOL for g in margins):
         return DominanceVerdict(Verdict.DOMINATES, tuple(margins), None)
-    if all(abs(g) <= tol_pos for g in margins):
+    if all(abs(g) <= AGREEMENT_TOL for g in margins):
         return DominanceVerdict(Verdict.TIES, tuple(margins), None)
     witness = int(np.argmin(margins))
     return DominanceVerdict(Verdict.FAILS, tuple(margins), witness)

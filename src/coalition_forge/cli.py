@@ -2,7 +2,10 @@
 
 Subcommands: score (payment tables), arbitrage (equalizing report and
 surplus), verify (properness, dominance, and accounting-identity checks),
-simulate (sweeps, intermediary runs, market sessions).
+simulate (sweeps, intermediary runs, market sessions). Each is a
+function from the parsed arguments, the scenario and its digest to one
+result; main loads the scenario, writes the result and returns its exit
+code.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
 3 the coalition agrees so there is nothing to arbitrage. All outcome and
@@ -44,7 +47,7 @@ from .mechanisms import (
     payment_table,
     uniform_prior,
 )
-from .rules import RuleKind, _properness_scan
+from .rules import _properness_scan
 from .scenario import Scenario, load_scenario
 from .simplex import _stack
 from .simulate import (
@@ -53,13 +56,6 @@ from .simulate import (
     market_session,
 )
 from . import scenarios as bundled
-
-_CLOSED_FORM_KINDS = (
-    RuleKind.QUADRATIC,
-    RuleKind.LOGARITHMIC,
-    RuleKind.GENERALIZED_LOG,
-    RuleKind.SPHERICAL,
-)
 
 
 @functools.cache
@@ -85,14 +81,20 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _write(
-    args: argparse.Namespace,
-    digest: str,
-    header: list[str],
-    rows: list[list],
-    payload: dict,
-    lines: list[str],
-) -> None:
+@dataclasses.dataclass(frozen=True)
+class _Result:
+    """What a command found, in every format's terms: header and rows for
+    CSV, the payload of the JSON envelope, the lines of the table, and the
+    exit code."""
+
+    header: list[str]
+    rows: list
+    payload: dict
+    lines: list[str]
+    code: int = 0
+
+
+def _write(args: argparse.Namespace, digest: str, result: _Result) -> None:
     """Write a command's result in the chosen --format: header and rows as
     CSV, payload inside the JSON envelope, or lines as a table.
 
@@ -109,16 +111,16 @@ def _write(
                 "tool_version": __version__,
                 "command": args.command,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
-                "payload": payload,
+                "payload": result.payload,
             }
             return json.dumps(envelope, indent=2)
         if fmt == "table":
-            return "\n".join(lines)
+            return "\n".join(result.lines)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(result.header)
         writer.writerows(
-            [repr(x) if isinstance(x, float) else x for x in row] for row in rows
+            [repr(x) if isinstance(x, float) else x for x in row] for row in result.rows
         )
         return buf.getvalue()
 
@@ -141,8 +143,7 @@ def _write(
     sys.stdout.write(chosen if chosen.endswith("\n") else chosen + "\n")
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    sc, digest = load_scenario(_resolve_scenario(args.scenario))
+def cmd_score(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result:
     if not sc.players:
         raise ValidationError("scenario has no players to score")
     table = payment_table(sc.mechanism, list(sc.players))
@@ -155,28 +156,24 @@ def cmd_score(args: argparse.Namespace) -> int:
         outcomes = [args.outcome - 1]
     names = [f"E{j + 1}" for j in outcomes]
     payments = [[row[j] for j in outcomes] for row in table.payments]
+    rows = [[i + 1] + row for i, row in enumerate(payments)]
     width = max(8, len(f"E{sc.m}"))
     lines = ["player  " + "  ".join(f"{name:>{width}}" for name in names)]
-    for i, row in enumerate(payments):
-        cells = "  ".join(f"{_fmt(x):>{width}}" for x in row)
-        lines.append(f"{i + 1:>6}  {cells}")
-    _write(
-        args, digest, ["player"] + names,
-        [[i + 1] + row for i, row in enumerate(payments)],
-        {"outcomes": [j + 1 for j in outcomes], "payments": payments},
-        lines,
-    )
-    return 0
+    lines += [
+        f"{i:>6}  " + "  ".join(f"{_fmt(x):>{width}}" for x in row) for i, *row in rows
+    ]
+    payload = {"outcomes": [j + 1 for j in outcomes], "payments": payments}
+    return _Result(["player"] + names, rows, payload, lines)
 
 
-def cmd_arbitrage(args: argparse.Namespace) -> int:
-    sc, digest = load_scenario(_resolve_scenario(args.scenario))
+def cmd_arbitrage(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result | int:
     if sc.coalition is None:
         raise InvalidCoalition("scenario has no coalition")
     if not sc.players:  # a market session's scenario may list none
         raise ValidationError("scenario has no players to arbitrage: its coalition "
                               "names places in the market session's ordering")
-    result = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
+    players = list(sc.players)
+    result = arbitrage_report(sc.rule, players, sc.coalition)
     if result.agreement:
         # Agreement by belief distance, as verify decides it, or else by
         # surplus scale.
@@ -190,25 +187,24 @@ def cmd_arbitrage(args: argparse.Namespace) -> int:
                 f"{_fmt(AGREEMENT_TOL)}\n"
             )
         return 3
-    closed = None
-    if sc.rule.kind in _CLOSED_FORM_KINDS:
-        closed = closed_form_surplus(sc.rule, list(sc.players), sc.coalition)
-    verdict = verify_dominance_oracle(
-        sc.rule, list(sc.players), sc.coalition, result.q
-    )
+    # arbitrage_report has refused the linear rule, the one rule a
+    # scenario can name that has no closed form.
+    closed = closed_form_surplus(sc.rule, players, sc.coalition)
+    verdict = verify_dominance_oracle(sc.rule, players, sc.coalition, result.q)
     q = list(result.q.probs)
     surplus = list(result.surplus_by_outcome)
     margins = list(verdict.margins)
     witness = None if verdict.witness is None else verdict.witness + 1
     lines = ["equalizing report q: (" + ", ".join(_fmt(x) for x in q) + ")"]
-    for j, (s, margin) in enumerate(zip(surplus, margins)):
-        lines.append(
-            f"  E{j + 1}: surplus {_fmt(s)}  oracle margin {_fmt(margin)}"
-        )
-    if closed is not None:
-        lines.append(f"closed-form surplus: {_fmt(closed)}")
-    lines.append(f"equalized across outcomes: {result.equalized}")
-    lines.append(f"oracle verdict: {verdict.verdict.value}")
+    lines += [
+        f"  E{j + 1}: surplus {_fmt(s)}  oracle margin {_fmt(margin)}"
+        for j, (s, margin) in enumerate(zip(surplus, margins))
+    ]
+    lines += [
+        f"closed-form surplus: {_fmt(closed)}",
+        f"equalized across outcomes: {result.equalized}",
+        f"oracle verdict: {verdict.verdict.value}",
+    ]
     if witness is not None:
         lines.append(f"worst outcome: E{witness}")
     payload = {
@@ -221,12 +217,11 @@ def cmd_arbitrage(args: argparse.Namespace) -> int:
         "oracle_margins": margins,
         "witness_outcome": witness,
     }
-    _write(
-        args, digest, ["outcome", "q", "surplus", "oracle_margin"],
+    return _Result(
+        ["outcome", "q", "surplus", "oracle_margin"],
         [[j + 1, *cells] for j, cells in enumerate(zip(q, surplus, margins))],
-        payload, lines,
+        payload, lines, 1 if verdict.verdict is Verdict.FAILS else 0,
     )
-    return 1 if verdict.verdict is Verdict.FAILS else 0
 
 
 def _beliefs_agree(sc: Scenario) -> bool:
@@ -234,85 +229,61 @@ def _beliefs_agree(sc: Scenario) -> bool:
     return members_agree(_stack([sc.players[i].belief for i in sc.coalition.members]))
 
 
-def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
-    checks: list[dict] = []
+def _coordinated(sc: Scenario) -> tuple[list | None, str | None]:
+    """The reports the coalition's members coordinate on, or None, and the
+    reason agreement gives for none.
 
-    beliefs = [p.belief for p in sc.players]
-    if not beliefs:
-        beliefs = [uniform_prior(sc.m)]
+    Members without reports coordinate on the equalizing report, unless
+    they agree; then the reason names the test that found it. A market
+    session's scenario may list no players, its coalition naming places
+    in the ordering; then no one coordinates.
+    """
+    if not (sc.players and sc.coalition is not None and len(sc.coalition.members) >= 2):
+        return None, None
+    reports = [sc.players[i].report for i in sc.coalition.members]
+    if all(r is not None for r in reports):
+        return reports, None
+    try:
+        arb = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
+    except CoalitionForgeError:
+        return None, None
+    if not arb.agreement:
+        return [arb.q] * len(reports), None
+    if _beliefs_agree(sc):
+        return None, ("the coalition agrees by belief distance: members within "
+                      f"{AGREEMENT_TOL!r} of each other")
+    return None, ("the coalition agrees by surplus scale: smallest equalizing "
+                  f"surplus at most {AGREEMENT_TOL!r}")
+
+
+def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
+    """verify's three checks, each as (check, status, detail)."""
+    players = list(sc.players)
+    beliefs = [p.belief for p in players] or [uniform_prior(sc.m)]
     reports = _properness_scan(sc.rule, beliefs, resolution)
     worst_margin = max(report.max_margin for report in reports)
-    checks.append(
-        {
-            "check": "properness",
-            "status": "pass" if all(report.passed for report in reports) else "fail",
-            "detail": f"max margin {worst_margin!r} over {len(beliefs)} belief(s) "
-            f"at resolution {resolution}",
-        }
+    properness = (
+        "pass" if all(report.passed for report in reports) else "fail",
+        f"max margin {worst_margin!r} over {len(beliefs)} belief(s) at resolution {resolution}",
     )
 
-    # Members without reports coordinate on the equalizing report, unless
-    # they agree; then agreement names the test that found it. A market
-    # session's scenario may list no players, its coalition naming places
-    # in the ordering; then no one coordinates.
-    coordinated = agreement = None
-    if sc.players and sc.coalition is not None and len(sc.coalition.members) >= 2:
-        member_reports = [sc.players[i].report for i in sc.coalition.members]
-        if all(r is not None for r in member_reports):
-            coordinated = list(member_reports)
-        else:
-            try:
-                arb = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
-                if not arb.agreement:
-                    coordinated = [arb.q] * len(sc.coalition.members)
-                elif _beliefs_agree(sc):
-                    agreement = (
-                        "the coalition agrees by belief distance: members within "
-                        f"{AGREEMENT_TOL!r} of each other"
-                    )
-                else:
-                    agreement = (
-                        "the coalition agrees by surplus scale: smallest equalizing "
-                        f"surplus at most {AGREEMENT_TOL!r}"
-                    )
-            except CoalitionForgeError:
-                pass
-
-    identical = (
-        coordinated is not None
-        and all(
-            max(
-                abs(a - b)
-                for a, b in zip(coordinated[0].probs, r.probs)
-            ) <= 1e-12
-            for r in coordinated
-        )
-    )
-    if coordinated is not None and identical:
-        verdict = verify_dominance_oracle(
-            sc.rule, list(sc.players), sc.coalition, coordinated[0]
-        )
-        status = "pass" if verdict.verdict is Verdict.DOMINATES else "fail"
-        detail = f"verdict {verdict.verdict.value}"
-        if verdict.witness is not None:
-            detail += f", witness E{verdict.witness + 1}"
-        checks.append({"check": "dominance", "status": status, "detail": detail})
-    else:
-        checks.append(
-            {
-                "check": "dominance",
-                "status": "skipped",
-                "detail": agreement or "no identical coordinated report available",
-            }
+    coordinated, agreement = _coordinated(sc)
+    dominance = ("skipped", agreement or "no identical coordinated report available")
+    if coordinated is not None and all(
+        max(abs(a - b) for a, b in zip(coordinated[0].probs, r.probs)) <= AGREEMENT_TOL
+        for r in coordinated
+    ):
+        verdict = verify_dominance_oracle(sc.rule, players, sc.coalition, coordinated[0])
+        witness = "" if verdict.witness is None else f", witness E{verdict.witness + 1}"
+        dominance = (
+            "pass" if verdict.verdict is Verdict.DOMINATES else "fail",
+            f"verdict {verdict.verdict.value}{witness}",
         )
 
-    proper_subset = (
-        sc.coalition is not None
-        and len(sc.coalition.members) >= 2
-        and len(sc.players) > len(sc.coalition.members)
-    )
+    proper_subset = sc.coalition is not None and 2 <= len(sc.coalition.members) < len(players)
+    scaling = ("skipped", agreement if proper_subset and agreement
+               else "needs a coalition that is a proper subset of the players")
     if proper_subset and coordinated is not None:
-        players = list(sc.players)
         w_c = sc.coalition.wager_total(players)
         w_n = math.fsum(p.wager for p in players)
         gain = _coalition_gain(sc.rule, players, sc.coalition, coordinated)
@@ -323,47 +294,35 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[dict]:
         max_err = 0.0
         for direct, traditional in zip(competitive.tolist(), gain.tolist()):
             scaled = (1.0 - w_c / w_n) * traditional
-            max_err = max(
-                max_err, abs(direct - scaled) / max(1.0, abs(scaled))
-            )
-        status = "pass" if max_err <= 1e-9 else "fail"
-        checks.append(
-            {
-                "check": "surplus_scaling_identity",
-                "status": status,
-                "detail": f"max relative error {max_err!r}",
-            }
-        )
-    else:
-        checks.append(
-            {
-                "check": "surplus_scaling_identity",
-                "status": "skipped",
-                "detail": (agreement if proper_subset and agreement
-                           else "needs a coalition that is a proper subset of the players"),
-            }
-        )
-    return checks
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    sc, digest = load_scenario(_resolve_scenario(args.scenario))
-    checks = _verify_checks(sc, args.resolution)
-    failed = any(c["status"] == "fail" for c in checks)
-    lines = [
-        f"{c['check']}: {c['status'].upper()}  ({c['detail']})" for c in checks
+            max_err = max(max_err, abs(direct - scaled) / max(1.0, abs(scaled)))
+        scaling = ("pass" if max_err <= 1e-9 else "fail", f"max relative error {max_err!r}")
+    return [
+        ("properness", *properness),
+        ("dominance", *dominance),
+        ("surplus_scaling_identity", *scaling),
     ]
+
+
+def cmd_verify(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result:
+    checks = _verify_checks(sc, args.resolution)
+    failed = any(status == "fail" for _, status, _ in checks)
+    header = ["check", "status", "detail"]
+    lines = [f"{check}: {status.upper()}  ({detail})" for check, status, detail in checks]
     lines.append("result: FAIL" if failed else "result: PASS")
-    _write(
-        args, digest, ["check", "status", "detail"],
-        [[c["check"], c["status"], c["detail"]] for c in checks],
-        {"checks": checks, "passed": not failed}, lines,
+    payload = {"checks": [dict(zip(header, c)) for c in checks], "passed": not failed}
+    return _Result(header, checks, payload, lines, 1 if failed else 0)
+
+
+def _by_outcome(label: str, values, payload: dict, notes: list[str]) -> _Result:
+    """A result with one value per outcome: `outcome,label` rows, and
+    `Ej: label value` lines followed by the notes."""
+    return _Result(
+        ["outcome", label], [[j + 1, v] for j, v in enumerate(values)], payload,
+        [f"E{j + 1}: {label} {_fmt(v)}" for j, v in enumerate(values)] + notes,
     )
-    return 1 if failed else 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    sc, digest = load_scenario(_resolve_scenario(args.scenario))
+def cmd_simulate(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result:
     if sc.simulation is None:
         raise ValidationError("scenario has no simulation block")
     sim = sc.simulation
@@ -373,62 +332,54 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result = expected_surplus_sweep(
             sc.mechanism, sim.sampler, sim.n, sim.fractions, sim.trials, seed
         )
-        header = ["fraction", "mean", "se", "trials"]
-        rows = [[r.fraction, r.mean, r.se, r.trials] for r in result.rows]
-        # The JSON mirrors SweepResult and its rows field for field.
-        payload = {**dataclasses.asdict(result), "mechanism": result.mechanism.value}
         lines = ["fraction      mean        se  trials  per-member"]
-        for r in result.rows:
-            lines.append(
-                f"{r.fraction:>8.3f}  {r.mean:>8.5f}  {r.se:>8.5f}"
-                f"  {r.trials:>6}  {r.mean_per_member:>10.6f}"
-            )
+        lines += [
+            f"{r.fraction:>8.3f}  {r.mean:>8.5f}  {r.se:>8.5f}"
+            f"  {r.trials:>6}  {r.mean_per_member:>10.6f}"
+            for r in result.rows
+        ]
         summary = f"argmax fraction: {result.argmax_fraction}"
         if result.vertex is not None:
             summary += f"; fitted vertex: {result.vertex:.4f}"
-        lines.append(summary)
-    elif sim.mode == "intermediary":
-        if sc.coalition is None:
-            raise InvalidCoalition("intermediary runs need a coalition")
+        # The JSON mirrors SweepResult and its rows field for field.
+        return _Result(
+            ["fraction", "mean", "se", "trials"],
+            [[r.fraction, r.mean, r.se, r.trials] for r in result.rows],
+            {**dataclasses.asdict(result), "mechanism": result.mechanism.value},
+            lines + [summary],
+        )
+    if sc.coalition is None:
+        runs = "intermediary runs" if sim.mode == "intermediary" else "market sessions"
+        raise InvalidCoalition(f"{runs} need a coalition")
+    if sim.mode == "intermediary":
         run = intermediary_run(
             sc.mechanism, list(sc.players), sc.coalition, scenario_id=digest[:12]
         )
-        header = ["outcome", "profit"]
-        rows = [[j + 1, p] for j, p in enumerate(run.profit_by_outcome)]
-        payload = dataclasses.asdict(run)
-        lines = [f"E{j + 1}: profit {_fmt(p)}" for j, p in enumerate(run.profit_by_outcome)]
-        lines.append(f"minimum profit: {_fmt(run.min_profit)}")
-        if run.no_arbitrage:
-            lines.append("clients agree: no arbitrage available")
-    else:  # market_session
-        if sc.coalition is None:
-            raise InvalidCoalition("market sessions need a coalition")
-        # The session's players are the ordering's; the coalition is
-        # checked against them here, where both are known.
-        top = max(sc.coalition.members) + 1
-        if top > len(sim.ordering):
-            raise ScenarioError(
-                "simulation.ordering",
-                f"orders {len(sim.ordering)} players; the coalition names player {top}",
-            )
-        result = market_session(
-            sc.mechanism, sim.ordering, sc.coalition, sim.sampler, seed
+        return _by_outcome(
+            "profit", run.profit_by_outcome, dataclasses.asdict(run),
+            [f"minimum profit: {_fmt(run.min_profit)}"]
+            + ["clients agree: no arbitrage available"] * run.no_arbitrage,
         )
-        header = ["outcome", "surplus"]
-        rows = [[j + 1, s] for j, s in enumerate(result.surplus_by_outcome)]
-        payload = {
-            "surplus_by_outcome": list(result.surplus_by_outcome),
-            "ordering_ok": result.ordering_ok,
-            "agreement": result.agreement,
-            "q": list(result.arbitrage.q.probs),
-        }
-        lines = [f"E{j + 1}: surplus {_fmt(s)}" for j, s in enumerate(result.surplus_by_outcome)]
-        lines.append(f"ordering satisfies alternation: {result.ordering_ok}")
-        if result.agreement:
-            lines.append("members agree: surplus is zero")
-
-    _write(args, digest, header, rows, payload, lines)
-    return 0
+    # A market session's players are the ordering's; the coalition is
+    # checked against them here, where both are known.
+    top = max(sc.coalition.members) + 1
+    if top > len(sim.ordering):
+        raise ScenarioError(
+            "simulation.ordering",
+            f"orders {len(sim.ordering)} players; the coalition names player {top}",
+        )
+    result = market_session(sc.mechanism, sim.ordering, sc.coalition, sim.sampler, seed)
+    payload = {
+        "surplus_by_outcome": list(result.surplus_by_outcome),
+        "ordering_ok": result.ordering_ok,
+        "agreement": result.agreement,
+        "q": list(result.arbitrage.q.probs),
+    }
+    return _by_outcome(
+        "surplus", result.surplus_by_outcome, payload,
+        [f"ordering satisfies alternation: {result.ordering_ok}"]
+        + ["members agree: surplus is zero"] * result.agreement,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,9 +433,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: load its scenario, write its result and return
+    its exit code; invalid input prints an error and returns 2."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        sc, digest = load_scenario(_resolve_scenario(args.scenario))
+        result = args.func(args, sc, digest)
+        if isinstance(result, int):  # arbitrage's agreement: nothing to write
+            return result
+        _write(args, digest, result)
+        return result.code
     except CoalitionForgeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -22,7 +22,8 @@ from .mechanisms import MechanismKind, MechanismSpec, lambert
 from .rules import RuleKind, ScoringRule
 from .simplex import MAX_GRID_POINTS, Forecast
 from .simulate import (
-    BeliefSampler, BetaBinary, DirichletM, FiniteMixture, _resolve_seed,
+    BeliefSampler, BetaBinary, DirichletM, FiniteMixture, _check_draw_size,
+    _coalition_size, _resolve_seed,
 )
 
 SCHEMA_VERSION = 1
@@ -321,6 +322,11 @@ def _parse_simulation(data: Any, m: int) -> SimulationSpec | None:
                     f"{path}.fractions[{j + 1}]", f"fraction {f!r} outside (0, 1]"
                 )
     trials = _as_int(data["trials"], f"{path}.trials", 1) if "trials" in data else None
+    if mode == "sweep":
+        _build(f"{path}.trials", _check_draw_size, "trials * len(fractions) * n * m",
+               trials, len(fractions), n, m)
+        for j, f in enumerate(fractions):
+            _build(f"{path}.fractions[{j + 1}]", _coalition_size, f, n)
     seed = None
     if "seed" in data:
         seed = _build(f"{path}.seed", _resolve_seed, _as_int(data["seed"], f"{path}.seed"))
@@ -331,6 +337,7 @@ def _parse_simulation(data: Any, m: int) -> SimulationSpec | None:
             raise ScenarioError(
                 f"{path}.ordering", f"expected a permutation of 1..{len(ordering)}"
             )
+        _build(f"{path}.ordering", _check_draw_size, "len(ordering) * m", len(ordering), m)
     return SimulationSpec(mode, sampler, n, fractions, trials, seed, ordering)
 
 

@@ -39,6 +39,38 @@ from .rules import score_table
 from .simplex import Forecast, validate_forecast
 
 
+# The most belief entries one run draws: trials * len(fractions) * n * m
+# for a sweep, len(ordering) * m for a market session. n and m both come
+# from a scenario file, so memory grows with their product while the file
+# grows only with their sum. The bundled sweeps draw 3.6 M (9 * 2,000 *
+# 100 * 2); at about 90 µs per trial of 100 binary beliefs, the bound is
+# 500,000 such trials, about 45 s.
+_MAX_BELIEF_ENTRIES = 10**8
+
+
+def _check_draw_size(what: str, *factors: int) -> None:
+    """Refuse a run whose belief entries, the product of factors, exceed
+    the bound; what names the factors."""
+    entries = math.prod(factors)
+    if entries > _MAX_BELIEF_ENTRIES:
+        raise ValidationError(
+            f"{what} = {entries:,} belief entries; at most "
+            f"{_MAX_BELIEF_ENTRIES:,} are supported"
+        )
+
+
+def _coalition_size(f: float, n: int) -> int:
+    """The coalition a wager fraction f of n equal-wager players gives."""
+    if not (0.0 < f <= 1.0):
+        raise FractionOutOfRange(f"fraction {f!r} outside (0, 1]")
+    c = int(round(f * n))
+    if c < 2:
+        raise FractionOutOfRange(
+            f"fraction {f!r} of {n} players yields a coalition of {c}"
+        )
+    return c
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one unit of work.
 
@@ -209,18 +241,10 @@ def expected_surplus_sweep(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if not fractions:
         raise ValidationError("no fractions supplied")
-    sizes = []
-    for f in fractions:
-        if not (0.0 < f <= 1.0):
-            raise FractionOutOfRange(f"fraction {f!r} outside (0, 1]")
-        c = int(round(f * n))
-        if c < 2:
-            raise FractionOutOfRange(
-                f"fraction {f!r} of {n} players yields a coalition of {c}"
-            )
-        sizes.append(c)
-    rule = mechanism.rule
     m = sampler.m
+    _check_draw_size("trials * len(fractions) * n * m", trials, len(fractions), n, m)
+    sizes = [_coalition_size(f, n) for f in fractions]
+    rule = mechanism.rule
     base_seed = _resolve_seed(seed)
     competitive = mechanism.kind is MechanismKind.COMPETITIVE
     surplus = np.empty((len(fractions), trials))
@@ -341,6 +365,7 @@ def market_session(
     if mechanism.kind is not MechanismKind.MARKET:
         raise UnsupportedMechanism("market sessions need a market mechanism")
     n = len(ordering)
+    _check_draw_size("len(ordering) * m", n, sampler.m)
     if sorted(ordering) != list(range(n)):
         raise ValidationError(
             "ordering must be a permutation of all player indices"

@@ -3,7 +3,6 @@ oracle, and the brute-force grid search."""
 
 from __future__ import annotations
 
-import inspect
 import math
 import zlib
 
@@ -209,9 +208,6 @@ def test_agreement_decided_on_the_surplus_scale():
     assert 3.5e-8 < result.q.probs[0] < 9.4e-8
     verdict = verify_dominance_oracle(spherical_rule(), players, PAIR, result.q)
     assert verdict.verdict is Verdict.TIES
-    # One bound serves both tests, so they cannot drift apart.
-    tol_pos = inspect.signature(verify_dominance_oracle).parameters["tol_pos"]
-    assert tol_pos.default == AGREEMENT_TOL
 
 
 def test_binary_equalizer_logit_matches_geometric_mean():

@@ -30,7 +30,7 @@ from coalition_forge import (
     parse_scenario,
     scenario_digest,
 )
-from coalition_forge import cli
+from coalition_forge import cli, simulate
 from coalition_forge.mechanisms import lambert
 from coalition_forge import scenarios as bundled
 from coalition_forge.cli import build_parser, main
@@ -1141,6 +1141,55 @@ def test_cli_market_session_ordering_shorter_than_the_coalition(tmp_path, capsys
         "error: simulation.ordering: orders 3 players; the coalition names player 4\n"
     )
 
+
+
+@pytest.mark.parametrize("field, value, entries", [
+    ("trials", 10**15, "1,800,000,000,000,000,000"),
+    ("n", 10**12, "36,000,000,000,000,000"),
+])
+def test_cli_simulate_refuses_oversized_sweeps(tmp_path, capsys, field, value, entries):
+    # Either size once ended in a numpy memory error (63.9 PiB, 7.28 TiB)
+    # and exit 1; the parser now refuses it, before anything is drawn.
+    raw = json.loads(bundled.path("sweep_competitive").read_text(encoding="utf-8"))
+    raw["simulation"][field] = value
+    path = _write_scenario(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--scenario", path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 20 * 2**20
+    assert capsys.readouterr().err == (
+        f"error: simulation.trials: trials * len(fractions) * n * m = {entries} "
+        "belief entries; at most 100,000,000 are supported\n"
+    )
+
+
+def test_cli_simulate_refuses_an_oversized_session(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "_MAX_BELIEF_ENTRIES", 7)
+    path = _write_scenario(
+        tmp_path, json.loads(bundled.path("market_session").read_text(encoding="utf-8"))
+    )
+    assert main(["simulate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: simulation.ordering: len(ordering) * m = 8 belief entries; "
+        "at most 7 are supported\n"
+    )
+
+
+def test_cli_simulate_names_a_fraction_too_small_for_a_coalition(tmp_path, capsys):
+    raw = _sweep_raw()
+    raw["simulation"].update(n=10, fractions=[0.5, 0.1])
+    path = _write_scenario(tmp_path, raw)
+    assert main(["simulate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: simulation.fractions[2]: fraction 0.1 of 10 players yields a coalition of 1\n"
+    )
+    # Another mode draws no coalitions from its fractions.
+    raw["simulation"]["mode"] = "intermediary"
+    assert parse_scenario(raw).simulation.fractions == (0.5, 0.1)
 
 if __name__ == "__main__":
     # Re-record tests/data/cli_digests.json from the current program:

@@ -266,10 +266,9 @@ def simulation_blocks(draw, m):
     if mode != "intermediary" or draw(st.booleans()):
         sim["sampler"] = sampler
     if mode == "sweep" or draw(st.booleans()):
-        sim["n"] = draw(st.integers(2, 50))
-        sim["fractions"] = draw(
-            st.lists(st.floats(1e-6, 1.0, exclude_min=True), min_size=1, max_size=4)
-        )
+        n = sim["n"] = draw(st.integers(2, 50))
+        # Each fraction of n players gives a coalition of at least two.
+        sim["fractions"] = draw(st.lists(st.floats(2 / n, 1.0), min_size=1, max_size=4))
         sim["trials"] = draw(st.integers(1, 100))
     if draw(st.booleans()):
         sim["seed"] = draw(st.integers(0, 2**63 - 1))

@@ -175,6 +175,19 @@ def test_sweep_validation():
         expected_surplus_sweep(_competitive_spec(), sampler, 10, (), 5, seed=0)
 
 
+def test_runs_over_the_belief_bound_are_refused_before_drawing(monkeypatch):
+    # 2 fractions x 3 trials x 10 players x 2 states is 120 entries; a
+    # session of 4 binary players draws 8.
+    sampler = BetaBinary(2.0, 2.0)
+    market = MechanismSpec(MechanismKind.MARKET, quadratic_rule())
+    monkeypatch.setattr(simulate, "_MAX_BELIEF_ENTRIES", 119)
+    monkeypatch.setattr(BetaBinary, "draw", None)  # any draw fails
+    with pytest.raises(ValidationError, match=r"= 120 belief entries; at most 119"):
+        expected_surplus_sweep(_competitive_spec(), sampler, 10, (0.2, 0.5), 3, seed=0)
+    monkeypatch.setattr(simulate, "_MAX_BELIEF_ENTRIES", 7)
+    with pytest.raises(ValidationError, match=r"len\(ordering\) \* m = 8 belief entries"):
+        market_session(market, (0, 1, 2, 3), Coalition((1, 3)), sampler, seed=0)
+
 def test_sweep_deterministic_across_runs():
     sampler = BetaBinary(2.0, 2.0)
     kwargs = dict(sampler=sampler, n=20, fractions=(0.2, 0.5), trials=40, seed=11)
