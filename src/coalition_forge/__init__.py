@@ -22,6 +22,7 @@ from .arbitrage import (
     binary_equalizer,
     closed_form_surplus,
     grid_search_equalizer,
+    ordering_satisfies_alternation,
     spherical_aux,
     surplus_by_outcome,
     verify_dominance_oracle,
@@ -65,10 +66,8 @@ from .mechanisms import (
     intermediary_profit_by_outcome,
     lambert,
     market_scoring_payments,
-    ordering_satisfies_alternation,
     payment_table,
     traditional_payments,
-    uniform_prior,
 )
 from .rules import (
     ConvexGenerator,
@@ -99,6 +98,7 @@ from .scenario import (
 from .simplex import (
     Forecast,
     grid_array,
+    uniform_prior,
     validate_forecast,
     weighted_mean,
 )

@@ -8,23 +8,33 @@ has its own aggregation: arithmetic mean for the quadratic rule, floored
 geometric mean for the logarithmic family, a normalized direction built
 from belief unit vectors for the spherical rule, and a derivative-matching
 root for any binary rule given by a convex generator.
+
+Each mechanism's payment formula and the one coalition-gain formula built
+on it live here too, since every surplus needs them: the gain of the
+traditional, competitive and market mechanisms alike is the members'
+coordinated payments minus their truthful ones under the unit rule, times
+the rule's scale.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    CoalitionIsEveryoneWarning,
     DegenerateBelief,
     DimensionMismatch,
     InvalidCoalition,
     NoConvergence,
     NonMonotoneGenerator,
     NonPositiveWager,
+    OrderingViolationWarning,
     OutOfDomain,
     UnsupportedRule,
     ValidationError,
@@ -38,6 +48,7 @@ from .rules import (
     _score_columns,
     _score_into,
     _unfloored_log,
+    _unit_rule,
     score_table,
 )
 from .simplex import (
@@ -46,6 +57,7 @@ from .simplex import (
     _clear_dust,
     _lattice_blocks,
     _stack,
+    uniform_prior,
     weighted_mean,
 )
 
@@ -66,6 +78,12 @@ _BISECTION_TOL = 1e-12
 # Surplus entries are "equalized" when their spread is within this
 # relative tolerance of the mean level.
 EQUALIZED_RTOL = 1e-9
+
+
+class MechanismKind(str, Enum):
+    TRADITIONAL = "traditional"
+    COMPETITIVE = "competitive"
+    MARKET = "market"
 
 
 @dataclass(frozen=True)
@@ -126,11 +144,14 @@ class Coalition:
 class ArbitrageResult:
     """The equalizing report q with its per-outcome surplus and flags.
 
-    agreement means the members shared one belief, so the surplus is zero,
-    or were so close that the smallest per-outcome surplus at the
-    equalizing report is not above AGREEMENT_TOL; q and surplus_by_outcome
-    are then the equalizer's, as computed. equalized means the surplus
-    spread across outcomes is negligible relative to its level.
+    surplus_by_outcome is on the rule's own scale: b times the gain under
+    the unit rule (offsets 0, scale 1), on which both flags are decided, so
+    they do not depend on the rule's offsets or scale. agreement means the
+    members shared one belief, so the surplus is zero, or were so close
+    that the smallest per-outcome unit gain at the equalizing report is not
+    above AGREEMENT_TOL; q and surplus_by_outcome are then the equalizer's,
+    as computed. equalized means the unit gains' spread across outcomes is
+    negligible relative to their level.
     """
 
     q: Forecast
@@ -165,7 +186,8 @@ class DominanceVerdict:
     """Result of the independent dominance oracle.
 
     margins holds the coordinated-minus-truthful coalition totals per
-    outcome; witness is the 0-based outcome attaining the worst margin
+    outcome, b times those of the unit rule, on which the verdict is
+    decided; witness is the 0-based outcome attaining the worst margin
     when the verdict is FAILS.
     """
 
@@ -331,20 +353,118 @@ def _column_fsum(table: np.ndarray) -> np.ndarray:
     return np.asarray([math.fsum(col) for col in table.T.tolist()])
 
 
-def _coalition_gain(
+def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Each mechanism's payment formula, applied to a score table whose
+    rows are the reports in reporting order, led under market scoring by
+    the opening report's row; w holds the reports' wagers. The payments
+    are on the scale of the rule that scored the table.
+
+    Market scoring pays each row's score minus the row before it and
+    ignores wagers; the traditional scheme pays wagered scores; the
+    competitive scheme pays wagered scores minus each player's wager share
+    of the column total, so its columns sum to zero.
+    """
+    if kind is MechanismKind.MARKET:
+        return np.diff(table, axis=0)
+    wagered = w[:, None] * table
+    if kind is MechanismKind.TRADITIONAL:
+        return wagered
+    return wagered - (w / math.fsum(w.tolist()))[:, None] * _column_fsum(wagered)
+
+
+def ordering_satisfies_alternation(
+    ordering: Sequence[int], coalition: Coalition
+) -> bool:
+    """True when no coalition member reports immediately after another
+    member; the opening prior counts as an outsider."""
+    members = set(coalition.members)
+    prev_is_member = False
+    for idx in ordering:
+        if idx in members and prev_is_member:
+            return False
+        prev_is_member = idx in members
+    return True
+
+
+def _coalition_surplus(
+    kind: MechanismKind,
     rule: ScoringRule,
-    players: list[Player] | tuple[Player, ...],
+    players: Sequence[Player],
     coalition: Coalition,
-    reports: list[Forecast],
+    coordinated: Forecast | Sequence[Forecast],
+    outcomes: Sequence[int],
+    ordering: Sequence[int] | None = None,
+    prior: Forecast | None = None,
+    stacklevel: int = 3,
 ) -> np.ndarray:
-    """Per-outcome coalition gain sum_i w_i (S(r_i, j) - S(p_i, j)) when
-    member i reports reports[i] instead of their belief p_i, under a plain
-    wagered-score contract. One score_table call covers both plays."""
+    """Coalition gain over truthful play at every requested outcome under
+    any mechanism, outsider reports held fixed (an outsider who never
+    submitted one reports their belief): the members' coordinated payments
+    minus their truthful ones, through _payments.
+
+    The payments are the unit rule's (offsets 0, scale 1), in which the
+    offsets cancel and no bits go to them, and the summed gain is
+    multiplied by the rule's scale b once, at the end.
+
+    One score table holds both plays: [prior;] the coordinated reports in
+    reporting order (player order for the pool), then the members' beliefs
+    in the same order; truthful play swaps the member rows for the belief
+    rows. The traditional scheme pays each member on their own report, so
+    there only the members are scored, in coalition order, and outsiders
+    are neither walked nor scored. Warnings are attributed stacklevel
+    frames up; a traditional gain never warns.
+    """
+    n = len(players)
+    coalition.validate(n)
+    market = kind is MechanismKind.MARKET
+    if kind is MechanismKind.TRADITIONAL:
+        ordering = coalition.members
+    elif ordering is None and not market:
+        ordering = range(n)
+    elif ordering is None or sorted(ordering) != list(range(n)):
+        raise ValidationError("ordering must be a permutation of all player indices")
     k = len(coalition.members)
-    beliefs = [players[i].belief for i in coalition.members]
-    w = np.asarray([players[i].wager for i in coalition.members], dtype=np.float64)
-    table = _score_columns(rule, [*reports, *beliefs], range(reports[0].m))
-    return _column_fsum(w[:, None] * (table[:k] - table[k:]))
+    if isinstance(coordinated, Forecast):
+        coordinated = [coordinated] * k
+    elif len(coordinated) != k:
+        raise DimensionMismatch(f"{len(coordinated)} coordinated reports for {k} members")
+    if market and not ordering_satisfies_alternation(ordering, coalition):
+        warnings.warn(
+            "a coalition member reports directly after another member; "
+            "the guaranteed-gain argument does not apply",
+            OrderingViolationWarning,
+            stacklevel=stacklevel,
+        )
+    if kind is MechanismKind.COMPETITIVE and k == n:
+        warnings.warn(
+            "coalition holds the entire pool; competitive surplus is "
+            "identically zero",
+            CoalitionIsEveryoneWarning,
+            stacklevel=stacklevel,
+        )
+    head = [prior or uniform_prior(players[0].belief.m)] if market else []
+    rows = len(head) + len(ordering)
+    if kind is MechanismKind.TRADITIONAL:
+        # Every player in the ordering is a member, paid on their own report.
+        played, is_member, truth = coordinated, slice(None), slice(rows, rows + k)
+        beliefs = [players[i].belief for i in ordering]
+    else:
+        # In reporting order: which players are members, what each
+        # reports, and the members' beliefs.
+        instructed = dict(zip(coalition.members, coordinated))
+        inside = [i in instructed for i in ordering]
+        played = [
+            instructed[i] if member else players[i].report or players[i].belief
+            for i, member in zip(ordering, inside)
+        ]
+        beliefs = [players[i].belief for i, member in zip(ordering, inside) if member]
+        is_member = np.array(inside)
+        truth = np.arange(rows)
+        truth[len(head):][is_member] = np.arange(rows, rows + k)
+    table = _score_columns(_unit_rule(rule), [*head, *played, *beliefs], outcomes)
+    w = np.asarray([players[i].wager for i in ordering], dtype=np.float64)
+    gain = _payments(kind, table[:rows], w) - _payments(kind, table[truth], w)
+    return rule.b * _column_fsum(gain[is_member])
 
 
 def surplus_by_outcome(
@@ -355,8 +475,7 @@ def surplus_by_outcome(
 ) -> tuple[float, ...]:
     """Coalition gain per outcome when every member reports q instead of
     their own belief, under a plain wagered-score contract."""
-    coalition.validate(len(players))
-    gain = _coalition_gain(rule, players, coalition, [q] * len(coalition.members))
+    gain = _coalition_surplus(MechanismKind.TRADITIONAL, rule, players, coalition, q, range(q.m))
     return tuple(gain.tolist())
 
 
@@ -367,10 +486,11 @@ def closed_form_surplus(
 ) -> float:
     """Outcome-independent surplus at the rule's own equalizing report.
 
-    Each supported family has a closed form: wager-weighted squared
-    distances to the mean (quadratic), a log of the normalizing constant
-    of the floored geometric mean (logarithmic family), and a function of
-    the aggregated unit vectors (spherical).
+    Each supported family has a closed form under the unit rule (offsets
+    0, scale 1): wager-weighted squared distances to the mean (quadratic),
+    a log of the normalizing constant of the floored geometric mean
+    (logarithmic family), and a function of the aggregated unit vectors
+    (spherical). It is multiplied by the rule's scale b once.
     """
     coalition.validate(len(players))
     P, w = _member_arrays(players, coalition)
@@ -382,14 +502,12 @@ def closed_form_surplus(
     if kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG):
         scale = 1.0 + P.shape[1] * rule.floor
         log_total = _geometric_equalizer(P, w, rule.floor)[1]
-        return float(rule.b * w_c * scale * (math.log(scale) - log_total))
+        return float(rule.b * (w_c * scale * (math.log(scale) - log_total)))
     if kind is RuleKind.SPHERICAL:
         Y = _spherical_y(P, w)
         y_bar, ssd = _spherical_spread(Y)
-        return float(rule.b * w_c * (math.sqrt((1.0 - ssd) / Y.shape[0]) - y_bar))
-    raise UnsupportedRule(
-        f"no closed-form surplus for rule kind {kind.value!r}"
-    )
+        return float(rule.b * (w_c * (math.sqrt((1.0 - ssd) / Y.shape[0]) - y_bar)))
+    raise UnsupportedRule(f"no closed-form surplus for rule kind {kind.value!r}")
 
 
 def spherical_aux(
@@ -419,7 +537,10 @@ def arbitrage_report(
     Dispatches per family; agreeing members get their shared belief back
     with zero surplus and the agreement flag set. Members that disagree
     but whose equalizer gains no more than AGREEMENT_TOL in some outcome
-    get the equalizer and its surplus, with the agreement flag set.
+    under the unit rule get the equalizer and its surplus, with the
+    agreement flag set. The flags are decided on the unit rule's gains and
+    the surplus is b times them, so neither q nor the flags depend on the
+    rule's offsets or scale.
     """
     coalition.validate(len(players))
     P, w = _member_arrays(players, coalition)
@@ -437,14 +558,14 @@ def arbitrage_report(
         )
         return ArbitrageResult(q, (0.0,) * P.shape[1], equalized=True, agreement=True)
     q = Forecast(tuple(q_arr.tolist()))
-    surpluses = surplus_by_outcome(rule, players, coalition, q)
-    mean_s = math.fsum(surpluses) / len(surpluses)
-    spread = max(surpluses) - min(surpluses)
-    equalized = spread <= EQUALIZED_RTOL * max(1.0, abs(mean_s))
-    # A surplus this small is rounding error: the members agree on the
+    gains = surplus_by_outcome(_unit_rule(rule), players, coalition, q)
+    mean_g = math.fsum(gains) / len(gains)
+    spread = max(gains) - min(gains)
+    equalized = spread <= EQUALIZED_RTOL * max(1.0, abs(mean_g))
+    # A gain this small is rounding error: the members agree on the
     # surplus's own scale, whatever their beliefs' distance.
-    agreement = min(surpluses) <= AGREEMENT_TOL
-    return ArbitrageResult(q, surpluses, equalized, agreement)
+    agreement = min(gains) <= AGREEMENT_TOL
+    return ArbitrageResult(q, tuple(rule.b * g for g in gains), equalized, agreement)
 
 
 def verify_dominance_oracle(
@@ -453,16 +574,19 @@ def verify_dominance_oracle(
     coalition: Coalition,
     q: Forecast,
 ) -> DominanceVerdict:
-    """Recompute per-outcome coalition margins from raw score rows only.
+    """Recompute per-outcome coalition margins from score rows only.
 
-    No closed forms and no table algebra: a plain loop over the rows of q
-    and of each member belief is the independent check that the
-    coordinated report beats truthful reporting in every state.
+    No closed forms and no table algebra: a plain loop over the unit
+    rule's rows (offsets 0, scale 1) of q and of each member belief is the
+    independent check that the coordinated report beats truthful reporting
+    in every state. The verdict is decided on those unit margins, and the
+    margins returned are b times them. Raw rows would not do: subtracting
+    the offsets from them cannot restore bits a large offset took.
     """
     coalition.validate(len(players))
     m = q.m
     chosen = [players[i] for i in coalition.members]
-    table = _score_columns(rule, [q, *(p.belief for p in chosen)], range(m))
+    table = _score_columns(_unit_rule(rule), [q, *(p.belief for p in chosen)], range(m))
     q_row, *belief_rows = table.tolist()
     wagers = [p.wager for p in chosen]
     margins = []
@@ -471,12 +595,12 @@ def verify_dominance_oracle(
         for w, row in zip(wagers, belief_rows):
             total += w * (q_row[j] - row[j])
         margins.append(total)
+    scaled = tuple(rule.b * g for g in margins)
     if all(g > AGREEMENT_TOL for g in margins):
-        return DominanceVerdict(Verdict.DOMINATES, tuple(margins), None)
+        return DominanceVerdict(Verdict.DOMINATES, scaled, None)
     if all(abs(g) <= AGREEMENT_TOL for g in margins):
-        return DominanceVerdict(Verdict.TIES, tuple(margins), None)
-    witness = int(np.argmin(margins))
-    return DominanceVerdict(Verdict.FAILS, tuple(margins), witness)
+        return DominanceVerdict(Verdict.TIES, scaled, None)
+    return DominanceVerdict(Verdict.FAILS, scaled, int(np.argmin(margins)))
 
 
 def grid_search_equalizer(

@@ -22,34 +22,33 @@ import io
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .arbitrage import (
     AGREEMENT_TOL,
+    MechanismKind,
     Verdict,
-    _coalition_gain,
+    _coalition_surplus,
     arbitrage_report,
     closed_form_surplus,
     members_agree,
+    surplus_by_outcome,
     verify_dominance_oracle,
 )
 from .errors import (
     CoalitionForgeError,
+    CoalitionForgeWarning,
     InvalidCoalition,
     ScenarioError,
     ValidationError,
 )
-from .mechanisms import (
-    MechanismKind,
-    _coalition_surplus,
-    payment_table,
-    uniform_prior,
-)
-from .rules import _properness_scan
+from .mechanisms import payment_table
+from .rules import _properness_scan, _unit_rule
 from .scenario import Scenario, load_scenario
-from .simplex import _stack
+from .simplex import _stack, uniform_prior
 from .simulate import (
     expected_surplus_sweep,
     intermediary_run,
@@ -176,15 +175,15 @@ def cmd_arbitrage(args: argparse.Namespace, sc: Scenario, digest: str) -> _Resul
     result = arbitrage_report(sc.rule, players, sc.coalition)
     if result.agreement:
         # Agreement by belief distance, as verify decides it, or else by
-        # surplus scale.
+        # surplus scale, which compared the unit rule's surplus.
         if _beliefs_agree(sc):
             sys.stderr.write("coalition members agree; no coordinated report beats truth\n")
         else:
+            unit = surplus_by_outcome(_unit_rule(sc.rule), players, sc.coalition, result.q)
             sys.stderr.write(
                 "coalition members agree on the surplus scale: the equalizing "
                 "report's smallest per-outcome surplus "
-                f"{_fmt(min(result.surplus_by_outcome))} is not above "
-                f"{_fmt(AGREEMENT_TOL)}\n"
+                f"{_fmt(min(unit))} is not above {_fmt(AGREEMENT_TOL)}\n"
             )
         return 3
     # arbitrage_report has refused the linear rule, the one rule a
@@ -286,13 +285,15 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
     if proper_subset and coordinated is not None:
         w_c = sc.coalition.wager_total(players)
         w_n = math.fsum(p.wager for p in players)
-        gain = _coalition_gain(sc.rule, players, sc.coalition, coordinated)
-        competitive = _coalition_surplus(
-            MechanismKind.COMPETITIVE, sc.rule, players, sc.coalition,
-            coordinated, range(len(gain)),
+        # Both gains on the unit rule, where the identity holds up to
+        # rounding whatever the rule's offsets and scale.
+        unit = _unit_rule(sc.rule)
+        traditional_gain, competitive_gain = (
+            _coalition_surplus(kind, unit, players, sc.coalition, coordinated, range(sc.m)).tolist()
+            for kind in (MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE)
         )
         max_err = 0.0
-        for direct, traditional in zip(competitive.tolist(), gain.tolist()):
+        for direct, traditional in zip(competitive_gain, traditional_gain):
             scaled = (1.0 - w_c / w_n) * traditional
             max_err = max(max_err, abs(direct - scaled) / max(1.0, abs(scaled)))
         scaling = ("pass" if max_err <= 1e-9 else "fail", f"max relative error {max_err!r}")
@@ -434,18 +435,35 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: load its scenario, write its result and return
-    its exit code; invalid input prints an error and returns 2."""
+    its exit code; invalid input prints an error and returns 2.
+
+    Each of the library's warnings (a CoalitionForgeWarning) prints on
+    stderr as one `warning: <message>` line, on every call, without the
+    file and source line of Python's format; other warnings are handled
+    as before.
+    """
     args = _parser().parse_args(argv)
-    try:
-        sc, digest = load_scenario(_resolve_scenario(args.scenario))
-        result = args.func(args, sc, digest)
-        if isinstance(result, int):  # arbitrage's agreement: nothing to write
-            return result
-        _write(args, digest, result)
-        return result.code
-    except CoalitionForgeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    with warnings.catch_warnings():
+        shown = warnings.showwarning
+
+        def show(message, category, *where):
+            if issubclass(category, CoalitionForgeWarning):
+                sys.stderr.write(f"warning: {message}\n")
+            else:
+                shown(message, category, *where)
+
+        warnings.showwarning = show
+        warnings.simplefilter("always", CoalitionForgeWarning)
+        try:
+            sc, digest = load_scenario(_resolve_scenario(args.scenario))
+            result = args.func(args, sc, digest)
+            if isinstance(result, int):  # arbitrage's agreement: nothing to write
+                return result
+            _write(args, digest, result)
+            return result.code
+        except CoalitionForgeError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
 
 
 if __name__ == "__main__":

@@ -127,10 +127,15 @@ class GeneratorMismatch(NumericalError):
     """A generator's derivative disagrees with finite differences of g."""
 
 
-class CoalitionIsEveryoneWarning(UserWarning):
+class CoalitionForgeWarning(UserWarning):
+    """Base class for the package's warnings: a computation proceeds on an
+    input that withdraws one of its guarantees."""
+
+
+class CoalitionIsEveryoneWarning(CoalitionForgeWarning):
     """The coalition holds the whole market; competitive surplus is identically zero."""
 
 
-class OrderingViolationWarning(UserWarning):
+class OrderingViolationWarning(CoalitionForgeWarning):
     """A coalition member directly precedes another; the sequential dominance
     guarantee is withdrawn, though the computation proceeds."""

@@ -12,32 +12,29 @@ report that preceded theirs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .arbitrage import Coalition, Player, _coalition_gain, _column_fsum
+# MechanismKind, _payments and the one coalition-gain formula live in
+# arbitrage, whose surpluses need them; MechanismKind is re-exported here.
+from .arbitrage import (
+    Coalition,
+    MechanismKind,
+    Player,
+    _coalition_surplus,
+    _payments,
+)
 from .errors import (
-    CoalitionIsEveryoneWarning,
-    DimensionMismatch,
     MissingPrior,
     MissingReport,
-    OrderingViolationWarning,
     SinglePlayer,
     UnsupportedMechanism,
     ValidationError,
 )
 from .rules import ScoringRule, _score_columns, normalize_to_unit_interval
-from .simplex import Forecast
-
-
-class MechanismKind(str, Enum):
-    TRADITIONAL = "traditional"
-    COMPETITIVE = "competitive"
-    MARKET = "market"
+from .simplex import Forecast, uniform_prior
 
 
 @dataclass(frozen=True)
@@ -104,24 +101,6 @@ def _column(table: np.ndarray) -> tuple[float, ...]:
     return tuple(table[:, 0].tolist())
 
 
-def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Each mechanism's payment formula, applied to a score table whose
-    rows are the reports in reporting order, led under market scoring by
-    the opening report's row; w holds the reports' wagers.
-
-    Market scoring pays each row's score minus the row before it and
-    ignores wagers; the traditional scheme pays wagered scores; the
-    competitive scheme pays wagered scores minus each player's wager share
-    of the column total, so its columns sum to zero.
-    """
-    if kind is MechanismKind.MARKET:
-        return np.diff(table, axis=0)
-    wagered = w[:, None] * table
-    if kind is MechanismKind.TRADITIONAL:
-        return wagered
-    return wagered - (w / math.fsum(w.tolist()))[:, None] * _column_fsum(wagered)
-
-
 def _paid(
     kind: MechanismKind, rule: ScoringRule, players: Sequence[Player],
     outcomes: Sequence[int], prior: Forecast | None = None,
@@ -172,10 +151,6 @@ def market_scoring_payments(
     return _column(_payments(MechanismKind.MARKET, table, None))
 
 
-def uniform_prior(m: int) -> Forecast:
-    return Forecast(tuple(1.0 / m for _ in range(m)))
-
-
 def payment_table(spec: MechanismSpec, players: Sequence[Player]) -> PaymentTable:
     """Full n-by-m payment table under a mechanism, from one score table.
 
@@ -186,87 +161,6 @@ def payment_table(spec: MechanismSpec, players: Sequence[Player]) -> PaymentTabl
         raise ValidationError("no players")
     table = _paid(spec.kind, spec.rule, players, range(players[0].belief.m), spec.market_prior)
     return PaymentTable(tuple(tuple(row) for row in table.tolist()))
-
-
-def _broadcast_coordinated(
-    coordinated: Forecast | Sequence[Forecast], coalition: Coalition
-) -> list[Forecast]:
-    if isinstance(coordinated, Forecast):
-        return [coordinated] * len(coalition.members)
-    coordinated = list(coordinated)
-    if len(coordinated) != len(coalition.members):
-        raise DimensionMismatch(
-            f"{len(coordinated)} coordinated reports for "
-            f"{len(coalition.members)} members"
-        )
-    return coordinated
-
-
-def _coalition_surplus(
-    kind: MechanismKind,
-    rule: ScoringRule,
-    players: Sequence[Player],
-    coalition: Coalition,
-    coordinated: Forecast | Sequence[Forecast],
-    outcomes: Sequence[int],
-    ordering: Sequence[int] | None = None,
-    prior: Forecast | None = None,
-    stacklevel: int = 3,
-) -> np.ndarray:
-    """Coalition gain over truthful play at every requested outcome under
-    the competitive pool or sequential market scoring, outsider reports
-    held fixed (an outsider who never submitted one reports their belief).
-
-    One score table holds both plays: [prior;] the coordinated reports in
-    reporting order (player order for the pool), then the members' beliefs
-    in the same order; truthful play swaps the member rows for the belief
-    rows. The gain is the members' coordinated payments minus their
-    truthful ones. Warnings are attributed stacklevel frames up.
-    """
-    n = len(players)
-    coalition.validate(n)
-    market = kind is MechanismKind.MARKET
-    if ordering is None and not market:
-        ordering = range(n)
-    if ordering is None or sorted(ordering) != list(range(n)):
-        raise ValidationError("ordering must be a permutation of all player indices")
-    instructed = dict(zip(coalition.members, _broadcast_coordinated(coordinated, coalition)))
-    if market and not ordering_satisfies_alternation(ordering, coalition):
-        warnings.warn(
-            "a coalition member reports directly after another member; "
-            "the guaranteed-gain argument does not apply",
-            OrderingViolationWarning,
-            stacklevel=stacklevel,
-        )
-    if not market and len(instructed) == n:
-        warnings.warn(
-            "coalition holds the entire pool; competitive surplus is "
-            "identically zero",
-            CoalitionIsEveryoneWarning,
-            stacklevel=stacklevel,
-        )
-    # One walk in reporting order: what each player reports, and which of
-    # them are members.
-    played, members, mask = [], [], []
-    for i in ordering:
-        report = instructed.get(i)
-        mask.append(report is not None)
-        if report is None:
-            player = players[i]
-            report = player.report or player.belief
-        else:
-            members.append(i)
-        played.append(report)
-    is_member = np.array(mask)
-    head = [prior or uniform_prior(players[0].belief.m)] if market else []
-    beliefs = [players[i].belief for i in members]
-    table = _score_columns(rule, [*head, *played, *beliefs], outcomes)
-    k = len(head) + n
-    truth = np.arange(k)
-    truth[len(head):][is_member] = np.arange(k, k + len(members))
-    w = np.asarray([players[i].wager for i in ordering], dtype=np.float64)
-    gain = _payments(kind, table[:k], w) - _payments(kind, table[truth], w)
-    return _column_fsum(gain[is_member])
 
 
 def coalition_surplus_competitive(
@@ -287,20 +181,6 @@ def coalition_surplus_competitive(
         MechanismKind.COMPETITIVE, rule, players, coalition, coordinated, [outcome]
     )
     return float(gain[0])
-
-
-def ordering_satisfies_alternation(
-    ordering: Sequence[int], coalition: Coalition
-) -> bool:
-    """True when no coalition member reports immediately after another
-    member; the opening prior counts as an outsider."""
-    members = set(coalition.members)
-    prev_is_member = False
-    for idx in ordering:
-        if idx in members and prev_is_member:
-            return False
-        prev_is_member = idx in members
-    return True
 
 
 def coalition_surplus_market(
@@ -336,15 +216,10 @@ def intermediary_profit_by_outcome(
 ) -> tuple[float, ...]:
     """Per-outcome profit of an intermediary who submits q for every
     member and reimburses each member their truthful payment."""
-    traditional = spec.kind is MechanismKind.TRADITIONAL
-    if not traditional and spec.kind is not MechanismKind.COMPETITIVE:
+    if spec.kind is MechanismKind.MARKET:
         raise UnsupportedMechanism(
             "intermediary runs support traditional and competitive mechanisms; "
             "sequential markets go through a market session"
         )
-    coalition.validate(len(players))
-    if traditional:
-        members = [q] * len(coalition.members)
-        return tuple(_coalition_gain(spec.rule, players, coalition, members).tolist())
     gain = _coalition_surplus(spec.kind, spec.rule, players, coalition, q, range(q.m))
     return tuple(gain.tolist())

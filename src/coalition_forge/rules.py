@@ -190,6 +190,20 @@ def custom_binary_rule(
     return ScoringRule(RuleKind.CUSTOM_BINARY, _tuple_or_none(a), b, generator=generator)
 
 
+def _unit_rule(rule: ScoringRule) -> ScoringRule:
+    """The rule S behind rule = a + b * S: offsets 0 and scale 1, or rule
+    itself when it has them.
+
+    The offsets cancel from any difference of rule's scores at one outcome
+    and the difference scales by b, so coalition gains are scored on S and
+    multiplied by b once; scored on rule, a large offset would take the
+    gain's low bits first.
+    """
+    if rule.b == 1.0 and not any(rule.affine_offsets or ()):
+        return rule
+    return ScoringRule(rule.kind, None, 1.0, rule.floor, rule.generator)
+
+
 def _tuple_or_none(a: Sequence[float] | None) -> tuple[float, ...] | None:
     return None if a is None else tuple(float(x) for x in a)
 

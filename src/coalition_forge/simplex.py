@@ -121,6 +121,10 @@ def weighted_mean(
     return Forecast(tuple(float(x) for x in mean))
 
 
+def uniform_prior(m: int) -> Forecast:
+    return Forecast(tuple(1.0 / m for _ in range(m)))
+
+
 def _stack(forecasts: Sequence[Forecast]) -> np.ndarray | None:
     """The forecasts as the rows of an (n, m) float64 array, or None when
     their lengths differ, for the caller to raise its own error.
@@ -284,9 +288,13 @@ def _lattice_blocks(
         # The last two columns, one row per unit split: below a partial row
         # with r units left they run (0, r), (1, r - 1), ..., (r, 0), the
         # first partial row's from its row lo. Both are written straight
-        # into parts.
-        _positions(inside, np.min_scalar_type(capacity), out=parts[:, m - 2])
-        parts[:inside[0], m - 2] += lo
+        # into parts; under one partial row, as in every two-state block,
+        # the first is one run from lo.
+        if len(inside) == 1:
+            parts[:, m - 2] = np.arange(lo, lo + len(parts), dtype=dtype)
+        else:
+            _positions(inside, np.min_scalar_type(capacity), out=parts[:, m - 2])
+            parts[:inside[0], m - 2] += lo
         np.subtract(np.repeat(left.astype(dtype), inside), parts[:, m - 2], out=parts[:, m - 1])
         return parts
 

@@ -20,8 +20,10 @@ from .arbitrage import (
     ArbitrageResult,
     Coalition,
     Player,
+    _coalition_surplus,
     _equalizing_array,
     arbitrage_report,
+    ordering_satisfies_alternation,
 )
 from .errors import (
     FractionOutOfRange,
@@ -31,11 +33,9 @@ from .errors import (
 from .mechanisms import (
     MechanismKind,
     MechanismSpec,
-    _coalition_surplus,
     intermediary_profit_by_outcome,
-    ordering_satisfies_alternation,
 )
-from .rules import score_table
+from .rules import _unit_rule, score_table
 from .simplex import Forecast, validate_forecast
 
 
@@ -228,7 +228,10 @@ def expected_surplus_sweep(
     report while outsiders stay truthful, and records the realized
     coalition gain at an outcome drawn uniformly. The traditional total
     keeps growing with coalition size; the self-financed competitive
-    total peaks near half the pool.
+    total peaks near half the pool. Each gain is scored on the unit rule
+    (offsets 0, scale 1) and multiplied by the rule's scale b, as
+    arbitrage._coalition_surplus does; the pool's formula is written out
+    here for equal wagers, which keeps the sweep's pinned bits.
     """
     if mechanism.kind is MechanismKind.MARKET:
         raise UnsupportedMechanism(
@@ -245,6 +248,7 @@ def expected_surplus_sweep(
     _check_draw_size("trials * len(fractions) * n * m", trials, len(fractions), n, m)
     sizes = [_coalition_size(f, n) for f in fractions]
     rule = mechanism.rule
+    unit = _unit_rule(rule)
     base_seed = _resolve_seed(seed)
     competitive = mechanism.kind is MechanismKind.COMPETITIVE
     surplus = np.empty((len(fractions), trials))
@@ -258,11 +262,11 @@ def expected_surplus_sweep(
         q = _equalizing_array(rule, beliefs[members], np.ones(c))
         if q is None:
             return 0.0
-        s_q = float(score_table(rule, q[None, :])[0, outcome])
-        all_scores = score_table(rule, beliefs)[:, outcome]
+        s_q = float(score_table(unit, q[None, :])[0, outcome])
+        all_scores = score_table(unit, beliefs)[:, outcome]
         member_total = float(all_scores[members].sum())
         if not competitive:
-            return c * s_q - member_total
+            return rule.b * (c * s_q - member_total)
         # Self-financed pool: coalition payment is its wagered-score sum
         # minus its wager share of the whole pool's total, evaluated for
         # both scenarios with outsiders fixed at truth.
@@ -270,7 +274,7 @@ def expected_surplus_sweep(
         total_coord = total_truth - member_total + c * s_q
         coal_truth = member_total - (c / n) * total_truth
         coal_coord = c * s_q - (c / n) * total_coord
-        return coal_coord - coal_truth
+        return rule.b * (coal_coord - coal_truth)
 
     for fi in range(len(fractions)):
         for t in range(trials):

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -815,6 +816,36 @@ def test_cli_simulate_market_session_json(capsys):
     assert payload["ordering_ok"] is True
     assert payload["agreement"] is False
     assert len(payload["q"]) == 2
+
+
+def test_cli_prints_each_run_warning_as_one_line_on_every_call(tmp_path, capsys, monkeypatch):
+    # A coalition that holds the whole pool, and a session ordering in
+    # which one member reports right after another: each call prints its
+    # warning as one `warning:` line, without Python's file and source line.
+    everyone = _write_scenario(tmp_path, _minimal_raw(
+        mechanism="competitive", simulation={"mode": "intermediary", "seed": 7},
+    ), "everyone.json")
+    session = json.loads(bundled.path("market_session").read_text(encoding="utf-8"))
+    session["coalition"] = [2, 3]
+    back_to_back = _write_scenario(tmp_path, session, "back_to_back.json")
+    expected = {
+        everyone: "warning: coalition holds the entire pool; competitive surplus is "
+                  "identically zero\n",
+        back_to_back: "warning: a coalition member reports directly after another "
+                      "member; the guaranteed-gain argument does not apply\n",
+    }
+    for path, err in expected.items():
+        for _ in range(2):
+            assert main(["simulate", "--scenario", path]) == 0
+            assert capsys.readouterr().err == err
+    # Other warnings keep their handling: the test configuration turns a
+    # RuntimeWarning into an error, inside main as well.
+    def warn(*args):
+        warnings.warn("overflow", RuntimeWarning)
+
+    monkeypatch.setattr(cli, "load_scenario", warn)
+    with pytest.raises(RuntimeWarning):
+        main(["simulate", "--scenario", everyone])
 
 
 DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"

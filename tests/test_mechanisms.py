@@ -3,6 +3,7 @@ market payment schemes, plus coalition surpluses under each."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -42,6 +43,7 @@ from coalition_forge import (
     traditional_payments,
     uniform_prior,
 )
+from coalition_forge.arbitrage import _coalition_surplus
 
 from conftest import disagreeing_players, random_forecast
 
@@ -252,9 +254,11 @@ def test_payment_table_matches_per_outcome_functions():
     ids=["quadratic", "spherical", "logarithmic"],
 )
 def test_coalition_gains_are_payment_table_differences(rule):
-    # Each gain is the members' payments for coordinated play minus their
-    # payments for truthful play, bit for bit, from the same formula that
-    # payment_table applies.
+    # Each gain is b times the members' payments for coordinated play minus
+    # their payments for truthful play under the unit rule (offsets 0,
+    # scale 1), bit for bit, from the same formula that payment_table
+    # applies, under all three mechanisms.
+    unit = dataclasses.replace(rule, affine_offsets=None, b=1.0)
     rng = np.random.default_rng(1313)
     for _ in range(30):
         n, m = int(rng.integers(3, 7)), int(rng.integers(2, 5))
@@ -274,21 +278,27 @@ def test_coalition_gains_are_payment_table_differences(rule):
             Player(p.belief, p.wager, p.belief if i in instructed else p.report or p.belief)
             for i, p in enumerate(players)
         ]
-        for kind in (MechanismKind.COMPETITIVE, MechanismKind.MARKET):
-            spec = MechanismSpec(kind, rule)
+        for kind in MechanismKind:
+            spec = MechanismSpec(kind, unit)
             paid = payment_table(spec, coord).payments
             owed = payment_table(spec, truth).payments
-            for j in range(m):
-                want = math.fsum(paid[i][j] - owed[i][j] for i in members)
-                if kind is MechanismKind.COMPETITIVE:
-                    got = coalition_surplus_competitive(rule, players, coalition, coordinated, j)
-                else:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", OrderingViolationWarning)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OrderingViolationWarning)
+                gains = _coalition_surplus(
+                    kind, rule, players, coalition, coordinated, range(m), list(range(n))
+                )
+                for j in range(m):
+                    want = rule.b * math.fsum(paid[i][j] - owed[i][j] for i in members)
+                    assert gains[j] == want, (kind, j)
+                    if kind is MechanismKind.COMPETITIVE:
+                        got = coalition_surplus_competitive(rule, players, coalition, coordinated, j)
+                    elif kind is MechanismKind.MARKET:
                         got = coalition_surplus_market(
                             rule, players, list(range(n)), coalition, coordinated, j
                         )
-                assert got == want, (kind, j)
+                    else:
+                        continue
+                    assert got == want, (kind, j)
 
 
 def test_log_of_zero_raises_from_tables_and_surpluses():

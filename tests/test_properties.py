@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -26,13 +27,18 @@ from coalition_forge import (
     Forecast,
     MechanismKind,
     MechanismSpec,
+    OrderingViolationWarning,
     Player,
     arbitrage_report,
     closed_form_surplus,
     coalition_surplus_competitive,
+    coalition_surplus_market,
+    custom_binary_rule,
     generalized_log_rule,
     canonical_json,
+    intermediary_profit_by_outcome,
     logarithmic_rule,
+    logit_generator,
     market_scoring_payments,
     parse_scenario,
     payment_table,
@@ -184,6 +190,100 @@ def test_equalizer_dominates_equalizes_and_meets_its_closed_form(case):
     scale = math.fsum(p.wager * (peaks[0] + peak) for p, peak in zip(members, peaks[1:]))
     direct = math.fsum(result.surplus_by_outcome) / result.q.m
     assert abs(closed_form_surplus(rule, players, coalition) - direct) <= 8 * 2**-52 * scale
+
+
+# Offsets a (one value in every state) and scales b of the rules
+# a + b * S that the invariance test compares with the unit rule S.
+OFFSETS = (0.0, 1e8, -1e8)
+SCALES = (1e-9, 1.0, 1e6)
+FAMILIES = ("quadratic", "logarithmic", "generalized_log", "spherical", "custom_binary")
+
+
+def _family_rule(name: str, m: int, a: float, b: float):
+    offsets = None if a == 0.0 else (a,) * m
+    if name == "quadratic":
+        return quadratic_rule(offsets, b)
+    if name == "logarithmic":
+        return logarithmic_rule(offsets, b)
+    if name == "generalized_log":
+        return generalized_log_rule(0.05, offsets, b)
+    if name == "spherical":
+        return spherical_rule(offsets, b)
+    return custom_binary_rule(logit_generator(), offsets, b)
+
+
+@st.composite
+def random_coalitions(draw):
+    """A rule family, 3 to 6 players over 2 to 5 states (2 for the custom
+    binary rule) with wagers in [0.5, 3), a proper sub-coalition whose
+    members either disagree freely or lie within 1e-9 to 1e-3 of one
+    belief, a market ordering and an opening report."""
+    name = draw(st.sampled_from(FAMILIES))
+    m = 2 if name == "custom_binary" else draw(st.integers(2, 5))
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(2, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        spread = 10.0 ** rng.uniform(-9.0, -3.0)
+        rows = rng.dirichlet(np.full(m, 2.0)) + spread * rng.dirichlet(np.ones(m), size=k)
+    else:
+        rows = rng.dirichlet(np.ones(m), size=k)
+    rows = np.vstack([rows / rows.sum(axis=1, keepdims=True), rng.dirichlet(np.ones(m), size=n - k)])
+    order = rng.permutation(n)
+    wagers = rng.uniform(0.5, 3.0, size=n)
+    players = [
+        Player(Forecast(tuple(rows[i].tolist())), float(w)) for i, w in zip(order, wagers)
+    ]
+    coalition = Coalition(tuple(int(i) for i in np.flatnonzero(order < k)))
+    prior = Forecast(tuple(rng.dirichlet(np.ones(m)).tolist()))
+    return name, players, coalition, [int(i) for i in rng.permutation(n)], prior
+
+
+def _coalition_outputs(rule, players, coalition, ordering, prior):
+    """Every coalition result of a rule: the equalizing report with its
+    flags, the oracle's verdict, and the gains, each on the rule's scale."""
+    arb = arbitrage_report(rule, players, coalition)
+    q = arb.q
+    verdict = verify_dominance_oracle(rule, players, coalition, q)
+    gains = [arb.surplus_by_outcome, verdict.margins]
+    for kind in (MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE):
+        gains.append(intermediary_profit_by_outcome(MechanismSpec(kind, rule), players, coalition, q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderingViolationWarning)
+        gains.append(tuple(
+            coalition_surplus_competitive(rule, players, coalition, q, j) for j in range(q.m)
+        ))
+        gains.append(tuple(
+            coalition_surplus_market(rule, players, ordering, coalition, q, j, prior)
+            for j in range(q.m)
+        ))
+    closed = None
+    if rule.kind.value != "custom_binary":
+        closed = closed_form_surplus(rule, players, coalition)
+    flags = ([x.hex() for x in q.probs], arb.agreement, arb.equalized, verdict.verdict, verdict.witness)
+    return flags, gains, closed
+
+
+@settings(PROPERTY_SETTINGS, max_examples=120)
+@given(random_coalitions())
+def test_gains_flags_and_verdicts_do_not_depend_on_offsets_or_scale(case):
+    # Under a + b * S the offsets cancel from every coalition gain and the
+    # gain scales by b, so q, the flags and the verdict are those of S, and
+    # each gain, margin, profit and closed form is b times S's, bit for bit.
+    name, players, coalition, ordering, prior = case
+    m = players[0].belief.m
+    flags, gains, closed = _coalition_outputs(
+        _family_rule(name, m, 0.0, 1.0), players, coalition, ordering, prior
+    )
+    for a in OFFSETS:
+        for b in SCALES:
+            got_flags, got_gains, got_closed = _coalition_outputs(
+                _family_rule(name, m, a, b), players, coalition, ordering, prior
+            )
+            assert got_flags == flags, (a, b)
+            for got, unit in zip(got_gains, gains):
+                assert got == tuple(b * x for x in unit), (a, b)
+            assert got_closed == (None if closed is None else b * closed), (a, b)
 
 
 POSITIVE = st.floats(1e-3, 1e3)
