@@ -444,27 +444,23 @@ def _coalition_surplus(
         )
     head = [prior or uniform_prior(players[0].belief.m)] if market else []
     rows = len(head) + len(ordering)
-    if kind is MechanismKind.TRADITIONAL:
-        # Every player in the ordering is a member, paid on their own report.
-        played, is_member, truth = coordinated, slice(None), slice(rows, rows + k)
-        beliefs = [players[i].belief for i in ordering]
-    else:
-        # In reporting order: which players are members, what each
-        # reports, and the members' beliefs.
-        instructed = dict(zip(coalition.members, coordinated))
-        inside = [i in instructed for i in ordering]
-        played = [
-            instructed[i] if member else players[i].report or players[i].belief
-            for i, member in zip(ordering, inside)
-        ]
-        beliefs = [players[i].belief for i, member in zip(ordering, inside) if member]
-        is_member = np.array(inside)
-        truth = np.arange(rows)
-        truth[len(head):][is_member] = np.arange(rows, rows + k)
-    table = _score_columns(_unit_rule(rule), [*head, *played, *beliefs], outcomes)
+    # In reporting order, what each player reports and the row each plays
+    # truthfully: an outsider their own, a member their belief's.
+    instructed = dict(zip(coalition.members, coordinated))
+    played, beliefs, truth = [], [], list(range(rows))
+    for r, i in enumerate(ordering, len(head)):
+        if i in instructed:
+            truth[r] = rows + len(beliefs)
+            played.append(instructed[i])
+            beliefs.append(players[i].belief)
+        else:
+            played.append(players[i].report or players[i].belief)
+    truth = np.array(truth)
+    unit = _unit_rule(rule, players[0].belief.m)
+    table = _score_columns(unit, [*head, *played, *beliefs], outcomes)
     w = np.asarray([players[i].wager for i in ordering], dtype=np.float64)
     gain = _payments(kind, table[:rows], w) - _payments(kind, table[truth], w)
-    return rule.b * _column_fsum(gain[is_member])
+    return rule.b * _column_fsum(gain[truth[len(head):] >= rows])
 
 
 def surplus_by_outcome(
@@ -558,7 +554,7 @@ def arbitrage_report(
         )
         return ArbitrageResult(q, (0.0,) * P.shape[1], equalized=True, agreement=True)
     q = Forecast(tuple(q_arr.tolist()))
-    gains = surplus_by_outcome(_unit_rule(rule), players, coalition, q)
+    gains = surplus_by_outcome(_unit_rule(rule, q.m), players, coalition, q)
     mean_g = math.fsum(gains) / len(gains)
     spread = max(gains) - min(gains)
     equalized = spread <= EQUALIZED_RTOL * max(1.0, abs(mean_g))
@@ -586,7 +582,7 @@ def verify_dominance_oracle(
     coalition.validate(len(players))
     m = q.m
     chosen = [players[i] for i in coalition.members]
-    table = _score_columns(_unit_rule(rule), [q, *(p.belief for p in chosen)], range(m))
+    table = _score_columns(_unit_rule(rule, m), [q, *(p.belief for p in chosen)], range(m))
     q_row, *belief_rows = table.tolist()
     wagers = [p.wager for p in chosen]
     margins = []

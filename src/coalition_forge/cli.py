@@ -35,7 +35,6 @@ from .arbitrage import (
     arbitrage_report,
     closed_form_surplus,
     members_agree,
-    surplus_by_outcome,
     verify_dominance_oracle,
 )
 from .errors import (
@@ -179,11 +178,11 @@ def cmd_arbitrage(args: argparse.Namespace, sc: Scenario, digest: str) -> _Resul
         if _beliefs_agree(sc):
             sys.stderr.write("coalition members agree; no coordinated report beats truth\n")
         else:
-            unit = surplus_by_outcome(_unit_rule(sc.rule), players, sc.coalition, result.q)
             sys.stderr.write(
                 "coalition members agree on the surplus scale: the equalizing "
                 "report's smallest per-outcome surplus "
-                f"{_fmt(min(unit))} is not above {_fmt(AGREEMENT_TOL)}\n"
+                f"{_fmt(min(result.surplus_by_outcome) / sc.rule.b)} is not above "
+                f"{_fmt(AGREEMENT_TOL)}\n"
             )
         return 3
     # arbitrage_report has refused the linear rule, the one rule a
@@ -287,7 +286,7 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
         w_n = math.fsum(p.wager for p in players)
         # Both gains on the unit rule, where the identity holds up to
         # rounding whatever the rule's offsets and scale.
-        unit = _unit_rule(sc.rule)
+        unit = _unit_rule(sc.rule, sc.m)
         traditional_gain, competitive_gain = (
             _coalition_surplus(kind, unit, players, sc.coalition, coordinated, range(sc.m)).tolist()
             for kind in (MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE)

@@ -190,16 +190,20 @@ def custom_binary_rule(
     return ScoringRule(RuleKind.CUSTOM_BINARY, _tuple_or_none(a), b, generator=generator)
 
 
-def _unit_rule(rule: ScoringRule) -> ScoringRule:
-    """The rule S behind rule = a + b * S: offsets 0 and scale 1, or rule
-    itself when it has them.
+def _unit_rule(rule: ScoringRule, m: int) -> ScoringRule:
+    """The rule S behind rule = a + b * S over m states: offsets 0 and
+    scale 1, or rule itself when it has them. Offsets for other than m
+    states raise DimensionMismatch, as scoring rule itself would.
 
     The offsets cancel from any difference of rule's scores at one outcome
     and the difference scales by b, so coalition gains are scored on S and
     multiplied by b once; scored on rule, a large offset would take the
     gain's low bits first.
     """
-    if rule.b == 1.0 and not any(rule.affine_offsets or ()):
+    a = rule.affine_offsets
+    if a is not None and len(a) != m:
+        rule.offsets_for(m)  # raises DimensionMismatch
+    if rule.b == 1.0 and not any(a or ()):
         return rule
     return ScoringRule(rule.kind, None, 1.0, rule.floor, rule.generator)
 

@@ -248,7 +248,7 @@ def expected_surplus_sweep(
     _check_draw_size("trials * len(fractions) * n * m", trials, len(fractions), n, m)
     sizes = [_coalition_size(f, n) for f in fractions]
     rule = mechanism.rule
-    unit = _unit_rule(rule)
+    unit = _unit_rule(rule, m)
     base_seed = _resolve_seed(seed)
     competitive = mechanism.kind is MechanismKind.COMPETITIVE
     surplus = np.empty((len(fractions), trials))

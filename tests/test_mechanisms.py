@@ -26,6 +26,7 @@ from coalition_forge import (
     SinglePlayer,
     UnsupportedMechanism,
     ValidationError,
+    arbitrage_report,
     coalition_surplus_competitive,
     coalition_surplus_market,
     competitive_payments,
@@ -42,6 +43,7 @@ from coalition_forge import (
     surplus_by_outcome,
     traditional_payments,
     uniform_prior,
+    verify_dominance_oracle,
 )
 from coalition_forge.arbitrage import _coalition_surplus
 
@@ -349,6 +351,37 @@ def test_per_outcome_functions_reject_outcomes_out_of_range():
             coalition_surplus_competitive(rule, players, coalition, q, outcome)
         with pytest.raises(DimensionMismatch):
             coalition_surplus_market(rule, players, (0, 2, 1), coalition, q, outcome)
+
+
+@pytest.mark.parametrize(
+    "rule", [quadratic_rule((0.1, 0.2, 0.3)), quadratic_rule((0.0, 0.0, 0.0), b=2.5)],
+    ids=["offsets", "zero-offsets-scaled"],
+)
+def test_gains_reject_offsets_of_the_wrong_length(rule):
+    # Gains are scored on the unit rule, which has no offsets; three offsets
+    # for two states are still refused, as payment_table refuses them.
+    players = _reporting(
+        ((0.2, 0.8), (0.2, 0.8)), ((0.7, 0.3), (0.7, 0.3)), ((0.5, 0.5), (0.5, 0.5))
+    )
+    coalition = Coalition((0, 1))
+    q = Forecast((0.45, 0.55))
+    calls = [
+        lambda: payment_table(MechanismSpec(MechanismKind.TRADITIONAL, rule), players),
+        lambda: arbitrage_report(rule, players, coalition),
+        lambda: surplus_by_outcome(rule, players, coalition, q),
+        lambda: verify_dominance_oracle(rule, players, coalition, q),
+        lambda: coalition_surplus_competitive(rule, players, coalition, q, 0),
+        lambda: coalition_surplus_market(rule, players, (0, 2, 1), coalition, q, 0),
+        *(
+            lambda kind=kind: intermediary_profit_by_outcome(
+                MechanismSpec(kind, rule), players, coalition, q
+            )
+            for kind in (MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE)
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="3 affine offsets for 2 states"):
+            call()
 
 
 def test_mechanism_spec_prior_validation():
