@@ -3,9 +3,11 @@
 Subcommands: score (payment tables), arbitrage (equalizing report and
 surplus), verify (properness, dominance, and accounting-identity checks),
 simulate (sweeps, intermediary runs, market sessions). Each is a
-function from the parsed arguments, the scenario and its digest to one
-result; main loads the scenario, writes the result and returns its exit
-code.
+function from the parsed arguments and the scenario to one result;
+simulate also takes the scenario's JSON value, whose digest names an
+intermediary run. main loads the scenario, writes the result and returns
+its exit code. The digest is computed only where an output shows it: the
+JSON envelope and an intermediary run's scenario_id.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
 3 the coalition agrees so there is nothing to arbitrage. All outcome and
@@ -25,6 +27,7 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any
 
 from . import __version__
 from .arbitrage import (
@@ -46,7 +49,7 @@ from .errors import (
 )
 from .mechanisms import payment_table
 from .rules import _properness_scan, _unit_rule
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, scenario_digest
 from .simplex import _stack, uniform_prior
 from .simulate import (
     expected_surplus_sweep,
@@ -92,9 +95,10 @@ class _Result:
     code: int = 0
 
 
-def _write(args: argparse.Namespace, digest: str, result: _Result) -> None:
+def _write(args: argparse.Namespace, raw: Any, result: _Result) -> None:
     """Write a command's result in the chosen --format: header and rows as
-    CSV, payload inside the JSON envelope, or lines as a table.
+    CSV, payload inside the JSON envelope under the digest of raw, the
+    scenario's JSON value, or lines as a table.
 
     Without --out the text goes to stdout and ends in a newline. --out
     PATH writes the text to PATH as it is and prints nothing; only
@@ -105,7 +109,7 @@ def _write(args: argparse.Namespace, digest: str, result: _Result) -> None:
     def text(fmt: str) -> str:
         if fmt == "json":
             envelope = {
-                "scenario_digest": digest,
+                "scenario_digest": scenario_digest(raw),
                 "tool_version": __version__,
                 "command": args.command,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -141,7 +145,7 @@ def _write(args: argparse.Namespace, digest: str, result: _Result) -> None:
     sys.stdout.write(chosen if chosen.endswith("\n") else chosen + "\n")
 
 
-def cmd_score(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result:
+def cmd_score(args: argparse.Namespace, sc: Scenario) -> _Result:
     if not sc.players:
         raise ValidationError("scenario has no players to score")
     table = payment_table(sc.mechanism, list(sc.players))
@@ -164,7 +168,7 @@ def cmd_score(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result:
     return _Result(["player"] + names, rows, payload, lines)
 
 
-def cmd_arbitrage(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result | int:
+def cmd_arbitrage(args: argparse.Namespace, sc: Scenario) -> _Result | int:
     if sc.coalition is None:
         raise InvalidCoalition("scenario has no coalition")
     if not sc.players:  # a market session's scenario may list none
@@ -303,7 +307,7 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
     ]
 
 
-def cmd_verify(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result:
+def cmd_verify(args: argparse.Namespace, sc: Scenario) -> _Result:
     checks = _verify_checks(sc, args.resolution)
     failed = any(status == "fail" for _, status, _ in checks)
     header = ["check", "status", "detail"]
@@ -322,7 +326,7 @@ def _by_outcome(label: str, values, payload: dict, notes: list[str]) -> _Result:
     )
 
 
-def cmd_simulate(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result:
+def cmd_simulate(args: argparse.Namespace, sc: Scenario, raw: Any) -> _Result:
     if sc.simulation is None:
         raise ValidationError("scenario has no simulation block")
     sim = sc.simulation
@@ -353,7 +357,7 @@ def cmd_simulate(args: argparse.Namespace, sc: Scenario, digest: str) -> _Result
         raise InvalidCoalition(f"{runs} need a coalition")
     if sim.mode == "intermediary":
         run = intermediary_run(
-            sc.mechanism, list(sc.players), sc.coalition, scenario_id=digest[:12]
+            sc.mechanism, list(sc.players), sc.coalition, scenario_id=scenario_digest(raw)[:12]
         )
         return _by_outcome(
             "profit", run.profit_by_outcome, dataclasses.asdict(run),
@@ -454,11 +458,13 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = show
         warnings.simplefilter("always", CoalitionForgeWarning)
         try:
-            sc, digest = load_scenario(_resolve_scenario(args.scenario))
-            result = args.func(args, sc, digest)
+            sc, raw = load_scenario(_resolve_scenario(args.scenario))
+            # Only simulate reads raw: an intermediary run is named by its digest.
+            result = (cmd_simulate(args, sc, raw) if args.func is cmd_simulate
+                      else args.func(args, sc))
             if isinstance(result, int):  # arbitrage's agreement: nothing to write
                 return result
-            _write(args, digest, result)
+            _write(args, raw, result)
             return result.code
         except CoalitionForgeError as exc:
             sys.stderr.write(f"error: {exc}\n")

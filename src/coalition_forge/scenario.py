@@ -2,9 +2,12 @@
 a mechanism, players, a coalition, and optional simulation settings.
 
 All indices in files and messages are 1-based; the parser converts to the
-0-based indices used internally. Canonical serialization sorts keys and
-uses shortest round-trip float decimals, so a scenario's content hash is
-stable across key reordering.
+0-based indices used internally. load_scenario returns the parsed
+Scenario and the JSON value it was read from; scenario_digest of that
+value is the content hash the CLI's JSON envelope carries. Canonical
+serialization sorts keys and uses shortest round-trip float decimals, so
+the hash is stable across key reordering. Loading computes no hash: only
+an output that shows one pays for it.
 """
 
 from __future__ import annotations
@@ -393,9 +396,11 @@ def parse_scenario(raw: Any) -> Scenario:
     return Scenario(version, m, labels, rule, mechanism, players, coalition, simulation)
 
 
-def load_scenario(path: str | Path) -> tuple[Scenario, str]:
-    """Read, digest, and parse a scenario file. A file that cannot be
-    read as UTF-8 text is a ScenarioError naming the path."""
+def load_scenario(path: str | Path) -> tuple[Scenario, Any]:
+    """Read and parse a scenario file into (Scenario, raw), raw being the
+    JSON value read; scenario_digest(raw) is the hash the CLI's JSON
+    envelope carries. A file that cannot be read as UTF-8 text, or is
+    not valid JSON, is a ScenarioError naming the path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -406,5 +411,7 @@ def load_scenario(path: str | Path) -> tuple[Scenario, str]:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ScenarioError(str(path), f"not valid JSON: {exc}") from exc
-    return parse_scenario(raw), scenario_digest(raw)
+    except RecursionError as exc:  # arrays or objects nested past the recursion limit
+        raise ScenarioError(str(path), "not valid JSON: nested too deeply") from exc
+    return parse_scenario(raw), raw
 

@@ -31,7 +31,7 @@ from coalition_forge import (
     parse_scenario,
     scenario_digest,
 )
-from coalition_forge import cli, simulate
+from coalition_forge import cli, scenario, simulate
 from coalition_forge.mechanisms import lambert
 from coalition_forge import scenarios as bundled
 from coalition_forge.cli import build_parser, main
@@ -454,6 +454,19 @@ def test_cli_rejects_invalid_json(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON: ")
 
 
+def test_deeply_nested_scenario_is_invalid_input(tmp_path, capsys):
+    # json.loads raises RecursionError on arrays nested past the
+    # interpreter's recursion limit: invalid input naming the file, not a
+    # traceback and exit 1.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert (err.value.field_path, err.value.detail) == (str(path), "not valid JSON: nested too deeply")
+    assert main(["score", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not valid JSON: nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "argv, written",
     [
@@ -522,16 +535,73 @@ def test_cli_belief_whose_sum_overflows_is_invalid_input(tmp_path, capsys):
 
 def test_cli_arbitrage_json_envelope(capsys):
     assert main(["arbitrage", "--scenario", "example1", "--format", "json"]) == 0
-    envelope = json.loads(capsys.readouterr().out)
-    raw = json.loads(bundled.path("example1").read_text(encoding="utf-8"))
-    assert envelope["scenario_digest"] == scenario_digest(raw)
-    assert envelope["command"] == "arbitrage"
-    payload = envelope["payload"]
+    # The envelope's digest and command: test_cli_json_envelope_carries_the_file_digest.
+    payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["q"] == [0.5, 0.5]
     assert payload["verdict"] == "dominates"
     assert payload["equalized"] is True
     assert payload["closed_form_surplus"] == pytest.approx(0.36, rel=1e-9)
     assert payload["witness_outcome"] is None
+
+
+# Every bundled scenario and command whose --format json run writes an
+# envelope; the others exit 2 or 3 before writing.
+_JSON_RUNS = [
+    *((name, command) for name in ("example1", "example2", "example3", "example3_mean")
+      for command in ("score", "arbitrage", "verify")),
+    ("intermediary", "arbitrage"), ("intermediary", "verify"), ("intermediary", "simulate"),
+    *((name, command) for name in ("market_session", "sweep_competitive", "sweep_traditional")
+      for command in ("verify", "simulate")),
+]
+
+
+@pytest.mark.parametrize("name, command", _JSON_RUNS, ids=[f"{n}-{c}" for n, c in _JSON_RUNS])
+def test_cli_json_envelope_carries_the_file_digest(capsys, name, command):
+    assert main([command, "--scenario", name, "--format", "json"]) in (0, 1)
+    envelope = json.loads(capsys.readouterr().out)
+    digest = scenario_digest(json.loads(bundled.path(name).read_text(encoding="utf-8")))
+    assert envelope["scenario_digest"] == digest
+    assert envelope["command"] == command
+    if (name, command) == ("intermediary", "simulate"):
+        assert envelope["payload"]["scenario_id"] == digest[:12]
+
+
+def test_digest_is_computed_only_for_outputs_that_show_it(tmp_path, monkeypatch):
+    # Loading computes no digest; the CLI computes one for the JSON
+    # envelope and an intermediary run's scenario_id, and for no other
+    # output.
+    calls, digest = [], scenario.scenario_digest
+
+    def counted(raw):
+        calls.append(raw)
+        return digest(raw)
+
+    monkeypatch.setattr(scenario, "scenario_digest", counted)
+    monkeypatch.setattr(cli, "scenario_digest", counted)
+
+    def count(argv):
+        calls.clear()
+        _run_cli(argv)
+        return len(calls)
+
+    for name in sorted(BUNDLED_NAMES):
+        load_scenario(bundled.path(name))
+        assert calls == []
+        for command in ("score", "arbitrage", "verify"):
+            for fmt in ("csv", "table"):
+                argv = [command, "--scenario", name, "--format", fmt]
+                assert count(argv) == 0
+                assert count(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert count(["simulate", "--scenario", "market_session"]) == 0
+    for argv in (
+        *(["score", "--scenario", "example1", "--format", "json"] + out
+          for out in ([], ["--out", str(tmp_path / "out")])),
+        ["arbitrage", "--scenario", "example1", "--format", "json"],
+        ["verify", "--scenario", "example1", "--format", "json"],
+        ["simulate", "--scenario", "intermediary"],
+        ["simulate", "--scenario", "intermediary", "--format", "json"],
+    ):
+        assert count(argv) >= 1
 
 
 def test_cli_arbitrage_csv_shape(capsys):
