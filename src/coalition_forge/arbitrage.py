@@ -48,8 +48,7 @@ from .rules import (
     _score_columns,
     _score_into,
     _unfloored_log,
-    _unit_rule,
-    score_table,
+    _unit_table,
 )
 from .simplex import (
     Forecast,
@@ -403,8 +402,9 @@ def _coalition_surplus(
     minus their truthful ones, through _payments.
 
     The payments are the unit rule's (offsets 0, scale 1), in which the
-    offsets cancel and no bits go to them, and the summed gain is
-    multiplied by the rule's scale b once, at the end.
+    offsets cancel and no bits go to them, and so is the gain returned:
+    the public gains multiply it by the rule's scale b once, and the flags
+    and checks decide on it as it is.
 
     One score table holds both plays: [prior;] the coordinated reports in
     reporting order (player order for the pool), then the members' beliefs
@@ -456,11 +456,10 @@ def _coalition_surplus(
         else:
             played.append(players[i].report or players[i].belief)
     truth = np.array(truth)
-    unit = _unit_rule(rule, players[0].belief.m)
-    table = _score_columns(unit, [*head, *played, *beliefs], outcomes)
+    table = _score_columns(rule, [*head, *played, *beliefs], outcomes)
     w = np.asarray([players[i].wager for i in ordering], dtype=np.float64)
     gain = _payments(kind, table[:rows], w) - _payments(kind, table[truth], w)
-    return rule.b * _column_fsum(gain[truth[len(head):] >= rows])
+    return _column_fsum(gain[truth[len(head):] >= rows])
 
 
 def surplus_by_outcome(
@@ -472,7 +471,7 @@ def surplus_by_outcome(
     """Coalition gain per outcome when every member reports q instead of
     their own belief, under a plain wagered-score contract."""
     gain = _coalition_surplus(MechanismKind.TRADITIONAL, rule, players, coalition, q, range(q.m))
-    return tuple(gain.tolist())
+    return tuple((rule.b * gain).tolist())
 
 
 def closed_form_surplus(
@@ -554,7 +553,9 @@ def arbitrage_report(
         )
         return ArbitrageResult(q, (0.0,) * P.shape[1], equalized=True, agreement=True)
     q = Forecast(tuple(q_arr.tolist()))
-    gains = surplus_by_outcome(_unit_rule(rule, q.m), players, coalition, q)
+    gains = _coalition_surplus(
+        MechanismKind.TRADITIONAL, rule, players, coalition, q, range(q.m)
+    ).tolist()
     mean_g = math.fsum(gains) / len(gains)
     spread = max(gains) - min(gains)
     equalized = spread <= EQUALIZED_RTOL * max(1.0, abs(mean_g))
@@ -582,7 +583,7 @@ def verify_dominance_oracle(
     coalition.validate(len(players))
     m = q.m
     chosen = [players[i] for i in coalition.members]
-    table = _score_columns(_unit_rule(rule, m), [q, *(p.belief for p in chosen)], range(m))
+    table = _score_columns(rule, [q, *(p.belief for p in chosen)], range(m))
     q_row, *belief_rows = table.tolist()
     wagers = [p.wager for p in chosen]
     margins = []
@@ -611,16 +612,18 @@ def grid_search_equalizer(
     Used as an oracle against the closed-form constructions: their
     worst-outcome surplus must reach the lattice optimum up to a
     resolution-dependent slack. The first lattice report of the largest
-    worst-outcome surplus wins. Under the unfloored logarithmic rules a
-    report with a zero entry has a worst-outcome surplus of -inf, so only
-    the lattice interior is scored; the boundary is left out, not scored.
+    worst-outcome surplus under the unit rule (offsets 0, scale 1) wins, so
+    the report does not depend on the rule's offsets or scale. Under the
+    unfloored logarithmic rules a report with a zero entry has a
+    worst-outcome surplus of -inf, so only the lattice interior is scored;
+    the boundary is left out, not scored.
     """
     if resolution < 10:
         raise ValidationError(f"resolution must be >= 10, got {resolution}")
     coalition.validate(len(players))
     P, w = _member_arrays(players, coalition)
     m = P.shape[1]
-    truthful = score_table(rule, P)
+    truthful = _unit_table(rule, P)
     if not np.isfinite(truthful).all():
         raise DegenerateBelief(
             "a member belief cannot be scored under this rule"
@@ -634,8 +637,8 @@ def grid_search_equalizer(
     margins_buf = np.empty((capacity, m))
     worst_buf = np.empty(capacity)
     undefined_buf = np.empty(capacity, dtype=bool)
-    # Tiles after the buffers, as in rules._properness_scan.
-    offsets = _row_tile(rule.offsets_for(m), capacity)
+    # The small tile after the buffers, so that it does not fragment the
+    # heap under them and raise peak RSS.
     t_tile = _row_tile(t, capacity)
     # One block at a time, keeping the first maximum in lattice order: a
     # later block replaces it only when strictly larger. The first lattice
@@ -645,7 +648,7 @@ def grid_search_equalizer(
     for grid in blocks:
         n = len(grid)
         margins, worst, undefined = margins_buf[:n], worst_buf[:n], undefined_buf[:n]
-        _score_into(rule, grid, margins, offsets)
+        _score_into(rule, grid, margins)
         margins *= w_c
         _apply_rows(np.subtract, margins, t_tile)
         # The row minima, one column at a time: a minimum is exact in any

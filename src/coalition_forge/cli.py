@@ -4,10 +4,10 @@ Subcommands: score (payment tables), arbitrage (equalizing report and
 surplus), verify (properness, dominance, and accounting-identity checks),
 simulate (sweeps, intermediary runs, market sessions). Each is a
 function from the parsed arguments and the scenario to one result;
-simulate also takes the scenario's JSON value, whose digest names an
-intermediary run. main loads the scenario, writes the result and returns
-its exit code. The digest is computed only where an output shows it: the
-JSON envelope and an intermediary run's scenario_id.
+simulate also takes the scenario's digest, which names an intermediary
+run. main loads the scenario, writes the result and returns its exit
+code. The digest is computed only where an output shows it, the JSON
+envelope and an intermediary run's scenario_id, and at most once a call.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
 3 the coalition agrees so there is nothing to arbitrage. All outcome and
@@ -27,7 +27,7 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Callable
 
 from . import __version__
 from .arbitrage import (
@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .mechanisms import payment_table
-from .rules import _properness_scan, _unit_rule
+from .rules import _properness_scan
 from .scenario import Scenario, load_scenario, scenario_digest
 from .simplex import _stack, uniform_prior
 from .simulate import (
@@ -95,10 +95,10 @@ class _Result:
     code: int = 0
 
 
-def _write(args: argparse.Namespace, raw: Any, result: _Result) -> None:
+def _write(args: argparse.Namespace, digest: Callable[[], str], result: _Result) -> None:
     """Write a command's result in the chosen --format: header and rows as
-    CSV, payload inside the JSON envelope under the digest of raw, the
-    scenario's JSON value, or lines as a table.
+    CSV, payload inside the JSON envelope under the scenario's digest,
+    which digest() gives, or lines as a table.
 
     Without --out the text goes to stdout and ends in a newline. --out
     PATH writes the text to PATH as it is and prints nothing; only
@@ -109,7 +109,7 @@ def _write(args: argparse.Namespace, raw: Any, result: _Result) -> None:
     def text(fmt: str) -> str:
         if fmt == "json":
             envelope = {
-                "scenario_digest": scenario_digest(raw),
+                "scenario_digest": digest(),
                 "tool_version": __version__,
                 "command": args.command,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -290,9 +290,8 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
         w_n = math.fsum(p.wager for p in players)
         # Both gains on the unit rule, where the identity holds up to
         # rounding whatever the rule's offsets and scale.
-        unit = _unit_rule(sc.rule, sc.m)
         traditional_gain, competitive_gain = (
-            _coalition_surplus(kind, unit, players, sc.coalition, coordinated, range(sc.m)).tolist()
+            _coalition_surplus(kind, sc.rule, players, sc.coalition, coordinated, range(sc.m)).tolist()
             for kind in (MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE)
         )
         max_err = 0.0
@@ -326,7 +325,7 @@ def _by_outcome(label: str, values, payload: dict, notes: list[str]) -> _Result:
     )
 
 
-def cmd_simulate(args: argparse.Namespace, sc: Scenario, raw: Any) -> _Result:
+def cmd_simulate(args: argparse.Namespace, sc: Scenario, digest: Callable[[], str]) -> _Result:
     if sc.simulation is None:
         raise ValidationError("scenario has no simulation block")
     sim = sc.simulation
@@ -357,7 +356,7 @@ def cmd_simulate(args: argparse.Namespace, sc: Scenario, raw: Any) -> _Result:
         raise InvalidCoalition(f"{runs} need a coalition")
     if sim.mode == "intermediary":
         run = intermediary_run(
-            sc.mechanism, list(sc.players), sc.coalition, scenario_id=scenario_digest(raw)[:12]
+            sc.mechanism, list(sc.players), sc.coalition, scenario_id=digest()[:12]
         )
         return _by_outcome(
             "profit", run.profit_by_outcome, dataclasses.asdict(run),
@@ -459,12 +458,14 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always", CoalitionForgeWarning)
         try:
             sc, raw = load_scenario(_resolve_scenario(args.scenario))
-            # Only simulate reads raw: an intermediary run is named by its digest.
-            result = (cmd_simulate(args, sc, raw) if args.func is cmd_simulate
+            # Hashed on first use, once for this call: an intermediary run is
+            # named by the digest its JSON envelope also carries.
+            digest = functools.cache(lambda: scenario_digest(raw))
+            result = (cmd_simulate(args, sc, digest) if args.func is cmd_simulate
                       else args.func(args, sc))
             if isinstance(result, int):  # arbitrage's agreement: nothing to write
                 return result
-            _write(args, raw, result)
+            _write(args, digest, result)
             return result.code
         except CoalitionForgeError as exc:
             sys.stderr.write(f"error: {exc}\n")

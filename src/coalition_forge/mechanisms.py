@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedMechanism,
     ValidationError,
 )
-from .rules import ScoringRule, _score_columns, normalize_to_unit_interval
+from .rules import ScoringRule, _affine, _score_columns, normalize_to_unit_interval
 from .simplex import Forecast, uniform_prior
 
 
@@ -103,17 +103,21 @@ def _column(table: np.ndarray) -> tuple[float, ...]:
 
 def _paid(
     kind: MechanismKind, rule: ScoringRule, players: Sequence[Player],
-    outcomes: Sequence[int], prior: Forecast | None = None,
+    outcomes: Sequence[int] | None, prior: Forecast | None = None,
 ) -> np.ndarray:
-    """Payments to the players, in their order, at the requested outcomes;
-    under market scoring the first report is paid against prior, uniform
-    when None."""
+    """Payments to the players, in their order, at the requested outcomes
+    (None: every outcome); under market scoring the first report is paid
+    against prior, uniform when None."""
+    if not players:
+        raise ValidationError("no players")
     if kind is MechanismKind.COMPETITIVE and len(players) < 2:
         raise SinglePlayer("competitive payments need at least 2 players")
     reports = _require_reports(players)
+    outcomes = range(players[0].belief.m) if outcomes is None else outcomes
     w = np.asarray([p.wager for p in players], dtype=np.float64)
     head = [prior or uniform_prior(reports[0].m)] if kind is MechanismKind.MARKET else []
-    return _payments(kind, _score_columns(rule, [*head, *reports], outcomes), w)
+    table = _affine(rule, _score_columns(rule, [*head, *reports], outcomes), outcomes)
+    return _payments(kind, table, w)
 
 
 def traditional_payments(
@@ -147,7 +151,7 @@ def market_scoring_payments(
     """
     if prior is None:
         raise MissingPrior("market scoring needs an opening report")
-    table = _score_columns(rule, [prior, *reports], [outcome])
+    table = _affine(rule, _score_columns(rule, [prior, *reports], [outcome]), [outcome])
     return _column(_payments(MechanismKind.MARKET, table, None))
 
 
@@ -157,9 +161,7 @@ def payment_table(spec: MechanismSpec, players: Sequence[Player]) -> PaymentTabl
     Market scoring treats the player sequence as the reporting order and
     ignores wagers; a missing prior defaults to uniform.
     """
-    if not players:
-        raise ValidationError("no players")
-    table = _paid(spec.kind, spec.rule, players, range(players[0].belief.m), spec.market_prior)
+    table = _paid(spec.kind, spec.rule, players, None, spec.market_prior)
     return PaymentTable(tuple(tuple(row) for row in table.tolist()))
 
 
@@ -180,7 +182,7 @@ def coalition_surplus_competitive(
     gain = _coalition_surplus(
         MechanismKind.COMPETITIVE, rule, players, coalition, coordinated, [outcome]
     )
-    return float(gain[0])
+    return float(rule.b * gain[0])
 
 
 def coalition_surplus_market(
@@ -205,7 +207,7 @@ def coalition_surplus_market(
         MechanismKind.MARKET, rule, players, coalition, coordinated, [outcome],
         ordering, prior,
     )
-    return float(gain[0])
+    return float(rule.b * gain[0])
 
 
 def intermediary_profit_by_outcome(
@@ -222,4 +224,4 @@ def intermediary_profit_by_outcome(
             "sequential markets go through a market session"
         )
     gain = _coalition_surplus(spec.kind, spec.rule, players, coalition, q, range(q.m))
-    return tuple(gain.tolist())
+    return tuple((spec.rule.b * gain).tolist())

@@ -190,24 +190,6 @@ def custom_binary_rule(
     return ScoringRule(RuleKind.CUSTOM_BINARY, _tuple_or_none(a), b, generator=generator)
 
 
-def _unit_rule(rule: ScoringRule, m: int) -> ScoringRule:
-    """The rule S behind rule = a + b * S over m states: offsets 0 and
-    scale 1, or rule itself when it has them. Offsets for other than m
-    states raise DimensionMismatch, as scoring rule itself would.
-
-    The offsets cancel from any difference of rule's scores at one outcome
-    and the difference scales by b, so coalition gains are scored on S and
-    multiplied by b once; scored on rule, a large offset would take the
-    gain's low bits first.
-    """
-    a = rule.affine_offsets
-    if a is not None and len(a) != m:
-        rule.offsets_for(m)  # raises DimensionMismatch
-    if rule.b == 1.0 and not any(a or ()):
-        return rule
-    return ScoringRule(rule.kind, None, 1.0, rule.floor, rule.generator)
-
-
 def _tuple_or_none(a: Sequence[float] | None) -> tuple[float, ...] | None:
     return None if a is None else tuple(float(x) for x in a)
 
@@ -231,7 +213,7 @@ def savage_binary_score(gen: ConvexGenerator, r: float, outcome: int) -> float:
 def score(rule: ScoringRule, report: Forecast, outcome: int) -> float:
     """Score of a single report at a single realized outcome (0-based):
     one entry of score_table, raising where that entry is undefined."""
-    return float(_score_columns(rule, [report], [outcome])[0, 0])
+    return float(_affine(rule, _score_columns(rule, [report], [outcome]), [outcome])[0, 0])
 
 
 def score_table(rule: ScoringRule, reports: np.ndarray) -> np.ndarray:
@@ -245,57 +227,69 @@ def score_table(rule: ScoringRule, reports: np.ndarray) -> np.ndarray:
     R = np.asarray(reports, dtype=np.float64)
     if R.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d report batch, got shape {R.shape}")
+    return _affine(rule, _unit_table(rule, R), range(R.shape[1]))
+
+
+def _affine(rule: ScoringRule, S: np.ndarray, outcomes: Sequence[int]) -> np.ndarray:
+    """a + b * S for a table S of the unit rule's scores (_score_into's) at
+    the given outcome columns, computed as (S * b) + a in place, a being 0
+    where the rule has no offsets; S is returned.
+
+    This is the only place where a rule's offsets are applied. Everything
+    that decides or compares (gains, the oracle, the scans) scores S: the
+    offsets cancel from every such difference and b only scales it, and a
+    large offset would take the low bits of S first.
+    """
+    a = rule.affine_offsets
+    S *= rule.b
+    S += 0.0 if a is None else np.asarray(a)[list(outcomes)]
+    return S
+
+
+def _unit_table(rule: ScoringRule, R: np.ndarray) -> np.ndarray:
+    """The unit rule's scores S of the (n, m) float array R, in a new table."""
     out = np.empty(R.shape)
     _score_into(rule, R, out)
     return out
 
 
-def _score_into(
-    rule: ScoringRule, R: np.ndarray, out: np.ndarray, tile: np.ndarray | None = None
-) -> None:
-    """score_table(rule, R) written into out, an (n, m) float array apart
-    from R; what out held before is never read.
+def _score_into(rule: ScoringRule, R: np.ndarray, out: np.ndarray) -> None:
+    """The unit rule's scores S of R (rule = a + b * S), written into out,
+    an (n, m) float array apart from R; what out held before is never
+    read. Offsets for other than m states raise DimensionMismatch, as
+    scoring the rule itself does.
 
-    Each branch works in place, in the order of operations of
-    a + b * f(R), so the scans that reuse one buffer get the bits a fresh
-    table gets. Row norms are summed from R * R computed in out, before
-    out takes the scores. tile is _row_tile(rule.offsets_for(m), rows),
-    which a scan builds once for all its blocks; by default it is built
-    here.
+    Each branch works in place, so the scans that reuse one buffer get the
+    bits a fresh table gets. Row norms are summed from R * R computed in
+    out, before out takes the scores.
     """
     m = R.shape[1]
-    if tile is None:
-        tile = _row_tile(rule.offsets_for(m), len(R))
-    b = rule.b
+    a = rule.affine_offsets
+    if a is not None and len(a) != m:
+        rule.offsets_for(m)  # raises DimensionMismatch
     kind = rule.kind
     if kind is RuleKind.QUADRATIC:
         np.multiply(R, R, out=out)
         norms = _row_sums(out)
         np.multiply(R, 2.0, out=out)
         out -= norms
-        out *= b
     elif _unfloored_log(rule):
         with np.errstate(divide="ignore"):
             np.log(R, out=out)
-        out *= b
     elif kind is RuleKind.GENERALIZED_LOG:
         l = rule.floor
         np.add(R, l, out=out)
         np.log(out, out=out)
         tail = _row_sums(out)
-        tail *= b * l
-        out *= b
-        _apply_rows(np.add, out, tile)
+        tail *= l
         out += tail
-        return
     elif kind is RuleKind.SPHERICAL:
         np.multiply(R, R, out=out)
         norms = _row_sums(out)
         np.sqrt(norms, out=norms)
-        np.multiply(R, b, out=out)
-        out /= norms
+        np.divide(R, norms, out=out)
     elif kind is RuleKind.LINEAR:
-        np.multiply(R, b, out=out)
+        np.copyto(out, R)
     elif kind is RuleKind.CUSTOM_BINARY:
         if m != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
@@ -304,14 +298,12 @@ def _score_into(
         for i, r in enumerate(R[:, 0].tolist()):
             if lo < r < hi:
                 out[i] = [savage_binary_score(rule.generator, r, j) for j in range(m)]
-        out *= b
     else:
         raise UnsupportedRule(f"unknown rule kind {kind!r}")
-    _apply_rows(np.add, out, tile)
 
 
 def _unfloored_log(rule: ScoringRule) -> bool:
-    """Whether rule scores a + b * log(r): the logarithmic rule, or the
+    """Whether rule's unit scores are log(r): the logarithmic rule, or the
     generalized one with floor 0. It scores -inf at a zero entry."""
     return rule.kind is RuleKind.LOGARITHMIC or (
         rule.kind is RuleKind.GENERALIZED_LOG and rule.floor == 0.0
@@ -374,7 +366,8 @@ def _row_sums(X: np.ndarray) -> np.ndarray:
 def _score_columns(
     rule: ScoringRule, reports: Sequence[Forecast], outcomes: Sequence[int]
 ) -> np.ndarray:
-    """score_table of the reports, restricted to the given outcome columns.
+    """The unit rule's scores S of the reports (the table _affine takes to
+    score_table's), restricted to the given outcome columns.
 
     Where a requested entry is undefined (-inf in score_table) this raises
     what a strict score does: LogOfZero for a zero-probability state under
@@ -382,7 +375,7 @@ def _score_columns(
     the generator's domain. Entries are checked outcome by outcome, reports
     in order; mixed lengths and out-of-range outcomes are DimensionMismatch.
     When every outcome is requested in order the table is returned as
-    score_table built it, not copied.
+    _score_into wrote it, not copied.
     """
     R = _stack(reports)
     if R is None:
@@ -392,7 +385,7 @@ def _score_columns(
     for j in cols:
         if not (0 <= j < m):
             raise DimensionMismatch(f"outcome index {j} out of range for m={m}")
-    table = score_table(rule, R)
+    table = _unit_table(rule, R)
     if cols != list(range(m)):
         table = table[:, cols]
     # One test of every requested entry; only when it finds one undefined
@@ -418,6 +411,9 @@ class PropernessReport:
     passed means every checked competitor had strictly lower expected score
     than truthful reporting; max_margin is the largest competitor-minus-truth
     gap observed (negative when passing); nearest_competitor attains it.
+    The scan decides on the unit rule's scores (offsets 0, scale 1), so
+    only max_margin depends on the rule's offsets and scale: it is b times
+    the unit rule's margin.
     Grid points where the score is undefined are skipped and counted.
     """
 
@@ -449,9 +445,10 @@ def _properness_scan(
 ) -> list[PropernessReport]:
     """check_strict_properness at each belief, in one pass over the lattice.
 
-    Each block is scored once; every belief takes its expected scores from
-    that table with a matrix-vector product of its own, so each report has
-    the bits its own check gives. Beliefs must share one length.
+    Each block is scored once, under the unit rule S; every belief takes
+    its expected scores from that table with a matrix-vector product of its
+    own, so each report has the bits its own check gives. Beliefs must
+    share one length.
     """
     if resolution < 2:
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
@@ -477,7 +474,7 @@ def _properness_scan(
     blocks = _lattice_blocks(m, resolution, interior=interior)
     truth_values = []
     for p, zeros in zip(ps, zero_cols):
-        truth_table = score_table(rule, p[None, :])
+        truth_table = _unit_table(rule, p[None, :])
         truth_table[:, zeros] = 0.0
         truth_value = float(truth_table[0] @ p)
         if not math.isfinite(truth_value):
@@ -496,9 +493,6 @@ def _properness_scan(
     masked_buf = np.empty((capacity, m)) if any(len(z) for z in zero_cols[:-1]) else None
     margins_buf = np.empty(capacity)
     competitor_buf = np.empty(capacity, dtype=bool)
-    # The small tile comes last: allocated before the buffers, it left the
-    # heap fragmented and raised peak RSS by about 0.3 MB.
-    tile = _row_tile(rule.offsets_for(m), capacity)
     k = len(beliefs)
     left_out = 0
     if interior:
@@ -511,7 +505,7 @@ def _properness_scan(
     for grid in blocks:
         n = len(grid)
         table, margins, competitor = table_buf[:n], margins_buf[:n], competitor_buf[:n]
-        _score_into(rule, grid, table, tile)
+        _score_into(rule, grid, table)
         for i, p in enumerate(ps):
             scored = table
             if len(zero_cols[i]):
@@ -542,7 +536,9 @@ def _properness_scan(
                 nearest[i] = Forecast(tuple(grid[best].tolist()))
         start += n
     return [
-        PropernessReport(max_margin[i] < 0.0, max_margin[i], nearest[i], checked[i], skipped[i])
+        PropernessReport(
+            max_margin[i] < 0.0, rule.b * max_margin[i], nearest[i], checked[i], skipped[i]
+        )
         for i in range(k)
     ]
 

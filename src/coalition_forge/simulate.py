@@ -35,7 +35,7 @@ from .mechanisms import (
     MechanismSpec,
     intermediary_profit_by_outcome,
 )
-from .rules import _unit_rule, score_table
+from .rules import _unit_table
 from .simplex import Forecast, validate_forecast
 
 
@@ -229,9 +229,10 @@ def expected_surplus_sweep(
     coalition gain at an outcome drawn uniformly. The traditional total
     keeps growing with coalition size; the self-financed competitive
     total peaks near half the pool. Each gain is scored on the unit rule
-    (offsets 0, scale 1) and multiplied by the rule's scale b, as
-    arbitrage._coalition_surplus does; the pool's formula is written out
-    here for equal wagers, which keeps the sweep's pinned bits.
+    (offsets 0, scale 1, rules._unit_table) and multiplied by the rule's
+    scale b once, as the public gains multiply arbitrage._coalition_surplus;
+    the pool's formula is written out here for equal wagers, which keeps
+    the sweep's pinned bits.
     """
     if mechanism.kind is MechanismKind.MARKET:
         raise UnsupportedMechanism(
@@ -248,7 +249,6 @@ def expected_surplus_sweep(
     _check_draw_size("trials * len(fractions) * n * m", trials, len(fractions), n, m)
     sizes = [_coalition_size(f, n) for f in fractions]
     rule = mechanism.rule
-    unit = _unit_rule(rule, m)
     base_seed = _resolve_seed(seed)
     competitive = mechanism.kind is MechanismKind.COMPETITIVE
     surplus = np.empty((len(fractions), trials))
@@ -262,8 +262,8 @@ def expected_surplus_sweep(
         q = _equalizing_array(rule, beliefs[members], np.ones(c))
         if q is None:
             return 0.0
-        s_q = float(score_table(unit, q[None, :])[0, outcome])
-        all_scores = score_table(unit, beliefs)[:, outcome]
+        s_q = float(_unit_table(rule, q[None, :])[0, outcome])
+        all_scores = _unit_table(rule, beliefs)[:, outcome]
         member_total = float(all_scores[members].sum())
         if not competitive:
             return rule.b * (c * s_q - member_total)
@@ -382,7 +382,7 @@ def market_session(
         return MarketSessionResult(
             tuple(0.0 for _ in range(m)), ordering_ok, True, arb
         )
-    surpluses = _coalition_surplus(
+    surpluses = mechanism.rule.b * _coalition_surplus(
         mechanism.kind, mechanism.rule, players, coalition, arb.q, range(m),
         ordering, mechanism.market_prior, stacklevel=2,
     )

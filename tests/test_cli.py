@@ -569,7 +569,8 @@ def test_cli_json_envelope_carries_the_file_digest(capsys, name, command):
 def test_digest_is_computed_only_for_outputs_that_show_it(tmp_path, monkeypatch):
     # Loading computes no digest; the CLI computes one for the JSON
     # envelope and an intermediary run's scenario_id, and for no other
-    # output.
+    # output: once a call, even where an intermediary run shows it twice,
+    # and again on the next call.
     calls, digest = [], scenario.scenario_digest
 
     def counted(raw):
@@ -599,9 +600,10 @@ def test_digest_is_computed_only_for_outputs_that_show_it(tmp_path, monkeypatch)
         ["arbitrage", "--scenario", "example1", "--format", "json"],
         ["verify", "--scenario", "example1", "--format", "json"],
         ["simulate", "--scenario", "intermediary"],
-        ["simulate", "--scenario", "intermediary", "--format", "json"],
+        *(["simulate", "--scenario", "intermediary"] + out
+          for out in (["--format", "json"], ["--out", str(tmp_path / "run")])),
     ):
-        assert count(argv) >= 1
+        assert count(argv) == 1
 
 
 def test_cli_arbitrage_csv_shape(capsys):

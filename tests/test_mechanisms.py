@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from coalition_forge import (
+    BetaBinary,
     Coalition,
     CoalitionIsEveryoneWarning,
     DimensionMismatch,
@@ -27,18 +28,23 @@ from coalition_forge import (
     UnsupportedMechanism,
     ValidationError,
     arbitrage_report,
+    check_strict_properness,
     coalition_surplus_competitive,
     coalition_surplus_market,
     competitive_payments,
+    expected_surplus_sweep,
+    grid_search_equalizer,
     intermediary_profit_by_outcome,
     lambert,
     logarithmic_rule,
     market_scoring_payments,
+    market_session,
     ordering_satisfies_alternation,
     parse_scenario,
     payment_table,
     quadratic_rule,
     score,
+    score_table,
     spherical_rule,
     surplus_by_outcome,
     traditional_payments,
@@ -256,10 +262,10 @@ def test_payment_table_matches_per_outcome_functions():
     ids=["quadratic", "spherical", "logarithmic"],
 )
 def test_coalition_gains_are_payment_table_differences(rule):
-    # Each gain is b times the members' payments for coordinated play minus
-    # their payments for truthful play under the unit rule (offsets 0,
-    # scale 1), bit for bit, from the same formula that payment_table
-    # applies, under all three mechanisms.
+    # Each gain is the members' payments for coordinated play minus their
+    # payments for truthful play under the unit rule (offsets 0, scale 1),
+    # bit for bit, from the same formula that payment_table applies, under
+    # all three mechanisms; the public gains are b times it.
     unit = dataclasses.replace(rule, affine_offsets=None, b=1.0)
     rng = np.random.default_rng(1313)
     for _ in range(30):
@@ -290,7 +296,7 @@ def test_coalition_gains_are_payment_table_differences(rule):
                     kind, rule, players, coalition, coordinated, range(m), list(range(n))
                 )
                 for j in range(m):
-                    want = rule.b * math.fsum(paid[i][j] - owed[i][j] for i in members)
+                    want = math.fsum(paid[i][j] - owed[i][j] for i in members)
                     assert gains[j] == want, (kind, j)
                     if kind is MechanismKind.COMPETITIVE:
                         got = coalition_surplus_competitive(rule, players, coalition, coordinated, j)
@@ -300,7 +306,7 @@ def test_coalition_gains_are_payment_table_differences(rule):
                         )
                     else:
                         continue
-                    assert got == want, (kind, j)
+                    assert got == rule.b * want, (kind, j)
 
 
 def test_log_of_zero_raises_from_tables_and_surpluses():
@@ -358,8 +364,9 @@ def test_per_outcome_functions_reject_outcomes_out_of_range():
     ids=["offsets", "zero-offsets-scaled"],
 )
 def test_gains_reject_offsets_of_the_wrong_length(rule):
-    # Gains are scored on the unit rule, which has no offsets; three offsets
-    # for two states are still refused, as payment_table refuses them.
+    # Gains, the scans and the sweep score the unit rule S, which has no
+    # offsets; three offsets for two states are still refused, as
+    # payment_table and score_table refuse them.
     players = _reporting(
         ((0.2, 0.8), (0.2, 0.8)), ((0.7, 0.3), (0.7, 0.3)), ((0.5, 0.5), (0.5, 0.5))
     )
@@ -378,6 +385,15 @@ def test_gains_reject_offsets_of_the_wrong_length(rule):
             )
             for kind in (MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE)
         ),
+        lambda: check_strict_properness(rule, q, 10),
+        lambda: grid_search_equalizer(rule, players, coalition, 10),
+        lambda: expected_surplus_sweep(
+            MechanismSpec(MechanismKind.TRADITIONAL, rule), BetaBinary(2.0, 2.0), 4, [0.5], 3
+        ),
+        lambda: market_session(
+            MechanismSpec(MechanismKind.MARKET, rule), (0, 2, 1), coalition, BetaBinary(2.0, 2.0)
+        ),
+        lambda: score_table(rule, np.asarray([q.probs])),
     ]
     for call in calls:
         with pytest.raises(DimensionMismatch, match="3 affine offsets for 2 states"):
@@ -392,8 +408,12 @@ def test_mechanism_spec_prior_validation():
 
 
 def test_payment_table_rejects_empty_pool():
-    with pytest.raises(ValidationError):
+    # The per-outcome payments refuse no players as payment_table does.
+    with pytest.raises(ValidationError, match="^no players$"):
         payment_table(MechanismSpec(MechanismKind.TRADITIONAL, quadratic_rule()), [])
+    for pay in (traditional_payments, competitive_payments):
+        with pytest.raises(ValidationError, match="^no players$"):
+            pay(quadratic_rule(), [], 0)
 
 
 def test_competitive_surplus_frozen_example():

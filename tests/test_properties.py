@@ -13,6 +13,7 @@ its draws keep every entry at 1e-12 or more.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -30,12 +31,14 @@ from coalition_forge import (
     OrderingViolationWarning,
     Player,
     arbitrage_report,
+    check_strict_properness,
     closed_form_surplus,
     coalition_surplus_competitive,
     coalition_surplus_market,
     custom_binary_rule,
     generalized_log_rule,
     canonical_json,
+    grid_search_equalizer,
     intermediary_profit_by_outcome,
     logarithmic_rule,
     logit_generator,
@@ -284,6 +287,42 @@ def test_gains_flags_and_verdicts_do_not_depend_on_offsets_or_scale(case):
             for got, unit in zip(got_gains, gains):
                 assert got == tuple(b * x for x in unit), (a, b)
             assert got_closed == (None if closed is None else b * closed), (a, b)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(random_coalitions(), st.integers(10, 14))
+def test_properness_and_grid_search_do_not_depend_on_offsets_or_scale(case, resolution):
+    # Both lattice scans decide on the unit rule S: every (a, b) gives the
+    # (0, 1) properness report, with max_margin b times its, bit for bit,
+    # and the (0, 1) grid-search report.
+    name, players, coalition, _, _ = case
+    m = players[0].belief.m
+    belief = players[coalition.members[0]].belief
+    unit = _family_rule(name, m, 0.0, 1.0)
+    report = check_strict_properness(unit, belief, resolution)
+    best = grid_search_equalizer(unit, players, coalition, resolution)
+    for a in OFFSETS:
+        for b in SCALES:
+            rule = _family_rule(name, m, a, b)
+            got = check_strict_properness(rule, belief, resolution)
+            assert got == dataclasses.replace(report, max_margin=b * report.max_margin), (a, b)
+            assert grid_search_equalizer(rule, players, coalition, resolution) == best, (a, b)
+
+
+def test_scans_keep_their_answer_under_large_offsets_and_a_small_scale():
+    # Scored with the offsets, every margin of these scans would round
+    # against 1e8: the check would fail at max_margin 0.0, nearest (0, 1),
+    # and the search would return the first lattice row, (0, 1).
+    rule = quadratic_rule((1e8, 1e8), 1e-9)
+    report = check_strict_properness(rule, Forecast((0.3, 0.7)), 50)
+    assert report.passed and report.nearest_competitor == Forecast((0.32, 0.68))
+    players = [
+        Player(Forecast((0.3, 0.7)), 1.0),
+        Player(Forecast((0.30001, 0.69999)), 1.0),
+        Player(Forecast((0.5, 0.5)), 1.0),
+    ]
+    best = grid_search_equalizer(rule, players, Coalition((0, 1)), 200_000)
+    assert best == Forecast((0.300005, 0.699995))
 
 
 POSITIVE = st.floats(1e-3, 1e3)

@@ -33,7 +33,6 @@ from coalition_forge import (
     custom_binary_rule,
     generalized_log_rule,
     grid_array,
-    grid_search_equalizer,
     linear_rule,
     logarithmic_rule,
     logit_generator,
@@ -47,7 +46,7 @@ from coalition_forge import (
 
 from coalition_forge import rules, simplex
 
-from conftest import random_forecast, random_players
+from conftest import random_forecast
 
 
 def test_quadratic_score_values():
@@ -287,16 +286,23 @@ def test_score_raises_only_where_the_table_is_undefined():
             score(quadratic_rule(), Forecast((0.5, 0.5)), outcome)
 
 
+def _unit(rule):
+    """The unit rule S of rule = a + b * S: offsets 0, scale 1. The
+    private kernels and the scans score S."""
+    return dataclasses.replace(rule, affine_offsets=None, b=1.0)
+
+
 def _score_columns_by_entry(rule, reports, outcomes):
-    """rules._score_columns as first written, testing the table entry by
-    entry: the reference for which error comes first and its text."""
+    """rules._score_columns as first written, testing the unit rule's
+    table entry by entry: the reference for which error comes first and
+    its text."""
     m = reports[0].m
     if any(r.m != m for r in reports):
         raise DimensionMismatch("reports have mixed lengths")
     for j in outcomes:
         if not (0 <= j < m):
             raise DimensionMismatch(f"outcome index {j} out of range for m={m}")
-    table = score_table(rule, np.asarray([r.probs for r in reports], dtype=np.float64))
+    table = score_table(_unit(rule), np.asarray([r.probs for r in reports], dtype=np.float64))
     for j in outcomes:
         for i in np.flatnonzero(table[:, j] == -np.inf):
             r = reports[i]
@@ -320,7 +326,7 @@ def _returned_or_raised(fn, *args):
 def test_score_columns_raises_what_the_entry_loop_raised():
     # Batches with several undefined entries, in different rows and
     # outcomes: the first error, its type and its text are the entry
-    # loop's, and every table is score_table's bit for bit.
+    # loop's, and every table is the unit rule's score_table bit for bit.
     rng = np.random.default_rng(4242)
     narrow = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
     candidates = [  # a rule and its number of states, None for any
@@ -359,7 +365,7 @@ def test_score_columns_raises_what_the_entry_loop_raised():
             assert got == want
             raised += 1
             continue
-        full = score_table(rule, np.asarray([r.probs for r in reports]))
+        full = score_table(_unit(rule), np.asarray([r.probs for r in reports]))
         for table in (want, full[:, list(outcomes)]):
             assert got.shape == table.shape
             assert got.tobytes() == table.tobytes()
@@ -383,7 +389,8 @@ def test_score_table_uses_neg_inf_for_log_of_zero():
 def test_score_into_writes_every_entry_of_a_dirty_buffer():
     # The in-place kernel never reads what its output held: written into
     # NaN-filled rows of a larger buffer, as the lattice scans use it, each
-    # table is score_table's bit for bit and the rows past it stay NaN.
+    # table is the unit rule's score_table bit for bit and the rows past it
+    # stay NaN.
     rng = np.random.default_rng(909)
     narrow = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
     for m in (2, 3, 5, 9):
@@ -407,7 +414,7 @@ def test_score_into_writes_every_entry_of_a_dirty_buffer():
                 custom_binary_rule(narrow, b=0.8),
             ]
         for rule in kinds:
-            expected = score_table(rule, R)
+            expected = score_table(_unit(rule), R)
             buf = np.full((len(R) + 7, m), np.nan)
             rules._score_into(rule, R, buf[: len(R)])
             assert buf[: len(R)].tobytes() == expected.tobytes(), rule.kind
@@ -506,17 +513,18 @@ def test_properness_resolution_validation():
 
 
 def _unblocked_properness(rule, belief, resolution):
-    """check_strict_properness over the whole lattice at once: one score
-    table, one matmul and the first maximum; None where the truthful
-    expected score is not finite."""
+    """check_strict_properness over the whole lattice at once: one table of
+    the unit rule's scores, one matmul and the first maximum, whose margin
+    is returned times b; None where the truthful expected score is not
+    finite."""
     p = belief.as_array()
     zero_cols = p == 0.0
     grid = grid_array(belief.m, resolution)
-    table = score_table(rule, grid)
+    table = score_table(_unit(rule), grid)
     table[:, zero_cols] = 0.0
     with np.errstate(invalid="ignore"):
         expectations = table @ p
-    truth = score_table(rule, p[None, :])
+    truth = score_table(_unit(rule), p[None, :])
     truth[:, zero_cols] = 0.0
     truth_value = float(truth[0] @ p)
     if not math.isfinite(truth_value):
@@ -530,7 +538,7 @@ def _unblocked_properness(rule, belief, resolution):
     best = int(np.argmax(margins))
     nearest = Forecast(tuple(grid[rows[best]].tolist()))
     return PropernessReport(
-        bool(margins[best] < 0.0), float(margins[best]), nearest, len(rows), skipped
+        bool(margins[best] < 0.0), rule.b * float(margins[best]), nearest, len(rows), skipped
     )
 
 
@@ -640,9 +648,9 @@ def test_properness_log_scores_only_the_interior(monkeypatch):
     seen = []
     score_into = rules._score_into
 
-    def counting(rule, R, out, tile=None):
+    def counting(rule, R, out):
         seen.append(len(R))
-        return score_into(rule, R, out, tile)
+        return score_into(rule, R, out)
 
     monkeypatch.setattr(rules, "_score_into", counting)
     m, resolution = 4, 20
@@ -760,35 +768,6 @@ def test_properness_scan_arguments():
     binary = custom_binary_rule(logit_generator())
     with pytest.raises(ValidationError, match="not finite"):
         rules._properness_scan(binary, [Forecast((0.4, 0.6)), Forecast((1.0, 0.0))], 10)
-
-
-@pytest.mark.parametrize("tile_entries", [12, 100, None])
-def test_tables_do_not_depend_on_the_offset_tile(monkeypatch, tile_entries):
-    # Offsets go onto a table through a tile of whole rows, chunk by chunk;
-    # every tile size gives the bits of numpy's row broadcast, -inf
-    # entries included, in the scans and the grid search too.
-    rng = np.random.default_rng(919)
-    grid = grid_array(3, 100)
-    cases = [(_random_rule(rng, 3), random_forecast(rng, 3)) for _ in range(12)]
-    cases.append((quadratic_rule((0.0, 0.0, 0.0)), Forecast((0.0, 0.5, 0.5))))
-    players = random_players(rng, 3, 3)
-    coalition = Coalition((0, 1, 2))
-    expected = []
-    for rule, belief in cases:
-        table = np.empty(grid.shape)
-        rules._score_into(rule, grid, table, rule.offsets_for(3)[None, :])
-        search = None
-        if rule.kind in (RuleKind.QUADRATIC, RuleKind.SPHERICAL, RuleKind.LINEAR):
-            search = grid_search_equalizer(rule, players, coalition, 60)
-        expected.append((table.tobytes(), _unblocked_properness(rule, belief, 100), search))
-    if tile_entries is not None:
-        monkeypatch.setattr(rules, "_TILE_ENTRIES", tile_entries)
-    for (rule, belief), (table, report, search) in zip(cases, expected):
-        assert score_table(rule, grid).tobytes() == table
-        if report is not None:
-            assert check_strict_properness(rule, belief, 100) == report
-        if search is not None:
-            assert grid_search_equalizer(rule, players, coalition, 60) == search
 
 
 def test_properness_memory_is_bounded_by_the_block():
