@@ -55,6 +55,7 @@ from .simplex import (
     _block_rows,
     _clear_dust,
     _lattice_blocks,
+    _lattice_row,
     _stack,
     uniform_prior,
     weighted_mean,
@@ -632,23 +633,26 @@ def grid_search_equalizer(
     w_c = float(w.sum())
     interior = _unfloored_log(rule)
     blocks = _lattice_blocks(m, resolution, interior=interior)
-    # One workspace per call, sized like the lattice's blocks.
+    # Each block is scored in place in the stream's own buffer, which the
+    # stream rebuilds from integer parts for the next block; only the row
+    # minima have a buffer of their own.
     capacity = _block_rows(m, resolution, interior=interior)
-    margins_buf = np.empty((capacity, m))
     worst_buf = np.empty(capacity)
     undefined_buf = np.empty(capacity, dtype=bool)
     # The small tile after the buffers, so that it does not fragment the
     # heap under them and raise peak RSS.
     t_tile = _row_tile(t, capacity)
-    # One block at a time, keeping the first maximum in lattice order: a
-    # later block replaces it only when strictly larger. The first lattice
-    # row, (0, ..., 0, 1), stands while every row scanned is at -inf, as it
-    # does in a scan of the whole lattice, whose rows then all tie.
-    best_worst, best = -math.inf, [0.0] * (m - 1) + [1.0]
-    for grid in blocks:
-        n = len(grid)
-        margins, worst, undefined = margins_buf[:n], worst_buf[:n], undefined_buf[:n]
-        _score_into(rule, grid, margins)
+    # One block at a time, keeping the lattice position of the first
+    # maximum in lattice order: a later block replaces it only when
+    # strictly larger. The first lattice row, (0, ..., 0, 1), stands while
+    # every row scanned is at -inf, as it does in a scan of the whole
+    # lattice, whose rows then all tie.
+    best_worst, best_at = -math.inf, None
+    start = 0  # rows streamed before the block
+    for margins in blocks:
+        n = len(margins)
+        worst, undefined = worst_buf[:n], undefined_buf[:n]
+        _score_into(rule, margins)
         margins *= w_c
         _apply_rows(np.subtract, margins, t_tile)
         # The row minima, one column at a time: a minimum is exact in any
@@ -661,5 +665,8 @@ def grid_search_equalizer(
         worst[undefined] = -np.inf
         k = int(np.argmax(worst))
         if worst[k] > best_worst:
-            best_worst, best = worst[k], grid[k].tolist()
-    return Forecast(tuple(best))
+            best_worst, best_at = worst[k], start + k
+        start += n
+    if best_at is None:
+        return Forecast((0.0,) * (m - 1) + (1.0,))
+    return Forecast(_lattice_row(m, resolution, best_at, interior))

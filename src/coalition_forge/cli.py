@@ -60,9 +60,10 @@ from . import scenarios as bundled
 
 
 @functools.cache
-def _bundled_names() -> tuple[str, ...]:
-    # The bundled package does not change while the process runs.
-    return tuple(bundled.names())
+def _bundled_paths() -> dict[str, Path]:
+    # The bundled package does not change while the process runs, so each
+    # name is resolved to its file once.
+    return {name: bundled.path(name) for name in bundled.names()}
 
 
 def _resolve_scenario(value: str) -> Path:
@@ -70,11 +71,12 @@ def _resolve_scenario(value: str) -> Path:
     if p.exists():
         return p
     name = value[:-5] if value.endswith(".json") else value
-    if name in _bundled_names():
-        return bundled.path(name)
+    bundled_paths = _bundled_paths()
+    if name in bundled_paths:
+        return bundled_paths[name]
     raise ValidationError(
         f"scenario {value!r} is neither a file nor a bundled name "
-        f"(bundled: {', '.join(_bundled_names())})"
+        f"(bundled: {', '.join(bundled_paths)})"
     )
 
 

@@ -208,7 +208,11 @@ def _lattice_blocks(
     Each generator allocates one integer and one float buffer of
     _block_rows(m, resolution, block_rows, interior) rows when it starts,
     and every block is built in them: a block is a view that stays valid
-    only until the next block is requested. Copy a block to keep it.
+    only until the next block is requested. Copy a block to keep it. A
+    consumer may overwrite a block, as the lattice scans do when they
+    score it in place: the next block is rebuilt from its integer parts,
+    whose every entry is written again, so nothing a consumer leaves in
+    the float buffer reaches it.
     Generators share nothing, so each may run on its own thread.
     Arguments are checked at the call, before the first block is built.
 
@@ -363,6 +367,41 @@ def _lattice_index(
         index += math.comb(r + after, after) - math.comb(r - k + after, after)
         r -= k
     return index
+
+
+def _lattice_row(
+    m: int, resolution: int, index: int, interior: bool = False
+) -> tuple[float, ...]:
+    """Row index of grid_array(m, resolution), or of the rows
+    _lattice_blocks streams with interior set, with the bits the stream
+    gives it: the inverse of _lattice_index, for 0 <= index < the rows
+    streamed.
+
+    Each entry is k / resolution, ((k + 1) / resolution for an interior
+    row), which Python and numpy's divide both round correctly. Each head
+    is found by bisection on the closed form _lattice_index sums, so a
+    row costs O(m log resolution) binomials.
+    """
+    r = resolution - m if interior else resolution
+    parts = []
+    for after in range(m - 1, 0, -1):
+        # The rows below heads 0..k - 1 with r units open number
+        # C(r + after, after) - C(r - k + after, after); the head is the
+        # largest k whose count does not pass index.
+        total = math.comb(r + after, after)
+        lo, hi = 0, r
+        while lo < hi:
+            k = (lo + hi + 1) // 2
+            if total - math.comb(r - k + after, after) <= index:
+                lo = k
+            else:
+                hi = k - 1
+        index -= total - math.comb(r - lo + after, after)
+        parts.append(lo)
+        r -= lo
+    parts.append(r)
+    shift = 1 if interior else 0
+    return tuple((k + shift) / resolution for k in parts)
 
 
 def _clear_dust(q: np.ndarray) -> np.ndarray:

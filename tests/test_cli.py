@@ -1146,6 +1146,40 @@ def test_resolve_scenario_accepts_only_bundled_names(tmp_path, monkeypatch):
             cli._resolve_scenario(value)
 
 
+def test_resolve_scenario_resolves_each_bundled_name_once(monkeypatch, capsys):
+    # Every bundled name is looked up in the package once per process, not
+    # on every main call; repeated calls get the same paths.
+    resolved = []
+    path = bundled.path
+
+    def counting(name):
+        resolved.append(name)
+        return path(name)
+
+    monkeypatch.setattr(bundled, "path", counting)
+    cli._bundled_paths.cache_clear()
+    try:
+        for _ in range(3):
+            for name in sorted(BUNDLED_NAMES):
+                assert cli._resolve_scenario(name) == path(name)
+                assert cli._resolve_scenario(f"{name}.json") == path(name)
+            assert main(["score", "--scenario", "example1"]) == 0
+        capsys.readouterr()
+        assert sorted(resolved) == sorted(BUNDLED_NAMES)
+    finally:
+        cli._bundled_paths.cache_clear()
+
+
+def test_resolve_scenario_prefers_a_file_in_the_working_directory(tmp_path, monkeypatch):
+    # A path that exists wins over the bundled name it spells, also once
+    # the bundled names are resolved.
+    monkeypatch.chdir(tmp_path)
+    assert cli._resolve_scenario("example1") == bundled.path("example1")
+    for value in ("example1", "example1.json"):
+        (tmp_path / value).write_text("{}", encoding="utf-8")
+        assert cli._resolve_scenario(value) == Path(value)
+
+
 # One value of every JSON type, and the numbers a field may reject.
 _MUTANTS = ([], [0.5, "x"], {}, {"kind": []}, "", "x", True, False, None, 10**400, math.nan, -1, -0.5, 0)
 

@@ -380,17 +380,44 @@ def test_score_columns_raises_what_the_entry_loop_raised():
         assert got[0] is DimensionMismatch
 
 
+def test_scoring_leaves_the_callers_array_untouched():
+    # score_table takes a C-ordered float64 array as it is, without a
+    # copy, and _unit_table is handed arrays the caller keeps: both score
+    # a copy, so the caller's bytes do not move under any family.
+    rng = np.random.default_rng(929)
+    for m in (2, 3, 5):
+        R = rng.dirichlet(np.ones(m), size=300)
+        R[::7, 0] = 0.0
+        R /= R.sum(axis=1, keepdims=True)
+        assert R.flags.c_contiguous and np.asarray(R, dtype=np.float64) is R
+        kinds = [
+            quadratic_rule(),
+            logarithmic_rule(),
+            generalized_log_rule(0.1),
+            spherical_rule(),
+            linear_rule(),
+        ]
+        if m == 2:
+            kinds.append(custom_binary_rule(logit_generator()))
+        before = R.tobytes()
+        for rule in kinds:
+            table = score_table(rule, R)
+            unit = rules._unit_table(rule, R)
+            assert R.tobytes() == before, rule.kind
+            assert table is not R and unit is not R
+
+
 def test_score_table_uses_neg_inf_for_log_of_zero():
     table = score_table(logarithmic_rule(), np.array([[0.0, 1.0]]))
     assert table[0, 0] == -np.inf
     assert table[0, 1] == pytest.approx(0.0)
 
 
-def test_score_into_writes_every_entry_of_a_dirty_buffer():
-    # The in-place kernel never reads what its output held: written into
-    # NaN-filled rows of a larger buffer, as the lattice scans use it, each
-    # table is the unit rule's score_table bit for bit and the rows past it
-    # stay NaN.
+def test_score_into_overwrites_only_its_rows_of_a_larger_buffer():
+    # The in-place kernel scores the rows it is given and nothing past
+    # them: in the first rows of a NaN-filled larger buffer, as the lattice
+    # scans hand it each block, every table is the unit rule's score_table
+    # bit for bit and the rows past it stay NaN.
     rng = np.random.default_rng(909)
     narrow = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
     for m in (2, 3, 5, 9):
@@ -416,7 +443,8 @@ def test_score_into_writes_every_entry_of_a_dirty_buffer():
         for rule in kinds:
             expected = score_table(_unit(rule), R)
             buf = np.full((len(R) + 7, m), np.nan)
-            rules._score_into(rule, R, buf[: len(R)])
+            buf[: len(R)] = R
+            rules._score_into(rule, buf[: len(R)])
             assert buf[: len(R)].tobytes() == expected.tobytes(), rule.kind
             assert np.isnan(buf[len(R):]).all()
         assert np.isneginf(score_table(logarithmic_rule(a), R)).any()
@@ -648,9 +676,9 @@ def test_properness_log_scores_only_the_interior(monkeypatch):
     seen = []
     score_into = rules._score_into
 
-    def counting(rule, R, out):
+    def counting(rule, R):
         seen.append(len(R))
-        return score_into(rule, R, out)
+        return score_into(rule, R)
 
     monkeypatch.setattr(rules, "_score_into", counting)
     m, resolution = 4, 20
@@ -796,6 +824,26 @@ def test_properness_memory_is_bounded_at_wide_m():
         tracemalloc.stop()
     assert peak <= 8 * 2**20
     assert report.passed and report.checked == math.comb(66, 63)
+
+
+def test_properness_scores_each_block_in_the_stream_buffer():
+    # A check holds the stream's float block (one buffer: rows * m * 8
+    # bytes), its integer parts and per-row vectors, and scores each
+    # block in place; a score table beside the block took it to about 2.5
+    # buffers.
+    for rule, belief, resolution in (
+        (spherical_rule(), Forecast((0.3, 0.1, 0.2, 0.25, 0.15)), 50),
+        (logarithmic_rule(), Forecast((0.1, 0.2, 0.15, 0.25, 0.2, 0.1)), 30),
+    ):
+        buffer = simplex._block_rows(belief.m, resolution) * belief.m * 8
+        tracemalloc.start()
+        try:
+            report = check_strict_properness(rule, belief, resolution)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * buffer, (rule.kind, peak / buffer)
+        assert report.passed
 
 
 def test_normalize_quadratic():

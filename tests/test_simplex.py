@@ -340,6 +340,36 @@ def test_lattice_index_is_the_row_position(m, resolution):
     assert simplex._lattice_index((off + [0.0] * m)[:m], resolution) is None
 
 
+@pytest.mark.parametrize("m", range(2, 11))
+def test_lattice_row_rebuilds_the_streamed_row(m):
+    # The inverse of _lattice_index: each position gives back the row the
+    # stream built there, bit for bit, whole lattice or interior.
+    for resolution in range(1, {2: 40, 3: 25, 4: 14, 5: 10}.get(m, 7)):
+        for interior in (False, True):
+            blocks = [b.copy() for b in simplex._lattice_blocks(m, resolution, interior=interior)]
+            if not blocks:
+                continue
+            streamed = np.concatenate(blocks)
+            for index, row in enumerate(streamed):
+                rebuilt = simplex._lattice_row(m, resolution, index, interior)
+                assert np.array(rebuilt).tobytes() == row.tobytes(), (resolution, interior, index)
+                assert simplex._lattice_index(rebuilt, resolution, interior) == index
+
+
+def test_lattice_row_bisects_each_head(monkeypatch):
+    # Two states at the largest resolution MAX_GRID_POINTS allows: the head
+    # is found in about log2(resolution) binomials, not one per unit.
+    resolution = MAX_GRID_POINTS - 1
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append(1) or comb(n, k))
+    for index in (0, 1, 2_718_281, resolution):
+        calls.clear()
+        row = simplex._lattice_row(2, resolution, index)
+        assert row == (index / resolution, (resolution - index) / resolution)
+        assert len(calls) <= 2 * resolution.bit_length()
+
+
 def test_lattice_blocks_allocate_little_beyond_their_buffers():
     # A pass keeps one integer and one float buffer of the block's size;
     # the last two columns of each block are written straight into the
