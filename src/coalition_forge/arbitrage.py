@@ -43,8 +43,6 @@ from .rules import (
     ConvexGenerator,
     RuleKind,
     ScoringRule,
-    _apply_rows,
-    _row_tile,
     _score_columns,
     _score_into,
     _unfloored_log,
@@ -639,9 +637,12 @@ def grid_search_equalizer(
     capacity = _block_rows(m, resolution, interior=interior)
     worst_buf = np.empty(capacity)
     undefined_buf = np.empty(capacity, dtype=bool)
-    # The small tile after the buffers, so that it does not fragment the
-    # heap under them and raise peak RSS.
-    t_tile = _row_tile(t, capacity)
+    # The members' truthful total t goes off each block chunk by chunk,
+    # through a tile of t down whole rows: numpy broadcasts a row one
+    # short row per inner loop, and the tile makes each chunk one loop,
+    # with the same bits. It comes after the buffers, so that it does not
+    # fragment the heap under them and raise peak RSS.
+    t_tile = np.tile(t, (min(capacity, max(1, 2**13 // m)), 1))
     # One block at a time, keeping the lattice position of the first
     # maximum in lattice order: a later block replaces it only when
     # strictly larger. The first lattice row, (0, ..., 0, 1), stands while
@@ -654,7 +655,9 @@ def grid_search_equalizer(
         worst, undefined = worst_buf[:n], undefined_buf[:n]
         _score_into(rule, margins)
         margins *= w_c
-        _apply_rows(np.subtract, margins, t_tile)
+        for at in range(0, n, len(t_tile)):
+            chunk = margins[at : at + len(t_tile)]
+            chunk -= t_tile[: len(chunk)]
         # The row minima, one column at a time: a minimum is exact in any
         # order, and numpy reduces short rows one at a time, slowly.
         with np.errstate(invalid="ignore"):

@@ -272,7 +272,7 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
         rule.offsets_for(m)  # raises DimensionMismatch
     kind = rule.kind
     if kind is RuleKind.QUADRATIC:
-        norms = _square_sums(R)
+        norms = _row_sums(R, square=True)
         R *= 2.0
         _apply_column(np.subtract, R, norms)
     elif _unfloored_log(rule):
@@ -286,7 +286,7 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
         tail *= l
         _apply_column(np.add, R, tail)
     elif kind is RuleKind.SPHERICAL:
-        norms = _square_sums(R)
+        norms = _row_sums(R, square=True)
         np.sqrt(norms, out=norms)
         _apply_column(np.divide, R, norms)
     elif kind is RuleKind.LINEAR:
@@ -312,71 +312,26 @@ def _unfloored_log(rule: ScoringRule) -> bool:
     )
 
 
-# Entries in a tile of _row_tile: enough rows for numpy to add a row to
-# whole chunks of a table in contiguous loops, few enough to stay small.
-_TILE_ENTRIES = 2**13
-
-
-def _row_tile(row: np.ndarray, rows: int) -> np.ndarray:
-    """The operand with which _apply_rows applies row to tables of up to
-    rows rows: row repeated down _TILE_ENTRIES // len(row) rows, C-ordered,
-    or row itself as a single row when such a table is smaller than a
-    tile, where building one costs more than it saves."""
-    m = len(row)
-    if rows * m < _TILE_ENTRIES:
-        return row[None, :]
-    return np.tile(row, (max(1, _TILE_ENTRIES // m), 1))
-
-
-def _apply_rows(ufunc: np.ufunc, out: np.ndarray, tile: np.ndarray) -> None:
-    """ufunc(out, row, out=out) bit for bit, for the row that tile (from
-    _row_tile) repeats and a C-ordered (n, m) out.
-
-    numpy broadcasts a row over a table one short row at a time, one inner
-    loop per row; applying a tile of the same width makes each chunk of
-    rows one contiguous loop, several times faster on narrow tables.
-    """
-    step = len(tile)
-    if step == 1:
-        ufunc(out, tile, out=out)
-        return
-    for start in range(0, len(out), step):
-        chunk = out[start : start + step]
-        ufunc(chunk, tile[: len(chunk)], out=chunk)
-
-
-def _row_sums(X: np.ndarray) -> np.ndarray:
-    """X.sum(axis=1, keepdims=True), bit for bit, for a C-ordered X.
+def _row_sums(X: np.ndarray, square: bool = False) -> np.ndarray:
+    """X.sum(axis=1, keepdims=True), or with square set
+    (X * X).sum(axis=1, keepdims=True), bit for bit, for a C-ordered X.
 
     numpy sums a row of fewer than 8 entries from left to right onto 0.0,
     one row per inner loop, which makes short rows slow; adding whole
     columns in that order gives the same bits in a fraction of the time
     once there are more than about 40 rows per column (a call per column
-    costs more below that). Longer rows are summed pairwise, so they go
-    to numpy as they are.
+    costs more below that). The squares are then taken one column at a
+    time too, with no table of them beside X. Longer rows are summed
+    pairwise, so they go to numpy as they are.
     """
     n, m = X.shape
     if m >= 8 or n < 64 * m:
-        return X.sum(axis=1, keepdims=True)
-    sums = np.add(X[:, :1], X[:, 1:2])
-    for j in range(2, m):
-        sums += X[:, j : j + 1]
-    sums += 0.0
-    return sums
-
-
-def _square_sums(R: np.ndarray) -> np.ndarray:
-    """_row_sums(R * R), bit for bit, for a C-ordered R. Where _row_sums
-    adds whole columns, the squares are taken one column at a time too,
-    with no table of them beside R."""
-    n, m = R.shape
-    if m >= 8 or n < 64 * m:
-        return _row_sums(R * R)
-    sums = np.multiply(R[:, :1], R[:, :1])
-    square = np.empty_like(sums)
-    for j in range(1, m):
-        np.multiply(R[:, j : j + 1], R[:, j : j + 1], out=square)
-        sums += square
+        return (X * X if square else X).sum(axis=1, keepdims=True)
+    sums = X[:, :1] * X[:, :1] if square else X[:, :1] + X[:, 1:2]
+    term = np.empty_like(sums) if square else None
+    for j in range(1 if square else 2, m):
+        col = X[:, j : j + 1]
+        sums += np.multiply(col, col, out=term) if square else col
     sums += 0.0
     return sums
 
@@ -530,12 +485,9 @@ def _properness_scan(
     # parts. A belief's report keeps the lattice position of its nearest
     # competitor, and the row is rebuilt from it at the end.
     capacity = _block_rows(m, resolution, interior=interior)
-    masked_buf = np.empty((capacity, m)) if any(len(z) for z in zero_cols[:-1]) else None
     competitor_buf = np.empty(capacity, dtype=bool)
     k = len(beliefs)
-    left_out = 0
-    if interior:
-        left_out = math.comb(resolution + m - 1, m - 1) - _interior_rows(m, resolution)
+    left_out = math.comb(resolution + m - 1, m - 1) - _interior_rows(m, resolution) if interior else 0
     checked, skipped = [0] * k, [left_out] * k
     max_margin, nearest = [-math.inf] * k, [None] * k
     # One block at a time, keeping the first maximum in lattice order: a
@@ -546,15 +498,18 @@ def _properness_scan(
         competitor = competitor_buf[:n]
         _score_into(rule, table)
         for i, p in enumerate(ps):
-            scored = table
-            if len(zero_cols[i]):
-                # The last belief masks the table itself; the others, a copy.
-                if i < k - 1:
-                    scored = masked_buf[:n]
-                    np.copyto(scored, table)
-                scored[:, zero_cols[i]] = 0.0
+            zeros = zero_cols[i]
+            # A belief's zero columns are masked in the table itself, and
+            # the scores saved from them put back for the next belief; the
+            # saved copy is let go before the next block is scored.
+            if len(zeros):
+                saved = table[:, zeros]
+                table[:, zeros] = 0.0
             with np.errstate(invalid="ignore"):
-                margins = np.matmul(scored, p)
+                margins = np.matmul(table, p)
+            if len(zeros):
+                table[:, zeros] = saved
+                del saved
             np.isfinite(margins, out=competitor)
             skipped[i] += n - int(np.count_nonzero(competitor))
             if truthful[i] is not None and start <= truthful[i] < start + n:

@@ -35,6 +35,12 @@ SUM_TOL = 1e-9
 # caps a scenario's event.m.
 MAX_GRID_POINTS = 4_000_000
 
+# Most entries (points times m) in a lattice grid_array or _lattice_blocks
+# accepts: each point has m entries, so the point limit alone lets wide m
+# run for minutes. m = 6 at resolution 50 (20.9 M entries) and m = 300 at
+# resolution 2 (13.5 M) fit; m = 600 at resolution 2 (108 M) does not.
+MAX_GRID_ENTRIES = 8 * MAX_GRID_POINTS
+
 # Most rows, and most entries, in one block of _lattice_blocks. Up to
 # m = 8 states the row cap binds; wider lattices get fewer rows per block.
 BLOCK_ROWS = 16_384
@@ -147,7 +153,8 @@ def grid_array(m: int, resolution: int) -> np.ndarray:
 
     Rows are the integer compositions of resolution into m parts in
     lexicographic order, divided by resolution. Lattices above
-    MAX_GRID_POINTS raise ValidationError before anything is allocated.
+    MAX_GRID_POINTS or MAX_GRID_ENTRIES raise ValidationError before
+    anything is allocated.
     """
     (grid,) = _lattice_blocks(m, resolution, MAX_GRID_POINTS)
     return grid
@@ -158,17 +165,18 @@ def _block_rows(
 ) -> int:
     """Rows of the buffers behind _lattice_blocks(m, resolution, block_rows,
     interior): the block limit, or the rows streamed when they are fewer.
-    Checks the arguments as _lattice_blocks does; MAX_GRID_POINTS bounds
-    the whole lattice, interior or not."""
+    Checks the arguments as _lattice_blocks does; MAX_GRID_POINTS and
+    MAX_GRID_ENTRIES bound the whole lattice, interior or not."""
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")
     if resolution < 1:
         raise ValidationError(f"resolution must be >= 1, got {resolution}")
     n = math.comb(resolution + m - 1, m - 1)
-    if n > MAX_GRID_POINTS:
+    if n > MAX_GRID_POINTS or n * m > MAX_GRID_ENTRIES:
         raise ValidationError(
             f"resolution {resolution} over {m} states gives {n:,} lattice "
-            f"points, above the limit of {MAX_GRID_POINTS:,}"
+            f"points * {m} = {n * m:,} entries, above the limit of "
+            f"{MAX_GRID_POINTS:,} points or {MAX_GRID_ENTRIES:,} entries"
         )
     if interior:
         n = _interior_rows(m, resolution)

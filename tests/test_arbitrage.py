@@ -43,7 +43,7 @@ from coalition_forge import (
     verify_dominance_oracle,
     weighted_mean,
 )
-from coalition_forge import rules, simplex
+from coalition_forge import simplex
 from coalition_forge.arbitrage import _spherical_equalizer
 
 from conftest import disagreeing_players, full_coalition, random_forecast
@@ -405,22 +405,20 @@ def test_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
         coalition = full_coalition(players)
         expected = _unblocked_grid_search(rule, players, coalition, resolution)
         assert grid_search_equalizer(rule, players, coalition, resolution) == expected
-
-
-@pytest.mark.parametrize("tile_entries", [12, 100, None])
-def test_grid_search_does_not_depend_on_the_row_tile(monkeypatch, tile_entries):
     # The members' truthful total goes off each block through a tile of
-    # whole rows, chunk by chunk; every tile size gives the report of
-    # numpy's row broadcast over the whole lattice.
-    rng = np.random.default_rng(919)
-    cases = []
-    for rule in (quadratic_rule((0.1, -0.2, 0.3), 1.5), spherical_rule(), linear_rule(b=0.7)):
-        players = disagreeing_players(rng, 3, 3)
-        cases.append((rule, players, _unblocked_grid_search(rule, players, full_coalition(players), 60)))
-    if tile_entries is not None:
-        monkeypatch.setattr(rules, "_TILE_ENTRIES", tile_entries)
-    for rule, players, expected in cases:
-        assert grid_search_equalizer(rule, players, full_coalition(players), 60) == expected
+    # whole rows, chunk by chunk: at (3, 200) a default block spans several
+    # tile chunks and its last chunk is partial. Every chunking gives the
+    # report of numpy's row broadcast over the whole lattice.
+    for rule, m, resolution in (
+        (quadratic_rule((0.1, -0.2, 0.3), 1.5), 3, 60),
+        (spherical_rule(), 3, 60),
+        (linear_rule(b=0.7), 3, 60),
+        (quadratic_rule(), 3, 200),
+    ):
+        players = disagreeing_players(rng, 3, m)
+        coalition = full_coalition(players)
+        expected = _unblocked_grid_search(rule, players, coalition, resolution)
+        assert grid_search_equalizer(rule, players, coalition, resolution) == expected
 
 
 @pytest.mark.parametrize("block_rows", [7, None])

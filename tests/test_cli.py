@@ -740,25 +740,29 @@ def test_cli_verify_custom_resolution(capsys):
 
 
 def test_cli_verify_refuses_oversized_lattice(tmp_path, capsys):
-    # Seven states at resolution 50 is a 32.5 M point lattice: a clean
-    # error (exit 2) before any of it is allocated.
-    uniform = [1 / 7] * 7
-    skewed = [0.4] + [0.1] * 6
-    raw = _minimal_raw(
-        event={"m": 7},
-        players=[{"belief": uniform}, {"belief": skewed}],
-    )
-    path = _write_scenario(tmp_path, raw)
-    tracemalloc.start()
-    try:
-        code = main(["verify", "--scenario", path, "--resolution", "50"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert peak < 20 * 2**20
-    err = capsys.readouterr().err
-    assert "resolution 50" in err and "32,468,436" in err
+    # Seven states at resolution 50 is a 32.5 M point lattice, and 600
+    # states at resolution 2 only 180,300 points but 108 M entries: each
+    # is one error line (exit 2) before any of it is allocated.
+    for m, resolution, named in ((7, 50, "32,468,436"), (600, 2, "108,180,000 entries")):
+        uniform = [1 / m] * m
+        skewed = [0.4] + [0.6 / (m - 1)] * (m - 1)
+        raw = _minimal_raw(
+            event={"m": m},
+            players=[{"belief": uniform}, {"belief": skewed}],
+        )
+        path = _write_scenario(tmp_path, raw)
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--scenario", path, "--resolution", str(resolution)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 20 * 2**20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert f"resolution {resolution}" in line and named in line
 
 
 def test_cli_simulate_sweep_csv_stdout(tmp_path, capsys):

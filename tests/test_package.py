@@ -85,6 +85,31 @@ def test_every_public_name_has_a_user():
     assert unused == sorted(UNUSED_PUBLIC_NAMES)
 
 
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Private names a module binds at its top level: functions, classes
+    and assigned names, leaving out dunders."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_has_a_reader():
+    # A private helper earns its place by a read in the package or the
+    # benchmark outside its own definition; an import alone is no read.
+    # One left behind when its last caller is deleted shows here.
+    root = Path(__file__).resolve().parents[1]
+    package = [ast.parse(p.read_text(encoding="utf-8")) for p in (root / "src").rglob("*.py")]
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in (root / "bench").glob("*.py")]
+    defined = set().union(*(_private_definitions(tree) for tree in package))
+    used = set().union(*(_names_used(tree) for tree in package + bench))
+    assert sorted(defined - used) == []
+
+
 def test_no_module_holds_an_array():
     # Workspaces, tiles and tables live for one call: an array bound at
     # module level would be state shared by every caller and thread, and

@@ -453,17 +453,22 @@ def test_score_into_overwrites_only_its_rows_of_a_larger_buffer():
 def test_row_sums_match_numpy_sum_bit_for_bit():
     # Column by column in numpy's order for short rows, numpy's own sum
     # for long ones: the bytes agree, signed zeros, infinities and NaN
-    # included, or every table that sums rows would drift.
+    # included, or every table that sums rows would drift. Squared, the
+    # short rows are squared column by column too; the quadratic and
+    # spherical norms take those bits.
     rng = np.random.default_rng(919)
     specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
     for m in range(2, 13):
         X = rng.standard_normal((2000, m)) * 10.0 ** rng.integers(-20, 20, (2000, m))
         special = rng.random(X.shape) < 0.2
         X[special] = rng.choice(specials, int(special.sum()))
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             for rows in (X, X[:37]):
                 expected = rows.sum(axis=1, keepdims=True)
                 assert rules._row_sums(rows).tobytes() == expected.tobytes(), m
+                expected = (rows * rows).sum(axis=1, keepdims=True)
+                squared = rules._row_sums(rows, square=True)
+                assert squared.tobytes() == expected.tobytes(), m
 
 
 def test_properness_quadratic_passes():
@@ -830,20 +835,29 @@ def test_properness_scores_each_block_in_the_stream_buffer():
     # A check holds the stream's float block (one buffer: rows * m * 8
     # bytes), its integer parts and per-row vectors, and scores each
     # block in place; a score table beside the block took it to about 2.5
-    # buffers.
-    for rule, belief, resolution in (
-        (spherical_rule(), Forecast((0.3, 0.1, 0.2, 0.25, 0.15)), 50),
-        (logarithmic_rule(), Forecast((0.1, 0.2, 0.15, 0.25, 0.2, 0.1)), 30),
+    # buffers. A belief with a zero state masks those columns in the block
+    # itself and puts their scores back after, in either order of beliefs:
+    # a masked copy of the block for every belief but the last took the
+    # pair below to 2.78 buffers.
+    zero_state = Forecast((0.0, 0.2, 0.3, 0.25, 0.25))
+    full = Forecast((0.3, 0.1, 0.2, 0.25, 0.15))
+    for rule, beliefs, resolution in (
+        (spherical_rule(), [full], 50),
+        (logarithmic_rule(), [Forecast((0.1, 0.2, 0.15, 0.25, 0.2, 0.1))], 30),
+        (spherical_rule(), [zero_state, full], 50),
+        (spherical_rule(), [full, zero_state], 50),
     ):
-        buffer = simplex._block_rows(belief.m, resolution) * belief.m * 8
+        m = beliefs[0].m
+        buffer = simplex._block_rows(m, resolution) * m * 8
         tracemalloc.start()
         try:
-            report = check_strict_properness(rule, belief, resolution)
+            reports = rules._properness_scan(rule, beliefs, resolution)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * buffer, (rule.kind, peak / buffer)
-        assert report.passed
+        assert peak < 2 * buffer, (rule.kind, len(beliefs), peak / buffer)
+        assert all(report.passed for report in reports)
+        assert reports == [check_strict_properness(rule, b, resolution) for b in beliefs]
 
 
 def test_normalize_quadratic():

@@ -202,6 +202,26 @@ def test_grid_array_refuses_lattices_above_the_point_limit():
         simplex._block_rows(7, 35, interior=True)
 
 
+def test_lattices_above_the_entry_limit_are_refused():
+    # Each point has m entries, so wide m at a small resolution is bounded
+    # by entries. The largest default verify lattice, 300 states at
+    # resolution 2, two states at the point limit and the 1,500 vertices
+    # of 1,500 states all fit.
+    for m, resolution in ((6, 50), (300, 2), (2, 3_999_999), (1500, 1)):
+        n = math.comb(resolution + m - 1, m - 1)
+        assert n * m <= simplex.MAX_GRID_ENTRIES
+        assert simplex._block_rows(m, resolution) >= 1
+    # 600 states at resolution 2 is 180,300 points of 600 entries each;
+    # the stream refuses it at the call, interior or not.
+    message = r"resolution 2 over 600 states .*180,300 .*108,180,000 entries.*32,000,000"
+    with pytest.raises(ValidationError, match=message):
+        simplex._block_rows(600, 2)
+    with pytest.raises(ValidationError, match=message):
+        simplex._lattice_blocks(600, 2, interior=True)
+    with pytest.raises(ValidationError, match=r"500,500,000 entries"):
+        grid_array(1000, 2)
+
+
 def test_grid_array_rejects_resolution_below_one():
     with pytest.raises(ValidationError, match="resolution"):
         grid_array(3, 0)
