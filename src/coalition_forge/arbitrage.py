@@ -10,10 +10,11 @@ from belief unit vectors for the spherical rule, and a derivative-matching
 root for any binary rule given by a convex generator.
 
 Each mechanism's payment formula and the one coalition-gain formula built
-on it live here too, since every surplus needs them: the gain of the
-traditional, competitive and market mechanisms alike is the members'
-coordinated payments minus their truthful ones under the unit rule, times
-the rule's scale.
+on it live here too, since every surplus needs them. Payments are linear
+in the scores, so the gain of the traditional, competitive and market
+mechanisms alike is the mechanism's payment, summed over the members, of
+their coordinated-minus-truthful scores under the unit rule, times the
+rule's scale.
 """
 
 from __future__ import annotations
@@ -360,7 +361,10 @@ def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> n
     Market scoring pays each row's score minus the row before it and
     ignores wagers; the traditional scheme pays wagered scores; the
     competitive scheme pays wagered scores minus each player's wager share
-    of the column total, so its columns sum to zero.
+    of the column total, so its columns sum to zero. Each formula is linear
+    in the table, so the payment of a difference of two tables is the
+    difference of their payments: a coalition gain is the payment of the
+    members' score differences.
     """
     if kind is MechanismKind.MARKET:
         return np.diff(table, axis=0)
@@ -397,8 +401,13 @@ def _coalition_surplus(
 ) -> np.ndarray:
     """Coalition gain over truthful play at every requested outcome under
     any mechanism, outsider reports held fixed (an outsider who never
-    submitted one reports their belief): the members' coordinated payments
-    minus their truthful ones, through _payments.
+    submitted one reports their belief). Every mechanism's payments are
+    linear in the scores, so the gain is the payment, through _payments,
+    of one difference table: each member's row holds their coordinated
+    scores minus their truthful ones, and every other row is 0. Paying
+    both plays in full and subtracting agrees in exact arithmetic, but in
+    floats each competitive payment carries the pool's total, and with
+    large member wagers the subtraction cancels it down to rounding error.
 
     The payments are the unit rule's (offsets 0, scale 1), in which the
     offsets cancel and no bits go to them, and so is the gain returned:
@@ -407,8 +416,9 @@ def _coalition_surplus(
 
     One score table holds both plays: [prior;] the coordinated reports in
     reporting order (player order for the pool), then the members' beliefs
-    in the same order; truthful play swaps the member rows for the belief
-    rows. The traditional scheme pays each member on their own report, so
+    in the same order. Every row is scored, so an outsider's undefined
+    score raises, though the difference table holds 0 there. The
+    traditional scheme pays each member on their own report, so
     there only the members are scored, in coalition order, and outsiders
     are neither walked nor scored. Warnings are attributed stacklevel
     frames up; a traditional gain never warns.
@@ -443,22 +453,17 @@ def _coalition_surplus(
         )
     head = [prior or uniform_prior(players[0].belief.m)] if market else []
     rows = len(head) + len(ordering)
-    # In reporting order, what each player reports and the row each plays
-    # truthfully: an outsider their own, a member their belief's.
+    # In reporting order, what each player plays and the table rows of the
+    # members, whose beliefs follow the played rows in the same order.
     instructed = dict(zip(coalition.members, coordinated))
-    played, beliefs, truth = [], [], list(range(rows))
-    for r, i in enumerate(ordering, len(head)):
-        if i in instructed:
-            truth[r] = rows + len(beliefs)
-            played.append(instructed[i])
-            beliefs.append(players[i].belief)
-        else:
-            played.append(players[i].report or players[i].belief)
-    truth = np.array(truth)
+    played = [instructed.get(i, players[i].report or players[i].belief) for i in ordering]
+    at = np.array([r for r, i in enumerate(ordering, len(head)) if i in instructed])
+    beliefs = [players[i].belief for i in ordering if i in instructed]
     table = _score_columns(rule, [*head, *played, *beliefs], outcomes)
     w = np.asarray([players[i].wager for i in ordering], dtype=np.float64)
-    gain = _payments(kind, table[:rows], w) - _payments(kind, table[truth], w)
-    return _column_fsum(gain[truth[len(head):] >= rows])
+    diff = np.zeros_like(table[:rows])
+    diff[at] = table[at] - table[rows:]
+    return _column_fsum(_payments(kind, diff, w)[at - len(head)])
 
 
 def surplus_by_outcome(

@@ -19,6 +19,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coalition_forge import (
@@ -700,6 +701,49 @@ def test_cli_verify_names_agreement_as_the_reason_to_skip(tmp_path, capsys):
         "surplus_scaling_identity: SKIPPED  "
         "(needs a coalition that is a proper subset of the players)"
     )
+
+
+def test_cli_verify_scaling_identity_survives_large_member_wagers():
+    # Two members 1e-8 to 1e-6 apart against one outsider at wager 1: with
+    # member wagers of 1e9 the competitive gain must not lose its digits
+    # to the pool's total, so the (1 - w_C/W) scaling identity holds.
+    # Member wagers of 1 and 2**-30 are controls, where the members agree
+    # on the surplus scale and the check is skipped.
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for case in range(60):
+        kind = ("quadratic", "spherical", "logarithmic")[case % 3]
+        m = int(rng.integers(2, 4))
+        belief = 0.1 / m + 0.9 * rng.dirichlet(np.ones(m))
+        step = rng.standard_normal(m)
+        step -= step.mean()
+        near = belief + 10 ** rng.uniform(-8, -6) * step / np.abs(step).max()
+        for wager in (1e9, 1.0, 2.0**-30):
+            raw = _minimal_raw(event={"m": m}, rule={"kind": kind}, coalition=[2, 3])
+            raw["players"] = [
+                {"belief": [1 / m] * m, "wager": 1.0},
+                {"belief": belief.tolist(), "wager": wager},
+                {"belief": near.tolist(), "wager": wager},
+            ]
+            checks = {c: (status, detail) for c, status, detail in
+                      cli._verify_checks(parse_scenario(raw), 10)}
+            assert checks["surplus_scaling_identity"][0] != "fail", (case, wager, checks)
+            checked += checks["surplus_scaling_identity"][0] == "pass"
+    assert checked >= 40
+
+
+def test_cli_verify_passes_large_wagers_near_agreement(tmp_path, capsys):
+    # Members 3e-8 apart at wager 1e9 each, an outsider at wager 1: the
+    # competitive gain is the payment of the members' score differences,
+    # so the scaling identity holds to rounding.
+    raw = _minimal_raw(coalition=[2, 3])
+    raw["players"] = [
+        {"belief": [0.5, 0.5], "wager": 1.0},
+        {"belief": [0.1685, 0.8315], "wager": 1e9},
+        {"belief": [0.16850003, 0.83149997], "wager": 1e9},
+    ]
+    assert main(["verify", "--scenario", _write_scenario(tmp_path, raw)]) == 0
+    assert "surplus_scaling_identity: PASS" in capsys.readouterr().out
 
 
 def test_cli_arbitrage_needs_coalition(capsys):

@@ -51,7 +51,7 @@ from coalition_forge import (
     uniform_prior,
     verify_dominance_oracle,
 )
-from coalition_forge.arbitrage import _coalition_surplus
+from coalition_forge.arbitrage import _coalition_surplus, _payments
 
 from conftest import disagreeing_players, random_forecast
 
@@ -262,10 +262,12 @@ def test_payment_table_matches_per_outcome_functions():
     ids=["quadratic", "spherical", "logarithmic"],
 )
 def test_coalition_gains_are_payment_table_differences(rule):
-    # Each gain is the members' payments for coordinated play minus their
-    # payments for truthful play under the unit rule (offsets 0, scale 1),
-    # bit for bit, from the same formula that payment_table applies, under
-    # all three mechanisms; the public gains are b times it.
+    # Each gain is the members' payments of their coordinated-minus-truthful
+    # score differences under the unit rule (offsets 0, scale 1), bit for
+    # bit, from the same formula that payment_table applies, under all
+    # three mechanisms: payments are linear in the scores, so a gain pays
+    # one difference table rather than differencing two payment tables.
+    # The public gains are b times it.
     unit = dataclasses.replace(rule, affine_offsets=None, b=1.0)
     rng = np.random.default_rng(1313)
     for _ in range(30):
@@ -278,25 +280,21 @@ def test_coalition_gains_are_payment_table_differences(rule):
         coalition = Coalition(tuple(members))
         coordinated = [random_forecast(rng, m) for _ in members]
         instructed = dict(zip(members, coordinated))
-        coord = [
-            Player(p.belief, p.wager, instructed.get(i, p.report or p.belief))
-            for i, p in enumerate(players)
-        ]
-        truth = [
-            Player(p.belief, p.wager, p.belief if i in instructed else p.report or p.belief)
-            for i, p in enumerate(players)
-        ]
+        coord = [instructed.get(i, p.report or p.belief).probs for i, p in enumerate(players)]
+        truth = [(p.belief if i in instructed else p.report or p.belief).probs
+                 for i, p in enumerate(players)]
+        w = np.asarray([p.wager for p in players])
         for kind in MechanismKind:
-            spec = MechanismSpec(kind, unit)
-            paid = payment_table(spec, coord).payments
-            owed = payment_table(spec, truth).payments
+            head = [uniform_prior(m).probs] if kind is MechanismKind.MARKET else []
+            diff = score_table(unit, [*head, *coord]) - score_table(unit, [*head, *truth])
+            paid = _payments(kind, diff, w)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", OrderingViolationWarning)
                 gains = _coalition_surplus(
                     kind, rule, players, coalition, coordinated, range(m), list(range(n))
                 )
                 for j in range(m):
-                    want = math.fsum(paid[i][j] - owed[i][j] for i in members)
+                    want = math.fsum(paid[i][j] for i in members)
                     assert gains[j] == want, (kind, j)
                     if kind is MechanismKind.COMPETITIVE:
                         got = coalition_surplus_competitive(rule, players, coalition, coordinated, j)
