@@ -54,7 +54,6 @@ from .simplex import (
     _block_rows,
     _clear_dust,
     _lattice_blocks,
-    _lattice_row,
     _stack,
     uniform_prior,
     weighted_mean,
@@ -648,14 +647,13 @@ def grid_search_equalizer(
     # with the same bits. It comes after the buffers, so that it does not
     # fragment the heap under them and raise peak RSS.
     t_tile = np.tile(t, (min(capacity, max(1, 2**13 // m)), 1))
-    # One block at a time, keeping the lattice position of the first
-    # maximum in lattice order: a later block replaces it only when
+    # One block at a time, keeping a copy of the integer parts of the
+    # first maximum in lattice order: a later block replaces it only when
     # strictly larger. The first lattice row, (0, ..., 0, 1), stands while
     # every row scanned is at -inf, as it does in a scan of the whole
     # lattice, whose rows then all tie.
-    best_worst, best_at = -math.inf, None
-    start = 0  # rows streamed before the block
-    for margins in blocks:
+    best_worst, best = -math.inf, None
+    for parts, margins in blocks:
         n = len(margins)
         worst, undefined = worst_buf[:n], undefined_buf[:n]
         _score_into(rule, margins)
@@ -673,8 +671,7 @@ def grid_search_equalizer(
         worst[undefined] = -np.inf
         k = int(np.argmax(worst))
         if worst[k] > best_worst:
-            best_worst, best_at = worst[k], start + k
-        start += n
-    if best_at is None:
+            best_worst, best = worst[k], parts[k].copy()
+    if best is None:
         return Forecast((0.0,) * (m - 1) + (1.0,))
-    return Forecast(_lattice_row(m, resolution, best_at, interior))
+    return Forecast(tuple((best / resolution).tolist()))

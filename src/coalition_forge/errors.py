@@ -42,7 +42,7 @@ class LengthMismatch(ValidationError):
 
 
 class NonPositiveWeight(ValidationError):
-    """A combination weight is zero or negative."""
+    """A combination weight is zero, negative or not finite."""
 
 
 class NonPositiveWager(ValidationError):

@@ -32,7 +32,6 @@ from .simplex import (
     _interior_rows,
     _lattice_blocks,
     _lattice_index,
-    _lattice_row,
     _stack,
 )
 
@@ -144,10 +143,13 @@ class ScoringRule:
                 object.__setattr__(self, "kind", RuleKind(self.kind))
             except ValueError:
                 raise ValidationError(f"unknown rule kind {self.kind!r}") from None
-        if self.b <= 0.0:
-            raise ValidationError(f"scale b must be > 0, got {self.b!r}")
-        if self.floor < 0.0:
-            raise ValidationError(f"floor must be >= 0, got {self.floor!r}")
+        # Chained comparisons, so that NaN fails them too.
+        if not 0.0 < self.b < math.inf:
+            raise ValidationError(f"scale b must be finite and > 0, got {self.b!r}")
+        if not 0.0 <= self.floor < math.inf:
+            raise ValidationError(f"floor must be finite and >= 0, got {self.floor!r}")
+        if self.affine_offsets is not None and not all(map(math.isfinite, self.affine_offsets)):
+            raise ValidationError(f"affine offsets must be finite, got {self.affine_offsets!r}")
         if self.floor != 0.0 and self.kind is not RuleKind.GENERALIZED_LOG:
             raise ValidationError("floor applies only to the generalized logarithmic rule")
         if (self.generator is not None) != (self.kind is RuleKind.CUSTOM_BINARY):
@@ -482,8 +484,8 @@ def _properness_scan(
     # Every block is scored once, in place in the stream's own buffer,
     # then masked and multiplied for each belief in turn; a block may be
     # overwritten, since the stream rebuilds the next one from integer
-    # parts. A belief's report keeps the lattice position of its nearest
-    # competitor, and the row is rebuilt from it at the end.
+    # parts. A belief's report keeps a copy of its nearest competitor's
+    # integer parts, divided by resolution once at the end.
     capacity = _block_rows(m, resolution, interior=interior)
     competitor_buf = np.empty(capacity, dtype=bool)
     k = len(beliefs)
@@ -493,7 +495,7 @@ def _properness_scan(
     # One block at a time, keeping the first maximum in lattice order: a
     # later block replaces it only when strictly larger.
     start = 0  # rows streamed before the block
-    for table in blocks:
+    for parts, table in blocks:
         n = len(table)
         competitor = competitor_buf[:n]
         _score_into(rule, table)
@@ -527,17 +529,17 @@ def _properness_scan(
             best = int(np.argmax(margins))
             if margins[best] > max_margin[i]:
                 max_margin[i] = float(margins[best])
-                nearest[i] = start + best
+                nearest[i] = parts[best].copy()
         start += n
     return [
         PropernessReport(
             max_margin[i] < 0.0,
             rule.b * max_margin[i],
-            None if at is None else Forecast(_lattice_row(m, resolution, at, interior)),
+            None if row is None else Forecast(tuple((row / resolution).tolist())),
             checked[i],
             skipped[i],
         )
-        for i, at in enumerate(nearest)
+        for i, row in enumerate(nearest)
     ]
 
 

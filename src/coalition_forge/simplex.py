@@ -115,8 +115,9 @@ def weighted_mean(
     if not forecasts:
         raise LengthMismatch("empty forecast sequence")
     for w in weights:
-        if w <= 0.0:
-            raise NonPositiveWeight(f"weight {w!r} must be > 0")
+        # A chained comparison, so that NaN fails it too.
+        if not 0.0 < w < math.inf:
+            raise NonPositiveWeight(f"weight {w!r} must be finite and > 0")
     p_arr = _stack(forecasts)
     if p_arr is None:
         raise LengthMismatch("forecasts have mixed lengths")
@@ -156,7 +157,7 @@ def grid_array(m: int, resolution: int) -> np.ndarray:
     MAX_GRID_POINTS or MAX_GRID_ENTRIES raise ValidationError before
     anything is allocated.
     """
-    (grid,) = _lattice_blocks(m, resolution, MAX_GRID_POINTS)
+    ((_, grid),) = _lattice_blocks(m, resolution, MAX_GRID_POINTS)
     return grid
 
 
@@ -200,7 +201,9 @@ def _lattice_blocks(
     m: int, resolution: int, block_rows: int | None = None, interior: bool = False
 ):
     """grid_array(m, resolution) as consecutive row blocks of at most
-    block_rows rows, in the same order. When block_rows is None the limit
+    block_rows rows, in the same order, each yielded as a pair (parts,
+    grid): parts the rows' integer entries and grid the float rows,
+    parts / resolution, exactly. When block_rows is None the limit
     is BLOCK_ROWS rows or BLOCK_ENTRIES entries, whichever is fewer rows,
     but the entry cap alone never takes it below max(m, 3) rows.
 
@@ -215,12 +218,13 @@ def _lattice_blocks(
 
     Each generator allocates one integer and one float buffer of
     _block_rows(m, resolution, block_rows, interior) rows when it starts,
-    and every block is built in them: a block is a view that stays valid
-    only until the next block is requested. Copy a block to keep it. A
-    consumer may overwrite a block, as the lattice scans do when they
-    score it in place: the next block is rebuilt from its integer parts,
-    whose every entry is written again, so nothing a consumer leaves in
-    the float buffer reaches it.
+    and every block is built in them: parts and grid are views that stay
+    valid only until the next block is requested. Copy a row to keep it,
+    as the lattice scans keep their best row's parts. A consumer may
+    overwrite grid, as the lattice scans do when they score it in place:
+    the next block is rebuilt from its integer parts, whose every entry is
+    written again, so nothing a consumer leaves in the float buffer
+    reaches it.
     Generators share nothing, so each may run on its own thread.
     Arguments are checked at the call, before the first block is built.
 
@@ -324,7 +328,7 @@ def _lattice_blocks(
             # block of grid_array is an array of its own, not a view.
             grid = grid_buf if b - a == capacity else grid_buf[:b - a]
             np.divide(parts, resolution, out=grid)
-            yield grid
+            yield parts, grid
 
     return stream()
 
@@ -375,41 +379,6 @@ def _lattice_index(
         index += math.comb(r + after, after) - math.comb(r - k + after, after)
         r -= k
     return index
-
-
-def _lattice_row(
-    m: int, resolution: int, index: int, interior: bool = False
-) -> tuple[float, ...]:
-    """Row index of grid_array(m, resolution), or of the rows
-    _lattice_blocks streams with interior set, with the bits the stream
-    gives it: the inverse of _lattice_index, for 0 <= index < the rows
-    streamed.
-
-    Each entry is k / resolution, ((k + 1) / resolution for an interior
-    row), which Python and numpy's divide both round correctly. Each head
-    is found by bisection on the closed form _lattice_index sums, so a
-    row costs O(m log resolution) binomials.
-    """
-    r = resolution - m if interior else resolution
-    parts = []
-    for after in range(m - 1, 0, -1):
-        # The rows below heads 0..k - 1 with r units open number
-        # C(r + after, after) - C(r - k + after, after); the head is the
-        # largest k whose count does not pass index.
-        total = math.comb(r + after, after)
-        lo, hi = 0, r
-        while lo < hi:
-            k = (lo + hi + 1) // 2
-            if total - math.comb(r - k + after, after) <= index:
-                lo = k
-            else:
-                hi = k - 1
-        index -= total - math.comb(r - lo + after, after)
-        parts.append(lo)
-        r -= lo
-    parts.append(r)
-    shift = 1 if interior else 0
-    return tuple((k + shift) / resolution for k in parts)
 
 
 def _clear_dust(q: np.ndarray) -> np.ndarray:

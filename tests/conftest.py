@@ -3,13 +3,42 @@ acceptance-summary hook."""
 
 from __future__ import annotations
 
+import ast
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
 
+import coalition_forge
 from coalition_forge import Coalition, Forecast, Player
 
 # Populated by tests/test_acceptance.py; printed after the run so each
 # acceptance criterion shows one pass/fail line.
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []
+
+# Tokens that make no line a code line.
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def code_lines(path: Path) -> int:
+    """Lines of a Python file with a token outside comments and
+    docstrings, a multi-line token counting every line it spans."""
+    source = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -19,6 +48,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, label, passed in sorted(ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"CRITERION {number} ({label}): {status}")
+    # The package's own modules, not the scenarios subpackage.
+    package = Path(coalition_forge.__file__).parent
+    total = sum(code_lines(path) for path in package.glob("*.py"))
+    terminalreporter.write_line(f"src code lines: {total}")
 
 
 def random_forecast(rng: np.random.Generator, m: int) -> Forecast:

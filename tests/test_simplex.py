@@ -231,7 +231,7 @@ def test_lattice_blocks_concatenate_to_grid_array():
     for m in range(2, 7):
         for resolution in (1, 2, 5, 9, 20):
             whole = grid_array(m, resolution)
-            joined = np.concatenate([b.copy() for b in simplex._lattice_blocks(m, resolution)])
+            joined = np.concatenate([b.copy() for _, b in simplex._lattice_blocks(m, resolution)])
             assert joined.dtype == whole.dtype
             assert joined.tobytes() == whole.tobytes()
 
@@ -243,7 +243,7 @@ def test_lattice_blocks_cut_rows_below_one_first_entry(monkeypatch, limit):
     monkeypatch.setattr(simplex, "BLOCK_ROWS", limit)
     for m in range(2, 7):
         for resolution in (1, 5, 9):
-            blocks = [b.copy() for b in simplex._lattice_blocks(m, resolution)]
+            blocks = [b.copy() for _, b in simplex._lattice_blocks(m, resolution)]
             assert max(len(b) for b in blocks) <= limit
             if limit >= m:
                 assert min(len(b) for b in blocks) >= 2
@@ -261,7 +261,7 @@ def test_lattice_interior_blocks_are_the_rows_without_zeros(monkeypatch, limit):
         for resolution in range(m - 1, m + 7):
             grid = grid_array(m, resolution)
             inside = grid[(grid > 0.0).all(axis=1)]
-            blocks = [b.copy() for b in simplex._lattice_blocks(m, resolution, interior=True)]
+            blocks = [b.copy() for _, b in simplex._lattice_blocks(m, resolution, interior=True)]
             assert len(inside) == simplex._interior_rows(m, resolution)
             most = simplex._block_limit(m, None)
             assert simplex._block_rows(m, resolution, interior=True) == min(most, len(inside))
@@ -280,13 +280,13 @@ def test_lattice_blocks_cap_entries_at_wide_m():
     # Up to 8 states the row cap binds and the blocks are the BLOCK_ROWS
     # blocks; wider lattices get fewer rows, never fewer than m.
     for m, resolution in ((6, 30), (8, 12)):
-        capped = [len(b) for b in simplex._lattice_blocks(m, resolution)]
-        rows = [len(b) for b in simplex._lattice_blocks(m, resolution, simplex.BLOCK_ROWS)]
+        capped = [len(b) for _, b in simplex._lattice_blocks(m, resolution)]
+        rows = [len(b) for _, b in simplex._lattice_blocks(m, resolution, simplex.BLOCK_ROWS)]
         assert capped == rows and len(rows) > 1
     for m, resolution in ((9, 10), (40, 3), (120, 2)):
         limit = max(simplex.BLOCK_ENTRIES // m, m, 3)
         assert limit < simplex.BLOCK_ROWS
-        blocks = [b.copy() for b in simplex._lattice_blocks(m, resolution)]
+        blocks = [b.copy() for _, b in simplex._lattice_blocks(m, resolution)]
         assert max(len(b) for b in blocks) <= limit
         assert min(len(b) for b in blocks) >= 2
         assert np.concatenate(blocks).tobytes() == grid_array(m, resolution).tobytes()
@@ -304,7 +304,7 @@ def test_lattice_blocks_are_multiples_of_four_rows(limit):
         most = simplex._block_limit(m, limit)
         for interior in (False, True):
             blocks = simplex._lattice_blocks(m, resolution, limit, interior)
-            sizes = [len(b) for b in blocks]
+            sizes = [len(b) for _, b in blocks]
             total = simplex._interior_rows(m, resolution) if interior else len(grid_array(m, resolution))
             assert sum(sizes) == total
             if not sizes:
@@ -319,23 +319,26 @@ def test_lattice_blocks_are_multiples_of_four_rows(limit):
 
 
 def test_lattice_blocks_generators_keep_buffers_of_their_own():
-    # A generator builds every block in the same buffers, so a block is a
-    # view that the next one overwrites; two generators over one lattice,
-    # advanced in turn with the first a block ahead, still each give the
-    # lattice, because neither writes into the other's buffers.
+    # A generator builds every block in the same buffers, so a block and
+    # its parts are views that the next block overwrites; two generators
+    # over one lattice, advanced in turn with the first a block ahead,
+    # still each give the lattice, because neither writes into the other's
+    # buffers.
     for m, resolution, limit in ((3, 40, 50), (5, 12, 7), (6, 30, None)):
         first = simplex._lattice_blocks(m, resolution, limit)
         second = simplex._lattice_blocks(m, resolution, limit)
-        previous = next(first)
+        parts, previous = next(first)
         first_blocks, second_blocks = [previous.copy()], []
-        for block in first:
-            other = next(second)
+        for next_parts, block in first:
+            other_parts, other = next(second)
             assert np.shares_memory(block, previous)
+            assert np.shares_memory(next_parts, parts)
             assert not np.shares_memory(block, other)
+            assert not np.shares_memory(next_parts, other_parts)
             first_blocks.append(block.copy())
             second_blocks.append(other.copy())
-            previous = block
-        second_blocks.extend(b.copy() for b in second)
+            parts, previous = next_parts, block
+        second_blocks.extend(b.copy() for _, b in second)
         whole = grid_array(m, resolution).tobytes()
         assert len(first_blocks) > 2
         assert np.concatenate(first_blocks).tobytes() == whole
@@ -360,34 +363,44 @@ def test_lattice_index_is_the_row_position(m, resolution):
     assert simplex._lattice_index((off + [0.0] * m)[:m], resolution) is None
 
 
+def _check_streamed_parts(m, resolution, limit, interior):
+    # The integer parts of every block give its float rows bit for bit,
+    # and over the whole stream they are the lattice rows in strictly
+    # rising lexicographic order, each at the position _lattice_index
+    # gives it.
+    pairs = [(p.copy(), g.copy()) for p, g in simplex._lattice_blocks(m, resolution, limit, interior)]
+    for parts, grid in pairs:
+        assert (parts / resolution).tobytes() == grid.tobytes(), (m, resolution, limit, interior)
+    total = simplex._interior_rows(m, resolution) if interior else math.comb(resolution + m - 1, m - 1)
+    if not pairs:
+        assert total == 0 and interior
+        return
+    parts = np.concatenate([p for p, _ in pairs]).astype(np.int64)
+    assert len(parts) == total
+    assert (parts.sum(axis=1) == resolution).all()
+    assert parts.min() >= (1 if interior else 0)
+    step = np.diff(parts, axis=0)
+    first = np.argmax(step != 0, axis=1)
+    assert (step[np.arange(len(step)), first] > 0).all(), (m, resolution, limit, interior)
+    for index, row in enumerate((parts / resolution).tolist()):
+        assert simplex._lattice_index(row, resolution, interior) == index
+
+
 @pytest.mark.parametrize("m", range(2, 11))
-def test_lattice_row_rebuilds_the_streamed_row(m):
-    # The inverse of _lattice_index: each position gives back the row the
-    # stream built there, bit for bit, whole lattice or interior.
+def test_lattice_blocks_stream_integer_parts(m):
     for resolution in range(1, {2: 40, 3: 25, 4: 14, 5: 10}.get(m, 7)):
-        for interior in (False, True):
-            blocks = [b.copy() for b in simplex._lattice_blocks(m, resolution, interior=interior)]
-            if not blocks:
-                continue
-            streamed = np.concatenate(blocks)
-            for index, row in enumerate(streamed):
-                rebuilt = simplex._lattice_row(m, resolution, index, interior)
-                assert np.array(rebuilt).tobytes() == row.tobytes(), (resolution, interior, index)
-                assert simplex._lattice_index(rebuilt, resolution, interior) == index
+        for limit in (1, 7, 50, None):
+            for interior in (False, True):
+                _check_streamed_parts(m, resolution, limit, interior)
 
 
-def test_lattice_row_bisects_each_head(monkeypatch):
-    # Two states at the largest resolution MAX_GRID_POINTS allows: the head
-    # is found in about log2(resolution) binomials, not one per unit.
-    resolution = MAX_GRID_POINTS - 1
-    calls = []
-    comb = math.comb
-    monkeypatch.setattr(math, "comb", lambda n, k: calls.append(1) or comb(n, k))
-    for index in (0, 1, 2_718_281, resolution):
-        calls.clear()
-        row = simplex._lattice_row(2, resolution, index)
-        assert row == (index / resolution, (resolution - index) / resolution)
-        assert len(calls) <= 2 * resolution.bit_length()
+def test_lattice_blocks_stream_integer_parts_at_wide_m(monkeypatch):
+    # Under a small entry cap wide lattices stream blocks of m to a few
+    # hundred rows.
+    monkeypatch.setattr(simplex, "BLOCK_ENTRIES", 2**11)
+    for m, resolution, interior in ((9, 10, False), (9, 12, True), (12, 13, True), (40, 3, False), (120, 2, False)):
+        assert simplex._block_limit(m, None) < simplex.BLOCK_ROWS
+        _check_streamed_parts(m, resolution, None, interior)
 
 
 def test_lattice_blocks_allocate_little_beyond_their_buffers():
