@@ -634,19 +634,18 @@ def grid_search_equalizer(
     t = (w[:, None] * truthful).sum(axis=0)
     w_c = float(w.sum())
     interior = _unfloored_log(rule)
-    blocks = _lattice_blocks(m, resolution, interior=interior)
+    # Below 8 states the blocks are column-major: every step below is
+    # elementwise, a left-to-right row sum or an exact row minimum, which
+    # give the same bits in either layout and run down contiguous columns
+    # in this one, where numpy would loop over short rows. numpy sums
+    # longer rows pairwise, and only row-major rows give those bits.
+    blocks = _lattice_blocks(m, resolution, interior=interior, order="F" if m < 8 else "C")
     # Each block is scored in place in the stream's own buffer, which the
     # stream rebuilds from integer parts for the next block; only the row
     # minima have a buffer of their own.
     capacity = _block_rows(m, resolution, interior=interior)
     worst_buf = np.empty(capacity)
     undefined_buf = np.empty(capacity, dtype=bool)
-    # The members' truthful total t goes off each block chunk by chunk,
-    # through a tile of t down whole rows: numpy broadcasts a row one
-    # short row per inner loop, and the tile makes each chunk one loop,
-    # with the same bits. It comes after the buffers, so that it does not
-    # fragment the heap under them and raise peak RSS.
-    t_tile = np.tile(t, (min(capacity, max(1, 2**13 // m)), 1))
     # One block at a time, keeping a copy of the integer parts of the
     # first maximum in lattice order: a later block replaces it only when
     # strictly larger. The first lattice row, (0, ..., 0, 1), stands while
@@ -658,9 +657,7 @@ def grid_search_equalizer(
         worst, undefined = worst_buf[:n], undefined_buf[:n]
         _score_into(rule, margins)
         margins *= w_c
-        for at in range(0, n, len(t_tile)):
-            chunk = margins[at : at + len(t_tile)]
-            chunk -= t_tile[: len(chunk)]
+        margins -= t
         # The row minima, one column at a time: a minimum is exact in any
         # order, and numpy reduces short rows one at a time, slowly.
         with np.errstate(invalid="ignore"):

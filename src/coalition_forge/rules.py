@@ -258,15 +258,17 @@ def _unit_table(rule: ScoringRule, R: np.ndarray) -> np.ndarray:
 
 
 def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
-    """Overwrite R, a C-ordered (n, m) float array, with the unit rule's
-    scores S of its rows (rule = a + b * S). Offsets for other than m
-    states raise DimensionMismatch, as scoring the rule itself does.
+    """Overwrite R, an (n, m) float array, with the unit rule's scores S
+    of its rows (rule = a + b * S). Offsets for other than m states raise
+    DimensionMismatch, as scoring the rule itself does.
 
     The lattice scans hand it each block in the buffer the stream built it
     in, and every other caller a table of its own. Each branch gives the
     bits of scoring R into a fresh table: row norms are summed from the
     squares of R's columns before R is overwritten, and the custom binary
-    branch reads R[:, 0] before it writes anything.
+    branch reads R[:, 0] before it writes anything. Below 8 states R may
+    be row- or column-major, with the same bits; from 8 states up, row
+    sums are pairwise and have numpy's bits only for a row-major R.
     """
     m = R.shape[1]
     a = rule.affine_offsets
@@ -316,15 +318,18 @@ def _unfloored_log(rule: ScoringRule) -> bool:
 
 def _row_sums(X: np.ndarray, square: bool = False) -> np.ndarray:
     """X.sum(axis=1, keepdims=True), or with square set
-    (X * X).sum(axis=1, keepdims=True), bit for bit, for a C-ordered X.
+    (X * X).sum(axis=1, keepdims=True), bit for bit, for a row-major X,
+    and for a column-major X of fewer than 8 columns.
 
     numpy sums a row of fewer than 8 entries from left to right onto 0.0,
-    one row per inner loop, which makes short rows slow; adding whole
-    columns in that order gives the same bits in a fraction of the time
-    once there are more than about 40 rows per column (a call per column
-    costs more below that). The squares are then taken one column at a
-    time too, with no table of them beside X. Longer rows are summed
-    pairwise, so they go to numpy as they are.
+    one row per inner loop in a row-major X, which makes short rows slow;
+    adding whole columns in that order gives the same bits in a fraction
+    of the time once there are more than about 40 rows per column (a call
+    per column costs more below that). The squares are then taken one
+    column at a time too, with no table of them beside X. A column-major
+    X is summed in the same order by numpy itself, and its columns are
+    contiguous, which makes the column path faster still. Longer rows are
+    summed pairwise, so they go to numpy as they are.
     """
     n, m = X.shape
     if m >= 8 or n < 64 * m:
@@ -339,16 +344,18 @@ def _row_sums(X: np.ndarray, square: bool = False) -> np.ndarray:
 
 
 def _apply_column(ufunc: np.ufunc, R: np.ndarray, col: np.ndarray) -> None:
-    """ufunc(R, col, out=R), bit for bit, for a C-ordered (n, m) R and an
-    (n, 1) col: one value applied to each row.
+    """ufunc(R, col, out=R), bit for bit, for an (n, m) R in either
+    layout and an (n, 1) col: one value applied to each row.
 
-    numpy runs such a broadcast one short row per inner loop. Over the
-    transposed table in C order each inner loop runs down a whole column
-    instead, which takes under half the time from 64 * m rows up at 2 to
-    4 states (16,384 rows on 2 vCPUs: 20-75 against 60-140 us). At 5
-    states and more the strided columns cost as much as the short rows or
-    more, and a small table pays more for the transposed call than it
-    saves.
+    The operation is elementwise, so every order of the loops gives the
+    same bits. Over a row-major R numpy runs it one short row per inner
+    loop; over the transposed table in C order each inner loop runs down
+    a whole column instead, which takes under half the time from 64 * m
+    rows up at 2 to 4 states (16,384 rows on 2 vCPUs: 20-75 against
+    60-140 us). At 5 states and more the strided columns cost as much as
+    the short rows or more, and a small table pays more for the
+    transposed call than it saves. Over a column-major R both calls run
+    down contiguous columns.
     """
     n, m = R.shape
     if m < 5 and n >= 64 * m:
@@ -499,6 +506,15 @@ def _properness_scan(
         n = len(table)
         competitor = competitor_buf[:n]
         _score_into(rule, table)
+        # OpenBLAS multiplies the last n % 4 rows of a matrix with a
+        # remainder kernel, which can round unlike its main one. In the
+        # whole lattice those rows hold a zero entry from 3 states up, so
+        # no interior row is among them: the interior's last rows are
+        # multiplied again, padded with zero rows to four.
+        tail = n % 4 if interior and m >= 3 else 0
+        if tail:
+            padded = np.zeros((4, m))
+            padded[:tail] = table[n - tail :]
         for i, p in enumerate(ps):
             zeros = zero_cols[i]
             # A belief's zero columns are masked in the table itself, and
@@ -509,6 +525,8 @@ def _properness_scan(
                 table[:, zeros] = 0.0
             with np.errstate(invalid="ignore"):
                 margins = np.matmul(table, p)
+            if tail:
+                margins[n - tail :] = np.matmul(padded, p)[:tail]
             if len(zeros):
                 table[:, zeros] = saved
                 del saved

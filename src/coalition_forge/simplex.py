@@ -198,7 +198,7 @@ def _block_limit(m: int, block_rows: int | None) -> int:
 
 
 def _lattice_blocks(
-    m: int, resolution: int, block_rows: int | None = None, interior: bool = False
+    m: int, resolution: int, block_rows: int | None = None, interior: bool = False, order: str = "C"
 ):
     """grid_array(m, resolution) as consecutive row blocks of at most
     block_rows rows, in the same order, each yielded as a pair (parts,
@@ -218,7 +218,12 @@ def _lattice_blocks(
 
     Each generator allocates one integer and one float buffer of
     _block_rows(m, resolution, block_rows, interior) rows when it starts,
-    and every block is built in them: parts and grid are views that stay
+    in the memory layout order names: "C", the default, for row-major
+    buffers, "F" for column-major ones, whose blocks have contiguous
+    columns. Both layouts hold the same values, so a consumer that only
+    works elementwise, sums rows from left to right or takes exact row
+    minima gets the same bits from either; a matrix product does not.
+    Every block is built in the buffers: parts and grid are views that stay
     valid only until the next block is requested. Copy a row to keep it,
     as the lattice scans keep their best row's parts. A consumer may
     overwrite grid, as the lattice scans do when they score it in place:
@@ -226,7 +231,8 @@ def _lattice_blocks(
     written again, so nothing a consumer leaves in the float buffer
     reaches it.
     Generators share nothing, so each may run on its own thread.
-    Arguments are checked at the call, before the first block is built.
+    m and resolution are checked at the call, before the first block is
+    built.
 
     Block i is the rows [i * step, (i + 1) * step) of the stream and the
     last block the rest, step being the limit rounded down to a multiple
@@ -316,10 +322,10 @@ def _lattice_blocks(
 
     def stream():
         # Integer parts first, in the smallest type that holds resolution,
-        # then one contiguous division: filling the float columns one by
-        # one is strided and about twice as slow.
-        parts_buf = np.empty((capacity, m), dtype=dtype)
-        grid_buf = np.empty((capacity, m))
+        # then one division: filling the float columns one by one is
+        # slower in either layout.
+        parts_buf = np.empty((capacity, m), dtype=dtype, order=order)
+        grid_buf = np.empty((capacity, m), order=order)
         for a, b in zip(edges, edges[1:]):
             parts = fill(a, b, parts_buf[:b - a])
             if interior:

@@ -405,20 +405,38 @@ def test_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
         coalition = full_coalition(players)
         expected = _unblocked_grid_search(rule, players, coalition, resolution)
         assert grid_search_equalizer(rule, players, coalition, resolution) == expected
-    # The members' truthful total goes off each block through a tile of
-    # whole rows, chunk by chunk: at (3, 200) a default block spans several
-    # tile chunks and its last chunk is partial. Every chunking gives the
-    # report of numpy's row broadcast over the whole lattice.
-    for rule, m, resolution in (
-        (quadratic_rule((0.1, -0.2, 0.3), 1.5), 3, 60),
-        (spherical_rule(), 3, 60),
-        (linear_rule(b=0.7), 3, 60),
-        (quadratic_rule(), 3, 200),
-    ):
-        players = disagreeing_players(rng, 3, m)
+    # Below 8 states the search scores column-major blocks: at 2 to 4
+    # states _apply_column takes its transposed branch on blocks of 64 * m
+    # rows and more, as over (3, 60) and the two default blocks of
+    # (3, 200), and its plain branch from 5 states up. From 8 states up it
+    # scores row-major blocks, whose rows numpy sums pairwise. Every
+    # layout gives the report of the whole lattice. Under a limit of 7
+    # rows every block but the last is 4 rows, which takes seconds a
+    # search above 8 states.
+    cases = [
+        (quadratic_rule((0.1, -0.2, 0.3), 1.5), disagreeing_players(rng, 3, 3), 60),
+        (spherical_rule(), disagreeing_players(rng, 3, 3), 60),
+        (linear_rule(b=0.7), disagreeing_players(rng, 3, 3), 60),
+        (quadratic_rule(), disagreeing_players(rng, 3, 3), 200),
+    ]
+    for m, resolution in ((5, 14), (6, 11), (7, 10), (8, 10), (9, 10), (10, 10)):
+        if block_rows == 7 and m > 8:
+            break
+        a = tuple(rng.uniform(-1.0, 1.0, size=m))
+        for rule in (quadratic_rule(a, 1.5), spherical_rule(), generalized_log_rule(0.1, a, 0.8)):
+            cases.append((rule, disagreeing_players(rng, 3, m), resolution))
+    # Members whose beliefs are shifts of one another: at (8, 10) the
+    # reports (.1, .2, .1, .1, .2, .1, .1, .1) and (.1, .1, .1, .1, .2,
+    # .1, .1, .2) tie in exact arithmetic. numpy's pairwise row sums put
+    # the first ahead, as over the whole lattice; left-to-right sums, as a
+    # column-major block gives, the second.
+    base = np.array([1, 3, 3, 2, 4, 1, 3, 3]) / 20
+    shifted = [Player(Forecast(tuple(np.roll(base, s).tolist())), 1.0) for s in (6, 0, 5)]
+    cases.append((quadratic_rule(), shifted, 10))
+    for rule, players, resolution in cases:
         coalition = full_coalition(players)
         expected = _unblocked_grid_search(rule, players, coalition, resolution)
-        assert grid_search_equalizer(rule, players, coalition, resolution) == expected
+        assert grid_search_equalizer(rule, players, coalition, resolution) == expected, rule.kind
 
 
 @pytest.mark.parametrize("block_rows", [7, None])
