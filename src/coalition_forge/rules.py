@@ -329,11 +329,20 @@ def _row_sums(X: np.ndarray, square: bool = False) -> np.ndarray:
     column at a time too, with no table of them beside X. A column-major
     X is summed in the same order by numpy itself, and its columns are
     contiguous, which makes the column path faster still. Longer rows are
-    summed pairwise, so they go to numpy as they are.
+    summed pairwise, so they go to numpy as they are. Their squares are
+    taken a run of rows at a time, about 2**14 entries, not as a table as
+    large as X, and numpy sums each row of a run as it sums it in X.
     """
     n, m = X.shape
     if m >= 8 or n < 64 * m:
-        return (X * X if square else X).sum(axis=1, keepdims=True)
+        step = max(1, 2**14 // m)
+        if not square or n <= step:
+            return (X * X if square else X).sum(axis=1, keepdims=True)
+        sums = np.empty((n, 1))
+        for a in range(0, n, step):
+            rows = X[a : a + step]
+            (rows * rows).sum(axis=1, keepdims=True, out=sums[a : a + step])
+        return sums
     sums = X[:, :1] * X[:, :1] if square else X[:, :1] + X[:, 1:2]
     term = np.empty_like(sums) if square else None
     for j in range(1 if square else 2, m):
@@ -447,52 +456,47 @@ def _properness_scan(
     """check_strict_properness at each belief, in one pass over the lattice.
 
     Each block is scored once, under the unit rule S, in the buffer the
-    lattice stream built it in; every belief takes its expected scores
-    from that table with a matrix-vector product of its own, so each
-    report has the bits its own check gives. Beliefs must share one
-    length.
+    lattice stream built it in: column-major below 8 states, where
+    _score_into gives either layout the same bits and runs down
+    contiguous columns, and row-major from 8 states up, where its row
+    sums are pairwise. Every belief takes its expected scores from that
+    table with _expected_scores, the truthful report's too. That sum has
+    no matrix product, so each row has the same bits in any block and
+    either layout, and a belief's zero states, whose scores may be -inf,
+    are never read. Beliefs must share one length.
     """
     if resolution < 2:
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
     if not beliefs:
         return []
-    m = beliefs[0].m
-    if any(belief.m != m for belief in beliefs):
+    ps = _stack(beliefs)
+    if ps is None:
         raise DimensionMismatch("beliefs have mixed lengths")
-    ps = [belief.as_array() for belief in beliefs]
-    # Zero-belief states contribute nothing to the expectation even where
-    # the score there is -inf, so those columns are neutralized first.
-    zero_cols = [np.flatnonzero(p == 0.0) for p in ps]
+    m = ps.shape[1]
+    supports = [np.flatnonzero(p).tolist() for p in ps]
     # Under an unfloored log rule and beliefs with no zero state, a report
     # with a zero entry has expected score -inf: only the interior is
-    # scanned, and the rest is skipped by count. At resolution m the
-    # interior is one row, which numpy multiplies with its dot kernel and
-    # rounds differently, so the whole lattice is scanned there.
-    interior = (
-        _unfloored_log(rule)
-        and resolution != m
-        and not any(len(zeros) for zeros in zero_cols)
-    )
-    blocks = _lattice_blocks(m, resolution, interior=interior)
-    truth_values = []
-    for p, zeros in zip(ps, zero_cols):
-        truth_table = _unit_table(rule, p[None, :])
-        truth_table[:, zeros] = 0.0
-        truth_value = float(truth_table[0] @ p)
-        if not math.isfinite(truth_value):
-            raise ValidationError(
-                "expected score at the truthful report is not finite; "
-                "the belief lies outside the rule's domain"
-            )
-        truth_values.append(truth_value)
+    # scanned, and the rest is skipped by count.
+    interior = _unfloored_log(rule) and all(len(support) == m for support in supports)
+    blocks = _lattice_blocks(m, resolution, interior=interior, order="F" if m < 8 else "C")
+    # Each belief's truthful report is its own row of one table.
+    truth_table = _unit_table(rule, ps)
+    truth_values = [
+        float(_expected_scores(truth_table[i : i + 1], p, support, np.empty(1), np.empty(1))[0])
+        for i, (p, support) in enumerate(zip(ps, supports))
+    ]
+    if not all(map(math.isfinite, truth_values)):
+        raise ValidationError(
+            "expected score at the truthful report is not finite; "
+            "the belief lies outside the rule's domain"
+        )
     # The truthful report is the lattice row within 1e-12 of the belief
     # in every entry, if there is one: found once, by its position.
     truthful = [_lattice_index(belief.probs, resolution, interior) for belief in beliefs]
-    # Every block is scored once, in place in the stream's own buffer,
-    # then masked and multiplied for each belief in turn; a block may be
-    # overwritten, since the stream rebuilds the next one from integer
-    # parts. A belief's report keeps a copy of its nearest competitor's
-    # integer parts, divided by resolution once at the end.
+    # Every block is scored once, in place in the stream's own buffer; a
+    # block may be overwritten, since the stream rebuilds the next one from
+    # integer parts. A belief's report keeps a copy of its nearest
+    # competitor's integer parts, divided by resolution once at the end.
     capacity = _block_rows(m, resolution, interior=interior)
     competitor_buf = np.empty(capacity, dtype=bool)
     k = len(beliefs)
@@ -506,30 +510,11 @@ def _properness_scan(
         n = len(table)
         competitor = competitor_buf[:n]
         _score_into(rule, table)
-        # OpenBLAS multiplies the last n % 4 rows of a matrix with a
-        # remainder kernel, which can round unlike its main one. In the
-        # whole lattice those rows hold a zero entry from 3 states up, so
-        # no interior row is among them: the interior's last rows are
-        # multiplied again, padded with zero rows to four.
-        tail = n % 4 if interior and m >= 3 else 0
-        if tail:
-            padded = np.zeros((4, m))
-            padded[:tail] = table[n - tail :]
-        for i, p in enumerate(ps):
-            zeros = zero_cols[i]
-            # A belief's zero columns are masked in the table itself, and
-            # the scores saved from them put back for the next belief; the
-            # saved copy is let go before the next block is scored.
-            if len(zeros):
-                saved = table[:, zeros]
-                table[:, zeros] = 0.0
-            with np.errstate(invalid="ignore"):
-                margins = np.matmul(table, p)
-            if tail:
-                margins[n - tail :] = np.matmul(padded, p)[:tail]
-            if len(zeros):
-                table[:, zeros] = saved
-                del saved
+        # Every belief sums its expected scores into the same two row
+        # buffers, let go before the next block's row sums take two.
+        margins, term = np.empty(n), np.empty(n)
+        for i, (p, support) in enumerate(zip(ps, supports)):
+            _expected_scores(table, p, support, margins, term)
             np.isfinite(margins, out=competitor)
             skipped[i] += n - int(np.count_nonzero(competitor))
             if truthful[i] is not None and start <= truthful[i] < start + n:
@@ -548,6 +533,7 @@ def _properness_scan(
             if margins[best] > max_margin[i]:
                 max_margin[i] = float(margins[best])
                 nearest[i] = parts[best].copy()
+        del margins, term
         start += n
     return [
         PropernessReport(
@@ -559,6 +545,24 @@ def _properness_scan(
         )
         for i, row in enumerate(nearest)
     ]
+
+
+def _expected_scores(
+    S: np.ndarray, p: np.ndarray, support: list[int], out: np.ndarray, term: np.ndarray
+) -> np.ndarray:
+    """The expected score of each row of S under belief p, written to out
+    and returned, term being scratch of the same length: one fixed sum,
+    left to right over p's nonzero states j1 < j2 < ... (support),
+    S[:, j1] * p[j1] + S[:, j2] * p[j2] + ... + 0.0. Each entry is a
+    product or a sum of two floats, so every row has the bits of that sum
+    worked out in Python floats, in any layout of S.
+    """
+    j, *rest = support
+    np.multiply(S[:, j], p[j], out=out)
+    for j in rest:
+        out += np.multiply(S[:, j], p[j], out=term)
+    out += 0.0
+    return out
 
 
 def normalize_to_unit_interval(rule: ScoringRule, m: int) -> ScoringRule:

@@ -222,7 +222,7 @@ def _lattice_blocks(
     buffers, "F" for column-major ones, whose blocks have contiguous
     columns. Both layouts hold the same values, so a consumer that only
     works elementwise, sums rows from left to right or takes exact row
-    minima gets the same bits from either; a matrix product does not.
+    minima gets the same bits from either.
     Every block is built in the buffers: parts and grid are views that stay
     valid only until the next block is requested. Copy a row to keep it,
     as the lattice scans keep their best row's parts. A consumer may
@@ -234,14 +234,10 @@ def _lattice_blocks(
     m and resolution are checked at the call, before the first block is
     built.
 
-    Block i is the rows [i * step, (i + 1) * step) of the stream and the
-    last block the rest, step being the limit rounded down to a multiple
-    of 4 (below 4, the limit). A lone last row, unless it is the whole
-    stream, joins the four rows before it when the limit allows five.
-    numpy multiplies a one-row matrix by a vector with its dot kernel, and
-    OpenBLAS the last len % 4 rows of a longer one with a remainder
-    kernel; both can round unlike the main kernel, so under any limit
-    above 4 these blocks give each row the bits of the whole stream's.
+    Block i is the rows [i * limit, (i + 1) * limit) of the stream and
+    the last block the rest. A row's values do not depend on the block it
+    falls in, and both lattice scans work row by row, so their reports do
+    not depend on the limit.
     """
     capacity = _block_rows(m, resolution, block_rows, interior)
     limit = _block_limit(m, block_rows)
@@ -250,11 +246,7 @@ def _lattice_blocks(
     if units < 0:
         return iter(())
     n = math.comb(units + m - 1, m - 1)
-    step = limit - limit % 4 if limit >= 4 else limit
-    edges = [*range(0, n, step), n]
-    if n % step == 1 and n > 1 and limit > 4:
-        # The lone last row takes four rows, at step 4 the whole block.
-        edges[-2:-1] = [n - 5] if step > 4 else []
+    edges = [*range(0, n, limit), n]
     # rows[k][r] = C(r + k - 1, k - 1), the full rows below a partial row
     # with r units left over k open columns (k >= 2). By the hockey-stick
     # identity each table is the running sum of the one before, so the

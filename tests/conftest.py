@@ -52,9 +52,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     package = Path(coalition_forge.__file__).parent
     total = sum(code_lines(path) for path in package.glob("*.py"))
     terminalreporter.write_line(f"src code lines: {total}")
-    # The lattice scans' bit-for-bit tests hold for the BLAS kernels they
-    # were checked on, so the summary names the BLAS ("unknown" on numpy
-    # before 1.26, which has no dict mode).
+    # The lattice scans use no matrix product, so no bit-for-bit test
+    # depends on the BLAS kernels; the summary names the BLAS as a record
+    # of the build the tests ran on ("unknown" on numpy before 1.26, which
+    # has no dict mode).
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"

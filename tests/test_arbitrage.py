@@ -410,9 +410,8 @@ def test_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
     # rows and more, as over (3, 60) and the two default blocks of
     # (3, 200), and its plain branch from 5 states up. From 8 states up it
     # scores row-major blocks, whose rows numpy sums pairwise. Every
-    # layout gives the report of the whole lattice. Under a limit of 7
-    # rows every block but the last is 4 rows, which takes seconds a
-    # search above 8 states.
+    # layout gives the report of the whole lattice. Blocks of 7 rows take
+    # seconds a search above 8 states.
     cases = [
         (quadratic_rule((0.1, -0.2, 0.3), 1.5), disagreeing_players(rng, 3, 3), 60),
         (spherical_rule(), disagreeing_players(rng, 3, 3), 60),
@@ -437,6 +436,24 @@ def test_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
         coalition = full_coalition(players)
         expected = _unblocked_grid_search(rule, players, coalition, resolution)
         assert grid_search_equalizer(rule, players, coalition, resolution) == expected, rule.kind
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 7, 50])
+def test_grid_search_reports_do_not_depend_on_the_block_limit(monkeypatch, limit):
+    # Blocks are plain row ranges with no alignment, lone last rows
+    # included, and every step of the search is row by row: every limit
+    # gives the default limit's report.
+    rng = np.random.default_rng(1414)
+    cases = []
+    for m, resolution in ((2, 41), (3, 10), (3, 17), (4, 10), (5, 11)):
+        for rule in (quadratic_rule(), logarithmic_rule(), spherical_rule(), generalized_log_rule(0.1)):
+            cases.append((rule, disagreeing_players(rng, int(rng.integers(2, 5)), m), resolution))
+    # Row-major blocks from 8 states up: the log rules score only the
+    # 330-row interior here.
+    cases.append((logarithmic_rule(), disagreeing_players(rng, 3, 8), 12))
+    expected = [grid_search_equalizer(rule, p, full_coalition(p), res) for rule, p, res in cases]
+    monkeypatch.setattr(simplex, "BLOCK_ROWS", limit)
+    assert [grid_search_equalizer(rule, p, full_coalition(p), res) for rule, p, res in cases] == expected
 
 
 @pytest.mark.parametrize("block_rows", [7, None])

@@ -495,6 +495,30 @@ def test_row_sums_match_numpy_sum_bit_for_bit():
                 assert squared.tobytes() == expected.tobytes(), m
 
 
+def test_row_sums_square_wide_rows_a_run_at_a_time():
+    # From 8 columns up the squares are taken for a run of rows at a time,
+    # not as a table the size of X, and every row keeps numpy's pairwise
+    # bits. Squaring all of X at once peaked at X's size and more.
+    rng = np.random.default_rng(929)
+    specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
+    for m in (8, 9, 12, 64, 300):
+        for n in (1, 2**14 // m - 1, 2**14 // m, 2**14 // m + 1, 5 * 2**14 // m + 7):
+            X = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-20, 20, (n, m))
+            special = rng.random(X.shape) < 0.2
+            X[special] = rng.choice(specials, int(special.sum()))
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = (X * X).sum(axis=1, keepdims=True)
+                assert rules._row_sums(X, square=True).tobytes() == expected.tobytes(), (m, n)
+    X = rng.random((16_384, 9))
+    tracemalloc.start()
+    try:
+        rules._row_sums(X, square=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes // 3, peak / X.nbytes
+
+
 def test_properness_quadratic_passes():
     report = check_strict_properness(quadratic_rule(), Forecast((0.3, 0.7)), 100)
     assert report.passed
@@ -571,19 +595,22 @@ def test_properness_resolution_validation():
 
 def _unblocked_properness(rule, belief, resolution):
     """check_strict_properness over the whole lattice at once: one table of
-    the unit rule's scores, one matmul and the first maximum, whose margin
-    is returned times b; None where the truthful expected score is not
-    finite."""
+    the unit rule's scores, each row's expected score summed onto 0.0 left
+    to right over the belief's nonzero states, and the first maximum,
+    whose margin is returned times b; None where the truthful expected
+    score is not finite."""
     p = belief.as_array()
-    zero_cols = p == 0.0
+    support = np.flatnonzero(p)
+
+    def expected(table):
+        total = np.zeros(len(table))
+        for j in support:
+            total += table[:, j] * p[j]
+        return total
+
     grid = grid_array(belief.m, resolution)
-    table = score_table(_unit(rule), grid)
-    table[:, zero_cols] = 0.0
-    with np.errstate(invalid="ignore"):
-        expectations = table @ p
-    truth = score_table(_unit(rule), p[None, :])
-    truth[:, zero_cols] = 0.0
-    truth_value = float(truth[0] @ p)
+    expectations = expected(score_table(_unit(rule), grid))
+    truth_value = float(expected(score_table(_unit(rule), p[None, :]))[0])
     if not math.isfinite(truth_value):
         return None
     finite = np.isfinite(expectations)
@@ -652,6 +679,86 @@ def test_properness_equals_unblocked_oracle(monkeypatch, block_rows):
             assert check_strict_properness(rule, belief, resolution) == expected
 
 
+def test_properness_equals_a_pure_python_scan():
+    # Each row's expected score recomputed with Python floats in the scan's
+    # order, left to right over the belief's nonzero states onto 0.0, from
+    # the rows of score_table under the unit rule: the scan's margin, its
+    # nearest competitor and its counts are those of that loop, for every
+    # rule kind, with zero-state and on-lattice beliefs, one to three a scan.
+    rng = np.random.default_rng(1111)
+
+    def expected(row, p):
+        total = 0.0
+        for x, q in zip(row, p):
+            if q > 0.0:
+                total += x * q
+        return total
+
+    for m in range(2, 6):
+        kinds = [quadratic_rule, logarithmic_rule, spherical_rule, linear_rule, generalized_log_rule]
+        if m == 2:
+            kinds.append(custom_binary_rule)
+        for resolution in range(2, 9):
+            grid = grid_array(m, resolution)
+            for make in kinds:
+                a = tuple(rng.uniform(-1.0, 1.0, size=m))
+                b = float(rng.uniform(0.3, 2.0))
+                if make is generalized_log_rule:
+                    rule = make(float(rng.choice([0.0, 0.1])), a, b)
+                elif make is custom_binary_rule:
+                    rule = make(logit_generator(), a, b)
+                else:
+                    rule = make(a, b)
+                beliefs = []
+                for _ in range(int(rng.integers(1, 4))):
+                    belief = _random_belief(rng, m, resolution)
+                    if _unblocked_properness(rule, belief, resolution) is not None:
+                        beliefs.append(belief)
+                if not beliefs:
+                    continue
+                reports = rules._properness_scan(rule, beliefs, resolution)
+                table = score_table(_unit(rule), grid).tolist()
+                for belief, report in zip(beliefs, reports):
+                    p = belief.probs
+                    truth = expected(score_table(_unit(rule), np.array([p])).tolist()[0], p)
+                    best, nearest, checked, skipped = -math.inf, None, 0, 0
+                    for point, row in zip(grid.tolist(), table):
+                        value = expected(row, p)
+                        if not math.isfinite(value):
+                            skipped += 1
+                        elif any(abs(x - q) > 1e-12 for x, q in zip(point, p)):
+                            checked += 1
+                            if value - truth > best:
+                                best, nearest = value - truth, Forecast(tuple(point))
+                    case = (rule.kind, m, resolution, p)
+                    assert report.max_margin == rule.b * best, case
+                    assert report.nearest_competitor == nearest, case
+                    assert (report.checked, report.skipped) == (checked, skipped), case
+                    assert report.passed == (best < 0.0), case
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 7, 50])
+def test_properness_reports_do_not_depend_on_the_block_limit(monkeypatch, limit):
+    # Blocks are plain row ranges and each row's expected score is one
+    # fixed sum, so every limit gives the default limit's reports, field
+    # for field, interior scans and lone last rows included.
+    rng = np.random.default_rng(1313)
+    cases = []
+    for _ in range(12):
+        m = int(rng.integers(2, 6))
+        resolution = int(rng.integers(2, {2: 60, 3: 20, 4: 10, 5: 8}[m]))
+        rule = _random_rule(rng, m)
+        beliefs = [_random_belief(rng, m, resolution) for _ in range(3)]
+        beliefs = [b for b in beliefs if _unblocked_properness(rule, b, resolution) is not None]
+        if beliefs:
+            cases.append((rule, beliefs, resolution))
+    cases.append((logarithmic_rule(), [random_forecast(rng, 10)], 12))
+    cases.append((generalized_log_rule(0.0), [random_forecast(rng, 4), random_forecast(rng, 4)], 16))
+    expected = [rules._properness_scan(*case) for case in cases]
+    monkeypatch.setattr(simplex, "BLOCK_ROWS", limit)
+    assert [rules._properness_scan(*case) for case in cases] == expected
+
+
 @pytest.mark.parametrize("block_entries", [2**11, None])
 def test_properness_equals_unblocked_oracle_at_wide_m(monkeypatch, block_entries):
     # Above 8 states the entry cap sets the block rows; at 2**11 entries
@@ -673,22 +780,20 @@ def test_properness_equals_unblocked_oracle_at_wide_m(monkeypatch, block_entries
         for rule, belief in cases:
             expected = _unblocked_properness(rule, belief, resolution)
             assert expected is not None
-            # Blocks of a multiple of 4 rows give every row the bits of the
-            # whole-lattice product, whatever the block size.
+            # Each row's sum is fixed, so every block size gives the bits of
+            # the whole lattice's.
             assert check_strict_properness(rule, belief, resolution) == expected
-    # The interior of (10, 12) is 55 rows. OpenBLAS would multiply the
-    # last three with its remainder kernel, which the whole lattice uses
-    # only on rows with a zero entry, and the report would differ from the
-    # oracle's in the last bits.
+    # The interior of (10, 12) is 55 rows, in a block of its own, whose
+    # last three rows a matrix product through OpenBLAS rounded unlike the
+    # whole lattice's.
     belief = Forecast(tuple(k / 55 for k in range(10, 0, -1)))
     for rule in (logarithmic_rule(), generalized_log_rule(0.0)):
         assert check_strict_properness(rule, belief, 12) == _unblocked_properness(rule, belief, 12)
 
 
 def test_properness_log_at_resolution_m_equals_unblocked_oracle():
-    # At resolution m the interior is the one row (1/m, ..., 1/m), which
-    # numpy would multiply with its dot kernel; the whole lattice is
-    # scanned there, and every report keeps the bits of the oracle.
+    # At resolution m the interior is the one row (1/m, ..., 1/m), a block
+    # of one row, and every report keeps the bits of the oracle.
     rng = np.random.default_rng(505)
     for m in range(3, 8):
         centre = Forecast((1.0 / m,) * m)
@@ -866,10 +971,11 @@ def test_properness_scores_each_block_in_the_stream_buffer():
     # A check holds the stream's float block (one buffer: rows * m * 8
     # bytes), its integer parts and per-row vectors, and scores each
     # block in place; a score table beside the block took it to about 2.5
-    # buffers. A belief with a zero state masks those columns in the block
-    # itself and puts their scores back after, in either order of beliefs:
-    # a masked copy of the block for every belief but the last took the
-    # pair below to 2.78 buffers.
+    # buffers. Every belief sums its expected scores from the block over
+    # its nonzero states, in either order of beliefs: a masked copy of the
+    # block for every belief but the last took the pair below to 2.78
+    # buffers. At 9 states the squares behind the spherical norms, taken
+    # as one table of the block's size, took a check to 2.37 buffers.
     zero_state = Forecast((0.0, 0.2, 0.3, 0.25, 0.25))
     full = Forecast((0.3, 0.1, 0.2, 0.25, 0.15))
     for rule, beliefs, resolution in (
@@ -877,6 +983,7 @@ def test_properness_scores_each_block_in_the_stream_buffer():
         (logarithmic_rule(), [Forecast((0.1, 0.2, 0.15, 0.25, 0.2, 0.1))], 30),
         (spherical_rule(), [zero_state, full], 50),
         (spherical_rule(), [full, zero_state], 50),
+        (spherical_rule(), [Forecast((1.0 / 9,) * 9)], 10),
     ):
         m = beliefs[0].m
         buffer = simplex._block_rows(m, resolution) * m * 8

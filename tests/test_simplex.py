@@ -244,9 +244,8 @@ def test_lattice_blocks_cut_rows_below_one_first_entry(monkeypatch, limit):
     for m in range(2, 7):
         for resolution in (1, 5, 9):
             blocks = [b.copy() for _, b in simplex._lattice_blocks(m, resolution)]
-            assert max(len(b) for b in blocks) <= limit
-            if limit >= m:
-                assert min(len(b) for b in blocks) >= 2
+            assert [len(b) for b in blocks[:-1]] == [limit] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= limit
             joined = np.concatenate(blocks)
             assert joined.tobytes() == grid_array(m, resolution).tobytes()
 
@@ -268,11 +267,7 @@ def test_lattice_interior_blocks_are_the_rows_without_zeros(monkeypatch, limit):
             if not blocks:
                 assert len(inside) == 0
                 continue
-            assert max(len(b) for b in blocks) <= most
-            # Only an interior of one row has a block of one row, while the
-            # row limit is at least max(m, 3).
-            if len(inside) > 1 and most >= max(m, 3):
-                assert min(len(b) for b in blocks) >= 2, (m, resolution)
+            assert [len(b) for b in blocks] == _plain_sizes(len(inside), most), (m, resolution)
             assert np.concatenate(blocks).tobytes() == inside.tobytes()
 
 
@@ -292,11 +287,15 @@ def test_lattice_blocks_cap_entries_at_wide_m():
         assert np.concatenate(blocks).tobytes() == grid_array(m, resolution).tobytes()
 
 
+def _plain_sizes(total, limit):
+    # Blocks of limit rows each and the rest last.
+    return [limit] * (total // limit) + ([total % limit] if total % limit else [])
+
+
 @pytest.mark.parametrize("limit", [4, 5, 7, 8, 50, None])
-def test_lattice_blocks_are_multiples_of_four_rows(limit):
-    # Blocks are fixed row ranges: all but the last a multiple of 4 rows,
-    # none above the limit, and no lone last row unless the stream is one
-    # row, which a limit of 4 cannot avoid.
+def test_lattice_blocks_are_plain_row_ranges(limit):
+    # Blocks are fixed row ranges of the limit each, the rest last, with no
+    # alignment: a lone last row stays a block of its own.
     shapes = [(2, 12), (3, 9), (4, 7), (5, 6), (6, 5), (9, 3), (12, 2)]
     if limit is None:
         shapes += [(3, 400), (6, 30), (9, 10), (12, 6), (40, 3), (120, 2)]
@@ -306,16 +305,13 @@ def test_lattice_blocks_are_multiples_of_four_rows(limit):
             blocks = simplex._lattice_blocks(m, resolution, limit, interior)
             sizes = [len(b) for _, b in blocks]
             total = simplex._interior_rows(m, resolution) if interior else len(grid_array(m, resolution))
-            assert sum(sizes) == total
-            if not sizes:
-                continue
-            assert max(sizes) <= most
-            assert all(size % 4 == 0 for size in sizes[:-1]), (m, resolution, sizes)
-            if most > 4 and total > 1:
-                assert sizes[-1] > 1, (m, resolution, interior, sizes)
+            assert sizes == _plain_sizes(total, most), (m, resolution, interior, sizes)
     if limit is None:
         # 7,260 rows over 120 states at 1,092 rows a block: seven blocks.
-        assert sum(1 for _ in simplex._lattice_blocks(120, 2)) <= 8
+        assert sum(1 for _ in simplex._lattice_blocks(120, 2)) == 7
+    elif limit == 5:
+        # C(12, 2) = 66 rows over 3 states: thirteen blocks and a lone row.
+        assert [len(b) for _, b in simplex._lattice_blocks(3, 10, limit)][-2:] == [5, 1]
 
 
 def test_lattice_blocks_generators_keep_buffers_of_their_own():
