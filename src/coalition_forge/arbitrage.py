@@ -634,12 +634,7 @@ def grid_search_equalizer(
     t = (w[:, None] * truthful).sum(axis=0)
     w_c = float(w.sum())
     interior = _unfloored_log(rule)
-    # Below 8 states the blocks are column-major: every step below is
-    # elementwise, a left-to-right row sum or an exact row minimum, which
-    # give the same bits in either layout and run down contiguous columns
-    # in this one, where numpy would loop over short rows. numpy sums
-    # longer rows pairwise, and only row-major rows give those bits.
-    blocks = _lattice_blocks(m, resolution, interior=interior, order="F" if m < 8 else "C")
+    blocks = _lattice_blocks(m, resolution, interior=interior)
     # Each block is scored in place in the stream's own buffer, which the
     # stream rebuilds from integer parts for the next block; only the row
     # minima have a buffer of their own.

@@ -288,7 +288,9 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
     scaling = ("skipped", agreement if proper_subset and agreement
                else "needs a coalition that is a proper subset of the players")
     if proper_subset and coordinated is not None:
-        w_c = sc.coalition.wager_total(players)
+        # The outsiders' share of the pool, from their own wagers: 1 - w_c / w_n
+        # would round it away where the members hold nearly all of the pool.
+        w_out = math.fsum(p.wager for k, p in enumerate(players) if k not in sc.coalition.members)
         w_n = math.fsum(p.wager for p in players)
         # Both gains on the unit rule, where the identity holds up to
         # rounding whatever the rule's offsets and scale.
@@ -298,7 +300,7 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
         )
         max_err = 0.0
         for direct, traditional in zip(competitive_gain, traditional_gain):
-            scaled = (1.0 - w_c / w_n) * traditional
+            scaled = (w_out / w_n) * traditional
             max_err = max(max_err, abs(direct - scaled) / max(1.0, abs(scaled)))
         scaling = ("pass" if max_err <= 1e-9 else "fail", f"max relative error {max_err!r}")
     return [

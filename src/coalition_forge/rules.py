@@ -263,12 +263,12 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
     DimensionMismatch, as scoring the rule itself does.
 
     The lattice scans hand it each block in the buffer the stream built it
-    in, and every other caller a table of its own. Each branch gives the
-    bits of scoring R into a fresh table: row norms are summed from the
-    squares of R's columns before R is overwritten, and the custom binary
-    branch reads R[:, 0] before it writes anything. Below 8 states R may
-    be row- or column-major, with the same bits; from 8 states up, row
-    sums are pairwise and have numpy's bits only for a row-major R.
+    in, column-major, and every other caller a table of its own. Each
+    branch gives the bits of scoring R into a fresh table, in either
+    layout: row norms are summed left to right (_row_sums) before R is
+    overwritten, every other step is elementwise or applies one value per
+    row, and the custom binary branch reads R[:, 0] before it writes
+    anything.
     """
     m = R.shape[1]
     a = rule.affine_offsets
@@ -278,7 +278,7 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
     if kind is RuleKind.QUADRATIC:
         norms = _row_sums(R, square=True)
         R *= 2.0
-        _apply_column(np.subtract, R, norms)
+        R -= norms
     elif _unfloored_log(rule):
         with np.errstate(divide="ignore"):
             np.log(R, out=R)
@@ -288,11 +288,11 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
         np.log(R, out=R)
         tail = _row_sums(R)
         tail *= l
-        _apply_column(np.add, R, tail)
+        R += tail
     elif kind is RuleKind.SPHERICAL:
         norms = _row_sums(R, square=True)
         np.sqrt(norms, out=norms)
-        _apply_column(np.divide, R, norms)
+        R /= norms
     elif kind is RuleKind.LINEAR:
         pass
     elif kind is RuleKind.CUSTOM_BINARY:
@@ -317,32 +317,21 @@ def _unfloored_log(rule: ScoringRule) -> bool:
 
 
 def _row_sums(X: np.ndarray, square: bool = False) -> np.ndarray:
-    """X.sum(axis=1, keepdims=True), or with square set
-    (X * X).sum(axis=1, keepdims=True), bit for bit, for a row-major X,
-    and for a column-major X of fewer than 8 columns.
+    """The sum of each row of X, or with square set of its squares, as an
+    (n, 1) column: left to right onto 0.0, in either layout and at every
+    m, with the bits of that sum worked out in Python floats.
 
-    numpy sums a row of fewer than 8 entries from left to right onto 0.0,
-    one row per inner loop in a row-major X, which makes short rows slow;
-    adding whole columns in that order gives the same bits in a fraction
-    of the time once there are more than about 40 rows per column (a call
-    per column costs more below that). The squares are then taken one
-    column at a time too, with no table of them beside X. A column-major
-    X is summed in the same order by numpy itself, and its columns are
-    contiguous, which makes the column path faster still. Longer rows are
-    summed pairwise, so they go to numpy as they are. Their squares are
-    taken a run of rows at a time, about 2**14 entries, not as a table as
-    large as X, and numpy sums each row of a run as it sums it in X.
+    Whole columns are added in that order, and the squares taken one
+    column at a time into a scratch column, with no table of them beside
+    X. A call per column costs more than numpy's own sum for a short
+    table, so below 8 columns and 64 * m rows numpy sums it: numpy too
+    sums rows of fewer than 8 entries left to right onto 0.0, so that
+    branch is speed only. Longer rows numpy may sum pairwise, a row-major
+    row or a one-row block of a column-major buffer alike.
     """
     n, m = X.shape
-    if m >= 8 or n < 64 * m:
-        step = max(1, 2**14 // m)
-        if not square or n <= step:
-            return (X * X if square else X).sum(axis=1, keepdims=True)
-        sums = np.empty((n, 1))
-        for a in range(0, n, step):
-            rows = X[a : a + step]
-            (rows * rows).sum(axis=1, keepdims=True, out=sums[a : a + step])
-        return sums
+    if m < 8 and n < 64 * m:
+        return (X * X if square else X).sum(axis=1, keepdims=True)
     sums = X[:, :1] * X[:, :1] if square else X[:, :1] + X[:, 1:2]
     term = np.empty_like(sums) if square else None
     for j in range(1 if square else 2, m):
@@ -350,27 +339,6 @@ def _row_sums(X: np.ndarray, square: bool = False) -> np.ndarray:
         sums += np.multiply(col, col, out=term) if square else col
     sums += 0.0
     return sums
-
-
-def _apply_column(ufunc: np.ufunc, R: np.ndarray, col: np.ndarray) -> None:
-    """ufunc(R, col, out=R), bit for bit, for an (n, m) R in either
-    layout and an (n, 1) col: one value applied to each row.
-
-    The operation is elementwise, so every order of the loops gives the
-    same bits. Over a row-major R numpy runs it one short row per inner
-    loop; over the transposed table in C order each inner loop runs down
-    a whole column instead, which takes under half the time from 64 * m
-    rows up at 2 to 4 states (16,384 rows on 2 vCPUs: 20-75 against
-    60-140 us). At 5 states and more the strided columns cost as much as
-    the short rows or more, and a small table pays more for the
-    transposed call than it saves. Over a column-major R both calls run
-    down contiguous columns.
-    """
-    n, m = R.shape
-    if m < 5 and n >= 64 * m:
-        ufunc(R.T, col.T, out=R.T, order="C")
-    else:
-        ufunc(R, col, out=R)
 
 
 def _score_columns(
@@ -455,15 +423,13 @@ def _properness_scan(
 ) -> list[PropernessReport]:
     """check_strict_properness at each belief, in one pass over the lattice.
 
-    Each block is scored once, under the unit rule S, in the buffer the
-    lattice stream built it in: column-major below 8 states, where
-    _score_into gives either layout the same bits and runs down
-    contiguous columns, and row-major from 8 states up, where its row
-    sums are pairwise. Every belief takes its expected scores from that
-    table with _expected_scores, the truthful report's too. That sum has
-    no matrix product, so each row has the same bits in any block and
-    either layout, and a belief's zero states, whose scores may be -inf,
-    are never read. Beliefs must share one length.
+    Each block is scored once, under the unit rule S, in the column-major
+    buffer the lattice stream built it in. Every belief takes its
+    expected scores from that table with _expected_scores, the truthful
+    report's too. Every row sum is left to right, with no matrix
+    product, so each row has the same bits in any block and either
+    layout, and a belief's zero states, whose scores may be -inf, are
+    never read. Beliefs must share one length.
     """
     if resolution < 2:
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
@@ -478,7 +444,7 @@ def _properness_scan(
     # with a zero entry has expected score -inf: only the interior is
     # scanned, and the rest is skipped by count.
     interior = _unfloored_log(rule) and all(len(support) == m for support in supports)
-    blocks = _lattice_blocks(m, resolution, interior=interior, order="F" if m < 8 else "C")
+    blocks = _lattice_blocks(m, resolution, interior=interior)
     # Each belief's truthful report is its own row of one table.
     truth_table = _unit_table(rule, ps)
     truth_values = [

@@ -26,7 +26,7 @@ from .rules import RuleKind, ScoringRule
 from .simplex import MAX_GRID_POINTS, Forecast
 from .simulate import (
     BeliefSampler, BetaBinary, DirichletM, FiniteMixture, _check_draw_size,
-    _coalition_size, _resolve_seed,
+    _check_sweep_trials, _coalition_size, _resolve_seed,
 )
 
 SCHEMA_VERSION = 1
@@ -328,6 +328,7 @@ def _parse_simulation(data: Any, m: int) -> SimulationSpec | None:
     if mode == "sweep":
         _build(f"{path}.trials", _check_draw_size, "trials * len(fractions) * n * m",
                trials, len(fractions), n, m)
+        _build(f"{path}.trials", _check_sweep_trials, trials, len(fractions))
         for j, f in enumerate(fractions):
             _build(f"{path}.fractions[{j + 1}]", _coalition_size, f, n)
     seed = None

@@ -153,7 +153,9 @@ def grid_array(m: int, resolution: int) -> np.ndarray:
     (N, m) float array with N = C(resolution + m - 1, m - 1).
 
     Rows are the integer compositions of resolution into m parts in
-    lexicographic order, divided by resolution. Lattices above
+    lexicographic order, divided by resolution. The array is column-major,
+    as every lattice block is; its values, and its tobytes(), are those of
+    the row-major array. Lattices above
     MAX_GRID_POINTS or MAX_GRID_ENTRIES raise ValidationError before
     anything is allocated.
     """
@@ -197,9 +199,7 @@ def _block_limit(m: int, block_rows: int | None) -> int:
     return min(BLOCK_ROWS, max(BLOCK_ENTRIES // m, m, 3))
 
 
-def _lattice_blocks(
-    m: int, resolution: int, block_rows: int | None = None, interior: bool = False, order: str = "C"
-):
+def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None, interior: bool = False):
     """grid_array(m, resolution) as consecutive row blocks of at most
     block_rows rows, in the same order, each yielded as a pair (parts,
     grid): parts the rows' integer entries and grid the float rows,
@@ -218,11 +218,7 @@ def _lattice_blocks(
 
     Each generator allocates one integer and one float buffer of
     _block_rows(m, resolution, block_rows, interior) rows when it starts,
-    in the memory layout order names: "C", the default, for row-major
-    buffers, "F" for column-major ones, whose blocks have contiguous
-    columns. Both layouts hold the same values, so a consumer that only
-    works elementwise, sums rows from left to right or takes exact row
-    minima gets the same bits from either.
+    both column-major, so every block has contiguous columns.
     Every block is built in the buffers: parts and grid are views that stay
     valid only until the next block is requested. Copy a row to keep it,
     as the lattice scans keep their best row's parts. A consumer may
@@ -315,9 +311,9 @@ def _lattice_blocks(
     def stream():
         # Integer parts first, in the smallest type that holds resolution,
         # then one division: filling the float columns one by one is
-        # slower in either layout.
-        parts_buf = np.empty((capacity, m), dtype=dtype, order=order)
-        grid_buf = np.empty((capacity, m), order=order)
+        # slower.
+        parts_buf = np.empty((capacity, m), dtype=dtype, order="F")
+        grid_buf = np.empty((capacity, m), order="F")
         for a, b in zip(edges, edges[1:]):
             parts = fill(a, b, parts_buf[:b - a])
             if interior:

@@ -43,9 +43,16 @@ from .simplex import Forecast, validate_forecast
 # for a sweep, len(ordering) * m for a market session. n and m both come
 # from a scenario file, so memory grows with their product while the file
 # grows only with their sum. The bundled sweeps draw 3.6 M (9 * 2,000 *
-# 100 * 2); at about 90 µs per trial of 100 binary beliefs, the bound is
-# 500,000 such trials, about 45 s.
+# 100 * 2). It does not bound time: at n = m = 2 it admits 25,000,000
+# sweep trials.
 _MAX_BELIEF_ENTRIES = 10**8
+
+# The most trials one sweep plays: trials * len(fractions). A trial took
+# 50-66 µs under the quadratic rule with 2 to 100 binary beliefs, and up
+# to 135 µs under the spherical rule over 3 states (2 vCPUs, 5,000-trial
+# sweeps), so the bound is about 25 s to 70 s. The bundled sweeps play
+# 18,000 (9 * 2,000).
+_MAX_SWEEP_TRIALS = 500_000
 
 
 def _check_draw_size(what: str, *factors: int) -> None:
@@ -56,6 +63,16 @@ def _check_draw_size(what: str, *factors: int) -> None:
         raise ValidationError(
             f"{what} = {entries:,} belief entries; at most "
             f"{_MAX_BELIEF_ENTRIES:,} are supported"
+        )
+
+
+def _check_sweep_trials(trials: int, fractions: int) -> None:
+    """Refuse a sweep of more than _MAX_SWEEP_TRIALS trials in all."""
+    total = trials * fractions
+    if total > _MAX_SWEEP_TRIALS:
+        raise ValidationError(
+            f"trials * len(fractions) = {total:,} sweep trials; at most "
+            f"{_MAX_SWEEP_TRIALS:,} are supported"
         )
 
 
@@ -247,6 +264,7 @@ def expected_surplus_sweep(
         raise ValidationError("no fractions supplied")
     m = sampler.m
     _check_draw_size("trials * len(fractions) * n * m", trials, len(fractions), n, m)
+    _check_sweep_trials(trials, len(fractions))
     sizes = [_coalition_size(f, n) for f in fractions]
     rule = mechanism.rule
     base_seed = _resolve_seed(seed)

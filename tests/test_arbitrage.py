@@ -405,13 +405,11 @@ def test_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
         coalition = full_coalition(players)
         expected = _unblocked_grid_search(rule, players, coalition, resolution)
         assert grid_search_equalizer(rule, players, coalition, resolution) == expected
-    # Below 8 states the search scores column-major blocks: at 2 to 4
-    # states _apply_column takes its transposed branch on blocks of 64 * m
-    # rows and more, as over (3, 60) and the two default blocks of
-    # (3, 200), and its plain branch from 5 states up. From 8 states up it
-    # scores row-major blocks, whose rows numpy sums pairwise. Every
-    # layout gives the report of the whole lattice. Blocks of 7 rows take
-    # seconds a search above 8 states.
+    # The search scores column-major blocks at every m, whose rows are
+    # summed left to right from 64 * m rows up, as over (3, 60) and the
+    # two default blocks of (3, 200), and at every size from 8 states up.
+    # Every block gives the report of the whole lattice. Blocks of 7 rows
+    # take seconds a search above 8 states.
     cases = [
         (quadratic_rule((0.1, -0.2, 0.3), 1.5), disagreeing_players(rng, 3, 3), 60),
         (spherical_rule(), disagreeing_players(rng, 3, 3), 60),
@@ -426,11 +424,13 @@ def test_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
             cases.append((rule, disagreeing_players(rng, 3, m), resolution))
     # Members whose beliefs are shifts of one another: at (8, 10) the
     # reports (.1, .2, .1, .1, .2, .1, .1, .1) and (.1, .1, .1, .1, .2,
-    # .1, .1, .2) tie in exact arithmetic. numpy's pairwise row sums put
-    # the first ahead, as over the whole lattice; left-to-right sums, as a
-    # column-major block gives, the second.
+    # .1, .1, .2) tie in exact arithmetic. Row norms summed left to right
+    # put the first ahead by one bit, in every block as over the whole
+    # lattice.
     base = np.array([1, 3, 3, 2, 4, 1, 3, 3]) / 20
     shifted = [Player(Forecast(tuple(np.roll(base, s).tolist())), 1.0) for s in (6, 0, 5)]
+    first = Forecast((0.1, 0.2, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1))
+    assert grid_search_equalizer(quadratic_rule(), shifted, full_coalition(shifted), 10) == first
     cases.append((quadratic_rule(), shifted, 10))
     for rule, players, resolution in cases:
         coalition = full_coalition(players)
@@ -448,8 +448,7 @@ def test_grid_search_reports_do_not_depend_on_the_block_limit(monkeypatch, limit
     for m, resolution in ((2, 41), (3, 10), (3, 17), (4, 10), (5, 11)):
         for rule in (quadratic_rule(), logarithmic_rule(), spherical_rule(), generalized_log_rule(0.1)):
             cases.append((rule, disagreeing_players(rng, int(rng.integers(2, 5)), m), resolution))
-    # Row-major blocks from 8 states up: the log rules score only the
-    # 330-row interior here.
+    # Eight states: the log rules score only the 330-row interior here.
     cases.append((logarithmic_rule(), disagreeing_players(rng, 3, 8), 12))
     expected = [grid_search_equalizer(rule, p, full_coalition(p), res) for rule, p, res in cases]
     monkeypatch.setattr(simplex, "BLOCK_ROWS", limit)

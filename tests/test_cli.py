@@ -1352,6 +1352,21 @@ def test_cli_simulate_refuses_oversized_sweeps(tmp_path, capsys, field, value, e
     )
 
 
+def test_cli_simulate_refuses_a_sweep_over_the_trial_bound(tmp_path, capsys, monkeypatch):
+    # 250,001 trials at two fractions over 4 binary players draw 4 M belief
+    # entries but play 500,002 trials; the parser refuses them before any
+    # draw.
+    monkeypatch.setattr(simulate.BetaBinary, "draw", None)  # any draw fails
+    raw = json.loads(bundled.path("sweep_competitive").read_text(encoding="utf-8"))
+    raw["simulation"].update(n=4, fractions=[0.5, 1.0], trials=250_001)
+    path = _write_scenario(tmp_path, raw)
+    assert main(["simulate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: simulation.trials: trials * len(fractions) = 500,002 sweep trials; "
+        "at most 500,000 are supported\n"
+    )
+
+
 def test_cli_simulate_refuses_an_oversized_session(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(simulate, "_MAX_BELIEF_ENTRIES", 7)
     path = _write_scenario(

@@ -4,9 +4,12 @@ properness checking, and unit-interval normalization."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import random
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -457,11 +460,11 @@ def test_score_into_overwrites_only_its_rows_of_a_larger_buffer():
                 custom_binary_rule(logit_generator(), a, 1.7),
                 custom_binary_rule(narrow, b=0.8),
             ]
-        # Below 8 states a column-major buffer, as the grid search hands
-        # it, gives the same bits.
+        # A column-major buffer, as the lattice scans hand it, gives the
+        # same bits.
         for rule in kinds:
             expected = score_table(_unit(rule), R)
-            for order in "CF" if m < 8 else "C":
+            for order in "CF":
                 buf = np.full((len(R) + 7, m), np.nan, order=order)
                 buf[: len(R)] = R
                 rules._score_into(rule, buf[: len(R)])
@@ -470,53 +473,65 @@ def test_score_into_overwrites_only_its_rows_of_a_larger_buffer():
         assert np.isneginf(score_table(logarithmic_rule(a), R)).any()
 
 
-def test_row_sums_match_numpy_sum_bit_for_bit():
-    # Column by column in numpy's order for short rows, numpy's own sum
-    # for long ones: the bytes agree, signed zeros, infinities and NaN
-    # included, or every table that sums rows would drift. Squared, the
-    # short rows are squared column by column too; the quadratic and
-    # spherical norms take those bits. Short rows give them in a
-    # column-major table too.
+def _python_row_sums(X, square=False):
+    # Each row summed left to right onto 0.0 in Python floats, squared
+    # first with square set.
+    sums = []
+    for row in X.tolist():
+        total = 0.0
+        for x in row:
+            total += x * x if square else x
+        sums.append([total])
+    return np.array(sums)
+
+
+def _special_table(rng, n, m):
+    specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
+    X = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-20, 20, (n, m))
+    special = rng.random(X.shape) < 0.2
+    X[special] = rng.choice(specials, int(special.sum()))
+    return X
+
+
+def test_row_sums_match_a_python_left_to_right_sum_bit_for_bit():
+    # Every row is summed left to right onto 0.0, squared or not, at every
+    # m and in either layout: numpy's own sum for short tables below 8
+    # columns, whole columns otherwise. The bytes are those of the sum in
+    # Python floats, signed zeros, infinities and NaN included, or every
+    # table that sums rows would drift. One row of a column-major buffer
+    # is a scan's last block at times.
     rng = np.random.default_rng(919)
-    specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
     for m in range(2, 13):
-        X = rng.standard_normal((2000, m)) * 10.0 ** rng.integers(-20, 20, (2000, m))
-        special = rng.random(X.shape) < 0.2
-        X[special] = rng.choice(specials, int(special.sum()))
+        X = _special_table(rng, 2000, m)
+        F = np.asfortranarray(X)
         with np.errstate(invalid="ignore", over="ignore"):
-            tables = (X, X[:37])
-            if m < 8:
-                tables += (np.asfortranarray(X), np.asfortranarray(X)[:37])
-            for rows in tables:
-                expected = np.ascontiguousarray(rows).sum(axis=1, keepdims=True)
-                assert rules._row_sums(rows).tobytes() == expected.tobytes(), m
-                expected = np.ascontiguousarray(rows * rows).sum(axis=1, keepdims=True)
-                squared = rules._row_sums(rows, square=True)
-                assert squared.tobytes() == expected.tobytes(), m
+            for rows in (X, X[:37], F, F[:37], F[5:6]):
+                for square in (False, True):
+                    expected = _python_row_sums(rows, square)
+                    assert rules._row_sums(rows, square).tobytes() == expected.tobytes(), (m, square)
 
 
-def test_row_sums_square_wide_rows_a_run_at_a_time():
-    # From 8 columns up the squares are taken for a run of rows at a time,
-    # not as a table the size of X, and every row keeps numpy's pairwise
-    # bits. Squaring all of X at once peaked at X's size and more.
+def test_row_sums_square_one_column_at_a_time():
+    # The squares are taken one column at a time into a scratch column,
+    # not as a table the size of X, in either layout; one-row and short
+    # tables of wide rows included. Squaring all of X at once peaked at
+    # X's size and more.
     rng = np.random.default_rng(929)
-    specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
     for m in (8, 9, 12, 64, 300):
         for n in (1, 2**14 // m - 1, 2**14 // m, 2**14 // m + 1, 5 * 2**14 // m + 7):
-            X = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-20, 20, (n, m))
-            special = rng.random(X.shape) < 0.2
-            X[special] = rng.choice(specials, int(special.sum()))
+            X = _special_table(rng, n, m)
             with np.errstate(invalid="ignore", over="ignore"):
-                expected = (X * X).sum(axis=1, keepdims=True)
-                assert rules._row_sums(X, square=True).tobytes() == expected.tobytes(), (m, n)
-    X = rng.random((16_384, 9))
-    tracemalloc.start()
-    try:
-        rules._row_sums(X, square=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < X.nbytes // 3, peak / X.nbytes
+                expected = _python_row_sums(X, square=True)
+                for rows in (X, np.asfortranarray(X)):
+                    assert rules._row_sums(rows, square=True).tobytes() == expected.tobytes(), (m, n)
+    for X in (rng.random((16_384, 9)), np.asfortranarray(rng.random((16_384, 9)))):
+        tracemalloc.start()
+        try:
+            rules._row_sums(X, square=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes // 3, peak / X.nbytes
 
 
 def test_properness_quadratic_passes():
@@ -735,6 +750,95 @@ def test_properness_equals_a_pure_python_scan():
                     assert report.nearest_competitor == nearest, case
                     assert (report.checked, report.skipped) == (checked, skipped), case
                     assert report.passed == (best < 0.0), case
+
+
+def test_quadratic_properness_agrees_with_exact_arithmetic():
+    # An exact judge at the program's own floats: under the quadratic unit
+    # rule S_j(r) = 2 r_j - |r|^2 every gap E_p[S(r)] - E_p[S(p)] is
+    # rational (-|p - r|^2 when sum(p) is exactly 1). The counts and the
+    # verdict must be the exact ones, and max_margin must lie within a
+    # rounding bound derived from the terms' magnitudes (Higham's gamma_k
+    # for a left-to-right sum of k products), with no tuned tolerance.
+    u = Fraction(1, 2**53)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    def error(norm, size, total, k, m):
+        # The rounding bound of one expected score: the norm |r|^2 is a
+        # left-to-right sum of m squares, each S_j one subtraction from
+        # it, and E_p a left-to-right sum of the products over p's k
+        # nonzero states; size is sum_j p_j |S_j| and total sum(p).
+        per_entry = gamma(m) * norm * (1 + u) * total + u * size
+        return (1 + gamma(k)) * per_entry + gamma(k) * size
+
+    rng = random.Random(2603)
+    for m, resolution in ((3, 30), (5, 8), (8, 5), (9, 4), (12, 3)):
+        # Every composition of resolution into m parts, as the program's
+        # float rows k / resolution.
+        rows = []
+        for bars in itertools.combinations(range(resolution + m - 1), m - 1):
+            edges = (-1, *bars, resolution + m - 1)
+            rows.append(tuple((b - a - 1) / resolution for a, b in zip(edges, edges[1:])))
+        beliefs = []
+        for kind in range(6):
+            weights = [rng.random() for _ in range(m)]
+            if kind % 2:
+                weights[rng.randrange(m)] = 0.0
+            if kind < 4:  # random
+                beliefs.append(tuple(w / sum(weights) for w in weights))
+            else:  # on the lattice
+                beliefs.append(rows[rng.randrange(len(rows))])
+        # Every float here is an integer over one power of two, den, so
+        # the arithmetic is exact in integers: S(r) over den**2, and
+        # expected scores over den**3.
+        den = max(Fraction(x).denominator for row in rows + beliefs for x in row)
+
+        def exact(probs):
+            return [int(Fraction(x) * den) for x in probs]
+
+        def unit_scores(r):
+            norm = sum(x * x for x in r)
+            return [2 * x * den - norm for x in r], norm
+
+        exact_rows = {row: exact(row) for row in rows}
+        scored = [unit_scores(exact_rows[row]) for row in rows]
+        for probs in beliefs:
+            report = check_strict_properness(quadratic_rule(), Forecast(probs), resolution)
+            p = exact(probs)
+            k = sum(1 for q in p if q)
+
+            def expected(scores):
+                return sum(q * x for q, x in zip(p, scores)), sum(q * abs(x) for q, x in zip(p, scores))
+
+            truth_scores, truth_norm = unit_scores(p)
+            truth, truth_size = expected(truth_scores)
+            gaps, norms, sizes = {}, [], []
+            for row, (scores, norm) in zip(rows, scored):
+                if all(abs(x - q) <= 1e-12 for x, q in zip(row, probs)):
+                    continue  # the truthful row
+                value, size = expected(scores)
+                gaps[row] = Fraction(value - truth, den**3)
+                norms.append(norm)
+                sizes.append(size)
+            best = max(gaps.values())
+            if sum(p) == den:
+                squares = (sum((x - q) ** 2 for x, q in zip(exact_rows[row], p)) for row in gaps)
+                assert best == -Fraction(min(squares), den**2)
+            # The bound grows with the norm and the size, so their largest
+            # values bound every competitor's margin.
+            total = Fraction(sum(p), den)
+            competitor = error(Fraction(max(norms), den**2), Fraction(max(sizes), den**3), total, k, m)
+            own = error(Fraction(truth_norm, den**2), Fraction(truth_size, den**3), total, k, m)
+            bound = (1 + u) * (competitor + own) + u * max(map(abs, gaps.values()))
+            case = (m, resolution, probs)
+            assert (report.checked, report.skipped) == (len(gaps), 0), case
+            assert report.passed == (best < 0), case
+            assert abs(Fraction(report.max_margin) - best) <= bound, case
+            nearest = report.nearest_competitor.probs
+            assert gaps[nearest] >= best - 2 * bound, case
+            if sum(1 for gap in gaps.values() if gap >= best - 2 * bound) == 1:
+                assert gaps[nearest] == best, case
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 7, 50])

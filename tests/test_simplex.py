@@ -363,14 +363,17 @@ def _check_streamed_parts(m, resolution, limit, interior):
     # The integer parts of every block give its float rows bit for bit,
     # and over the whole stream they are the lattice rows in strictly
     # rising lexicographic order, each at the position _lattice_index
-    # gives it. A column-major stream has contiguous columns and yields
-    # the row-major stream's blocks, row for row.
-    pairs = [(p.copy(), g.copy()) for p, g in simplex._lattice_blocks(m, resolution, limit, interior)]
-    columns = []
-    for p, g in simplex._lattice_blocks(m, resolution, limit, interior, "F"):
+    # gives it. Every block is column-major, and the blocks are the rows of
+    # grid_array, the interior's rows alone with interior set.
+    pairs = []
+    for p, g in simplex._lattice_blocks(m, resolution, limit, interior):
         assert p.strides[0] == p.itemsize and g.strides[0] == g.itemsize
-        columns.append((p.tobytes(), g.tobytes()))  # in row-major order
-    assert columns == [(p.tobytes(), g.tobytes()) for p, g in pairs], (m, resolution, limit, interior)
+        pairs.append((p.copy(), g.copy()))
+    whole = grid_array(m, resolution)
+    if interior:
+        whole = whole[whole.min(axis=1) > 0.0]
+    streamed = b"".join(g.tobytes() for _, g in pairs)  # in row-major order
+    assert streamed == whole.tobytes(), (m, resolution, limit, interior)
     for parts, grid in pairs:
         assert (parts / resolution).tobytes() == grid.tobytes(), (m, resolution, limit, interior)
     total = simplex._interior_rows(m, resolution) if interior else math.comb(resolution + m - 1, m - 1)

@@ -188,6 +188,24 @@ def test_runs_over_the_belief_bound_are_refused_before_drawing(monkeypatch):
     with pytest.raises(ValidationError, match=r"len\(ordering\) \* m = 8 belief entries"):
         market_session(market, (0, 1, 2, 3), Coalition((1, 3)), sampler, seed=0)
 
+
+def test_sweeps_over_the_trial_bound_are_refused_before_drawing(monkeypatch):
+    # trials * len(fractions) is bounded on its own: 250,001 trials at two
+    # fractions over 4 binary players are 4 M belief entries, well inside
+    # that bound, but 500,002 trials.
+    sampler = BetaBinary(2.0, 2.0)
+    draw = BetaBinary.draw
+    monkeypatch.setattr(BetaBinary, "draw", None)  # any draw fails
+    with pytest.raises(ValidationError, match=r"trials \* len\(fractions\) = 500,002 sweep trials; at most 500,000"):
+        expected_surplus_sweep(_competitive_spec(), sampler, 4, (0.5, 1.0), 250_001, seed=0)
+    # Just below a bound the sweep runs; just above it is refused.
+    monkeypatch.setattr(simulate, "_MAX_SWEEP_TRIALS", 6)
+    with pytest.raises(ValidationError, match=r"= 8 sweep trials; at most 6"):
+        expected_surplus_sweep(_competitive_spec(), sampler, 4, (0.5, 1.0), 4, seed=0)
+    monkeypatch.setattr(BetaBinary, "draw", draw)
+    result = expected_surplus_sweep(_competitive_spec(), sampler, 4, (0.5, 1.0), 3, seed=0)
+    assert [row.trials for row in result.rows] == [3, 3]
+
 def test_sweep_deterministic_across_runs():
     sampler = BetaBinary(2.0, 2.0)
     kwargs = dict(sampler=sampler, n=20, fractions=(0.2, 0.5), trials=40, seed=11)
