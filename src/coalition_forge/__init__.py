@@ -74,7 +74,6 @@ from .rules import (
     PropernessReport,
     RuleKind,
     ScoringRule,
-    binary_quadratic_generator,
     check_strict_properness,
     custom_binary_rule,
     generalized_log_rule,

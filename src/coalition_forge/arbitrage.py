@@ -44,16 +44,14 @@ from .rules import (
     ConvexGenerator,
     RuleKind,
     ScoringRule,
+    _lattice_scan,
     _score_columns,
-    _score_into,
     _unfloored_log,
     _unit_table,
 )
 from .simplex import (
     Forecast,
-    _block_rows,
     _clear_dust,
-    _lattice_blocks,
     _stack,
     uniform_prior,
     weighted_mean,
@@ -633,37 +631,22 @@ def grid_search_equalizer(
         )
     t = (w[:, None] * truthful).sum(axis=0)
     w_c = float(w.sum())
-    interior = _unfloored_log(rule)
-    blocks = _lattice_blocks(m, resolution, interior=interior)
-    # Each block is scored in place in the stream's own buffer, which the
-    # stream rebuilds from integer parts for the next block; only the row
-    # minima have a buffer of their own.
-    capacity = _block_rows(m, resolution, interior=interior)
-    worst_buf = np.empty(capacity)
-    undefined_buf = np.empty(capacity, dtype=bool)
-    # One block at a time, keeping a copy of the integer parts of the
-    # first maximum in lattice order: a later block replaces it only when
-    # strictly larger. The first lattice row, (0, ..., 0, 1), stands while
-    # every row scanned is at -inf, as it does in a scan of the whole
-    # lattice, whose rows then all tie.
-    best_worst, best = -math.inf, None
-    for parts, margins in blocks:
-        n = len(margins)
-        worst, undefined = worst_buf[:n], undefined_buf[:n]
-        _score_into(rule, margins)
-        margins *= w_c
-        margins -= t
-        # The row minima, one column at a time: a minimum is exact in any
-        # order, and numpy reduces short rows one at a time, slowly.
-        with np.errstate(invalid="ignore"):
-            np.minimum(margins[:, 0], margins[:, 1], out=worst)
-            for j in range(2, m):
-                np.minimum(worst, margins[:, j], out=worst)
-        np.isnan(worst, out=undefined)
-        worst[undefined] = -np.inf
-        k = int(np.argmax(worst))
-        if worst[k] > best_worst:
-            best_worst, best = worst[k], parts[k].copy()
+
+    def worst(S):
+        # The row minima of w_c * S - t, worked out in the block itself,
+        # the minima in its first column: a minimum is exact in any order,
+        # and numpy reduces short rows one at a time, slowly.
+        S *= w_c
+        S -= t
+        low = S[:, 0]
+        for j in range(1, m):
+            np.minimum(low, S[:, j], out=low)
+        return low
+
+    ((_, best, _, _),) = _lattice_scan(rule, m, resolution, _unfloored_log(rule), [worst], [None])
+    # The first lattice row, (0, ..., 0, 1), stands when no row scanned
+    # is finite, as it does in a scan of the whole lattice, whose rows
+    # then all tie at -inf.
     if best is None:
         return Forecast((0.0,) * (m - 1) + (1.0,))
     return Forecast(tuple((best / resolution).tolist()))

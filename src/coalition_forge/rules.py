@@ -110,16 +110,6 @@ def logit_generator() -> ConvexGenerator:
     )
 
 
-def binary_quadratic_generator() -> ConvexGenerator:
-    """Generator 2r^2 - 2r + 1; induces exactly the binary quadratic score."""
-    return ConvexGenerator(
-        g=lambda r: 2.0 * r * r - 2.0 * r + 1.0,
-        g_prime=lambda r: 4.0 * r - 2.0,
-        domain=(0.0, 1.0),
-        label="binary-quadratic",
-    )
-
-
 @dataclass(frozen=True)
 class ScoringRule:
     """A scoring rule family member.
@@ -421,15 +411,15 @@ def check_strict_properness(
 def _properness_scan(
     rule: ScoringRule, beliefs: Sequence[Forecast], resolution: int
 ) -> list[PropernessReport]:
-    """check_strict_properness at each belief, in one pass over the lattice.
+    """check_strict_properness at each belief, in one _lattice_scan.
 
-    Each block is scored once, under the unit rule S, in the column-major
-    buffer the lattice stream built it in. Every belief takes its
-    expected scores from that table with _expected_scores, the truthful
-    report's too. Every row sum is left to right, with no matrix
-    product, so each row has the same bits in any block and either
-    layout, and a belief's zero states, whose scores may be -inf, are
-    never read. Beliefs must share one length.
+    Each belief's query is its expected scores, from _expected_scores,
+    minus its truthful report's, taken from a one-row table of the
+    truthful report; its excluded row is the truthful report. Every row
+    sum is left to right, with no matrix product, so each row has the
+    same bits in any block and either layout, and a belief's zero states,
+    whose scores may be -inf, are never read. Beliefs must share one
+    length.
     """
     if resolution < 2:
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
@@ -444,11 +434,12 @@ def _properness_scan(
     # with a zero entry has expected score -inf: only the interior is
     # scanned, and the rest is skipped by count.
     interior = _unfloored_log(rule) and all(len(support) == m for support in supports)
-    blocks = _lattice_blocks(m, resolution, interior=interior)
+    # The lattice is checked before any belief is scored.
+    _block_rows(m, resolution, interior=interior)
     # Each belief's truthful report is its own row of one table.
     truth_table = _unit_table(rule, ps)
     truth_values = [
-        float(_expected_scores(truth_table[i : i + 1], p, support, np.empty(1), np.empty(1))[0])
+        float(_expected_scores(truth_table[i : i + 1], p, support)[0])
         for i, (p, support) in enumerate(zip(ps, supports))
     ]
     if not all(map(math.isfinite, truth_values)):
@@ -456,78 +447,100 @@ def _properness_scan(
             "expected score at the truthful report is not finite; "
             "the belief lies outside the rule's domain"
         )
+    # Each query sums into two row vectors of its own, let go before the
+    # next query, or the next block's row sums, take two.
+    queries = [
+        lambda S, p=p, support=support, truth=truth: _expected_scores(S, p, support, truth)
+        for p, support, truth in zip(ps, supports, truth_values)
+    ]
     # The truthful report is the lattice row within 1e-12 of the belief
     # in every entry, if there is one: found once, by its position.
     truthful = [_lattice_index(belief.probs, resolution, interior) for belief in beliefs]
-    # Every block is scored once, in place in the stream's own buffer; a
-    # block may be overwritten, since the stream rebuilds the next one from
-    # integer parts. A belief's report keeps a copy of its nearest
-    # competitor's integer parts, divided by resolution once at the end.
-    capacity = _block_rows(m, resolution, interior=interior)
-    competitor_buf = np.empty(capacity, dtype=bool)
-    k = len(beliefs)
+    reports = []
+    for best, row, checked, skipped in _lattice_scan(rule, m, resolution, interior, queries, truthful):
+        nearest = None if row is None else Forecast(tuple((row / resolution).tolist()))
+        reports.append(PropernessReport(best < 0.0, rule.b * best, nearest, checked, skipped))
+    return reports
+
+
+def _lattice_scan(
+    rule: ScoringRule,
+    m: int,
+    resolution: int,
+    interior: bool,
+    queries: Sequence[Callable[[np.ndarray], np.ndarray]],
+    excluded: Sequence[int | None],
+) -> list[tuple[float, np.ndarray | None, int, int]]:
+    """The first maximum of each query's row values over grid_array(m,
+    resolution), or over its interior alone, in one pass: the one loop
+    over _lattice_blocks behind the properness check and the grid search.
+
+    Each block is scored once, in place under the unit rule S, in the
+    column-major buffer the stream built it in, and every query then maps
+    it to one value per row, in order. A query may overwrite the block
+    when it is the last, since the stream rebuilds the next block from
+    integer parts, and its values are let go before the next query
+    runs. Rows whose value is not finite are skipped and counted, as are
+    the rows the interior leaves out; excluded[i], a position among the
+    rows streamed or None, is left out of query i without being counted.
+    Each query's first maximum in lattice order is kept, a later block
+    replacing it only when strictly larger, as a copy of its row's
+    integer parts.
+
+    Returns one (value, parts, checked, skipped) per query: the maximum,
+    -inf with parts None when no row was checked. A row's value does not
+    depend on the block it falls in, so nothing returned depends on the
+    block limit.
+    """
+    keep_buf = np.empty(_block_rows(m, resolution, interior=interior), dtype=bool)
+    k = len(queries)
     left_out = math.comb(resolution + m - 1, m - 1) - _interior_rows(m, resolution) if interior else 0
     checked, skipped = [0] * k, [left_out] * k
-    max_margin, nearest = [-math.inf] * k, [None] * k
-    # One block at a time, keeping the first maximum in lattice order: a
-    # later block replaces it only when strictly larger.
+    best, best_parts = [-math.inf] * k, [None] * k
     start = 0  # rows streamed before the block
-    for parts, table in blocks:
+    for parts, table in _lattice_blocks(m, resolution, interior=interior):
         n = len(table)
-        competitor = competitor_buf[:n]
+        keep = keep_buf[:n]
         _score_into(rule, table)
-        # Every belief sums its expected scores into the same two row
-        # buffers, let go before the next block's row sums take two.
-        margins, term = np.empty(n), np.empty(n)
-        for i, (p, support) in enumerate(zip(ps, supports)):
-            _expected_scores(table, p, support, margins, term)
-            np.isfinite(margins, out=competitor)
-            skipped[i] += n - int(np.count_nonzero(competitor))
-            if truthful[i] is not None and start <= truthful[i] < start + n:
-                competitor[truthful[i] - start] = False
-            rows = int(np.count_nonzero(competitor))
+        for i, query in enumerate(queries):
+            values = query(table)
+            rows = int(np.count_nonzero(np.isfinite(values, out=keep)))
+            skipped[i] += n - rows
+            x = excluded[i]
+            if x is not None and start <= x < start + n and keep[x - start]:
+                keep[x - start] = False
+                rows -= 1
             checked[i] += rows
-            if rows == 0:
-                continue
-            # Non-competitors drop to -inf, so the first maximum over the
-            # block is the first maximum over its competitors.
-            margins -= truth_values[i]
-            if rows < n:
-                np.logical_not(competitor, out=competitor)
-                margins[competitor] = -np.inf
-            best = int(np.argmax(margins))
-            if margins[best] > max_margin[i]:
-                max_margin[i] = float(margins[best])
-                nearest[i] = parts[best].copy()
-        del margins, term
+            # Rows left out drop to -inf, so the first maximum over the
+            # block is the first maximum over its checked rows.
+            if 0 < rows < n:
+                np.logical_not(keep, out=keep)
+                values[keep] = -np.inf
+            j = int(np.argmax(values))
+            if rows and values[j] > best[i]:
+                best[i], best_parts[i] = float(values[j]), parts[j].copy()
+            del values
         start += n
-    return [
-        PropernessReport(
-            max_margin[i] < 0.0,
-            rule.b * max_margin[i],
-            None if row is None else Forecast(tuple((row / resolution).tolist())),
-            checked[i],
-            skipped[i],
-        )
-        for i, row in enumerate(nearest)
-    ]
+    return list(zip(best, best_parts, checked, skipped))
 
 
 def _expected_scores(
-    S: np.ndarray, p: np.ndarray, support: list[int], out: np.ndarray, term: np.ndarray
+    S: np.ndarray, p: np.ndarray, support: list[int], less: float = 0.0
 ) -> np.ndarray:
-    """The expected score of each row of S under belief p, written to out
-    and returned, term being scratch of the same length: one fixed sum,
-    left to right over p's nonzero states j1 < j2 < ... (support),
-    S[:, j1] * p[j1] + S[:, j2] * p[j2] + ... + 0.0. Each entry is a
-    product or a sum of two floats, so every row has the bits of that sum
-    worked out in Python floats, in any layout of S.
+    """The expected score of each row of S under belief p, less the given
+    value, in a row vector of its own: one fixed sum, left to right over
+    p's nonzero states j1 < j2 < ... (support), S[:, j1] * p[j1] +
+    S[:, j2] * p[j2] + ... + 0.0, then - less. Each entry is a product, a
+    sum or a difference of two floats, so every row has the bits of that
+    sum worked out in Python floats, in any layout of S.
     """
     j, *rest = support
-    np.multiply(S[:, j], p[j], out=out)
+    out = S[:, j] * p[j]
+    term = np.empty_like(out)
     for j in rest:
         out += np.multiply(S[:, j], p[j], out=term)
     out += 0.0
+    out -= less
     return out
 
 

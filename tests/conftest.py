@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import coalition_forge
-from coalition_forge import Coalition, Forecast, Player
+from coalition_forge import Coalition, ConvexGenerator, Forecast, Player
 
 # Populated by tests/test_acceptance.py; printed after the run so each
 # acceptance criterion shows one pass/fail line.
@@ -62,6 +62,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     except (TypeError, KeyError):
         blas = "unknown"
     terminalreporter.write_line(f"numpy {np.__version__}, BLAS {blas}")
+
+
+def binary_quadratic_generator() -> ConvexGenerator:
+    """Generator 2r^2 - 2r + 1; induces exactly the binary quadratic score."""
+    return ConvexGenerator(
+        g=lambda r: 2.0 * r * r - 2.0 * r + 1.0,
+        g_prime=lambda r: 4.0 * r - 2.0,
+        domain=(0.0, 1.0),
+        label="binary-quadratic",
+    )
 
 
 def random_forecast(rng: np.random.Generator, m: int) -> Forecast:

@@ -26,7 +26,6 @@ from coalition_forge import (
     Verdict,
     arbitrage_report,
     binary_equalizer,
-    binary_quadratic_generator,
     closed_form_surplus,
     custom_binary_rule,
     generalized_log_rule,
@@ -46,7 +45,8 @@ from coalition_forge import (
 from coalition_forge import simplex
 from coalition_forge.arbitrage import _spherical_equalizer
 
-from conftest import disagreeing_players, full_coalition, random_forecast
+import exact
+from conftest import binary_quadratic_generator, disagreeing_players, full_coalition, random_forecast
 
 PAIR = Coalition((0, 1))
 
@@ -491,6 +491,39 @@ def test_grid_search_on_an_unscorable_lattice_returns_its_first_row(monkeypatch)
     assert best.probs == (0.0, 1.0)
 
 
+def test_grid_search_reaches_the_exact_lattice_maximum():
+    # The quadratic search judged in exact arithmetic (tests/exact.py), at
+    # the program's own float beliefs and wagers: the row it returns has
+    # the largest exact worst-outcome surplus on the lattice, up to twice
+    # the rounding bound of one row's float value (the returned row's float
+    # value is at least the best row's), and it is the first row in
+    # lattice order of that surplus wherever every other row is further
+    # below it than that.
+    rng = np.random.default_rng(2718)
+    judged = 0
+    for m, resolution in ((3, 10), (3, 30), (4, 12), (5, 10)):
+        for count in (2, 3, 4, 5):
+            players = [
+                Player(random_forecast(rng, m), float(rng.uniform(0.25, 4.0))) for _ in range(count)
+            ]
+            beliefs = [p.belief.probs for p in players]
+            wagers = [p.wager for p in players]
+            rows = list(exact.compositions(resolution, m))
+            surplus = exact.worst_surpluses(resolution, beliefs, wagers)
+            best = max(surplus)
+            first = surplus.index(best)
+            runner_up = max(surplus[:first] + surplus[first + 1 :])
+            slack = 2 * exact.search_rounding_bound(m, wagers)
+            found = grid_search_equalizer(quadratic_rule(), players, full_coalition(players), resolution)
+            row = tuple(round(x * resolution) for x in found.probs)
+            assert best - surplus[rows.index(row)] <= slack, (m, resolution, count)
+            if best - runner_up > slack:
+                judged += 1
+                assert row == rows[first], (m, resolution, count)
+    # Most cases have a clear winner, so the first-maximum check runs.
+    assert judged >= 12
+
+
 def test_grid_search_matches_closed_forms():
     wide = _players((0.2, 0.8), (0.8, 0.2))
     best = grid_search_equalizer(quadratic_rule(), wide, PAIR, 1000)
@@ -517,6 +550,13 @@ def test_grid_search_resolution_validation():
     players = _players((0.2, 0.8), (0.8, 0.2))
     with pytest.raises(ValidationError):
         grid_search_equalizer(quadratic_rule(), players, PAIR, 9)
+
+
+def test_report_refuses_members_of_mixed_lengths():
+    players = [Player(Forecast((0.2, 0.8)), 1.0), Player(Forecast((0.2, 0.3, 0.5)), 1.0)]
+    with pytest.raises(DimensionMismatch) as err:
+        arbitrage_report(quadratic_rule(), players, PAIR)
+    assert str(err.value) == "member beliefs have mixed lengths"
 
 
 def test_degenerate_belief_under_unfloored_log():

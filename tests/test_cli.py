@@ -349,6 +349,15 @@ def test_beta_binary_sampler_needs_binary_event():
     assert "binary" in err.value.detail
 
 
+def test_finite_mixture_sampler_needs_points():
+    raw = _sweep_raw()
+    raw["simulation"]["sampler"] = {"kind": "finite_mixture", "points": [], "weights": []}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert err.value.field_path == "simulation.sampler.points"
+    assert err.value.detail == "expected a non-empty list of forecasts"
+
+
 def test_market_session_scenario_parses_ordering_to_zero_based():
     sc, _ = load_scenario(bundled.path("market_session"))
     assert sc.simulation.ordering == (0, 1, 2, 3)
@@ -1128,6 +1137,16 @@ def test_cli_bundled_outputs_are_byte_stable(bundled_runs):
 def test_cli_simulate_needs_simulation_block(capsys):
     assert main(["simulate", "--scenario", "example1"]) == 2
     assert "simulation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, runs", [("intermediary", "intermediary runs"), ("market_session", "market sessions")])
+def test_cli_simulate_runs_need_a_coalition(tmp_path, capsys, name, runs):
+    raw = json.loads(Path(bundled.path(name)).read_text())
+    del raw["coalition"]
+    assert main(["simulate", "--scenario", _write_scenario(tmp_path, raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {runs} need a coalition\n"
 
 
 def test_cli_reused_parser_keeps_no_arguments(capsys):

@@ -24,7 +24,6 @@ from coalition_forge import (
     MechanismSpec,
     arbitrage_report,
     binary_equalizer,
-    binary_quadratic_generator,
     closed_form_surplus,
     coalition_surplus_competitive,
     coalition_surplus_market,
@@ -42,7 +41,7 @@ from coalition_forge import (
 )
 from coalition_forge.simplex import Forecast
 
-from conftest import disagreeing_players, random_forecast
+from conftest import binary_quadratic_generator, disagreeing_players, random_forecast
 
 DIGEST = Path(__file__).parent / "data" / "coalition_path_digest.json"
 CASES = 200

@@ -30,11 +30,7 @@ def test_star_import_binds_exactly_all():
 
 
 # Public names that nothing but the tests uses, each with its reason.
-UNUSED_PUBLIC_NAMES = {
-    # The coalition-path fixture draws its custom binary rules from it and
-    # logit_generator, and tests/data/coalition_path_digest.json pins that.
-    "binary_quadratic_generator",
-}
+UNUSED_PUBLIC_NAMES: set[str] = set()
 
 
 def _names_used(tree: ast.AST) -> set[str]:

@@ -124,6 +124,15 @@ def test_weighted_mean_length_mismatch():
         weighted_mean([Forecast((0.5, 0.5))], [1.0, 1.0])
 
 
+def test_weighted_mean_refuses_empty_and_mixed_lengths():
+    with pytest.raises(LengthMismatch) as err:
+        weighted_mean([], [])
+    assert str(err.value) == "empty forecast sequence"
+    with pytest.raises(LengthMismatch) as err:
+        weighted_mean([Forecast((0.5, 0.5)), Forecast((0.2, 0.3, 0.5))], [1.0, 1.0])
+    assert str(err.value) == "forecasts have mixed lengths"
+
+
 def test_weighted_mean_rejects_nonpositive_weight():
     with pytest.raises(NonPositiveWeight):
         weighted_mean(

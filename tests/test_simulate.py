@@ -11,6 +11,7 @@ import pytest
 from coalition_forge import (
     BetaBinary,
     Coalition,
+    DimensionMismatch,
     DirichletM,
     FiniteMixture,
     Forecast,
@@ -21,8 +22,10 @@ from coalition_forge import (
     Player,
     UnsupportedMechanism,
     ValidationError,
+    custom_binary_rule,
     expected_surplus_sweep,
     intermediary_run,
+    logit_generator,
     market_session,
     quadratic_rule,
     sample_population,
@@ -173,6 +176,14 @@ def test_sweep_validation():
         expected_surplus_sweep(_competitive_spec(), sampler, 1, (0.5,), 5, seed=0)
     with pytest.raises(ValidationError):
         expected_surplus_sweep(_competitive_spec(), sampler, 10, (), 5, seed=0)
+
+
+def test_sweep_refuses_a_binary_rule_over_three_states():
+    # The first trial's equalizer refuses it.
+    spec = MechanismSpec(MechanismKind.TRADITIONAL, custom_binary_rule(logit_generator()))
+    with pytest.raises(DimensionMismatch) as err:
+        expected_surplus_sweep(spec, DirichletM((1.0, 1.0, 1.0)), 4, (0.5,), 2, seed=1)
+    assert str(err.value) == "custom binary rules support exactly 2 states"
 
 
 def test_runs_over_the_belief_bound_are_refused_before_drawing(monkeypatch):
