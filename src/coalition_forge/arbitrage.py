@@ -20,6 +20,7 @@ rule's scale.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -133,7 +134,11 @@ class Coalition:
                 )
 
     def wager_total(self, players: list[Player] | tuple[Player, ...]) -> float:
-        return math.fsum(players[i].wager for i in self.members)
+        """The members' wagers summed exactly; inf past the float range."""
+        try:
+            return math.fsum(players[i].wager for i in self.members)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -192,15 +197,33 @@ class DominanceVerdict:
     witness: int | None
 
 
+def _scaled_wagers(w: Sequence[float] | np.ndarray) -> tuple[np.ndarray, int]:
+    """The wagers as an array w / 2**k, and k: 0 while their plain sum is
+    finite, and past the float range the k that brings the largest into
+    [1, 2). A power of two scales exactly, so the weights w / W keep their
+    bits and a total formed on the scaled wagers is 2**-k times the plain
+    one."""
+    w = np.asarray(w, dtype=np.float64)
+    top = float(w.max())
+    if top * len(w) <= sys.float_info.max:
+        return w, 0
+    with np.errstate(over="ignore"):
+        if np.isfinite(w.sum()):
+            return w, 0
+    k = math.frexp(top)[1] - 1
+    return w / 2.0**k, k
+
+
 def _member_arrays(
     players: list[Player] | tuple[Player, ...], coalition: Coalition
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The members' beliefs, one per row, and their wagers as w / 2**k with
+    k from _scaled_wagers."""
     chosen = [players[i] for i in coalition.members]
     P = _stack([p.belief for p in chosen])
     if P is None:
         raise DimensionMismatch("member beliefs have mixed lengths")
-    w = np.asarray([p.wager for p in chosen], dtype=np.float64)
-    return P, w
+    return P, *_scaled_wagers(np.asarray([p.wager for p in chosen], dtype=np.float64))
 
 
 def members_agree(P: np.ndarray) -> bool:
@@ -308,7 +331,7 @@ def binary_equalizer(
     whenever they disagree, and equals the shared belief otherwise.
     """
     coalition.validate(len(players))
-    P, w = _member_arrays(players, coalition)
+    P, w, _ = _member_arrays(players, coalition)
     if P.shape[1] != 2:
         raise DimensionMismatch("binary equalizer needs exactly 2 states")
     return _bisect_equalizer(gen, P[:, 0], w / w.sum())
@@ -368,7 +391,12 @@ def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> n
     wagered = w[:, None] * table
     if kind is MechanismKind.TRADITIONAL:
         return wagered
-    return wagered - (w / math.fsum(w.tolist()))[:, None] * _column_fsum(wagered)
+    # The share w / W and the pool's total are formed on the wagers
+    # w / 2**k, the total then scaled back: either may pass the float
+    # range where the payments do not.
+    w, k = _scaled_wagers(w)
+    total = _column_fsum(wagered if k == 0 else w[:, None] * table)
+    return wagered - (w / math.fsum(w.tolist()))[:, None] * total * 2.0**k
 
 
 def ordering_satisfies_alternation(
@@ -489,21 +517,24 @@ def closed_form_surplus(
     (spherical). It is multiplied by the rule's scale b once.
     """
     coalition.validate(len(players))
-    P, w = _member_arrays(players, coalition)
+    # Formed on the wagers w / 2**k, then scaled back.
+    P, w, k = _member_arrays(players, coalition)
     w_c = float(w.sum())
     kind = rule.kind
     if kind is RuleKind.QUADRATIC:
         q = _equalizing_array(rule, P, w)
-        return float(rule.b * (w * ((P - q[None, :]) ** 2).sum(axis=1)).sum())
-    if kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG):
+        unit = (w * ((P - q[None, :]) ** 2).sum(axis=1)).sum()
+    elif kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG):
         scale = 1.0 + P.shape[1] * rule.floor
         log_total = _geometric_equalizer(P, w, rule.floor)[1]
-        return float(rule.b * (w_c * scale * (math.log(scale) - log_total)))
-    if kind is RuleKind.SPHERICAL:
+        unit = w_c * scale * (math.log(scale) - log_total)
+    elif kind is RuleKind.SPHERICAL:
         Y = _spherical_y(P, w)
         y_bar, ssd = _spherical_spread(Y)
-        return float(rule.b * (w_c * (math.sqrt((1.0 - ssd) / Y.shape[0]) - y_bar)))
-    raise UnsupportedRule(f"no closed-form surplus for rule kind {kind.value!r}")
+        unit = w_c * (math.sqrt((1.0 - ssd) / Y.shape[0]) - y_bar)
+    else:
+        raise UnsupportedRule(f"no closed-form surplus for rule kind {kind.value!r}")
+    return float(rule.b * unit) * 2.0**k
 
 
 def spherical_aux(
@@ -516,7 +547,7 @@ def spherical_aux(
     disagreement.
     """
     coalition.validate(len(players), minimum=1)
-    P, w = _member_arrays(players, coalition)
+    P, w, _ = _member_arrays(players, coalition)
     Y = _spherical_y(P, w)
     y_bar, ssd = _spherical_spread(Y)
     sum_sq = float((Y * Y).sum())
@@ -539,7 +570,7 @@ def arbitrage_report(
     rule's offsets or scale.
     """
     coalition.validate(len(players))
-    P, w = _member_arrays(players, coalition)
+    P, w, _ = _member_arrays(players, coalition)
     if rule.kind is RuleKind.CUSTOM_BINARY and P.shape[1] != 2:
         raise DimensionMismatch("custom binary rules support exactly 2 states")
     shared = members_agree(P)
@@ -622,7 +653,9 @@ def grid_search_equalizer(
     if resolution < 10:
         raise ValidationError(f"resolution must be >= 10, got {resolution}")
     coalition.validate(len(players))
-    P, w = _member_arrays(players, coalition)
+    # w / 2**k scales every surplus by one power of two, exactly, so the
+    # maximizer stays where it is.
+    P, w, _ = _member_arrays(players, coalition)
     m = P.shape[1]
     truthful = _unit_table(rule, P)
     if not np.isfinite(truthful).all():

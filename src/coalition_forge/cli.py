@@ -23,6 +23,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -35,6 +37,7 @@ from .arbitrage import (
     MechanismKind,
     Verdict,
     _coalition_surplus,
+    _scaled_wagers,
     arbitrage_report,
     closed_form_surplus,
     members_agree,
@@ -103,9 +106,10 @@ def _write(args: argparse.Namespace, digest: Callable[[], str], result: _Result)
     which digest() gives, or lines as a table.
 
     Without --out the text goes to stdout and ends in a newline. --out
-    PATH writes the text to PATH as it is and prints nothing; only
-    simulate --out BASE writes both BASE.csv and BASE.json and still
-    prints. A path that cannot be written is a ValidationError naming it.
+    PATH writes the text to PATH as it is, over an existing file in place
+    and cut to the new length, and prints nothing; only simulate --out
+    BASE writes both BASE.csv and BASE.json and still prints. A path that
+    cannot be written is a ValidationError naming it.
     """
 
     def text(fmt: str) -> str:
@@ -129,8 +133,21 @@ def _write(args: argparse.Namespace, digest: Callable[[], str], result: _Result)
         return buf.getvalue()
 
     def save(path: str, body: str) -> None:
+        # In place, then cut at the end of what was written: opening a
+        # non-empty file with O_TRUNC frees its blocks first, which costs
+        # more than the rest of a small command. Pipes and devices are
+        # not cut, since ftruncate fails on them.
         try:
-            Path(path).write_text(body, encoding="utf-8")
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                try:
+                    f.write(body)
+                    f.flush()
+                finally:
+                    # Also after a failed write, so no tail of the old
+                    # file outlives the bytes that were written.
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -290,8 +307,10 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
     if proper_subset and coordinated is not None:
         # The outsiders' share of the pool, from their own wagers: 1 - w_c / w_n
         # would round it away where the members hold nearly all of the pool.
-        w_out = math.fsum(p.wager for k, p in enumerate(players) if k not in sc.coalition.members)
-        w_n = math.fsum(p.wager for p in players)
+        # Both sums are of the wagers w / 2**k, which keeps the share finite.
+        wagers = _scaled_wagers([p.wager for p in players])[0].tolist()
+        w_out = math.fsum(w for k, w in enumerate(wagers) if k not in sc.coalition.members)
+        w_n = math.fsum(wagers)
         # Both gains on the unit rule, where the identity holds up to
         # rounding whatever the rule's offsets and scale.
         traditional_gain, competitive_gain = (

@@ -196,11 +196,16 @@ def savage_binary_score(gen: ConvexGenerator, r: float, outcome: int) -> float:
     lo, hi = gen.domain
     if not (lo < r < hi):
         raise OutOfDomain(f"report probability {r!r} outside open domain ({lo!r}, {hi!r})")
-    if outcome == 0:
-        return gen.g(r) + (1.0 - r) * gen.g_prime(r)
-    if outcome == 1:
-        return gen.g(r) - r * gen.g_prime(r)
-    raise DimensionMismatch(f"outcome index {outcome} for a binary rule")
+    if outcome not in (0, 1):
+        raise DimensionMismatch(f"outcome index {outcome} for a binary rule")
+    return _savage_pair(gen, r)[int(outcome)]
+
+
+def _savage_pair(gen: ConvexGenerator, r: float) -> tuple[float, float]:
+    """Both outcomes' scores of the binary report (r, 1-r), from one G(r)
+    and one G'(r): (G + (1-r)G', G - rG')."""
+    g, d = gen.g(r), gen.g_prime(r)
+    return g + (1.0 - r) * d, g - r * d
 
 
 def score(rule: ScoringRule, report: Forecast, outcome: int) -> float:
@@ -288,12 +293,13 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
     elif kind is RuleKind.CUSTOM_BINARY:
         if m != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
-        lo, hi = rule.generator.domain
+        gen = rule.generator
+        lo, hi = gen.domain
         reports = R[:, 0].tolist()
+        inside = [i for i, r in enumerate(reports) if lo < r < hi]
         R.fill(-np.inf)
-        for i, r in enumerate(reports):
-            if lo < r < hi:
-                R[i] = [savage_binary_score(rule.generator, r, j) for j in range(m)]
+        if inside:
+            R[inside] = [_savage_pair(gen, reports[i]) for i in inside]
     else:
         raise UnsupportedRule(f"unknown rule kind {kind!r}")
 

@@ -403,7 +403,8 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Any]:
     envelope carries. A file that cannot be read as UTF-8 text, or is
     not valid JSON, is a ScenarioError naming the path."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise ScenarioError(str(path), f"cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -17,10 +17,13 @@ from coalition_forge import (
     DimensionMismatch,
     Forecast,
     InvalidCoalition,
+    MechanismKind,
+    MechanismSpec,
     NonMonotoneGenerator,
     NonPositiveWager,
     OutOfDomain,
     Player,
+    RuleKind,
     UnsupportedRule,
     ValidationError,
     Verdict,
@@ -31,9 +34,11 @@ from coalition_forge import (
     generalized_log_rule,
     grid_array,
     grid_search_equalizer,
+    intermediary_profit_by_outcome,
     linear_rule,
     logarithmic_rule,
     logit_generator,
+    payment_table,
     quadratic_rule,
     score_table,
     spherical_rule,
@@ -622,3 +627,37 @@ def test_player_and_coalition_validation():
 def test_coalition_wager_total():
     players = _players((0.2, 0.8), (0.8, 0.2), (0.5, 0.5), wagers=[1.0, 2.0, 4.0])
     assert Coalition((0, 2)).wager_total(players) == pytest.approx(5.0)
+
+
+def test_member_wagers_summing_past_the_float_range():
+    # Two members at 2**1023 sum to inf. Weights and totals are formed on
+    # the wagers scaled by a power of two, which is exact: q and the grid
+    # row keep the bits they have at wagers 1, and every gain is 2**1023
+    # times its value there.
+    big = 2.0**1023
+    beliefs = [(0.6, 0.3, 0.1), (0.2, 0.5, 0.3), (0.3, 0.3, 0.4)]
+
+    def players(w):
+        return [Player(Forecast(b), wager, Forecast(b)) for b, wager in zip(beliefs, [w, w, 1.0])]
+
+    assert PAIR.wager_total(players(big)) == math.inf
+    for rule in (quadratic_rule(), logarithmic_rule(), spherical_rule()):
+        unit, scaled = (arbitrage_report(rule, players(w), PAIR) for w in (1.0, big))
+        assert scaled.q == unit.q and not scaled.agreement and scaled.equalized
+        assert scaled.surplus_by_outcome == tuple(big * g for g in unit.surplus_by_outcome)
+        assert closed_form_surplus(rule, players(big), PAIR) == big * closed_form_surplus(
+            rule, players(1.0), PAIR
+        )
+        assert grid_search_equalizer(rule, players(big), PAIR, 10) == grid_search_equalizer(
+            rule, players(1.0), PAIR, 10
+        )
+        assert spherical_aux(players(big), PAIR) == spherical_aux(players(1.0), PAIR)
+        spec = MechanismSpec(MechanismKind.COMPETITIVE, rule)
+        assert np.isfinite(intermediary_profit_by_outcome(spec, players(big), PAIR, scaled.q)).all()
+        if rule.kind is not RuleKind.LOGARITHMIC:  # log(0.1) * 2**1023 is past the range
+            assert np.isfinite(payment_table(spec, players(big)).payments).all()
+    binary = [Player(Forecast((p, 1.0 - p)), w) for p, w in ((0.3, big), (0.7, big), (0.5, 1.0))]
+    gen = binary_quadratic_generator()
+    assert binary_equalizer(gen, binary, PAIR) == binary_equalizer(
+        gen, [Player(p.belief, 1.0) for p in binary], PAIR
+    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -755,6 +757,23 @@ def test_cli_verify_passes_large_wagers_near_agreement(tmp_path, capsys):
     assert "surplus_scaling_identity: PASS" in capsys.readouterr().out
 
 
+def test_cli_commands_take_member_wagers_summing_past_the_float_range(tmp_path, capsys):
+    # Two members at 2**1023 hold a pool whose plain sum is inf: every
+    # command answers, and the scaling identity still passes.
+    raw = _minimal_raw(event={"m": 3}, mechanism="competitive", coalition=[1, 2])
+    raw["players"] = [
+        {"belief": b, "wager": w, "report": b}
+        for b, w in (([0.6, 0.3, 0.1], 2.0**1023), ([0.2, 0.5, 0.3], 2.0**1023),
+                     ([0.3, 0.3, 0.4], 1.0))
+    ]
+    path = _write_scenario(tmp_path, raw)
+    for command in ("score", "arbitrage", "verify"):
+        assert main([command, "--scenario", path, "--format", "json"]) == 0, command
+        payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["passed"]
+    assert [c["status"] for c in payload["checks"]] == ["pass", "skipped", "pass"]
+
+
 def test_cli_arbitrage_needs_coalition(capsys):
     assert main(["arbitrage", "--scenario", "sweep_competitive"]) == 2
     assert "coalition" in capsys.readouterr().err
@@ -866,6 +885,83 @@ def test_cli_simulate_out_prints_the_envelope_it_writes(tmp_path, capsys):
     assert (tmp_path / "run.csv").read_text(encoding="utf-8").startswith(
         "outcome,profit\n"
     )
+
+
+_JUNK = b"junk line that the new output must not leave behind\n" * 200
+
+
+def test_cli_out_overwrites_a_longer_file_with_exactly_the_new_text(tmp_path, capsys):
+    argv = ["score", "--scenario", "example1", "--format", "csv"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    out = tmp_path / "scores.csv"
+    out.write_bytes(_JUNK)
+    assert len(_JUNK) > 10_000 > len(expected)
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_cli_simulate_out_overwrites_longer_files_with_exactly_the_new_pair(tmp_path, capsys):
+    argv = ["simulate", "--scenario", "intermediary", "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path / "fresh")]) == 0
+    capsys.readouterr()
+    for kind in ("csv", "json"):
+        (tmp_path / f"run.{kind}").write_bytes(_JUNK)
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    printed = capsys.readouterr().out
+    assert (tmp_path / "run.json").read_text(encoding="utf-8") + "\n" == printed
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_cli_out_to_dev_null_succeeds(capsys):
+    # A character device cannot be cut to length, and needs not be.
+    assert main(["score", "--scenario", "example1", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_out_naming_a_directory_is_invalid_input(tmp_path, capsys):
+    (tmp_path / "kept.txt").write_text("kept", encoding="utf-8")
+    before = os.stat(tmp_path)
+    assert main(["score", "--scenario", "example1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+    after = os.stat(tmp_path)
+    assert (after.st_mode, after.st_mtime_ns) == (before.st_mode, before.st_mtime_ns)
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+    assert (tmp_path / "kept.txt").read_text(encoding="utf-8") == "kept"
+
+
+def test_cli_out_creates_a_file_with_the_umask_mode(tmp_path, capsys):
+    out = tmp_path / "new.csv"
+    old = os.umask(0o027)
+    try:
+        assert main(["score", "--scenario", "example1", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+
+def test_cli_out_cut_short_by_a_failed_write_keeps_no_old_tail(tmp_path, monkeypatch, capsys):
+    # The write stops half-way with a full disk: the file holds the half
+    # that was written and no byte of the longer file it replaced.
+    argv = ["score", "--scenario", "example1", "--format", "csv"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+
+    class HalfWriter(io.TextIOWrapper):
+        def write(self, text):
+            super().write(text[: len(text) // 2])
+            self.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(
+        os, "fdopen", lambda fd, mode, encoding: HalfWriter(open(fd, "wb"), encoding=encoding)
+    )
+    out = tmp_path / "scores.csv"
+    out.write_bytes(_JUNK)
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: No space left on device\n")
+    assert out.read_bytes() == expected[: len(expected) // 2]
 
 
 def test_cli_simulate_deterministic_and_seed_override(tmp_path, capsys):

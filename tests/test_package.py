@@ -106,6 +106,53 @@ def test_every_private_name_has_a_reader():
     assert sorted(defined - used) == []
 
 
+def _file_writes(tree: ast.AST) -> list[ast.Call]:
+    """Calls in tree that may write a file: write_text, write_bytes,
+    os.open, and open, Path.open or os.fdopen with a mode that is not a
+    literal read mode."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if name in ("write_text", "write_bytes") or (name == "open" and owner == "os"):
+            found.append(node)
+        elif name in ("open", "fdopen"):
+            # A method open (Path.open) takes the mode first; open,
+            # io.open and os.fdopen take it after the file.
+            at = 0 if name == "open" and owner not in (None, "io") else 1
+            mode = [k.value for k in node.keywords if k.arg == "mode"] or node.args[at:at + 1]
+            if mode and not (
+                isinstance(mode[0], ast.Constant) and isinstance(mode[0].value, str)
+                and not set(mode[0].value) & set("wax+")
+            ):
+                found.append(node)
+    return found
+
+
+def test_only_the_cli_writer_writes_files():
+    # cli._write is the one place that writes a file, in place and cut to
+    # length: a second writer would bring back a truncating open.
+    sample = ast.parse(
+        "Path(p).write_text(t)\np.write_bytes(b)\nos.open(p, f)\nopen(p, 'w')\n"
+        "open(p, mode='a')\np.open('r+')\nos.fdopen(fd, 'w')\nopen(p)\np.open()\n"
+        "open(p, 'rb')\nio.open(p, encoding='utf-8')\n"
+    )
+    assert [call.lineno for call in _file_writes(sample)] == [1, 2, 3, 4, 5, 6, 7]
+    root = Path(__file__).resolve().parents[1] / "src"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(n) for top in tree.body if path.name == "cli.py"
+            and isinstance(top, ast.FunctionDef) and top.name == "_write" for n in ast.walk(top)
+        }
+        found += [f"{path.name}:{call.lineno}" for call in _file_writes(tree) if id(call) not in allowed]
+    assert found == []
+
+
 def test_no_module_holds_an_array():
     # Workspaces, tiles and tables live for one call: an array bound at
     # module level would be state shared by every caller and thread, and

@@ -158,6 +158,32 @@ def test_savage_scores_for_square_generator():
         savage_binary_score(gen, 0.5, 2)
 
 
+def test_custom_binary_table_scores_each_row_once():
+    # One g and one g' per in-domain row, each entry savage_binary_score's
+    # bits, and -inf at and outside the domain's edges.
+    calls = {"g": 0, "g_prime": 0}
+
+    def g(r):
+        calls["g"] += 1
+        return r * math.log(r) + (1.0 - r) * math.log(1.0 - r)
+
+    def g_prime(r):
+        calls["g_prime"] += 1
+        return math.log(r / (1.0 - r))
+
+    gen = ConvexGenerator(g=g, g_prime=g_prime, domain=(0.1, 0.9))
+    first = np.linspace(0.0, 1.0, 1000)
+    first[:3] = (0.1, 0.9, math.nextafter(0.1, 1.0))  # both edges, then just inside
+    R = np.column_stack([first, 1.0 - first])
+    S = rules._unit_table(custom_binary_rule(gen), R)
+    inside = (first > 0.1) & (first < 0.9)
+    assert calls == {"g": int(inside.sum()), "g_prime": int(inside.sum())}
+    assert 700 < inside.sum() < 1000 and inside[2]
+    assert (S[~inside] == -np.inf).all()
+    expected = [[savage_binary_score(gen, r, j) for j in (0, 1)] for r in first[inside].tolist()]
+    assert S[inside].tobytes() == np.asarray(expected).tobytes()
+
+
 def test_quadratic_generator_reproduces_quadratic_rule():
     rule = custom_binary_rule(binary_quadratic_generator())
     quad = quadratic_rule()
