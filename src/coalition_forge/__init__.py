@@ -47,6 +47,7 @@ from .errors import (
     NumericalError,
     OrderingViolationWarning,
     OutOfDomain,
+    PaymentOverflow,
     ScenarioError,
     SinglePlayer,
     SumOutOfTolerance,

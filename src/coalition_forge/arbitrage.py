@@ -38,6 +38,7 @@ from .errors import (
     NonPositiveWager,
     OrderingViolationWarning,
     OutOfDomain,
+    PaymentOverflow,
     UnsupportedRule,
     ValidationError,
 )
@@ -366,10 +367,17 @@ def _equalizing_array(
     return None if q is None else _clear_dust(q)
 
 
-def _column_fsum(table: np.ndarray) -> np.ndarray:
+def _column_fsum(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exactly rounded column sums (math.fsum), so totals do not depend on
-    the order of players."""
-    return np.asarray([math.fsum(col) for col in table.T.tolist()])
+    the order of players. The table holds payments at the wagers w; a
+    total past the float range is a PaymentOverflow naming the largest."""
+    try:
+        return np.asarray([math.fsum(col) for col in table.T.tolist()])
+    except OverflowError:
+        raise PaymentOverflow(
+            f"payments at wagers up to {float(w.max())!r} sum past the float range; "
+            "scale the wagers down"
+        ) from None
 
 
 def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -394,9 +402,9 @@ def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> n
     # The share w / W and the pool's total are formed on the wagers
     # w / 2**k, the total then scaled back: either may pass the float
     # range where the payments do not.
-    w, k = _scaled_wagers(w)
-    total = _column_fsum(wagered if k == 0 else w[:, None] * table)
-    return wagered - (w / math.fsum(w.tolist()))[:, None] * total * 2.0**k
+    scaled, k = _scaled_wagers(w)
+    total = _column_fsum(wagered if k == 0 else scaled[:, None] * table, w)
+    return wagered - (scaled / math.fsum(scaled.tolist()))[:, None] * total * 2.0**k
 
 
 def ordering_satisfies_alternation(
@@ -488,7 +496,7 @@ def _coalition_surplus(
     w = np.asarray([players[i].wager for i in ordering], dtype=np.float64)
     diff = np.zeros_like(table[:rows])
     diff[at] = table[at] - table[rows:]
-    return _column_fsum(_payments(kind, diff, w)[at - len(head)])
+    return _column_fsum(_payments(kind, diff, w)[at - len(head)], w)
 
 
 def surplus_by_outcome(

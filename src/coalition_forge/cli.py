@@ -47,6 +47,7 @@ from .errors import (
     CoalitionForgeError,
     CoalitionForgeWarning,
     InvalidCoalition,
+    PaymentOverflow,
     ScenarioError,
     ValidationError,
 )
@@ -70,9 +71,8 @@ def _bundled_paths() -> dict[str, Path]:
 
 
 def _resolve_scenario(value: str) -> Path:
-    p = Path(value)
-    if p.exists():
-        return p
+    if os.path.exists(value):
+        return Path(value)
     name = value[:-5] if value.endswith(".json") else value
     bundled_paths = _bundled_paths()
     if name in bundled_paths:
@@ -257,7 +257,8 @@ def _coordinated(sc: Scenario) -> tuple[list | None, str | None]:
     Members without reports coordinate on the equalizing report, unless
     they agree; then the reason names the test that found it. A market
     session's scenario may list no players, its coalition naming places
-    in the ordering; then no one coordinates.
+    in the ordering; then no one coordinates. Gains past the float range
+    raise PaymentOverflow, as arbitrage does.
     """
     if not (sc.players and sc.coalition is not None and len(sc.coalition.members) >= 2):
         return None, None
@@ -266,6 +267,8 @@ def _coordinated(sc: Scenario) -> tuple[list | None, str | None]:
         return reports, None
     try:
         arb = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
+    except PaymentOverflow:
+        raise
     except CoalitionForgeError:
         return None, None
     if not arb.agreement:
@@ -409,6 +412,8 @@ def cmd_simulate(args: argparse.Namespace, sc: Scenario, digest: Callable[[], st
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one subparser per command; its
+    `commands` attribute maps each command's name to its subparser."""
     parser = argparse.ArgumentParser(
         prog="coalition-forge",
         description="Strictly proper scoring rules and coalition arbitrage",
@@ -417,36 +422,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    def common(p: argparse.ArgumentParser, out_help=None) -> None:
+    def command(name: str, summary: str, func: Callable, out_help=None) -> argparse.ArgumentParser:
+        p = parser.commands[name] = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=True,
                        help="scenario file path or bundled scenario name")
         p.add_argument("--format", choices=["csv", "json", "table"],
                        default="table")
         p.add_argument("--out", default=None,
                        help=out_help or "write output to this path instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p_score = sub.add_parser("score", help="payment table for submitted reports")
-    common(p_score)
-    p_score.add_argument("--outcome", type=int, default=None,
-                         help="1-based outcome state; default all")
-    p_score.set_defaults(func=cmd_score)
-
-    p_arb = sub.add_parser("arbitrage", help="equalizing report and surplus")
-    common(p_arb)
-    p_arb.set_defaults(func=cmd_arbitrage)
-
-    p_verify = sub.add_parser("verify", help="properness, dominance, identity checks")
-    common(p_verify)
-    p_verify.add_argument("--resolution", type=int, default=50,
-                          help="grid resolution for the properness check")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sim = sub.add_parser("simulate", help="sweeps, intermediary runs, sessions")
-    common(p_sim, out_help="write OUT.csv and OUT.json alongside stdout output")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-    p_sim.set_defaults(func=cmd_simulate)
+    command("score", "payment table for submitted reports", cmd_score).add_argument(
+        "--outcome", type=int, default=None, help="1-based outcome state; default all")
+    command("arbitrage", "equalizing report and surplus", cmd_arbitrage)
+    command("verify", "properness, dominance, identity checks", cmd_verify).add_argument(
+        "--resolution", type=int, default=50, help="grid resolution for the properness check")
+    command("simulate", "sweeps, intermediary runs, sessions", cmd_simulate,
+            out_help="write OUT.csv and OUT.json alongside stdout output").add_argument(
+        "--seed", type=int, default=None, help="override the scenario seed")
     return parser
 
 
@@ -458,6 +454,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What _parser().parse_args(argv) gives, parsing argv once where it
+    can: an argv led by a command's name goes straight to that command's
+    parser, which is what the top-level parser hands the rest to. Every
+    other argv, and one that leaves arguments over, goes to the top-level
+    parser, whose usage line and error text those cases print."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: load its scenario, write its result and return
     its exit code; invalid input prints an error and returns 2.
@@ -467,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     file and source line of Python's format; other warnings are handled
     as before.
     """
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     with warnings.catch_warnings():
         shown = warnings.showwarning
 

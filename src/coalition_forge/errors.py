@@ -102,6 +102,10 @@ class FractionOutOfRange(ValidationError):
     """A coalition wager fraction is outside (0, 1] or yields fewer than 2 members."""
 
 
+class PaymentOverflow(ValidationError):
+    """Payments at the players' wagers sum past the float range."""
+
+
 class ScenarioError(ValidationError):
     """A scenario file is malformed; the message carries the field path."""
 

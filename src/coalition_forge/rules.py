@@ -420,7 +420,7 @@ def _properness_scan(
     """check_strict_properness at each belief, in one _lattice_scan.
 
     Each belief's query is its expected scores, from _expected_scores,
-    minus its truthful report's, taken from a one-row table of the
+    minus its truthful report's, taken from one table of every belief's
     truthful report; its excluded row is the truthful report. Every row
     sum is left to right, with no matrix product, so each row has the
     same bits in any block and either layout, and a belief's zero states,
@@ -442,12 +442,12 @@ def _properness_scan(
     interior = _unfloored_log(rule) and all(len(support) == m for support in supports)
     # The lattice is checked before any belief is scored.
     _block_rows(m, resolution, interior=interior)
-    # Each belief's truthful report is its own row of one table.
-    truth_table = _unit_table(rule, ps)
-    truth_values = [
-        float(_expected_scores(truth_table[i : i + 1], p, support)[0])
-        for i, (p, support) in enumerate(zip(ps, supports))
-    ]
+    # Each belief's truthful report is its own row of one table, and its
+    # expected score that row's left-to-right sum of score times belief.
+    # A zero state's term is 0.0, not its score (maybe -inf) times 0, and
+    # adds exactly nothing, so each sum has the bits of _expected_scores'.
+    terms = np.multiply(_unit_table(rule, ps), ps, out=np.zeros_like(ps), where=ps != 0.0)
+    truth_values = _row_sums(terms)[:, 0].tolist()
     if not all(map(math.isfinite, truth_values)):
         raise ValidationError(
             "expected score at the truthful report is not finite; "

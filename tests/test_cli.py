@@ -1300,6 +1300,50 @@ def test_importing_the_cli_builds_no_parser():
     assert done.stdout.split() == ["0", "5"]
 
 
+# Exit code, stdout and stderr of argument errors, help and --version,
+# recorded at 80 columns from the parser that parsed every argv through
+# the top-level parser. An argv led by a command now goes straight to its
+# parser; these texts must not move with it.
+ARGPARSE_SURFACE = json.loads(
+    (Path(__file__).parent / "data" / "cli_argparse_surface.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", ARGPARSE_SURFACE, ids=lambda case: " ".join(case["argv"]) or "no-args")
+def test_cli_argument_errors_help_and_version_are_unchanged(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(case["argv"]))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_cli_payments_past_the_float_range_are_an_error(tmp_path, capsys):
+    # Two members at 2**1023 whose wagered gains sum past the float range:
+    # one error line naming the largest wager and exit 2, not a traceback.
+    raw = _minimal_raw(
+        event={"m": 3},
+        rule={"kind": "logarithmic"},
+        players=[
+            {"belief": [0.98, 0.01, 0.01], "wager": 2.0**1023},
+            {"belief": [0.01, 0.01, 0.98], "wager": 2.0**1023},
+            {"belief": [0.3, 0.3, 0.4], "wager": 1.0},
+        ],
+    )
+    path = _write_scenario(tmp_path, raw)
+    for command in ("arbitrage", "verify"):
+        with warnings.catch_warnings():
+            # The wagered scores themselves overflow in numpy first.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([command, "--scenario", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: payments at wagers up to 8.98846567431158e+307 sum past the "
+            "float range; scale the wagers down\n"
+        )
+
+
 def test_resolve_scenario_accepts_only_bundled_names(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli._resolve_scenario("example1") == bundled.path("example1")

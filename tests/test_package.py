@@ -153,6 +153,36 @@ def test_only_the_cli_writer_writes_files():
     assert found == []
 
 
+ARGPARSE_PRIVATE = {"_actions", "_subparsers", "_group_actions", "_option_string_actions"}
+
+
+def _argparse_private_reads(tree: ast.AST) -> list[int]:
+    """Lines in tree that read one of argparse's private attributes, as an
+    attribute or by name through getattr."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ARGPARSE_PRIVATE)
+        or (isinstance(node, ast.Constant) and node.value in ARGPARSE_PRIVATE)
+    )
+
+
+def test_no_module_reads_private_argparse_attributes():
+    # argparse's private attributes change between Python versions: the
+    # CLI reaches each command's parser through build_parser's own map.
+    sample = ast.parse(
+        "p._actions\np._subparsers._group_actions\ngetattr(p, '_option_string_actions')\n"
+        "p.commands\np.parse_known_args(a)\n"
+    )
+    assert _argparse_private_reads(sample) == [1, 2, 2, 3]
+    root = Path(__file__).resolve().parents[1] / "src" / "coalition_forge"
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _argparse_private_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
 def test_no_module_holds_an_array():
     # Workspaces, tiles and tables live for one call: an array bound at
     # module level would be state shared by every caller and thread, and

@@ -1071,6 +1071,19 @@ def test_properness_scan_equals_one_check_per_belief(monkeypatch, block_rows):
         for report, one in zip(reports, expected):
             for field in dataclasses.fields(PropernessReport):
                 assert getattr(report, field.name) == getattr(one, field.name), field.name
+    # Forty-two beliefs under the unfloored logarithmic rule, with and
+    # without zero states: a zero state's truthful score is -inf, and its
+    # term in the truthful sum must be 0.0, not -inf * 0.
+    rule = logarithmic_rule()
+    points = [(i, j, 12 - i - j) for i in range(13) for j in range(13 - i)]
+    beliefs = [Forecast(tuple(x / 12 for x in points[k])) for k in rng.permutation(len(points))[:42]]
+    assert {0.0 in b.probs for b in beliefs} == {False, True}
+    reports = rules._properness_scan(rule, beliefs, 6)
+    expected = [check_strict_properness(rule, belief, 6) for belief in beliefs]
+    assert len(reports) == len(expected) == 42
+    for report, one in zip(reports, expected):
+        for field in dataclasses.fields(PropernessReport):
+            assert getattr(report, field.name) == getattr(one, field.name), field.name
 
 
 def test_properness_scan_arguments():
