@@ -24,7 +24,6 @@ from .arbitrage import (
     grid_search_equalizer,
     ordering_satisfies_alternation,
     spherical_aux,
-    surplus_by_outcome,
     verify_dominance_oracle,
 )
 from .errors import (
@@ -35,15 +34,12 @@ from .errors import (
     FractionOutOfRange,
     GeneratorMismatch,
     InvalidCoalition,
-    LengthMismatch,
     LogOfZero,
-    MissingPrior,
     MissingReport,
     NegativeEntry,
     NoConvergence,
     NonMonotoneGenerator,
     NonPositiveWager,
-    NonPositiveWeight,
     NumericalError,
     OrderingViolationWarning,
     OutOfDomain,
@@ -63,12 +59,9 @@ from .mechanisms import (
     PaymentTable,
     coalition_surplus_competitive,
     coalition_surplus_market,
-    competitive_payments,
     intermediary_profit_by_outcome,
     lambert,
-    market_scoring_payments,
     payment_table,
-    traditional_payments,
 )
 from .rules import (
     ConvexGenerator,
@@ -100,7 +93,6 @@ from .simplex import (
     grid_array,
     uniform_prior,
     validate_forecast,
-    weighted_mean,
 )
 from .simulate import (
     BeliefSampler,

@@ -56,7 +56,6 @@ from .simplex import (
     _clear_dust,
     _stack,
     uniform_prior,
-    weighted_mean,
 )
 
 # Members whose beliefs differ by at most this much (max-norm, pairwise)
@@ -268,20 +267,16 @@ def _spherical_spread(Y: np.ndarray) -> tuple[float, float]:
     return y_bar, float(((Y - y_bar) ** 2).sum())
 
 
-def _spherical_equalizer(Y: np.ndarray) -> np.ndarray | None:
+def _spherical_equalizer(Y: np.ndarray) -> np.ndarray:
     """Equalizing report from the aggregated unit-vector sums.
 
-    Returns None when 1 - sum((Y - mean)^2) <= 0. That region is
-    unreachable for genuine disagreeing beliefs (the sum of squared
-    deviations stays below 1 - 1/m) but float noise at near-agreement
-    must not turn into sqrt of a negative number.
+    Y is a convex combination of nonnegative unit vectors, so its sum of
+    squared deviations from its mean is at most 1 - 1/m and the square
+    root is of at least 1.
     """
     m = Y.shape[0]
     y_bar, ssd = _spherical_spread(Y)
-    s = 1.0 - ssd
-    if s <= 0.0:
-        return None
-    return 1.0 / m + (Y - y_bar) / math.sqrt(m * s)
+    return 1.0 / m + (Y - y_bar) / math.sqrt(m * (1.0 - ssd))
 
 
 def _bisect_equalizer(gen: ConvexGenerator, p: np.ndarray, v: np.ndarray) -> float:
@@ -338,12 +333,8 @@ def binary_equalizer(
     return _bisect_equalizer(gen, P[:, 0], w / w.sum())
 
 
-def _equalizing_array(
-    rule: ScoringRule, P: np.ndarray, w: np.ndarray
-) -> np.ndarray | None:
-    """Equalizing report as a bare array; None signals the spherical
-    near-agreement guard. Assumes genuine disagreement was ruled out
-    by the caller for the None interpretation to matter.
+def _equalizing_array(rule: ScoringRule, P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Equalizing report as a bare array.
 
     Members near a vertex leave entries such as -1.7e-16 where the exact
     report is 0; that float dust is snapped to 0 so q is a valid Forecast.
@@ -364,7 +355,7 @@ def _equalizing_array(
         raise UnsupportedRule(
             f"no equalizing construction for rule kind {kind.value!r}"
         )
-    return None if q is None else _clear_dust(q)
+    return _clear_dust(q)
 
 
 def _column_fsum(table: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -380,7 +371,7 @@ def _column_fsum(table: np.ndarray, w: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each mechanism's payment formula, applied to a score table whose
     rows are the reports in reporting order, led under market scoring by
     the opening report's row; w holds the reports' wagers. The payments
@@ -392,19 +383,27 @@ def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray | None) -> n
     of the column total, so its columns sum to zero. Each formula is linear
     in the table, so the payment of a difference of two tables is the
     difference of their payments: a coalition gain is the payment of the
-    members' score differences.
+    members' score differences. A wagered payment past the float range is
+    a PaymentOverflow, not an infinite payment.
     """
     if kind is MechanismKind.MARKET:
         return np.diff(table, axis=0)
-    wagered = w[:, None] * table
-    if kind is MechanismKind.TRADITIONAL:
-        return wagered
-    # The share w / W and the pool's total are formed on the wagers
-    # w / 2**k, the total then scaled back: either may pass the float
-    # range where the payments do not.
-    scaled, k = _scaled_wagers(w)
-    total = _column_fsum(wagered if k == 0 else scaled[:, None] * table, w)
-    return wagered - (scaled / math.fsum(scaled.tolist()))[:, None] * total * 2.0**k
+    try:
+        with np.errstate(over="raise"):
+            wagered = w[:, None] * table
+            if kind is MechanismKind.TRADITIONAL:
+                return wagered
+            # The share w / W and the pool's total are formed on the wagers
+            # w / 2**k, the total then scaled back: either may pass the
+            # float range where the payments do not.
+            scaled, k = _scaled_wagers(w)
+            total = _column_fsum(wagered if k == 0 else scaled[:, None] * table, w)
+            return wagered - (scaled / math.fsum(scaled.tolist()))[:, None] * total * 2.0**k
+    except FloatingPointError:
+        raise PaymentOverflow(
+            f"payments at wagers up to {float(w.max())!r} pass the float range; "
+            "scale the wagers down"
+        ) from None
 
 
 def ordering_satisfies_alternation(
@@ -499,18 +498,6 @@ def _coalition_surplus(
     return _column_fsum(_payments(kind, diff, w)[at - len(head)], w)
 
 
-def surplus_by_outcome(
-    rule: ScoringRule,
-    players: list[Player] | tuple[Player, ...],
-    coalition: Coalition,
-    q: Forecast,
-) -> tuple[float, ...]:
-    """Coalition gain per outcome when every member reports q instead of
-    their own belief, under a plain wagered-score contract."""
-    gain = _coalition_surplus(MechanismKind.TRADITIONAL, rule, players, coalition, q, range(q.m))
-    return tuple((rule.b * gain).tolist())
-
-
 def closed_form_surplus(
     rule: ScoringRule,
     players: list[Player] | tuple[Player, ...],
@@ -581,22 +568,18 @@ def arbitrage_report(
     P, w, _ = _member_arrays(players, coalition)
     if rule.kind is RuleKind.CUSTOM_BINARY and P.shape[1] != 2:
         raise DimensionMismatch("custom binary rules support exactly 2 states")
-    shared = members_agree(P)
-    q_arr = None if shared else _equalizing_array(rule, P, w)
-    if q_arr is None:
-        # A shared belief is its own report. When the spherical guard
-        # fires, the weighted mean stands in rather than a sqrt of float
-        # dust.
-        chosen = [players[i] for i in coalition.members]
-        q = chosen[0].belief if shared else weighted_mean(
-            [p.belief for p in chosen], [p.wager for p in chosen]
-        )
+    if members_agree(P):
+        # A shared belief is its own report.
+        q = players[coalition.members[0]].belief
         return ArbitrageResult(q, (0.0,) * P.shape[1], equalized=True, agreement=True)
-    q = Forecast(tuple(q_arr.tolist()))
+    q = Forecast(tuple(_equalizing_array(rule, P, w).tolist()))
     gains = _coalition_surplus(
         MechanismKind.TRADITIONAL, rule, players, coalition, q, range(q.m)
     ).tolist()
-    mean_g = math.fsum(gains) / len(gains)
+    try:
+        mean_g = math.fsum(gains) / len(gains)
+    except OverflowError:  # finite gains whose sum is not; their mean is
+        mean_g = math.fsum(g / len(gains) for g in gains)
     spread = max(gains) - min(gains)
     equalized = spread <= EQUALIZED_RTOL * max(1.0, abs(mean_g))
     # A gain this small is rounding error: the members agree on the

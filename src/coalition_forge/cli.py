@@ -252,13 +252,14 @@ def _beliefs_agree(sc: Scenario) -> bool:
 
 def _coordinated(sc: Scenario) -> tuple[list | None, str | None]:
     """The reports the coalition's members coordinate on, or None, and the
-    reason agreement gives for none.
+    reason for none where there is one.
 
     Members without reports coordinate on the equalizing report, unless
-    they agree; then the reason names the test that found it. A market
-    session's scenario may list no players, its coalition naming places
-    in the ordering; then no one coordinates. Gains past the float range
-    raise PaymentOverflow, as arbitrage does.
+    they agree, and then the reason names the test that found it, or
+    unless arbitrage_report refuses them, and then it is the error's text.
+    A market session's scenario may list no players, its coalition naming
+    places in the ordering; then no one coordinates. Gains past the float
+    range raise PaymentOverflow, as arbitrage does.
     """
     if not (sc.players and sc.coalition is not None and len(sc.coalition.members) >= 2):
         return None, None
@@ -269,8 +270,8 @@ def _coordinated(sc: Scenario) -> tuple[list | None, str | None]:
         arb = arbitrage_report(sc.rule, list(sc.players), sc.coalition)
     except PaymentOverflow:
         raise
-    except CoalitionForgeError:
-        return None, None
+    except CoalitionForgeError as err:
+        return None, str(err)
     if not arb.agreement:
         return [arb.q] * len(reports), None
     if _beliefs_agree(sc):
@@ -291,8 +292,8 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
         f"max margin {worst_margin!r} over {len(beliefs)} belief(s) at resolution {resolution}",
     )
 
-    coordinated, agreement = _coordinated(sc)
-    dominance = ("skipped", agreement or "no identical coordinated report available")
+    coordinated, reason = _coordinated(sc)
+    dominance = ("skipped", reason or "no identical coordinated report available")
     if coordinated is not None and all(
         max(abs(a - b) for a, b in zip(coordinated[0].probs, r.probs)) <= AGREEMENT_TOL
         for r in coordinated
@@ -305,7 +306,7 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
         )
 
     proper_subset = sc.coalition is not None and 2 <= len(sc.coalition.members) < len(players)
-    scaling = ("skipped", agreement if proper_subset and agreement
+    scaling = ("skipped", reason if proper_subset and reason
                else "needs a coalition that is a proper subset of the players")
     if proper_subset and coordinated is not None:
         # The outsiders' share of the pool, from their own wagers: 1 - w_c / w_n

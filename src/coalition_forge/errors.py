@@ -37,14 +37,6 @@ class TooFewStates(ValidationError):
     """A probability vector has fewer than two outcome states."""
 
 
-class LengthMismatch(ValidationError):
-    """Parallel sequences have different lengths."""
-
-
-class NonPositiveWeight(ValidationError):
-    """A combination weight is zero, negative or not finite."""
-
-
 class NonPositiveWager(ValidationError):
     """A player's wager is zero or negative."""
 
@@ -84,10 +76,6 @@ class MissingReport(ValidationError):
         # player_index is 0-based; messages are 1-based like all user-facing text
         self.player_index = player_index
         super().__init__(f"player {player_index + 1} has no report")
-
-
-class MissingPrior(ValidationError):
-    """Sequential market payments need an opening report to pay against."""
 
 
 class SinglePlayer(ValidationError):

@@ -27,7 +27,6 @@ from .arbitrage import (
     _payments,
 )
 from .errors import (
-    MissingPrior,
     MissingReport,
     SinglePlayer,
     UnsupportedMechanism,
@@ -81,9 +80,6 @@ class PaymentTable:
     def m(self) -> int:
         return len(self.payments[0]) if self.payments else 0
 
-    def column(self, outcome: int) -> tuple[float, ...]:
-        return tuple(row[outcome] for row in self.payments)
-
     def column_sum(self, outcome: int) -> float:
         return math.fsum(row[outcome] for row in self.payments)
 
@@ -97,72 +93,29 @@ def _require_reports(players: Sequence[Player]) -> list[Forecast]:
     return reports
 
 
-def _column(table: np.ndarray) -> tuple[float, ...]:
-    return tuple(table[:, 0].tolist())
-
-
-def _paid(
-    kind: MechanismKind, rule: ScoringRule, players: Sequence[Player],
-    outcomes: Sequence[int] | None, prior: Forecast | None = None,
-) -> np.ndarray:
-    """Payments to the players, in their order, at the requested outcomes
-    (None: every outcome); under market scoring the first report is paid
-    against prior, uniform when None."""
-    if not players:
-        raise ValidationError("no players")
-    if kind is MechanismKind.COMPETITIVE and len(players) < 2:
-        raise SinglePlayer("competitive payments need at least 2 players")
-    reports = _require_reports(players)
-    outcomes = range(players[0].belief.m) if outcomes is None else outcomes
-    w = np.asarray([p.wager for p in players], dtype=np.float64)
-    head = [prior or uniform_prior(reports[0].m)] if kind is MechanismKind.MARKET else []
-    table = _affine(rule, _score_columns(rule, [*head, *reports], outcomes), outcomes)
-    return _payments(kind, table, w)
-
-
-def traditional_payments(
-    rule: ScoringRule, players: Sequence[Player], outcome: int
-) -> tuple[float, ...]:
-    """Each player receives their wagered score; nobody else's report
-    matters."""
-    return _column(_paid(MechanismKind.TRADITIONAL, rule, players, [outcome]))
-
-
-def competitive_payments(
-    rule: ScoringRule, players: Sequence[Player], outcome: int
-) -> tuple[float, ...]:
-    """Wagered score minus the player's wager share of the pool total.
-
-    Payments sum to zero in every state, so the pool finances itself.
-    """
-    return _column(_paid(MechanismKind.COMPETITIVE, rule, players, [outcome]))
-
-
-def market_scoring_payments(
-    rule: ScoringRule,
-    reports: Sequence[Forecast],
-    prior: Forecast | None,
-    outcome: int,
-) -> tuple[float, ...]:
-    """Sequential payments: each report is scored against its predecessor.
-
-    The total paid out telescopes to the last report's score minus the
-    prior's.
-    """
-    if prior is None:
-        raise MissingPrior("market scoring needs an opening report")
-    table = _affine(rule, _score_columns(rule, [prior, *reports], [outcome]), [outcome])
-    return _column(_payments(MechanismKind.MARKET, table, None))
-
-
 def payment_table(spec: MechanismSpec, players: Sequence[Player]) -> PaymentTable:
     """Full n-by-m payment table under a mechanism, from one score table.
 
-    Market scoring treats the player sequence as the reporting order and
-    ignores wagers; a missing prior defaults to uniform.
+    The traditional scheme pays each player their wagered score, whoever
+    else reports what. The competitive scheme pays the wagered score minus
+    the player's wager share of the pool total, so each column sums to
+    zero and the pool finances itself; it needs two players. Market
+    scoring treats the player sequence as the reporting order, pays each
+    report against its predecessor and ignores wagers; the first report is
+    paid against spec.market_prior, uniform when None, and each column
+    telescopes to the last report's score minus the prior's.
     """
-    table = _paid(spec.kind, spec.rule, players, None, spec.market_prior)
-    return PaymentTable(tuple(tuple(row) for row in table.tolist()))
+    if not players:
+        raise ValidationError("no players")
+    kind = spec.kind
+    if kind is MechanismKind.COMPETITIVE and len(players) < 2:
+        raise SinglePlayer("competitive payments need at least 2 players")
+    reports = _require_reports(players)
+    outcomes = range(players[0].belief.m)
+    w = np.asarray([p.wager for p in players], dtype=np.float64)
+    head = [spec.market_prior or uniform_prior(reports[0].m)] if kind is MechanismKind.MARKET else []
+    table = _affine(spec.rule, _score_columns(spec.rule, [*head, *reports], outcomes), outcomes)
+    return PaymentTable(tuple(tuple(row) for row in _payments(kind, table, w).tolist()))
 
 
 def coalition_surplus_competitive(

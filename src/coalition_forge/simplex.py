@@ -1,5 +1,5 @@
-"""Probability-vector primitives: validation, weighted means, and
-lattice enumeration on the simplex.
+"""Probability-vector primitives: validation and lattice enumeration on
+the simplex.
 
 A Forecast is an immutable point of the m-dimensional probability simplex.
 Invalid input is always an error; nothing is renormalized silently, because
@@ -17,9 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    LengthMismatch,
     NegativeEntry,
-    NonPositiveWeight,
     SumOutOfTolerance,
     TooFewStates,
     ValidationError,
@@ -99,33 +97,6 @@ def validate_forecast(raw: Sequence[float]) -> Forecast:
     for a NaN entry), or TooFewStates. Entries are never renormalized.
     """
     return Forecast(tuple(float(x) for x in raw))
-
-
-def weighted_mean(
-    forecasts: Sequence[Forecast], weights: Sequence[float]
-) -> Forecast:
-    """Convex combination of forecasts with positive weights.
-
-    The result is itself a valid Forecast (convexity closure).
-    """
-    if len(forecasts) != len(weights):
-        raise LengthMismatch(
-            f"{len(forecasts)} forecasts vs {len(weights)} weights"
-        )
-    if not forecasts:
-        raise LengthMismatch("empty forecast sequence")
-    for w in weights:
-        # A chained comparison, so that NaN fails it too.
-        if not 0.0 < w < math.inf:
-            raise NonPositiveWeight(f"weight {w!r} must be finite and > 0")
-    p_arr = _stack(forecasts)
-    if p_arr is None:
-        raise LengthMismatch("forecasts have mixed lengths")
-    w_arr = np.asarray(weights, dtype=np.float64)
-    mean = (w_arr[:, None] * p_arr).sum(axis=0) / w_arr.sum()
-    # Clip float dust so convex combinations of valid points stay valid.
-    mean = np.clip(mean, 0.0, None)
-    return Forecast(tuple(float(x) for x in mean))
 
 
 def uniform_prior(m: int) -> Forecast:

@@ -278,8 +278,6 @@ def expected_surplus_sweep(
         members = rng.choice(n, size=c, replace=False)
         outcome = int(rng.integers(m))
         q = _equalizing_array(rule, beliefs[members], np.ones(c))
-        if q is None:
-            return 0.0
         s_q = float(_unit_table(rule, q[None, :])[0, outcome])
         all_scores = _unit_table(rule, beliefs)[:, outcome]
         member_total = float(all_scores[members].sum())

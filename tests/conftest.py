@@ -52,6 +52,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     package = Path(coalition_forge.__file__).parent
     total = sum(code_lines(path) for path in package.glob("*.py"))
     terminalreporter.write_line(f"src code lines: {total}")
+    terminalreporter.write_line(f"public names: {len(coalition_forge.__all__)}")
     # The lattice scans use no matrix product, so no bit-for-bit test
     # depends on the BLAS kernels; the summary names the BLAS as a record
     # of the build the tests ran on ("unknown" on numpy before 1.26, which
@@ -101,6 +102,15 @@ def disagreeing_players(
         beliefs = np.asarray([p.belief.probs for p in players])
         if float((beliefs.max(axis=0) - beliefs.min(axis=0)).max()) > 1e-3:
             return players
+
+
+def weighted_mean(forecasts: list[Forecast], weights: list[float]) -> Forecast:
+    """The weights' convex combination of the forecasts, float dust
+    clipped to 0, for tests that need a mean report under any rule."""
+    p = np.asarray([f.probs for f in forecasts], dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    mean = np.clip((w[:, None] * p).sum(axis=0) / w.sum(), 0.0, None)
+    return Forecast(tuple(float(x) for x in mean))
 
 
 def full_coalition(players: list[Player]) -> Coalition:

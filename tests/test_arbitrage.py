@@ -42,16 +42,16 @@ from coalition_forge import (
     quadratic_rule,
     score_table,
     spherical_rule,
-    surplus_by_outcome,
     spherical_aux,
     verify_dominance_oracle,
-    weighted_mean,
 )
 from coalition_forge import simplex
-from coalition_forge.arbitrage import _spherical_equalizer
+from coalition_forge.arbitrage import _member_arrays, _spherical_spread, _spherical_y
 
 import exact
-from conftest import binary_quadratic_generator, disagreeing_players, full_coalition, random_forecast
+from conftest import (
+    binary_quadratic_generator, disagreeing_players, full_coalition, random_forecast, weighted_mean,
+)
 
 PAIR = Coalition((0, 1))
 
@@ -122,7 +122,8 @@ def test_log_mean_report_gives_positive_but_unequal_surplus():
     # differs by outcome; only the geometric construction equalizes it.
     players = _players((0.5, 0.5), (0.8, 0.2))
     mean = weighted_mean([p.belief for p in players], [1.0, 1.0])
-    surpluses = surplus_by_outcome(logarithmic_rule(), players, PAIR, mean)
+    spec = MechanismSpec(MechanismKind.TRADITIONAL, logarithmic_rule())
+    surpluses = intermediary_profit_by_outcome(spec, players, PAIR, mean)
     assert all(s > 0.0 for s in surpluses)
     assert max(surpluses) - min(surpluses) > 0.1
 
@@ -353,8 +354,30 @@ def test_spherical_aux_single_member():
     assert aux.sum_sq == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spherical_equalizer_guard_returns_none():
-    assert _spherical_equalizer(np.array([0.0, 2.0])) is None
+@pytest.mark.parametrize("m", [2, 3, 8, 600])
+def test_spherical_equalizer_root_is_of_at_least_one(m):
+    # Y is a convex combination of nonnegative unit vectors, so the sum of
+    # its squared deviations from its mean is at most 1 - 1/m, and the
+    # spherical equalizer takes the square root of m * (1 - that) >= 1.
+    # Vertex, near-vertex and Dirichlet(0.01) members at wagers from
+    # e^-700 to e^700, taken as the equalizer takes them.
+    rng = np.random.default_rng(3030 + m)
+    for _ in range(100):
+        beliefs = []
+        for kind in rng.integers(3, size=int(rng.integers(2, 6))):
+            vertex = np.eye(m)[rng.integers(m)]
+            if kind == 0:
+                p = vertex
+            elif kind == 1:
+                eps = 10.0 ** -rng.uniform(1.0, 16.0)
+                p = (1.0 - eps) * vertex + eps * rng.dirichlet(np.ones(m))
+            else:
+                p = rng.dirichlet(np.full(m, 0.01))
+            beliefs.append(Forecast(tuple(p.tolist())))
+        players = [Player(b, math.exp(rng.uniform(-700.0, 700.0))) for b in beliefs]
+        P, w, _ = _member_arrays(players, full_coalition(players))
+        _, ssd = _spherical_spread(_spherical_y(P, w))
+        assert m * (1.0 - ssd) >= 1.0 - 1e-12
 
 
 def test_spherical_near_vertex_members_get_a_valid_report():
@@ -622,6 +645,17 @@ def test_player_and_coalition_validation():
         arbitrage_report(quadratic_rule(), players, Coalition((0, 5)))
     with pytest.raises(InvalidCoalition):
         arbitrage_report(quadratic_rule(), players, Coalition((0,)))
+
+
+def test_gains_summing_past_the_float_range_have_a_mean():
+    # Each member's gain at 2**1021 is finite, and so is their mean over
+    # the outcomes, though their sum is not: an answer, not an OverflowError.
+    beliefs = [(0.98, 0.01, 0.01), (0.01, 0.01, 0.98), (0.3, 0.3, 0.4)]
+    players = [Player(Forecast(b), w) for b, w in zip(beliefs, [2.0**1021, 2.0**1021, 1.0])]
+    unit = arbitrage_report(logarithmic_rule(), [Player(p.belief, 1.0) for p in players], PAIR)
+    result = arbitrage_report(logarithmic_rule(), players, PAIR)
+    assert result.q == unit.q and result.equalized and not result.agreement
+    assert min(result.surplus_by_outcome) > 1e307
 
 
 def test_coalition_wager_total():

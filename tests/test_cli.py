@@ -1017,6 +1017,19 @@ def test_cli_market_session_without_players(tmp_path, capsys):
     assert "dominance: SKIPPED  (no identical coordinated report available)" in capsys.readouterr().out
 
 
+def test_cli_verify_names_why_no_report_is_coordinated(tmp_path, capsys):
+    # The linear rule has no equalizer: both coalition checks are skipped
+    # with arbitrage_report's own reason, the coalition being a proper
+    # subset of the players.
+    players = [{"belief": b} for b in ([0.6, 0.3, 0.1], [0.1, 0.3, 0.6], [0.3, 0.3, 0.4])]
+    raw = _minimal_raw(event={"m": 3}, rule={"kind": "linear"}, players=players)
+    assert main(["verify", "--resolution", "10", "--scenario", _write_scenario(tmp_path, raw)]) == 1
+    out = capsys.readouterr().out
+    reason = "SKIPPED  (no equalizing construction for rule kind 'linear')"
+    assert f"dominance: {reason}\n" in out
+    assert f"surplus_scaling_identity: {reason}\n" in out
+
+
 def test_cli_arbitrage_without_players_names_the_ordering(tmp_path, capsys):
     # The coalition names places in the session's ordering, not listed
     # players: there are no beliefs to arbitrage, as there are none to score.
@@ -1319,27 +1332,26 @@ def test_cli_argument_errors_help_and_version_are_unchanged(monkeypatch, capsys,
 
 
 def test_cli_payments_past_the_float_range_are_an_error(tmp_path, capsys):
-    # Two members at 2**1023 whose wagered gains sum past the float range:
-    # one error line naming the largest wager and exit 2, not a traceback.
-    raw = _minimal_raw(
-        event={"m": 3},
-        rule={"kind": "logarithmic"},
-        players=[
-            {"belief": [0.98, 0.01, 0.01], "wager": 2.0**1023},
-            {"belief": [0.01, 0.01, 0.98], "wager": 2.0**1023},
-            {"belief": [0.3, 0.3, 0.4], "wager": 1.0},
-        ],
-    )
+    # Two members at 2**1023 whose wagered scores and gains pass the float
+    # range: one error line naming the largest wager and exit 2, not a
+    # traceback, a numpy warning or an infinite payment.
+    players = [
+        {"belief": [0.98, 0.01, 0.01], "wager": 2.0**1023},
+        {"belief": [0.01, 0.01, 0.98], "wager": 2.0**1023},
+        {"belief": [0.3, 0.3, 0.4], "wager": 1.0},
+    ]
+    raw = _minimal_raw(event={"m": 3}, rule={"kind": "logarithmic"}, players=players)
     path = _write_scenario(tmp_path, raw)
-    for command in ("arbitrage", "verify"):
+    reported = [{**p, "report": p["belief"]} for p in players]
+    with_reports = _write_scenario(tmp_path, {**raw, "players": reported}, "reports.json")
+    for command, scenario in (("arbitrage", path), ("verify", path), ("score", with_reports)):
         with warnings.catch_warnings():
-            # The wagered scores themselves overflow in numpy first.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main([command, "--scenario", path]) == 2
+            warnings.simplefilter("error")
+            assert main([command, "--scenario", scenario]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: payments at wagers up to 8.98846567431158e+307 sum past the "
+            "error: payments at wagers up to 8.98846567431158e+307 pass the "
             "float range; scale the wagers down\n"
         )
 

@@ -37,11 +37,10 @@ from coalition_forge import (
     quadratic_rule,
     spherical_rule,
     verify_dominance_oracle,
-    weighted_mean,
 )
 from coalition_forge.simplex import Forecast
 
-from conftest import binary_quadratic_generator, disagreeing_players, random_forecast
+from conftest import binary_quadratic_generator, disagreeing_players, random_forecast, weighted_mean
 
 DIGEST = Path(__file__).parent / "data" / "coalition_path_digest.json"
 CASES = 200

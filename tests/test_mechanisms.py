@@ -19,10 +19,10 @@ from coalition_forge import (
     InvalidCoalition,
     MechanismKind,
     MechanismSpec,
-    MissingPrior,
     LogOfZero,
     MissingReport,
     OrderingViolationWarning,
+    PaymentOverflow,
     Player,
     SinglePlayer,
     UnsupportedMechanism,
@@ -31,13 +31,11 @@ from coalition_forge import (
     check_strict_properness,
     coalition_surplus_competitive,
     coalition_surplus_market,
-    competitive_payments,
     expected_surplus_sweep,
     grid_search_equalizer,
     intermediary_profit_by_outcome,
     lambert,
     logarithmic_rule,
-    market_scoring_payments,
     market_session,
     ordering_satisfies_alternation,
     parse_scenario,
@@ -46,8 +44,6 @@ from coalition_forge import (
     score,
     score_table,
     spherical_rule,
-    surplus_by_outcome,
-    traditional_payments,
     uniform_prior,
     verify_dominance_oracle,
 )
@@ -64,9 +60,20 @@ def _reporting(*pairs, wagers=None):
     ]
 
 
+def _market(reports):
+    """Players reporting the reports in order, as a market's sequence."""
+    return [Player(r, 1.0, r) for r in reports]
+
+
+def _paid(kind, rule, players, outcome, prior=None):
+    """The payments at one outcome: a column of payment_table."""
+    table = payment_table(MechanismSpec(kind, rule, prior), players)
+    return tuple(row[outcome] for row in table.payments)
+
+
 def test_traditional_single_player_value():
     players = _reporting(((0.5, 0.5), (0.5, 0.5)), wagers=[2.0])
-    assert traditional_payments(quadratic_rule(), players, 0) == (
+    assert _paid(MechanismKind.TRADITIONAL, quadratic_rule(), players, 0) == (
         pytest.approx(1.0),
     )
 
@@ -75,8 +82,8 @@ def test_traditional_ignores_other_reports():
     base = _reporting(((0.5, 0.5), (0.7, 0.3)), ((0.5, 0.5), (0.2, 0.8)))
     changed = _reporting(((0.5, 0.5), (0.7, 0.3)), ((0.5, 0.5), (0.9, 0.1)))
     rule = quadratic_rule()
-    assert traditional_payments(rule, base, 0)[0] == (
-        traditional_payments(rule, changed, 0)[0]
+    assert _paid(MechanismKind.TRADITIONAL, rule, base, 0)[0] == (
+        _paid(MechanismKind.TRADITIONAL, rule, changed, 0)[0]
     )
 
 
@@ -86,13 +93,13 @@ def test_missing_report_names_the_player():
         Player(Forecast((0.4, 0.6)), 1.0),
     ]
     with pytest.raises(MissingReport) as err:
-        traditional_payments(quadratic_rule(), players, 0)
+        payment_table(MechanismSpec(MechanismKind.TRADITIONAL, quadratic_rule()), players)
     assert "player 2" in str(err.value)
 
 
 def test_competitive_hand_example():
     players = _reporting(((0.5, 0.5), (0.5, 0.5)), ((1.0, 0.0), (1.0, 0.0)))
-    payments = competitive_payments(quadratic_rule(), players, 0)
+    payments = _paid(MechanismKind.COMPETITIVE, quadratic_rule(), players, 0)
     np.testing.assert_allclose(payments, [-0.25, 0.25], atol=1e-15)
 
 
@@ -105,14 +112,14 @@ def test_competitive_identical_reports_pay_nothing():
     )
     for j in (0, 1):
         np.testing.assert_allclose(
-            competitive_payments(quadratic_rule(), players, j), 0.0, atol=1e-12
+            _paid(MechanismKind.COMPETITIVE, quadratic_rule(), players, j), 0.0, atol=1e-12
         )
 
 
 def test_competitive_requires_two_players():
     players = _reporting(((0.5, 0.5), (0.5, 0.5)))
     with pytest.raises(SinglePlayer):
-        competitive_payments(quadratic_rule(), players, 0)
+        payment_table(MechanismSpec(MechanismKind.COMPETITIVE, quadratic_rule()), players)
 
 
 def test_competitive_columns_sum_to_zero():
@@ -178,7 +185,7 @@ def test_competitive_expected_payment_maximized_at_truth():
     def expected_payment(report):
         players = [Player(belief, 1.0, report), *others]
         return math.fsum(
-            belief[j] * competitive_payments(rule, players, j)[0]
+            belief[j] * _paid(MechanismKind.COMPETITIVE, rule, players, j)[0]
             for j in range(2)
         )
 
@@ -194,14 +201,14 @@ def test_market_all_following_prior_pays_nothing():
     prior = Forecast((0.5, 0.5))
     reports = [prior, prior, prior]
     for j in (0, 1):
-        payments = market_scoring_payments(quadratic_rule(), reports, prior, j)
+        payments = _paid(MechanismKind.MARKET, quadratic_rule(), _market(reports), j, prior)
         np.testing.assert_allclose(payments, 0.0, atol=1e-15)
 
 
 def test_market_frozen_example():
     prior = Forecast((0.5, 0.5))
     reports = [Forecast((0.8, 0.2)), Forecast((0.8, 0.2))]
-    payments = market_scoring_payments(quadratic_rule(), reports, prior, 0)
+    payments = _paid(MechanismKind.MARKET, quadratic_rule(), _market(reports), 0, prior)
     np.testing.assert_allclose(payments, [0.42, 0.0], atol=1e-12)
 
 
@@ -212,49 +219,44 @@ def test_market_payments_telescope():
         m = int(rng.integers(2, 4))
         prior = uniform_prior(m)
         reports = [random_forecast(rng, m) for _ in range(int(rng.integers(1, 6)))]
+        table = payment_table(MechanismSpec(MechanismKind.MARKET, rule, prior), _market(reports))
         for j in range(m):
-            payments = market_scoring_payments(rule, reports, prior, j)
+            payments = [row[j] for row in table.payments]
             total = math.fsum(payments)
             expected = score(rule, reports[-1], j) - score(rule, prior, j)
             assert total == pytest.approx(expected, abs=1e-12)
 
 
-def test_market_requires_prior():
-    with pytest.raises(MissingPrior):
-        market_scoring_payments(quadratic_rule(), [Forecast((0.5, 0.5))], None, 0)
-
-
 def test_market_rejects_mixed_lengths():
+    spec = MechanismSpec(MechanismKind.MARKET, quadratic_rule(), Forecast((0.5, 0.5)))
     with pytest.raises(DimensionMismatch):
-        market_scoring_payments(
-            quadratic_rule(),
-            [Forecast((0.2, 0.3, 0.5))],
-            Forecast((0.5, 0.5)),
-            0,
-        )
+        payment_table(spec, _market([Forecast((0.2, 0.3, 0.5))]))
 
 
 def test_payment_table_market_defaults_to_uniform_prior():
     spec = MechanismSpec(MechanismKind.MARKET, quadratic_rule())
     players = _reporting(((0.5, 0.5), (0.8, 0.2)), ((0.5, 0.5), (0.8, 0.2)))
     table = payment_table(spec, players)
-    direct = market_scoring_payments(
-        quadratic_rule(), [p.report for p in players], uniform_prior(2), 0
-    )
-    assert table.column(0) == direct
+    assert table == payment_table(dataclasses.replace(spec, market_prior=uniform_prior(2)), players)
+    np.testing.assert_allclose(table.payments, [[0.42, -0.78], [0.0, 0.0]], atol=1e-12)
     assert table.n == 2 and table.m == 2
 
 
 def test_payment_table_matches_per_outcome_functions():
+    # Each payment from the per-outcome score: wager times score, less the
+    # wager share of the pool's total under the competitive scheme.
     players = _reporting(
         ((0.2, 0.8), (0.3, 0.7)), ((0.9, 0.1), (0.8, 0.2)), wagers=[1.0, 2.0]
     )
-    rule = spherical_rule()
+    rule = spherical_rule(a=(0.1, -0.2), b=1.5)
     trad = payment_table(MechanismSpec(MechanismKind.TRADITIONAL, rule), players)
     comp = payment_table(MechanismSpec(MechanismKind.COMPETITIVE, rule), players)
     for j in (0, 1):
-        assert trad.column(j) == traditional_payments(rule, players, j)
-        assert comp.column(j) == competitive_payments(rule, players, j)
+        wagered = [p.wager * score(rule, p.report, j) for p in players]
+        share = [p.wager / 3.0 * math.fsum(wagered) for p in players]
+        for i in (0, 1):
+            assert trad.payments[i][j] == pytest.approx(wagered[i], rel=1e-15)
+            assert comp.payments[i][j] == pytest.approx(wagered[i] - share[i], rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -313,12 +315,11 @@ def test_log_of_zero_raises_from_tables_and_surpluses():
     for kind in MechanismKind:
         with pytest.raises(LogOfZero):
             payment_table(MechanismSpec(kind, rule), players)
-    # The zero entry only matters in the state it has no mass on.
-    assert traditional_payments(rule, players, 1)[0] == 0.0
     with pytest.raises(LogOfZero):
-        traditional_payments(rule, players, 0)
-    with pytest.raises(LogOfZero):
-        surplus_by_outcome(rule, players, Coalition((0, 1)), Forecast((0.0, 1.0)))
+        intermediary_profit_by_outcome(
+            MechanismSpec(MechanismKind.TRADITIONAL, rule), players, Coalition((0, 1)),
+            Forecast((0.0, 1.0)),
+        )
     # An outsider's zero entry leaves both surpluses undefined at that
     # outcome only.
     players = _reporting(
@@ -343,14 +344,7 @@ def test_per_outcome_functions_reject_outcomes_out_of_range():
     )
     coalition = Coalition((0, 1))
     q = Forecast((0.5, 0.5))
-    reports = [p.report for p in players]
     for outcome in (-1, 2):
-        with pytest.raises(DimensionMismatch):
-            traditional_payments(rule, players, outcome)
-        with pytest.raises(DimensionMismatch):
-            competitive_payments(rule, players, outcome)
-        with pytest.raises(DimensionMismatch):
-            market_scoring_payments(rule, reports, uniform_prior(2), outcome)
         with pytest.raises(DimensionMismatch):
             coalition_surplus_competitive(rule, players, coalition, q, outcome)
         with pytest.raises(DimensionMismatch):
@@ -373,7 +367,6 @@ def test_gains_reject_offsets_of_the_wrong_length(rule):
     calls = [
         lambda: payment_table(MechanismSpec(MechanismKind.TRADITIONAL, rule), players),
         lambda: arbitrage_report(rule, players, coalition),
-        lambda: surplus_by_outcome(rule, players, coalition, q),
         lambda: verify_dominance_oracle(rule, players, coalition, q),
         lambda: coalition_surplus_competitive(rule, players, coalition, q, 0),
         lambda: coalition_surplus_market(rule, players, (0, 2, 1), coalition, q, 0),
@@ -405,13 +398,28 @@ def test_mechanism_spec_prior_validation():
         )
 
 
+def test_payments_past_the_float_range_are_a_payment_overflow():
+    # Wagered log scores at 2**1023 pass the float range: an error naming
+    # the largest wager, not -inf payments after a numpy overflow warning.
+    beliefs = [(0.98, 0.01, 0.01), (0.01, 0.01, 0.98), (0.3, 0.3, 0.4)]
+    players = _reporting(*((b, b) for b in beliefs), wagers=[2.0**1023, 2.0**1023, 1.0])
+    rule = logarithmic_rule()
+    for kind in (MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE):
+        with pytest.raises(PaymentOverflow) as err:
+            payment_table(MechanismSpec(kind, rule), players)
+        assert str(err.value) == (
+            "payments at wagers up to 8.98846567431158e+307 pass the float range; "
+            "scale the wagers down"
+        )
+    # Market scoring ignores the wagers.
+    table = payment_table(MechanismSpec(MechanismKind.MARKET, rule), players)
+    assert np.isfinite(table.payments).all()
+
+
 def test_payment_table_rejects_empty_pool():
-    # The per-outcome payments refuse no players as payment_table does.
-    with pytest.raises(ValidationError, match="^no players$"):
-        payment_table(MechanismSpec(MechanismKind.TRADITIONAL, quadratic_rule()), [])
-    for pay in (traditional_payments, competitive_payments):
+    for kind in MechanismKind:
         with pytest.raises(ValidationError, match="^no players$"):
-            pay(quadratic_rule(), [], 0)
+            payment_table(MechanismSpec(kind, quadratic_rule()), [])
 
 
 def test_competitive_surplus_frozen_example():

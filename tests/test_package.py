@@ -106,6 +106,44 @@ def test_every_private_name_has_a_reader():
     assert sorted(defined - used) == []
 
 
+def _errors_used(tree: ast.AST) -> set[str]:
+    """Names a module raises, subclasses or warns with as the category."""
+    def name(node: ast.AST | None) -> str | None:
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            used.add(name(node.exc))
+        elif isinstance(node, ast.ClassDef):
+            used.update(name(base) for base in node.bases)
+        elif isinstance(node, ast.Call) and name(node.func) == "warn":
+            category = [k.value for k in node.keywords if k.arg == "category"] or node.args[1:2]
+            used.update(name(c) for c in category)
+    return used
+
+
+def test_every_error_class_has_a_raiser():
+    # An error class earns its place by being raised or used as a warning
+    # category in the package outside errors.py and __init__.py, or by a
+    # subclass: one whose last raiser is deleted shows here, though
+    # __init__.py still exports it.
+    sample = ast.parse(
+        "raise A\nraise B('x') from None\nclass C(D): pass\nwarnings.warn('x', E)\n"
+        "warnings.warn('x', category=F, stacklevel=2)\ntry:\n    H('x')\nexcept G:\n    pass\n"
+    )
+    assert _errors_used(sample) == {"A", "B", "D", "E", "F"}
+    package = Path(__file__).resolve().parents[1] / "src" / "coalition_forge"
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    used = _errors_used(errors) | set().union(*(
+        _errors_used(ast.parse(path.read_text(encoding="utf-8")))
+        for path in package.rglob("*.py") if path.name not in ("errors.py", "__init__.py")
+    ))
+    assert sorted(defined - used) == []
+
+
 def _file_writes(tree: ast.AST) -> list[ast.Call]:
     """Calls in tree that may write a file: write_text, write_bytes,
     os.open, and open, Path.open or os.fdopen with a mode that is not a

@@ -22,7 +22,6 @@ from coalition_forge import (
     GeneratorMismatch,
     LogOfZero,
     NonMonotoneGenerator,
-    NonPositiveWeight,
     OutOfDomain,
     Player,
     PropernessReport,
@@ -45,7 +44,6 @@ from coalition_forge import (
     score,
     score_table,
     spherical_rule,
-    weighted_mean,
 )
 
 from coalition_forge import rules, simplex
@@ -133,16 +131,16 @@ def test_rule_constructor_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_parameters_and_weights_are_rejected(bad):
     # NaN passes every plain comparison, and inf passes "> 0": a NaN scale
-    # once gave a properness check passed=True with a NaN margin, and a
-    # weighted mean a "sum" error after a RuntimeWarning.
+    # once gave a properness check passed=True with a NaN margin. A wager
+    # weighs a member's belief in every equalizer.
     with pytest.raises(ValidationError, match="scale b"):
         quadratic_rule(b=bad)
     with pytest.raises(ValidationError, match="floor"):
         generalized_log_rule(bad)
     with pytest.raises(ValidationError, match="affine offsets"):
         quadratic_rule(a=(bad, 0.0))
-    with pytest.raises(NonPositiveWeight, match="weight"):
-        weighted_mean([Forecast((0.5, 0.5)), Forecast((0.4, 0.6))], [1.0, bad])
+    with pytest.raises(ValidationError, match="wager"):
+        Player(Forecast((0.5, 0.5)), bad)
 
 
 def test_savage_scores_for_square_generator():

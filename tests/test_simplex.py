@@ -1,4 +1,7 @@
-"""Tests for probability-vector validation, norms, means, and grids."""
+"""Tests for probability-vector validation, norms, means, and grids.
+
+The wager-weighted mean of beliefs is the quadratic rule's equalizing
+report, so the means here are arbitrage_report's under that rule."""
 
 from __future__ import annotations
 
@@ -10,16 +13,20 @@ import numpy as np
 import pytest
 
 from coalition_forge import (
+    Coalition,
+    DimensionMismatch,
     Forecast,
-    LengthMismatch,
+    InvalidCoalition,
     NegativeEntry,
-    NonPositiveWeight,
+    NonPositiveWager,
+    Player,
     SumOutOfTolerance,
     TooFewStates,
     ValidationError,
+    arbitrage_report,
     grid_array,
+    quadratic_rule,
     validate_forecast,
-    weighted_mean,
 )
 from coalition_forge import simplex
 from coalition_forge.simplex import MAX_GRID_POINTS
@@ -100,44 +107,39 @@ def test_forecast_sequence_protocol():
     np.testing.assert_array_equal(f.as_array(), np.array([0.1, 0.9]))
 
 
+def _mean(beliefs, wagers):
+    """The wager-weighted mean of the beliefs, as the quadratic rule's
+    equalizing report for a coalition holding them."""
+    players = [Player(b, w) for b, w in zip(beliefs, wagers)]
+    coalition = Coalition(tuple(range(len(players))))
+    return arbitrage_report(quadratic_rule(), players, coalition).q
+
+
 def test_weighted_mean_symmetric_pair():
-    mean = weighted_mean(
-        [Forecast((0.2, 0.8)), Forecast((0.8, 0.2))], [1.0, 1.0]
-    )
+    mean = _mean([Forecast((0.2, 0.8)), Forecast((0.8, 0.2))], [1.0, 1.0])
     np.testing.assert_allclose(mean.as_array(), [0.5, 0.5])
 
 
 def test_weighted_mean_unequal_weights():
-    mean = weighted_mean(
-        [Forecast((0.3, 0.7)), Forecast((0.5, 0.5))], [3.0, 1.0]
-    )
+    mean = _mean([Forecast((0.3, 0.7)), Forecast((0.5, 0.5))], [3.0, 1.0])
     np.testing.assert_allclose(mean.as_array(), [0.35, 0.65])
 
 
 def test_weighted_mean_single_forecast_is_identity():
     f = Forecast((0.25, 0.35, 0.4))
-    np.testing.assert_allclose(weighted_mean([f], [2.0]).as_array(), f.as_array())
-
-
-def test_weighted_mean_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        weighted_mean([Forecast((0.5, 0.5))], [1.0, 1.0])
+    assert _mean([f, f], [2.0, 0.5]) == f
 
 
 def test_weighted_mean_refuses_empty_and_mixed_lengths():
-    with pytest.raises(LengthMismatch) as err:
-        weighted_mean([], [])
-    assert str(err.value) == "empty forecast sequence"
-    with pytest.raises(LengthMismatch) as err:
-        weighted_mean([Forecast((0.5, 0.5)), Forecast((0.2, 0.3, 0.5))], [1.0, 1.0])
-    assert str(err.value) == "forecasts have mixed lengths"
+    with pytest.raises(InvalidCoalition, match="^coalition has no members$"):
+        Coalition(())
+    with pytest.raises(DimensionMismatch, match="^member beliefs have mixed lengths$"):
+        _mean([Forecast((0.5, 0.5)), Forecast((0.2, 0.3, 0.5))], [1.0, 1.0])
 
 
 def test_weighted_mean_rejects_nonpositive_weight():
-    with pytest.raises(NonPositiveWeight):
-        weighted_mean(
-            [Forecast((0.5, 0.5)), Forecast((0.4, 0.6))], [1.0, 0.0]
-        )
+    with pytest.raises(NonPositiveWager):
+        _mean([Forecast((0.5, 0.5)), Forecast((0.4, 0.6))], [1.0, 0.0])
 
 
 def test_weighted_mean_stays_on_simplex():
@@ -146,10 +148,10 @@ def test_weighted_mean_stays_on_simplex():
     rng = np.random.default_rng(202)
     for _ in range(200):
         m = int(rng.integers(2, 6))
-        k = int(rng.integers(1, 5))
+        k = int(rng.integers(2, 5))
         forecasts = [random_forecast(rng, m) for _ in range(k)]
         weights = rng.uniform(0.1, 5.0, size=k).tolist()
-        mean = weighted_mean(forecasts, weights)
+        mean = _mean(forecasts, weights)
         assert math.isclose(sum(mean.probs), 1.0, abs_tol=1e-9)
         assert min(mean.probs) >= 0.0
 
