@@ -32,7 +32,6 @@ from .errors import (
     DegenerateBelief,
     DimensionMismatch,
     FractionOutOfRange,
-    GeneratorMismatch,
     InvalidCoalition,
     LogOfZero,
     MissingReport,

@@ -50,6 +50,7 @@ from .rules import (
     _score_columns,
     _unfloored_log,
     _unit_table,
+    custom_binary_rule,
 )
 from .simplex import (
     Forecast,
@@ -215,10 +216,12 @@ def _scaled_wagers(w: Sequence[float] | np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _member_arrays(
-    players: list[Player] | tuple[Player, ...], coalition: Coalition
+    players: list[Player] | tuple[Player, ...], coalition: Coalition, minimum: int = 2
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The members' beliefs, one per row, and their wagers as w / 2**k with
-    k from _scaled_wagers."""
+    k from _scaled_wagers, once the coalition is validated against the
+    players with at least minimum members."""
+    coalition.validate(len(players), minimum)
     chosen = [players[i] for i in coalition.members]
     P = _stack([p.belief for p in chosen])
     if P is None:
@@ -326,11 +329,8 @@ def binary_equalizer(
     bisection; the root is strictly between the extreme member beliefs
     whenever they disagree, and equals the shared belief otherwise.
     """
-    coalition.validate(len(players))
     P, w, _ = _member_arrays(players, coalition)
-    if P.shape[1] != 2:
-        raise DimensionMismatch("binary equalizer needs exactly 2 states")
-    return _bisect_equalizer(gen, P[:, 0], w / w.sum())
+    return float(_equalizing_array(custom_binary_rule(gen), P, w)[0])
 
 
 def _equalizing_array(rule: ScoringRule, P: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -511,7 +511,6 @@ def closed_form_surplus(
     (logarithmic family), and a function of the aggregated unit vectors
     (spherical). It is multiplied by the rule's scale b once.
     """
-    coalition.validate(len(players))
     # Formed on the wagers w / 2**k, then scaled back.
     P, w, k = _member_arrays(players, coalition)
     w_c = float(w.sum())
@@ -541,8 +540,7 @@ def spherical_aux(
     coalition has a single member) and drops strictly below 1 under any
     disagreement.
     """
-    coalition.validate(len(players), minimum=1)
-    P, w, _ = _member_arrays(players, coalition)
+    P, w, _ = _member_arrays(players, coalition, minimum=1)
     Y = _spherical_y(P, w)
     y_bar, ssd = _spherical_spread(Y)
     sum_sq = float((Y * Y).sum())
@@ -564,7 +562,6 @@ def arbitrage_report(
     the surplus is b times them, so neither q nor the flags depend on the
     rule's offsets or scale.
     """
-    coalition.validate(len(players))
     P, w, _ = _member_arrays(players, coalition)
     if rule.kind is RuleKind.CUSTOM_BINARY and P.shape[1] != 2:
         raise DimensionMismatch("custom binary rules support exactly 2 states")
@@ -643,7 +640,6 @@ def grid_search_equalizer(
     """
     if resolution < 10:
         raise ValidationError(f"resolution must be >= 10, got {resolution}")
-    coalition.validate(len(players))
     # w / 2**k scales every surplus by one power of two, exactly, so the
     # maximizer stays where it is.
     P, w, _ = _member_arrays(players, coalition)

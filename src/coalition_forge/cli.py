@@ -37,6 +37,7 @@ from .arbitrage import (
     MechanismKind,
     Verdict,
     _coalition_surplus,
+    _member_arrays,
     _scaled_wagers,
     arbitrage_report,
     closed_form_surplus,
@@ -54,7 +55,7 @@ from .errors import (
 from .mechanisms import payment_table
 from .rules import _properness_scan
 from .scenario import Scenario, load_scenario, scenario_digest
-from .simplex import _stack, uniform_prior
+from .simplex import uniform_prior
 from .simulate import (
     expected_surplus_sweep,
     intermediary_run,
@@ -247,7 +248,7 @@ def cmd_arbitrage(args: argparse.Namespace, sc: Scenario) -> _Result | int:
 
 def _beliefs_agree(sc: Scenario) -> bool:
     """Whether the coalition's members agree by belief distance."""
-    return members_agree(_stack([sc.players[i].belief for i in sc.coalition.members]))
+    return members_agree(_member_arrays(sc.players, sc.coalition)[0])
 
 
 def _coordinated(sc: Scenario) -> tuple[list | None, str | None]:

@@ -115,10 +115,6 @@ class NonMonotoneGenerator(NumericalError):
     """A generator's derivative is not strictly increasing where required."""
 
 
-class GeneratorMismatch(NumericalError):
-    """A generator's derivative disagrees with finite differences of g."""
-
-
 class CoalitionForgeWarning(UserWarning):
     """Base class for the package's warnings: a computation proceeds on an
     input that withdraws one of its guarantees."""

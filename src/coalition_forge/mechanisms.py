@@ -72,14 +72,6 @@ class PaymentTable:
 
     payments: tuple[tuple[float, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.payments)
-
-    @property
-    def m(self) -> int:
-        return len(self.payments[0]) if self.payments else 0
-
     def column_sum(self, outcome: int) -> float:
         return math.fsum(row[outcome] for row in self.payments)
 

@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    GeneratorMismatch,
     LogOfZero,
-    NonMonotoneGenerator,
     OutOfDomain,
     TooFewStates,
     UnboundedRule,
@@ -34,11 +32,6 @@ from .simplex import (
     _lattice_index,
     _stack,
 )
-
-
-# ConvexGenerator.spot_check samples this many points, each at least two
-# central-difference steps inside the domain.
-_SPOT_CHECK_POINTS, _SPOT_CHECK_STEP = 33, 1e-5
 
 
 class RuleKind(str, Enum):
@@ -66,35 +59,11 @@ class ConvexGenerator:
     g: Callable[[float], float]
     g_prime: Callable[[float], float]
     domain: tuple[float, float] = (0.0, 1.0)
-    label: str = "custom"
 
     def __post_init__(self):
         lo, hi = self.domain
         if not (0.0 <= lo < hi <= 1.0):
             raise ValidationError(f"domain {self.domain!r} must be an interval within [0, 1]")
-
-    def spot_check(self) -> None:
-        """Sample the interior: g_prime must be strictly increasing, and a
-        central difference of g must match g_prime within 1e-6 relative.
-
-        Raises NonMonotoneGenerator or GeneratorMismatch.
-        """
-        points, h = _SPOT_CHECK_POINTS, _SPOT_CHECK_STEP
-        lo, hi = self.domain
-        inner_lo, inner_hi = lo + 2 * h, hi - 2 * h
-        xs = [inner_lo + (inner_hi - inner_lo) * i / (points - 1) for i in range(points)]
-        derivs = [self.g_prime(x) for x in xs]
-        for a, b in zip(derivs, derivs[1:]):
-            if not b > a:
-                raise NonMonotoneGenerator(
-                    f"{self.label}: derivative not strictly increasing ({a!r} -> {b!r})"
-                )
-        for x, d in zip(xs, derivs):
-            fd = (self.g(x + h) - self.g(x - h)) / (2 * h)
-            if abs(fd - d) > 1e-6 * max(1.0, abs(d)):
-                raise GeneratorMismatch(
-                    f"{self.label}: finite difference {fd!r} vs derivative {d!r} at {x!r}"
-                )
 
 
 def logit_generator() -> ConvexGenerator:
@@ -106,7 +75,6 @@ def logit_generator() -> ConvexGenerator:
         g=lambda r: r * math.log(r) + (1.0 - r) * math.log(1.0 - r),
         g_prime=lambda r: math.log(r / (1.0 - r)),
         domain=(0.0, 1.0),
-        label="negative-entropy",
     )
 
 

@@ -270,7 +270,7 @@ def test_binary_equalizer_needs_two_states():
         Player(Forecast((0.2, 0.3, 0.5)), 1.0),
         Player(Forecast((0.5, 0.3, 0.2)), 1.0),
     ]
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^custom binary rules support exactly 2 states$"):
         binary_equalizer(logit_generator(), players, PAIR)
 
 

@@ -239,7 +239,7 @@ def test_payment_table_market_defaults_to_uniform_prior():
     table = payment_table(spec, players)
     assert table == payment_table(dataclasses.replace(spec, market_prior=uniform_prior(2)), players)
     np.testing.assert_allclose(table.payments, [[0.42, -0.78], [0.0, 0.0]], atol=1e-12)
-    assert table.n == 2 and table.m == 2
+    assert np.shape(table.payments) == (2, 2)
 
 
 def test_payment_table_matches_per_outcome_functions():
@@ -675,8 +675,8 @@ def test_mechanism_kind_given_as_its_name():
     assert spec.kind is MechanismKind.COMPETITIVE
     assert spec == MechanismSpec(MechanismKind.COMPETITIVE, rule)
     table = payment_table(spec, players)
-    assert table.n == 3
-    for j in range(table.m):
+    assert len(table.payments) == 3
+    for j in range(len(table.payments[0])):
         assert table.column_sum(j) == pytest.approx(0.0, abs=1e-12)
     assert MechanismSpec("market", rule, uniform_prior(2)).kind is MechanismKind.MARKET
     for bogus in ("bogus", "kilgour_gerchak", None, []):

@@ -106,7 +106,7 @@ def pools(draw):
 def test_competitive_columns_sum_to_zero(pool):
     name, players, _, _ = pool
     table = payment_table(MechanismSpec(MechanismKind.COMPETITIVE, RULES[name]), players)
-    for j in range(table.m):
+    for j in range(len(table.payments[0])):
         assert abs(table.column_sum(j)) <= 1e-9
 
 

@@ -19,9 +19,7 @@ from coalition_forge import (
     ConvexGenerator,
     DimensionMismatch,
     Forecast,
-    GeneratorMismatch,
     LogOfZero,
-    NonMonotoneGenerator,
     OutOfDomain,
     Player,
     PropernessReport,
@@ -145,7 +143,6 @@ def test_non_finite_parameters_and_weights_are_rejected(bad):
 
 def test_savage_scores_for_square_generator():
     gen = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r)
-    gen.spot_check()
     assert savage_binary_score(gen, 0.5, 0) == pytest.approx(0.75)
     assert savage_binary_score(gen, 0.5, 1) == pytest.approx(-0.25)
     with pytest.raises(OutOfDomain):
@@ -226,18 +223,6 @@ def test_expected_score_examples():
     # A two-state report has no score at a third state.
     with pytest.raises(DimensionMismatch):
         _expected_score(rule, half, Forecast((0.2, 0.3, 0.5)))
-
-
-def test_spot_check_rejects_concave_generator():
-    concave = ConvexGenerator(g=lambda r: -r * r, g_prime=lambda r: -2.0 * r)
-    with pytest.raises(NonMonotoneGenerator):
-        concave.spot_check()
-
-
-def test_spot_check_rejects_wrong_derivative():
-    off = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r + 0.1)
-    with pytest.raises(GeneratorMismatch):
-        off.spot_check()
 
 
 def test_generator_domain_validation():

@@ -4,6 +4,7 @@ intermediary runs, and market sessions."""
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -236,6 +237,53 @@ def test_sweep_competitive_is_scaled_traditional_with_shared_seed():
     for rc, rt in zip(comp.rows, trad.rows):
         share = rc.coalition_size / 20.0
         assert rc.mean == pytest.approx((1.0 - share) * rt.mean, rel=1e-9)
+
+
+def _trace_cov(sampler: BetaBinary | DirichletM) -> float:
+    """tr Cov of one belief the sampler draws. A Beta(a, b) binary belief
+    (x, 1 - x) is Dirichlet(a, b), whose tr Cov is
+    sum_j a_j (a_0 - a_j) / (a_0^2 (a_0 + 1))."""
+    alphas = (sampler.alpha, sampler.beta) if isinstance(sampler, BetaBinary) else sampler.alphas
+    a0 = math.fsum(alphas)
+    return math.fsum(a * (a0 - a) for a in alphas) / (a0 * a0 * (a0 + 1.0))
+
+
+# (pool, sampler, n, seed); fractions 1/4, 1/2 and 3/4 give coalitions of
+# 2 to 12.
+ORACLE_SWEEPS = [
+    (MechanismKind.TRADITIONAL, BetaBinary(2.0, 2.0), 12, 101),
+    (MechanismKind.TRADITIONAL, DirichletM((1.0, 1.0, 1.0)), 8, 102),
+    (MechanismKind.TRADITIONAL, DirichletM((0.5, 1.0, 2.0, 1.0, 0.5)), 16, 103),
+    (MechanismKind.COMPETITIVE, BetaBinary(0.5, 3.0), 16, 104),
+    (MechanismKind.COMPETITIVE, DirichletM((2.0, 1.0, 0.5)), 12, 105),
+    (MechanismKind.COMPETITIVE, DirichletM((1.0,) * 5), 8, 106),
+]
+ORACLE_FRACTIONS = (0.25, 0.5, 0.75)
+ORACLE_TRIALS = 1_500
+# Two-sided Bonferroni bound: every row of every sweep inside k standard
+# errors with probability at least 1 - 1e-3 when the sweep is right.
+ORACLE_K = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(ORACLE_SWEEPS) * len(ORACLE_FRACTIONS)))
+
+
+def test_quadratic_sweeps_match_the_expected_surplus():
+    # Under the quadratic rule the equalizer of equal wagers is the members'
+    # mean q, and the traditional gain is sum_i ||p_i - q||^2 in every
+    # outcome: with i.i.d. beliefs its expectation is (c - 1) tr Cov(p),
+    # and the competitive pool pays (1 - c/n) of it. Each row's mean must
+    # lie within ORACLE_K of its own standard errors of that value.
+    assert 4.0 < ORACLE_K < 4.1
+    found = []
+    for kind, sampler, n, seed in ORACLE_SWEEPS:
+        result = expected_surplus_sweep(
+            MechanismSpec(kind, quadratic_rule()), sampler, n, ORACLE_FRACTIONS,
+            ORACLE_TRIALS, seed=seed,
+        )
+        for row in result.rows:
+            c = row.coalition_size
+            share = 1.0 - c / n if kind is MechanismKind.COMPETITIVE else 1.0
+            z = (row.mean - share * (c - 1) * _trace_cov(sampler)) / row.se
+            found.append((kind.value, sampler, n, c, round(z, 2)))
+    assert [f for f in found if abs(f[-1]) > ORACLE_K] == []
 
 
 def test_sweep_full_pool_competitive_surplus_is_zero():
