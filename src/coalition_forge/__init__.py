@@ -75,7 +75,6 @@ from .rules import (
     logit_generator,
     normalize_to_unit_interval,
     quadratic_rule,
-    savage_binary_score,
     score,
     score_table,
     spherical_rule,

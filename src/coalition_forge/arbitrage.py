@@ -303,7 +303,10 @@ def _bisect_equalizer(gen: ConvexGenerator, p: np.ndarray, v: np.ndarray) -> flo
             raise NonMonotoneGenerator(
                 f"derivative not strictly increasing near [{lo!r}, {hi!r}]"
             )
-    for _ in range(200):
+    # 1,100 steps close any bracket in (0, 1) down to adjacent floats,
+    # 2**-1074 being the smallest float step; the steps left then repeat
+    # the last midpoint.
+    for _ in range(1_100):
         mid = 0.5 * (lo + hi)
         residual = gen.g_prime(mid) - target
         if abs(residual) <= _BISECTION_TOL:
@@ -312,8 +315,13 @@ def _bisect_equalizer(gen: ConvexGenerator, p: np.ndarray, v: np.ndarray) -> flo
             lo = mid
         else:
             hi = mid
+    # No float lies between the ends, and one float step of g' can exceed
+    # the tolerance: the end nearer a root they bracket stands for it.
+    r_lo, r_hi = gen.g_prime(lo) - target, gen.g_prime(hi) - target
+    if r_lo <= 0.0 <= r_hi:
+        return lo if -r_lo <= r_hi else hi
     raise NoConvergence(
-        f"bisection residual above {_BISECTION_TOL!r} after 200 iterations"
+        f"bisection residual above {_BISECTION_TOL!r} with no root bracketed in [{lo!r}, {hi!r}]"
     )
 
 
@@ -333,12 +341,22 @@ def binary_equalizer(
     return float(_equalizing_array(custom_binary_rule(gen), P, w)[0])
 
 
+def _check_equalizable(rule: ScoringRule, m: int) -> None:
+    """Refuse a rule with no equalizing construction over m states: the
+    linear rule, and a custom binary rule at m != 2."""
+    if rule.kind is RuleKind.LINEAR:
+        raise UnsupportedRule(f"no equalizing construction for rule kind {rule.kind.value!r}")
+    if rule.kind is RuleKind.CUSTOM_BINARY and m != 2:
+        raise DimensionMismatch("custom binary rules support exactly 2 states")
+
+
 def _equalizing_array(rule: ScoringRule, P: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Equalizing report as a bare array.
 
     Members near a vertex leave entries such as -1.7e-16 where the exact
     report is 0; that float dust is snapped to 0 so q is a valid Forecast.
     """
+    _check_equalizable(rule, P.shape[1])
     kind = rule.kind
     if kind is RuleKind.QUADRATIC:
         q = (w[:, None] * P).sum(axis=0) / w.sum()
@@ -346,15 +364,9 @@ def _equalizing_array(rule: ScoringRule, P: np.ndarray, w: np.ndarray) -> np.nda
         q = _geometric_equalizer(P, w, rule.floor)[0]
     elif kind is RuleKind.SPHERICAL:
         q = _spherical_equalizer(_spherical_y(P, w))
-    elif kind is RuleKind.CUSTOM_BINARY:
-        if P.shape[1] != 2:
-            raise DimensionMismatch("custom binary rules support exactly 2 states")
+    else:  # RuleKind.CUSTOM_BINARY over two states
         q1 = _bisect_equalizer(rule.generator, P[:, 0], w / w.sum())
         q = np.asarray([q1, 1.0 - q1])
-    else:
-        raise UnsupportedRule(
-            f"no equalizing construction for rule kind {kind.value!r}"
-        )
     return _clear_dust(q)
 
 
@@ -554,17 +566,17 @@ def arbitrage_report(
 ) -> ArbitrageResult:
     """Equalizing report and surplus for a coalition under a rule.
 
-    Dispatches per family; agreeing members get their shared belief back
-    with zero surplus and the agreement flag set. Members that disagree
-    but whose equalizer gains no more than AGREEMENT_TOL in some outcome
-    under the unit rule get the equalizer and its surplus, with the
-    agreement flag set. The flags are decided on the unit rule's gains and
-    the surplus is b times them, so neither q nor the flags depend on the
-    rule's offsets or scale.
+    Refuses the linear rule, and a custom binary rule at m != 2, whether
+    or not the members agree. Dispatches per family; agreeing members get
+    their shared belief back with zero surplus and the agreement flag set.
+    Members that disagree but whose equalizer gains no more than
+    AGREEMENT_TOL in some outcome under the unit rule get the equalizer
+    and its surplus, with the agreement flag set. The flags are decided on
+    the unit rule's gains and the surplus is b times them, so neither q
+    nor the flags depend on the rule's offsets or scale.
     """
     P, w, _ = _member_arrays(players, coalition)
-    if rule.kind is RuleKind.CUSTOM_BINARY and P.shape[1] != 2:
-        raise DimensionMismatch("custom binary rules support exactly 2 states")
+    _check_equalizable(rule, P.shape[1])
     if members_agree(P):
         # A shared belief is its own report.
         q = players[coalition.members[0]].belief

@@ -27,7 +27,6 @@ from .errors import (
 from .simplex import (
     Forecast,
     _block_rows,
-    _interior_rows,
     _lattice_blocks,
     _lattice_index,
     _stack,
@@ -155,20 +154,6 @@ def _tuple_or_none(a: Sequence[float] | None) -> tuple[float, ...] | None:
     return None if a is None else tuple(float(x) for x in a)
 
 
-def savage_binary_score(gen: ConvexGenerator, r: float, outcome: int) -> float:
-    """Score of a binary report (r, 1-r) built from a convex generator.
-
-    outcome 0 pays G(r) + (1-r)G'(r); outcome 1 pays G(r) - rG'(r).
-    r must lie strictly inside the generator's domain.
-    """
-    lo, hi = gen.domain
-    if not (lo < r < hi):
-        raise OutOfDomain(f"report probability {r!r} outside open domain ({lo!r}, {hi!r})")
-    if outcome not in (0, 1):
-        raise DimensionMismatch(f"outcome index {outcome} for a binary rule")
-    return _savage_pair(gen, r)[int(outcome)]
-
-
 def _savage_pair(gen: ConvexGenerator, r: float) -> tuple[float, float]:
     """Both outcomes' scores of the binary report (r, 1-r), from one G(r)
     and one G'(r): (G + (1-r)G', G - rG')."""
@@ -258,7 +243,7 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
         R /= norms
     elif kind is RuleKind.LINEAR:
         pass
-    elif kind is RuleKind.CUSTOM_BINARY:
+    else:  # RuleKind.CUSTOM_BINARY, the last of the six
         if m != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
         gen = rule.generator
@@ -268,8 +253,6 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
         R.fill(-np.inf)
         if inside:
             R[inside] = [_savage_pair(gen, reports[i]) for i in inside]
-    else:
-        raise UnsupportedRule(f"unknown rule kind {kind!r}")
 
 
 def _unfloored_log(rule: ScoringRule) -> bool:
@@ -337,7 +320,11 @@ def _score_columns(
             for i in np.flatnonzero(table[:, k] == -np.inf):
                 r = reports[i]
                 if rule.kind is RuleKind.CUSTOM_BINARY:
-                    savage_binary_score(rule.generator, r[0], j)
+                    lo, hi = rule.generator.domain
+                    if not lo < r[0] < hi:
+                        raise OutOfDomain(
+                            f"report probability {r[0]!r} outside open domain ({lo!r}, {hi!r})"
+                        )
                 elif rule.kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG) and r[j] <= 0.0:
                     raise LogOfZero(
                         f"state {j + 1} has probability {r[j]!r}; "
@@ -468,8 +455,7 @@ def _lattice_scan(
     """
     keep_buf = np.empty(_block_rows(m, resolution, interior=interior), dtype=bool)
     k = len(queries)
-    left_out = math.comb(resolution + m - 1, m - 1) - _interior_rows(m, resolution) if interior else 0
-    checked, skipped = [0] * k, [left_out] * k
+    checked, skipped = [0] * k, [0] * k
     best, best_parts = [-math.inf] * k, [None] * k
     start = 0  # rows streamed before the block
     for parts, table in _lattice_blocks(m, resolution, interior=interior):
@@ -495,7 +481,9 @@ def _lattice_scan(
                 best[i], best_parts[i] = float(values[j]), parts[j].copy()
             del values
         start += n
-    return list(zip(best, best_parts, checked, skipped))
+    # Every row of the lattice the interior left out is skipped.
+    left_out = math.comb(resolution + m - 1, m - 1) - start
+    return list(zip(best, best_parts, checked, [s + left_out for s in skipped]))
 
 
 def _expected_scores(

@@ -139,8 +139,10 @@ def _block_rows(
 ) -> int:
     """Rows of the buffers behind _lattice_blocks(m, resolution, block_rows,
     interior): the block limit, or the rows streamed when they are fewer.
-    Checks the arguments as _lattice_blocks does; MAX_GRID_POINTS and
-    MAX_GRID_ENTRIES bound the whole lattice, interior or not."""
+    The rows streamed are C(resolution + m - 1, m - 1), or with interior
+    set the compositions of resolution - m into m parts, C(resolution - 1,
+    m - 1). Checks the arguments as _lattice_blocks does; MAX_GRID_POINTS
+    and MAX_GRID_ENTRIES bound the whole lattice, interior or not."""
     if m < 2:
         raise TooFewStates(f"need at least 2 states, got {m}")
     if resolution < 1:
@@ -153,21 +155,10 @@ def _block_rows(
             f"{MAX_GRID_POINTS:,} points or {MAX_GRID_ENTRIES:,} entries"
         )
     if interior:
-        n = _interior_rows(m, resolution)
-    return min(_block_limit(m, block_rows), n)
-
-
-def _interior_rows(m: int, resolution: int) -> int:
-    """Rows of grid_array(m, resolution) with no zero entry: the
-    compositions of resolution - m into m parts, C(resolution - 1, m - 1)."""
-    return math.comb(resolution - 1, m - 1)
-
-
-def _block_limit(m: int, block_rows: int | None) -> int:
-    # Most rows in one block of _lattice_blocks.
-    if block_rows is not None:
-        return block_rows
-    return min(BLOCK_ROWS, max(BLOCK_ENTRIES // m, m, 3))
+        n = math.comb(resolution - 1, m - 1)
+    if block_rows is None:
+        block_rows = min(BLOCK_ROWS, max(BLOCK_ENTRIES // m, m, 3))
+    return min(block_rows, n)
 
 
 def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None, interior: bool = False):
@@ -206,14 +197,15 @@ def _lattice_blocks(m: int, resolution: int, block_rows: int | None = None, inte
     falls in, and both lattice scans work row by row, so their reports do
     not depend on the limit.
     """
+    # The buffers' rows are the block limit whenever the stream takes more
+    # than one block, so they serve as the limit.
     capacity = _block_rows(m, resolution, block_rows, interior)
-    limit = _block_limit(m, block_rows)
     # Units spread over the columns; an interior row has one more in each.
     units = resolution - m if interior else resolution
     if units < 0:
         return iter(())
     n = math.comb(units + m - 1, m - 1)
-    edges = [*range(0, n, limit), n]
+    edges = [*range(0, n, capacity), n]
     # rows[k][r] = C(r + k - 1, k - 1), the full rows below a partial row
     # with r units left over k open columns (k >= 2). By the hockey-stick
     # identity each table is the running sum of the one before, so the

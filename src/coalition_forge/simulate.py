@@ -271,30 +271,27 @@ def expected_surplus_sweep(
     competitive = mechanism.kind is MechanismKind.COMPETITIVE
     surplus = np.empty((len(fractions), trials))
 
-    def one_trial(fi: int, t: int) -> float:
-        rng = substream(base_seed, fi * trials + t)
-        beliefs = sampler.draw(rng, n)
-        c = sizes[fi]
-        members = rng.choice(n, size=c, replace=False)
-        outcome = int(rng.integers(m))
-        q = _equalizing_array(rule, beliefs[members], np.ones(c))
-        s_q = float(_unit_table(rule, q[None, :])[0, outcome])
-        all_scores = _unit_table(rule, beliefs)[:, outcome]
-        member_total = float(all_scores[members].sum())
-        if not competitive:
-            return rule.b * (c * s_q - member_total)
-        # Self-financed pool: coalition payment is its wagered-score sum
-        # minus its wager share of the whole pool's total, evaluated for
-        # both scenarios with outsiders fixed at truth.
-        total_truth = float(all_scores.sum())
-        total_coord = total_truth - member_total + c * s_q
-        coal_truth = member_total - (c / n) * total_truth
-        coal_coord = c * s_q - (c / n) * total_coord
-        return rule.b * (coal_coord - coal_truth)
-
-    for fi in range(len(fractions)):
+    for fi, c in enumerate(sizes):
         for t in range(trials):
-            surplus[fi, t] = one_trial(fi, t)
+            rng = substream(base_seed, fi * trials + t)
+            beliefs = sampler.draw(rng, n)
+            members = rng.choice(n, size=c, replace=False)
+            outcome = int(rng.integers(m))
+            q = _equalizing_array(rule, beliefs[members], np.ones(c))
+            s_q = float(_unit_table(rule, q[None, :])[0, outcome])
+            all_scores = _unit_table(rule, beliefs)[:, outcome]
+            member_total = float(all_scores[members].sum())
+            if not competitive:
+                surplus[fi, t] = rule.b * (c * s_q - member_total)
+                continue
+            # Self-financed pool: coalition payment is its wagered-score sum
+            # minus its wager share of the whole pool's total, evaluated for
+            # both scenarios with outsiders fixed at truth.
+            total_truth = float(all_scores.sum())
+            total_coord = total_truth - member_total + c * s_q
+            coal_truth = member_total - (c / n) * total_truth
+            coal_coord = c * s_q - (c / n) * total_coord
+            surplus[fi, t] = rule.b * (coal_coord - coal_truth)
 
     rows = []
     for fi, f in enumerate(fractions):
@@ -347,10 +344,11 @@ def intermediary_run(
     scenario_id: str = "",
 ) -> IntermediaryRun:
     """Profit the intermediary locks in for each outcome; no sampling is
-    involved."""
+    involved. A market mechanism is refused, by
+    intermediary_profit_by_outcome, whether or not the clients agree."""
     arb = arbitrage_report(mechanism.rule, players, coalition)
     m = players[coalition.members[0]].belief.m
-    if arb.agreement:
+    if arb.agreement and mechanism.kind is not MechanismKind.MARKET:
         return IntermediaryRun(scenario_id, tuple(0.0 for _ in range(m)), 0.0, True)
     profits = intermediary_profit_by_outcome(mechanism, players, coalition, arb.q)
     return IntermediaryRun(scenario_id, profits, min(profits), False)

@@ -249,6 +249,20 @@ def test_binary_equalizer_stays_inside_belief_bracket():
         assert min(firsts) < q1 < max(firsts)
 
 
+@pytest.mark.parametrize("first", [(1 - 1e-10, 1 - 1e-9), (0.3, 1 - 1e-14)], ids=["both-near-1", "one-near-1"])
+def test_binary_equalizer_converges_near_certainty(first):
+    # Near 1 one float step moves the log-odds by more than the bisection
+    # tolerance, so no float meets it: the equalizer is the float next to
+    # the root, where g' - target changes sign between its neighbours.
+    players = _players(*((p, 1.0 - p) for p in first))
+    gen = logit_generator()
+    q1 = binary_equalizer(gen, players, PAIR)
+    target = 0.5 * gen.g_prime(first[0]) + 0.5 * gen.g_prime(first[1])
+    assert min(first) < q1 < max(first)
+    below, above = math.nextafter(q1, 0.0), math.nextafter(q1, 1.0)
+    assert gen.g_prime(below) - target <= 0.0 <= gen.g_prime(above) - target
+
+
 def test_binary_equalizer_rejects_non_monotone_generator():
     bad = ConvexGenerator(g=lambda r: math.sin(6 * r), g_prime=lambda r: 6 * math.cos(6 * r))
     players = _players((0.2, 0.8), (0.8, 0.2))
@@ -613,6 +627,17 @@ def test_linear_rule_has_no_equalizer():
         arbitrage_report(linear_rule(), players, PAIR)
     with pytest.raises(UnsupportedRule):
         closed_form_surplus(linear_rule(), players, PAIR)
+
+
+def test_linear_rule_is_refused_before_the_agreement_test():
+    # Agreement, zero surplus, would say truth is the coalition's best
+    # report. The linear rule is improper: a member's expected score is
+    # highest at a vertex. So it is refused before the agreement test.
+    players = _players((0.4, 0.6), (0.4, 0.6), (0.7, 0.3))
+    expected_at = [0.4 * r[0] + 0.6 * r[1] for r in ((0.4, 0.6), (0.0, 1.0))]
+    assert expected_at[1] > expected_at[0]
+    with pytest.raises(UnsupportedRule, match="^no equalizing construction for rule kind 'linear'$"):
+        arbitrage_report(linear_rule(), players, PAIR)
 
 
 def test_custom_binary_rejects_three_states():

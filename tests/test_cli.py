@@ -453,6 +453,18 @@ def test_cli_score_missing_report(tmp_path, capsys):
     assert "player 1 has no report" in capsys.readouterr().err
 
 
+def test_cli_score_payments_summing_past_the_float_range_are_invalid_input(tmp_path, capsys):
+    # Two log-rule payments near -9.6e307 each: their pool total is past
+    # the float range, so the competitive shares cannot be taken.
+    raw = _minimal_raw(rule={"kind": "logarithmic"}, mechanism="competitive")
+    raw["players"] = [{"belief": [0.5, 0.5], "wager": 6e307, "report": [0.1, 0.9]}] * 2
+    path = _write_scenario(tmp_path, raw)
+    assert main(["score", "--scenario", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: payments at wagers up to 6e+307 sum past the float range; scale the wagers down\n"
+    )
+
+
 def test_cli_rejects_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -638,6 +650,22 @@ def test_cli_arbitrage_agreement_exit_code(tmp_path, capsys):
     path = _write_scenario(tmp_path, raw)
     assert main(["arbitrage", "--scenario", path]) == 3
     assert "agree" in capsys.readouterr().err
+
+
+def test_cli_linear_rule_is_refused_when_members_agree(tmp_path, capsys):
+    # Not exit 3, "no coordinated report beats truth": under the improper
+    # linear rule a vertex beats truth in expectation.
+    raw = _minimal_raw(rule={"kind": "linear"})
+    raw["players"] = [{"belief": [0.4, 0.6]}, {"belief": [0.4, 0.6]}, {"belief": [0.7, 0.3]}]
+    path = _write_scenario(tmp_path, raw)
+    refusal = "no equalizing construction for rule kind 'linear'"
+    assert main(["arbitrage", "--scenario", path]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert main(["verify", "--scenario", path]) == 1  # the rule is improper
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("properness: FAIL")
+    assert lines[1] == f"dominance: SKIPPED  ({refusal})"
+    assert lines[2] == f"surplus_scaling_identity: SKIPPED  ({refusal})"
 
 
 def test_cli_near_agreement_is_agreement_on_the_surplus_scale(tmp_path, capsys):
@@ -992,6 +1020,18 @@ def test_cli_simulate_intermediary(capsys):
     assert profits == pytest.approx([0.18, 0.18], rel=1e-9)
 
 
+def test_cli_simulate_intermediary_refuses_market_scoring_when_clients_agree(tmp_path, capsys):
+    # Refused as disagreeing clients are, not zero profits and exit 0.
+    raw = _minimal_raw(mechanism="market", simulation={"mode": "intermediary"})
+    raw["players"] = [{"belief": [0.4, 0.6]}, {"belief": [0.4, 0.6]}, {"belief": [0.7, 0.3]}]
+    path = _write_scenario(tmp_path, raw)
+    assert main(["simulate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: intermediary runs support traditional and competitive mechanisms; "
+        "sequential markets go through a market session\n"
+    )
+
+
 def test_cli_simulate_market_session(capsys):
     assert main(
         ["simulate", "--scenario", "market_session", "--format", "csv"]
@@ -1084,6 +1124,31 @@ def test_cli_prints_each_run_warning_as_one_line_on_every_call(tmp_path, capsys,
     monkeypatch.setattr(cli, "load_scenario", warn)
     with pytest.raises(RuntimeWarning):
         main(["simulate", "--scenario", everyone])
+
+
+def test_cli_prints_other_warnings_in_pythons_format(tmp_path):
+    # Only the library's warnings get the one-line `warning:` form; any
+    # other goes to the showwarning main found, here Python's own, which
+    # a test run's warning capture would replace, so it runs in a child.
+    path = _write_scenario(tmp_path, _minimal_raw())
+    code = (
+        "import sys, warnings\n"
+        "from coalition_forge import cli\n"
+        "load = cli.load_scenario\n"
+        "def warn(path):\n"
+        "    warnings.warn_explicit('odd input', UserWarning, 'scenario.py', 7)\n"
+        "    return load(path)\n"
+        "cli.load_scenario = warn\n"
+        f"sys.exit(cli.main(['arbitrage', '--scenario', {path!r}, '--format', 'csv']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == "scenario.py:7: UserWarning: odd input\n"
+    assert done.stdout.startswith("outcome,q,surplus,oracle_margin\n")
 
 
 DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"

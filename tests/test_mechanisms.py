@@ -416,6 +416,18 @@ def test_payments_past_the_float_range_are_a_payment_overflow():
     assert np.isfinite(table.payments).all()
 
 
+def test_competitive_pool_total_past_the_float_range_is_a_payment_overflow():
+    # Each wagered log score, about -9.6e307, is finite; the pool's total
+    # of two is not, so the competitive shares cannot be taken.
+    players = _reporting(((0.5, 0.5), (0.1, 0.9)), ((0.5, 0.5), (0.1, 0.9)), wagers=[6e307, 6e307])
+    spec = MechanismSpec(MechanismKind.COMPETITIVE, logarithmic_rule())
+    with pytest.raises(PaymentOverflow) as err:
+        payment_table(spec, players)
+    assert str(err.value) == (
+        "payments at wagers up to 6e+307 sum past the float range; scale the wagers down"
+    )
+
+
 def test_payment_table_rejects_empty_pool():
     for kind in MechanismKind:
         with pytest.raises(ValidationError, match="^no players$"):

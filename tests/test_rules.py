@@ -25,6 +25,7 @@ from coalition_forge import (
     PropernessReport,
     RuleKind,
     ScoringRule,
+    TooFewStates,
     UnboundedRule,
     UnsupportedRule,
     ValidationError,
@@ -38,7 +39,6 @@ from coalition_forge import (
     logit_generator,
     normalize_to_unit_interval,
     quadratic_rule,
-    savage_binary_score,
     score,
     score_table,
     spherical_rule,
@@ -142,20 +142,22 @@ def test_non_finite_parameters_and_weights_are_rejected(bad):
 
 
 def test_savage_scores_for_square_generator():
-    gen = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r)
-    assert savage_binary_score(gen, 0.5, 0) == pytest.approx(0.75)
-    assert savage_binary_score(gen, 0.5, 1) == pytest.approx(-0.25)
-    with pytest.raises(OutOfDomain):
-        savage_binary_score(gen, 0.0, 0)
-    with pytest.raises(OutOfDomain):
-        savage_binary_score(gen, 1.0, 1)
+    rule = custom_binary_rule(ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r))
+    half = Forecast((0.5, 0.5))
+    assert score(rule, half, 0) == pytest.approx(0.75)
+    assert score(rule, half, 1) == pytest.approx(-0.25)
+    assert score_table(rule, [[0.5, 0.5]]).tolist() == [[0.75, -0.25]]
+    with pytest.raises(OutOfDomain, match=r"report probability 0\.0 outside open domain \(0\.0, 1\.0\)"):
+        score(rule, Forecast((0.0, 1.0)), 0)
+    with pytest.raises(OutOfDomain, match=r"report probability 1\.0 outside"):
+        score(rule, Forecast((1.0, 0.0)), 1)
     with pytest.raises(DimensionMismatch):
-        savage_binary_score(gen, 0.5, 2)
+        score(rule, half, 2)
 
 
 def test_custom_binary_table_scores_each_row_once():
-    # One g and one g' per in-domain row, each entry savage_binary_score's
-    # bits, and -inf at and outside the domain's edges.
+    # One g and one g' per in-domain row, each entry _savage_pair's bits,
+    # and -inf at and outside the domain's edges.
     calls = {"g": 0, "g_prime": 0}
 
     def g(r):
@@ -175,8 +177,32 @@ def test_custom_binary_table_scores_each_row_once():
     assert calls == {"g": int(inside.sum()), "g_prime": int(inside.sum())}
     assert 700 < inside.sum() < 1000 and inside[2]
     assert (S[~inside] == -np.inf).all()
-    expected = [[savage_binary_score(gen, r, j) for j in (0, 1)] for r in first[inside].tolist()]
+    expected = [rules._savage_pair(gen, r) for r in first[inside].tolist()]
     assert S[inside].tobytes() == np.asarray(expected).tobytes()
+
+
+def test_every_rule_kind_scores_its_own_family():
+    # _score_into has one branch per kind and no error branch: the last,
+    # the custom binary one, takes what the others do not. Each kind's
+    # unit scores of (0.3, 0.7) are its family's formula, so a kind that
+    # lost its branch would fall through to another family's.
+    r, l = (0.3, 0.7), 0.5
+    square = ConvexGenerator(g=lambda x: x * x, g_prime=lambda x: 2.0 * x)
+    cases = {
+        RuleKind.QUADRATIC: (quadratic_rule(), [2 * x - 0.58 for x in r]),
+        RuleKind.LOGARITHMIC: (logarithmic_rule(), [math.log(x) for x in r]),
+        RuleKind.GENERALIZED_LOG: (
+            generalized_log_rule(l),
+            [math.log(x + l) + l * (math.log(0.8) + math.log(1.2)) for x in r],
+        ),
+        RuleKind.SPHERICAL: (spherical_rule(), [x / math.sqrt(0.58) for x in r]),
+        RuleKind.LINEAR: (linear_rule(), list(r)),
+        RuleKind.CUSTOM_BINARY: (custom_binary_rule(square), [0.09 + 0.7 * 0.6, 0.09 - 0.3 * 0.6]),
+    }
+    assert set(cases) == set(RuleKind)
+    for kind, (rule, expected) in cases.items():
+        assert rule.kind is kind
+        assert score_table(rule, [r])[0].tolist() == pytest.approx(expected, rel=1e-12), kind
 
 
 def test_quadratic_generator_reproduces_quadratic_rule():
@@ -335,7 +361,9 @@ def _score_columns_by_entry(rule, reports, outcomes):
         for i in np.flatnonzero(table[:, j] == -np.inf):
             r = reports[i]
             if rule.kind is RuleKind.CUSTOM_BINARY:
-                savage_binary_score(rule.generator, r[0], j)
+                lo, hi = rule.generator.domain
+                if not lo < r[0] < hi:
+                    raise OutOfDomain(f"report probability {r[0]!r} outside open domain ({lo!r}, {hi!r})")
             elif rule.kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG) and r[j] <= 0.0:
                 raise LogOfZero(
                     f"state {j + 1} has probability {r[j]!r}; "
@@ -1183,6 +1211,11 @@ def test_normalize_with_offsets_spans_unit_interval():
 def test_normalize_preserves_properness():
     norm = normalize_to_unit_interval(generalized_log_rule(0.05), 2)
     assert check_strict_properness(norm, Forecast((0.35, 0.65)), 60).passed
+
+
+def test_normalize_needs_two_states():
+    with pytest.raises(TooFewStates, match="^need at least 2 states, got 1$"):
+        normalize_to_unit_interval(quadratic_rule(), 1)
 
 
 def test_normalize_rejects_unbounded_and_unsupported():

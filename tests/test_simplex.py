@@ -68,6 +68,11 @@ def test_validate_rejects_single_state():
         validate_forecast([1.0])
 
 
+def test_grid_array_needs_two_states():
+    with pytest.raises(TooFewStates, match="^need at least 2 states, got 1$"):
+        grid_array(1, 3)
+
+
 @pytest.mark.parametrize(
     "probs", [(math.nan, 0.5), (math.nan, 1.0), (0.5, math.inf), (math.inf, math.nan)]
 )
@@ -206,7 +211,7 @@ def test_grid_array_refuses_lattices_above_the_point_limit():
         grid_array(7, 50)
     # The limit bounds the whole lattice even where only its interior,
     # 1,344,904 of 4,496,388 rows at m = 7 and resolution 35, is streamed.
-    assert simplex._interior_rows(7, 35) <= MAX_GRID_POINTS
+    assert math.comb(35 - 1, 7 - 1) <= MAX_GRID_POINTS
     with pytest.raises(ValidationError, match=r"4,496,388"):
         simplex._lattice_blocks(7, 35, interior=True)
     with pytest.raises(ValidationError, match=r"4,496,388"):
@@ -272,8 +277,8 @@ def test_lattice_interior_blocks_are_the_rows_without_zeros(monkeypatch, limit):
             grid = grid_array(m, resolution)
             inside = grid[(grid > 0.0).all(axis=1)]
             blocks = [b.copy() for _, b in simplex._lattice_blocks(m, resolution, interior=True)]
-            assert len(inside) == simplex._interior_rows(m, resolution)
-            most = simplex._block_limit(m, None)
+            assert len(inside) == _interior_rows(m, resolution)
+            most = _block_limit(m, None)
             assert simplex._block_rows(m, resolution, interior=True) == min(most, len(inside))
             if not blocks:
                 assert len(inside) == 0
@@ -298,6 +303,20 @@ def test_lattice_blocks_cap_entries_at_wide_m():
         assert np.concatenate(blocks).tobytes() == grid_array(m, resolution).tobytes()
 
 
+def _interior_rows(m, resolution):
+    # Lattice rows with no zero entry: the compositions of resolution - m
+    # into m parts.
+    return math.comb(resolution - 1, m - 1)
+
+
+def _block_limit(m, limit):
+    # Most rows in one block: the limit given, or the default entry and row
+    # caps read from the module as it stands.
+    if limit is not None:
+        return limit
+    return min(simplex.BLOCK_ROWS, max(simplex.BLOCK_ENTRIES // m, m, 3))
+
+
 def _plain_sizes(total, limit):
     # Blocks of limit rows each and the rest last.
     return [limit] * (total // limit) + ([total % limit] if total % limit else [])
@@ -311,11 +330,11 @@ def test_lattice_blocks_are_plain_row_ranges(limit):
     if limit is None:
         shapes += [(3, 400), (6, 30), (9, 10), (12, 6), (40, 3), (120, 2)]
     for m, resolution in shapes:
-        most = simplex._block_limit(m, limit)
+        most = _block_limit(m, limit)
         for interior in (False, True):
             blocks = simplex._lattice_blocks(m, resolution, limit, interior)
             sizes = [len(b) for _, b in blocks]
-            total = simplex._interior_rows(m, resolution) if interior else len(grid_array(m, resolution))
+            total = _interior_rows(m, resolution) if interior else len(grid_array(m, resolution))
             assert sizes == _plain_sizes(total, most), (m, resolution, interior, sizes)
     if limit is None:
         # 7,260 rows over 120 states at 1,092 rows a block: seven blocks.
@@ -387,7 +406,7 @@ def _check_streamed_parts(m, resolution, limit, interior):
     assert streamed == whole.tobytes(), (m, resolution, limit, interior)
     for parts, grid in pairs:
         assert (parts / resolution).tobytes() == grid.tobytes(), (m, resolution, limit, interior)
-    total = simplex._interior_rows(m, resolution) if interior else math.comb(resolution + m - 1, m - 1)
+    total = _interior_rows(m, resolution) if interior else math.comb(resolution + m - 1, m - 1)
     if not pairs:
         assert total == 0 and interior
         return
@@ -415,7 +434,7 @@ def test_lattice_blocks_stream_integer_parts_at_wide_m(monkeypatch):
     # hundred rows.
     monkeypatch.setattr(simplex, "BLOCK_ENTRIES", 2**11)
     for m, resolution, interior in ((9, 10, False), (9, 12, True), (12, 13, True), (40, 3, False), (120, 2, False)):
-        assert simplex._block_limit(m, None) < simplex.BLOCK_ROWS
+        assert _block_limit(m, None) < simplex.BLOCK_ROWS
         _check_streamed_parts(m, resolution, None, interior)
 
 

@@ -387,6 +387,19 @@ def test_intermediary_run_flags_agreement():
     assert run.min_profit == 0.0
 
 
+@pytest.mark.parametrize("second", [(0.4, 0.6), (0.8, 0.2)], ids=["agreeing", "disagreeing"])
+def test_intermediary_run_refuses_market_scoring(second):
+    # A market pays turns, not a pool, so agreeing clients are refused
+    # too, with the text disagreeing ones get, not given zero profits.
+    players = [
+        Player(Forecast((0.4, 0.6)), 1.0),
+        Player(Forecast(second), 1.0),
+        Player(Forecast((0.7, 0.3)), 1.0),
+    ]
+    with pytest.raises(UnsupportedMechanism, match="^intermediary runs support traditional and competitive"):
+        intermediary_run(_market_spec(), players, Coalition((0, 1)))
+
+
 def _market_spec():
     return MechanismSpec(
         MechanismKind.MARKET, quadratic_rule(), Forecast((0.5, 0.5))
