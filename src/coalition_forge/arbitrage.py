@@ -164,15 +164,15 @@ class ArbitrageResult:
 
 @dataclass(frozen=True)
 class SphericalAux:
-    """Intermediate quantities for the spherical construction.
+    """Intermediate quantities for the spherical construction, from Y, the
+    wager-weighted mean of the members' belief unit vectors.
 
-    Y holds the wager-weighted sums of belief unit vectors; sum_sq < 1
-    exactly characterizes disagreement, and the equalizing report and its
-    surplus are simple functions of Y.
+    sum_sq_dev is the sum of Y's squared deviations from its mean and
+    sum_sq its squared norm; sum_sq < 1 exactly characterizes
+    disagreement, and the equalizing report and its surplus are simple
+    functions of Y.
     """
 
-    Y: tuple[float, ...]
-    Y_bar: float
     sum_sq_dev: float
     sum_sq: float
 
@@ -285,15 +285,22 @@ def _spherical_equalizer(Y: np.ndarray) -> np.ndarray:
 def _bisect_equalizer(gen: ConvexGenerator, p: np.ndarray, v: np.ndarray) -> float:
     if float(p.max() - p.min()) <= AGREEMENT_TOL:
         return float(p[0])
-    lo_d, hi_d = gen.domain
     for x in p:
-        if not (lo_d < x < hi_d):
+        if not 0.0 < x < 1.0:
             raise OutOfDomain(
                 f"member belief {x!r} outside the generator's open domain"
             )
     target = float((v * np.asarray([gen.g_prime(x) for x in p])).sum())
     lo = float(p.min()) + 1e-15
     hi = float(p.max()) - 1e-15
+    # A root within 1e-15 of a member belief lies past a padded end: that
+    # end goes back to the member where it misses the root by more than
+    # the tolerance. Under a rising g' a bracket that holds a root meets
+    # neither test.
+    if gen.g_prime(lo) - target > _BISECTION_TOL:
+        lo = float(p.min())
+    if gen.g_prime(hi) - target < -_BISECTION_TOL:
+        hi = float(p.max())
     # The construction needs a strictly increasing derivative; sample the
     # bracket before trusting bisection.
     probes = [lo + (hi - lo) * k / 8 for k in range(9)]
@@ -554,9 +561,7 @@ def spherical_aux(
     """
     P, w, _ = _member_arrays(players, coalition, minimum=1)
     Y = _spherical_y(P, w)
-    y_bar, ssd = _spherical_spread(Y)
-    sum_sq = float((Y * Y).sum())
-    return SphericalAux(tuple(float(y) for y in Y), y_bar, ssd, sum_sq)
+    return SphericalAux(_spherical_spread(Y)[1], float((Y * Y).sum()))
 
 
 def arbitrage_report(

@@ -25,13 +25,6 @@ class NegativeEntry(ValidationError):
 class SumOutOfTolerance(ValidationError):
     """A probability vector does not sum to 1 within tolerance."""
 
-    def __init__(self, actual_sum: float, tol: float):
-        self.actual_sum = actual_sum
-        self.tol = tol
-        super().__init__(
-            f"entries sum to {actual_sum!r}, outside 1 +/- {tol!r}"
-        )
-
 
 class TooFewStates(ValidationError):
     """A probability vector has fewer than two outcome states."""
@@ -72,11 +65,6 @@ class DegenerateBelief(ValidationError):
 class MissingReport(ValidationError):
     """A player has no submitted report where one is required."""
 
-    def __init__(self, player_index: int):
-        # player_index is 0-based; messages are 1-based like all user-facing text
-        self.player_index = player_index
-        super().__init__(f"player {player_index + 1} has no report")
-
 
 class SinglePlayer(ValidationError):
     """The competitive mechanism needs at least two players."""
@@ -98,8 +86,6 @@ class ScenarioError(ValidationError):
     """A scenario file is malformed; the message carries the field path."""
 
     def __init__(self, field_path: str, detail: str):
-        self.field_path = field_path
-        self.detail = detail
         super().__init__(f"{field_path}: {detail}")
 
 

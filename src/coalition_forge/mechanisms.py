@@ -80,7 +80,7 @@ def _require_reports(players: Sequence[Player]) -> list[Forecast]:
     reports = []
     for i, p in enumerate(players):
         if p.report is None:
-            raise MissingReport(i)
+            raise MissingReport(f"player {i + 1} has no report")
         reports.append(p.report)
     return reports
 

@@ -48,7 +48,7 @@ class RuleKind(str, Enum):
 @dataclass(frozen=True)
 class ConvexGenerator:
     """A strictly convex, continuously differentiable scalar function G
-    with derivative g_prime, defined on an open interval inside (0, 1).
+    with derivative g_prime, defined on the open interval (0, 1).
 
     Binary rules are built from it: the score pair
     (G(r) + (1-r)G'(r), G(r) - rG'(r)) is strictly proper exactly when
@@ -57,12 +57,6 @@ class ConvexGenerator:
 
     g: Callable[[float], float]
     g_prime: Callable[[float], float]
-    domain: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        lo, hi = self.domain
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValidationError(f"domain {self.domain!r} must be an interval within [0, 1]")
 
 
 def logit_generator() -> ConvexGenerator:
@@ -73,7 +67,6 @@ def logit_generator() -> ConvexGenerator:
     return ConvexGenerator(
         g=lambda r: r * math.log(r) + (1.0 - r) * math.log(1.0 - r),
         g_prime=lambda r: math.log(r / (1.0 - r)),
-        domain=(0.0, 1.0),
     )
 
 
@@ -247,9 +240,8 @@ def _score_into(rule: ScoringRule, R: np.ndarray) -> None:
         if m != 2:
             raise DimensionMismatch("custom binary rules support exactly 2 states")
         gen = rule.generator
-        lo, hi = gen.domain
         reports = R[:, 0].tolist()
-        inside = [i for i, r in enumerate(reports) if lo < r < hi]
+        inside = [i for i, r in enumerate(reports) if 0.0 < r < 1.0]
         R.fill(-np.inf)
         if inside:
             R[inside] = [_savage_pair(gen, reports[i]) for i in inside]
@@ -297,8 +289,8 @@ def _score_columns(
     Where a requested entry is undefined (-inf in score_table) this raises
     what a strict score does: LogOfZero for a zero-probability state under
     the logarithmic rules, OutOfDomain for a custom binary report outside
-    the generator's domain. Entries are checked outcome by outcome, reports
-    in order; mixed lengths and out-of-range outcomes are DimensionMismatch.
+    (0, 1). Entries are checked outcome by outcome, reports in order;
+    mixed lengths and out-of-range outcomes are DimensionMismatch.
     The reports are stacked into a table of their own, which is scored
     in place; when every outcome is requested in order it is returned as
     _score_into left it, not copied.
@@ -320,10 +312,9 @@ def _score_columns(
             for i in np.flatnonzero(table[:, k] == -np.inf):
                 r = reports[i]
                 if rule.kind is RuleKind.CUSTOM_BINARY:
-                    lo, hi = rule.generator.domain
-                    if not lo < r[0] < hi:
+                    if not 0.0 < r[0] < 1.0:
                         raise OutOfDomain(
-                            f"report probability {r[0]!r} outside open domain ({lo!r}, {hi!r})"
+                            f"report probability {r[0]!r} outside open domain (0.0, 1.0)"
                         )
                 elif rule.kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG) and r[j] <= 0.0:
                     raise LogOfZero(

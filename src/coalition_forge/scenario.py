@@ -56,11 +56,10 @@ class SimulationSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed, cross-validated scenario."""
+    """A parsed, cross-validated scenario. The file's schema_version and
+    event labels are checked and not kept."""
 
-    schema_version: int
     m: int
-    labels: tuple[str, ...] | None
     rule: ScoringRule
     mechanism: MechanismSpec
     players: tuple[Player, ...]
@@ -372,16 +371,11 @@ def parse_scenario(raw: Any) -> Scenario:
     # list makes the program build m-entry rows itself.
     if m > MAX_GRID_POINTS:
         raise ScenarioError("event.m", f"at most {MAX_GRID_POINTS:,} states are supported")
-    labels = None
-    if "labels" in event:
-        raw_labels = event["labels"]
-        if (
-            not isinstance(raw_labels, list)
-            or len(raw_labels) != m
-            or not all(isinstance(x, str) for x in raw_labels)
-        ):
-            raise ScenarioError("event.labels", f"expected a list of {m} strings")
-        labels = tuple(raw_labels)
+    labels = event.get("labels")
+    if "labels" in event and not (
+        isinstance(labels, list) and len(labels) == m and all(isinstance(x, str) for x in labels)
+    ):
+        raise ScenarioError("event.labels", f"expected a list of {m} strings")
     rule = _parse_rule(_require(raw, "rule", ""), m)
     players = _parse_players(raw.get("players"), m)
     mechanism = _parse_mechanism(_require(raw, "mechanism", ""), rule, m, players)
@@ -394,7 +388,7 @@ def parse_scenario(raw: Any) -> Scenario:
             # scenario that lists no players names members of the ordering.
             n = len(simulation.ordering)
         coalition = Coalition(_as_indices(raw["coalition"], "coalition", n))
-    return Scenario(version, m, labels, rule, mechanism, players, coalition, simulation)
+    return Scenario(m, rule, mechanism, players, coalition, simulation)
 
 
 def load_scenario(path: str | Path) -> tuple[Scenario, Any]:

@@ -71,7 +71,7 @@ class Forecast:
             total = math.inf
         # Written so that a NaN entry, whose sum is NaN, fails it too.
         if not abs(total - 1.0) <= SUM_TOL:
-            raise SumOutOfTolerance(total, SUM_TOL)
+            raise SumOutOfTolerance(f"entries sum to {total!r}, outside 1 +/- {SUM_TOL!r}")
 
     @property
     def m(self) -> int:

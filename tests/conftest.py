@@ -70,7 +70,6 @@ def binary_quadratic_generator() -> ConvexGenerator:
     return ConvexGenerator(
         g=lambda r: 2.0 * r * r - 2.0 * r + 1.0,
         g_prime=lambda r: 4.0 * r - 2.0,
-        domain=(0.0, 1.0),
     )
 
 

@@ -19,6 +19,7 @@ from coalition_forge import (
     InvalidCoalition,
     MechanismKind,
     MechanismSpec,
+    NoConvergence,
     NonMonotoneGenerator,
     NonPositiveWager,
     OutOfDomain,
@@ -46,7 +47,7 @@ from coalition_forge import (
     verify_dominance_oracle,
 )
 from coalition_forge import simplex
-from coalition_forge.arbitrage import _member_arrays, _spherical_spread, _spherical_y
+from coalition_forge.arbitrage import _member_arrays, _scaled_wagers, _spherical_spread, _spherical_y
 
 import exact
 from conftest import (
@@ -147,10 +148,8 @@ def test_spherical_example_values():
 def test_spherical_aux_example_values():
     players = _players((0.1, 0.9), (0.4, 0.6))
     aux = spherical_aux(players, PAIR)
-    np.testing.assert_allclose(
-        aux.Y, [0.33256586115003783, 0.9129670145057313], rtol=1e-12
-    )
-    assert aux.Y_bar == pytest.approx(0.6227664378278845, rel=1e-12)
+    # From Y = (0.33256586115003783, 0.9129670145057313), the mean unit
+    # vector: sum_sq is |Y|^2, sum_sq_dev (Y1 - Y2)^2 / 2.
     assert aux.sum_sq_dev == pytest.approx(0.16843274940830957, rel=1e-12)
     assert aux.sum_sq == pytest.approx(0.9441088215779744, rel=1e-12)
 
@@ -271,12 +270,42 @@ def test_binary_equalizer_rejects_non_monotone_generator():
 
 
 def test_binary_equalizer_respects_generator_domain():
-    narrow = ConvexGenerator(
-        g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.3, 0.7)
+    # A generator is defined on (0, 1), even one finite at its edges.
+    square = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r)
+    for edge in (0.0, 1.0):
+        players = _players((edge, 1.0 - edge), (0.6, 0.4))
+        with pytest.raises(OutOfDomain, match=r"outside the generator's open domain$"):
+            binary_equalizer(square, players, PAIR)
+
+
+@pytest.mark.parametrize(
+    "beliefs, wagers",
+    [((1e-300, 0.5), (1.0, 1.0)), ((0.5, 0.9999), (1.0, 1e20)), ((1e-4, 0.5), (1e20, 1.0))],
+    ids=["root-near-1e-150", "root-at-the-upper-member", "root-at-the-lower-member"],
+)
+def test_binary_equalizer_finds_a_root_next_to_a_member(beliefs, wagers):
+    # The bracket's ends start 1e-15 inside the extreme members' beliefs:
+    # a root nearer a member than that is found all the same.
+    players = _players(*((p, 1.0 - p) for p in beliefs), wagers=list(wagers))
+    gen = logit_generator()
+    q1 = binary_equalizer(gen, players, PAIR)
+    v = np.asarray(wagers) / sum(wagers)
+    target = float((v * np.asarray([gen.g_prime(p) for p in beliefs])).sum())
+    assert min(beliefs) <= q1 <= max(beliefs)
+    assert abs(gen.g_prime(q1) - target) <= 1e-12
+    if beliefs[0] == 1e-300:
+        assert q1 == pytest.approx(1e-150, rel=1e-9)
+
+
+def test_binary_equalizer_raises_where_no_root_is_bracketed():
+    # g' rises at the nine probes but spikes at the middle member, between
+    # them: the target is above g' at both ends and at every midpoint.
+    gen = ConvexGenerator(
+        g=lambda r: r * r, g_prime=lambda r: 2.0 * r + (1000.0 if abs(r - 0.3) < 1e-9 else 0.0)
     )
-    players = _players((0.1, 0.9), (0.6, 0.4))
-    with pytest.raises(OutOfDomain):
-        binary_equalizer(narrow, players, PAIR)
+    players = _players((0.2, 0.8), (0.3, 0.7), (0.8, 0.2))
+    with pytest.raises(NoConvergence, match=r"^bisection residual above 1e-12 with no root bracketed in "):
+        binary_equalizer(gen, players, Coalition((0, 1, 2)))
 
 
 def test_binary_equalizer_needs_two_states():
@@ -363,8 +392,8 @@ def test_spherical_sum_sq_strictly_below_one_iff_disagreement():
 def test_spherical_aux_single_member():
     p = Forecast((0.3, 0.7))
     aux = spherical_aux([Player(p, 2.0)], Coalition((0,)))
-    norm = math.sqrt(0.3 ** 2 + 0.7 ** 2)
-    np.testing.assert_allclose(aux.Y, [0.3 / norm, 0.7 / norm], rtol=1e-12)
+    # Y is the member's own unit vector.
+    assert aux.sum_sq_dev == pytest.approx(0.4 ** 2 / 2 / (0.3 ** 2 + 0.7 ** 2), rel=1e-12)
     assert aux.sum_sq == pytest.approx(1.0, abs=1e-12)
 
 
@@ -521,12 +550,16 @@ def test_log_grid_search_equals_unblocked_oracle(monkeypatch, block_rows):
 
 
 def test_grid_search_on_an_unscorable_lattice_returns_its_first_row(monkeypatch):
-    # No lattice report at resolution 10 lies inside the generator's open
-    # domain, so every row scores -inf; the members' beliefs do lie inside.
+    # The generator is NaN outside (0.41, 0.49), where every lattice report
+    # at resolution 10 lies, so no row is finite; the members' beliefs lie
+    # inside.
     monkeypatch.setattr(simplex, "BLOCK_ROWS", 3)
     quad = binary_quadratic_generator()
-    narrow = ConvexGenerator(quad.g, quad.g_prime, domain=(0.41, 0.49))
-    rule = custom_binary_rule(narrow)
+
+    def inside(f):
+        return lambda r: f(r) if 0.41 < r < 0.49 else math.nan
+
+    rule = custom_binary_rule(ConvexGenerator(inside(quad.g), inside(quad.g_prime)))
     players = _players((0.42, 0.58), (0.48, 0.52))
     best = grid_search_equalizer(rule, players, PAIR, 10)
     assert best == _unblocked_grid_search(rule, players, PAIR, 10)
@@ -720,3 +753,10 @@ def test_member_wagers_summing_past_the_float_range():
     assert binary_equalizer(gen, binary, PAIR) == binary_equalizer(
         gen, [Player(p.belief, 1.0) for p in binary], PAIR
     )
+
+
+def test_wagers_whose_sum_is_finite_are_not_scaled():
+    # The largest wager times their count passes the float range, but their
+    # sum does not: the wagers stay as they are, with k = 0.
+    w, k = _scaled_wagers([1.5e308, 1.0])
+    assert k == 0 and w.tolist() == [1.5e308, 1.0]

@@ -121,7 +121,7 @@ def test_kilgour_gerchak_requires_equal_wagers():
     raw["players"][0]["wager"] = 2.0
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "mechanism"
+    assert str(err.value).startswith("mechanism: ")
 
 
 def test_digest_invariant_to_key_order():
@@ -140,9 +140,7 @@ def test_canonical_json_is_compact_and_sorted():
 
 def test_parse_defaults():
     sc = parse_scenario(_minimal_raw())
-    assert sc.schema_version == 1
     assert sc.m == 2
-    assert sc.labels is None
     assert all(p.wager == 1.0 for p in sc.players)
     assert all(p.report is None for p in sc.players)
     assert sc.coalition.members == (0, 1)
@@ -167,7 +165,7 @@ def test_event_size_is_capped(tmp_path, capsys, m):
     message = f"at most {MAX_GRID_POINTS:,} states are supported"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert (err.value.field_path, err.value.detail) == ("event.m", message)
+    assert str(err.value) == f"event.m: {message}"
     path = _write_scenario(tmp_path, raw)
     for command in ("score", "verify"):
         assert main([command, "--scenario", path]) == 2
@@ -177,12 +175,14 @@ def test_event_size_is_capped(tmp_path, capsys, m):
 
 
 def test_parse_labels():
+    # Labels are checked and not kept: nothing reads them.
     raw = _minimal_raw(event={"m": 2, "labels": ["rain", "shine"]})
-    assert parse_scenario(raw).labels == ("rain", "shine")
-    raw = _minimal_raw(event={"m": 2, "labels": ["rain"]})
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(raw)
-    assert err.value.field_path == "event.labels"
+    assert parse_scenario(raw) == parse_scenario(_minimal_raw())
+    for labels in (["rain"], ["rain", 2], "rain shine"):
+        raw = _minimal_raw(event={"m": 2, "labels": labels})
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert str(err.value) == "event.labels: expected a list of 2 strings"
 
 
 def _sixty_players(last):
@@ -244,7 +244,7 @@ def test_scenario_errors_carry_field_paths(mutate, path_fragment):
     mutate(raw)
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert path_fragment in err.value.field_path or path_fragment in str(err.value)
+    assert path_fragment in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -295,15 +295,15 @@ def test_number_errors_name_the_entry(mutate, field_path, detail):
     mutate(raw)
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert (err.value.field_path, err.value.detail) == (field_path, detail)
+    assert str(err.value) == f"{field_path}: {detail}"
 
 
 def test_lambert_rejects_unbounded_rule():
     raw = _minimal_raw(rule={"kind": "logarithmic"}, mechanism="lambert")
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "mechanism"
-    assert "lower bound" in err.value.detail
+    assert str(err.value).startswith("mechanism: ")
+    assert "lower bound" in str(err.value)
 
 
 def test_simulation_block_validation():
@@ -311,25 +311,25 @@ def test_simulation_block_validation():
     del raw["simulation"]["trials"]
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "simulation.trials"
+    assert str(err.value).startswith("simulation.trials: ")
 
     raw = _sweep_raw()
     raw["simulation"]["fractions"] = [0.5, 1.5]
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "simulation.fractions[2]"
+    assert str(err.value).startswith("simulation.fractions[2]: ")
 
     raw = _sweep_raw()
     raw["simulation"]["mode"] = "mystery"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "simulation.mode"
+    assert str(err.value).startswith("simulation.mode: ")
 
     raw = _sweep_raw()
     raw["simulation"]["sampler"] = {"kind": "dirichlet", "alpha": [1.0, 1.0, 1.0]}
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "simulation.sampler.alpha"
+    assert str(err.value).startswith("simulation.sampler.alpha: ")
 
     raw = _minimal_raw()
     raw["simulation"] = {
@@ -339,7 +339,7 @@ def test_simulation_block_validation():
     }
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "simulation.ordering"
+    assert str(err.value).startswith("simulation.ordering: ")
 
 
 def test_beta_binary_sampler_needs_binary_event():
@@ -348,7 +348,7 @@ def test_beta_binary_sampler_needs_binary_event():
     raw["rule"] = {"kind": "quadratic"}
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert "binary" in err.value.detail
+    assert str(err.value) == "simulation.sampler: beta_binary sampler needs a binary event space"
 
 
 def test_finite_mixture_sampler_needs_points():
@@ -356,8 +356,7 @@ def test_finite_mixture_sampler_needs_points():
     raw["simulation"]["sampler"] = {"kind": "finite_mixture", "points": [], "weights": []}
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "simulation.sampler.points"
-    assert err.value.detail == "expected a non-empty list of forecasts"
+    assert str(err.value) == "simulation.sampler.points: expected a non-empty list of forecasts"
 
 
 def test_market_session_scenario_parses_ordering_to_zero_based():
@@ -486,7 +485,7 @@ def test_deeply_nested_scenario_is_invalid_input(tmp_path, capsys):
     path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
     with pytest.raises(ScenarioError) as err:
         load_scenario(path)
-    assert (err.value.field_path, err.value.detail) == (str(path), "not valid JSON: nested too deeply")
+    assert str(err.value) == f"{path}: not valid JSON: nested too deeply"
     assert main(["score", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: not valid JSON: nested too deeply\n"
 
@@ -650,6 +649,28 @@ def test_cli_arbitrage_agreement_exit_code(tmp_path, capsys):
     path = _write_scenario(tmp_path, raw)
     assert main(["arbitrage", "--scenario", path]) == 3
     assert "agree" in capsys.readouterr().err
+
+
+def test_cli_arbitrage_names_the_outcome_the_oracle_fails(tmp_path, capsys):
+    # Members about 4e-12 apart, at wagers that put the equalizer's gain in
+    # outcome 2 at the agreement bound: the exactly summed gain is just
+    # above it, so this is no agreement, but the oracle's plain sum is not,
+    # so the oracle FAILs the equalizer's report in outcome 2.
+    raw = _minimal_raw()
+    raw["players"] = [
+        {"belief": [0.3442445284940033, 0.6557554715059968], "wager": 3282.908257107166},
+        {"belief": [0.3442445284961453, 0.6557554715038547], "wager": 1397.221446533737},
+        {"belief": [0.3442445284921144, 0.6557554715078856], "wager": 16872.57605902652},
+    ]
+    raw["coalition"] = [1, 2, 3]
+    path = _write_scenario(tmp_path, raw)
+    assert main(["arbitrage", "--scenario", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["oracle verdict: fails", "worst outcome: E2"]
+    assert main(["arbitrage", "--scenario", path, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["agreement"], payload["verdict"], payload["witness_outcome"]) == (False, "fails", 2)
+    assert payload["surplus_by_outcome"][1] > 1e-12 >= payload["oracle_margins"][1]
 
 
 def test_cli_linear_rule_is_refused_when_members_agree(tmp_path, capsys):
@@ -1543,7 +1564,7 @@ def test_seed_outside_the_philox_key_range_is_invalid_input(tmp_path, capsys, se
     raw = _sweep_raw(seed=seed)
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
-    assert err.value.field_path == "simulation.seed"
+    assert str(err.value).startswith("simulation.seed: ")
     assert parse_scenario(_sweep_raw(seed=2**64 - 1)).simulation.seed == 2**64 - 1
     path = _write_scenario(tmp_path, raw)
     assert main(["simulate", "--scenario", path]) == 2

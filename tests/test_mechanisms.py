@@ -94,7 +94,7 @@ def test_missing_report_names_the_player():
     ]
     with pytest.raises(MissingReport) as err:
         payment_table(MechanismSpec(MechanismKind.TRADITIONAL, quadratic_rule()), players)
-    assert "player 2" in str(err.value)
+    assert str(err.value) == "player 2 has no report"
 
 
 def test_competitive_hand_example():

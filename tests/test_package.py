@@ -5,12 +5,15 @@ private helpers."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -119,6 +122,80 @@ def test_every_public_member_has_a_user():
         used = readme.union(*(_names_used(_without_class(t, cls.__name__)) for t in trees))
         unused += [f"{cls.__name__}.{name}" for name in sorted(members - used)]
     assert unused == []
+
+
+# The dataclasses cli writes out whole with dataclasses.asdict: each of
+# their fields is output, read or not.
+SERIALIZED_DATACLASSES = {"SweepResult", "SweepRow", "IntermediaryRun"}
+
+
+def _attributes_read(tree: ast.Module, name: str) -> set[str]:
+    """Attribute names the module reads, as x.attr or getattr(x, "attr"),
+    leaving out reads inside the __init__ and __post_init__ of its
+    top-level class of that name."""
+    constructors = {
+        id(node)
+        for top in tree.body if isinstance(top, ast.ClassDef) and top.name == name
+        for method in top.body
+        if isinstance(method, ast.FunctionDef) and method.name in ("__init__", "__post_init__")
+        for node in ast.walk(method)
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if id(node) in constructors:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+        ):
+            read.add(node.args[1].value)
+    return read
+
+
+def _attributes_set(cls: type) -> set[str]:
+    """The attributes the class's own methods set on self."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "self"
+    }
+
+
+def test_every_public_field_has_a_reader():
+    # A field of an exported dataclass, or an attribute an exported
+    # exception sets, earns its place by a read as an attribute outside its
+    # class's own __init__ and __post_init__: in the package, the
+    # benchmark, the README (spelled after a dot) or the acceptance tests.
+    # Reads are matched by name alone, as in the member test above.
+    sample = ast.parse(
+        "class A:\n    def __post_init__(self):\n        self.a\n"
+        "    def f(self):\n        self.b\nx.c\ngetattr(x, 'd')\nx.e = 1\n"
+    )
+    assert _attributes_read(sample, "A") == {"b", "c", "d"}
+    root = Path(__file__).resolve().parents[1]
+    trees = [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for p in (
+            *(root / "src").rglob("*.py"),
+            *(root / "bench").glob("*.py"),
+            root / "tests" / "test_acceptance.py",
+        )
+    ]
+    readme = set(re.findall(r"\.(\w+)", (root / "README.md").read_text(encoding="utf-8")))
+    unread = []
+    for cls in (getattr(coalition_forge, n) for n in coalition_forge.__all__):
+        if dataclasses.is_dataclass(cls) and cls.__name__ not in SERIALIZED_DATACLASSES:
+            fields = {f.name for f in dataclasses.fields(cls)}
+        elif isinstance(cls, type) and issubclass(cls, BaseException):
+            fields = _attributes_set(cls)
+        else:
+            continue
+        read = readme.union(*(_attributes_read(t, cls.__name__) for t in trees))
+        unread += [f"{cls.__name__}.{name}" for name in sorted(fields - read)]
+    assert unread == []
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:

@@ -156,8 +156,8 @@ def test_savage_scores_for_square_generator():
 
 
 def test_custom_binary_table_scores_each_row_once():
-    # One g and one g' per in-domain row, each entry _savage_pair's bits,
-    # and -inf at and outside the domain's edges.
+    # One g and one g' per row inside (0, 1), each entry _savage_pair's
+    # bits, and -inf at and outside the edges.
     calls = {"g": 0, "g_prime": 0}
 
     def g(r):
@@ -168,14 +168,14 @@ def test_custom_binary_table_scores_each_row_once():
         calls["g_prime"] += 1
         return math.log(r / (1.0 - r))
 
-    gen = ConvexGenerator(g=g, g_prime=g_prime, domain=(0.1, 0.9))
-    first = np.linspace(0.0, 1.0, 1000)
-    first[:3] = (0.1, 0.9, math.nextafter(0.1, 1.0))  # both edges, then just inside
+    gen = ConvexGenerator(g=g, g_prime=g_prime)
+    first = np.linspace(-0.25, 1.25, 1000)
+    first[:3] = (0.0, 1.0, math.nextafter(0.0, 1.0))  # both edges, then just inside
     R = np.column_stack([first, 1.0 - first])
     S = rules._unit_table(custom_binary_rule(gen), R)
-    inside = (first > 0.1) & (first < 0.9)
+    inside = (first > 0.0) & (first < 1.0)
     assert calls == {"g": int(inside.sum()), "g_prime": int(inside.sum())}
-    assert 700 < inside.sum() < 1000 and inside[2]
+    assert 600 < inside.sum() < 700 and inside[2]
     assert (S[~inside] == -np.inf).all()
     expected = [rules._savage_pair(gen, r) for r in first[inside].tolist()]
     assert S[inside].tobytes() == np.asarray(expected).tobytes()
@@ -251,11 +251,6 @@ def test_expected_score_examples():
         _expected_score(rule, half, Forecast((0.2, 0.3, 0.5)))
 
 
-def test_generator_domain_validation():
-    with pytest.raises(ValidationError):
-        ConvexGenerator(g=lambda r: r, g_prime=lambda r: 1.0, domain=(0.5, 0.2))
-
-
 def _reference_score(kind: str, r, j: int, a, b: float, floor: float) -> float:
     """The six families written out entry by entry, independent of the
     package; -inf where the score is undefined, as in score_table."""
@@ -329,12 +324,12 @@ def test_score_raises_only_where_the_table_is_undefined():
         for j in (0, 1):
             with pytest.raises(OutOfDomain):
                 score(custom, Forecast(r), j)
-    narrow = custom_binary_rule(
-        ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
-    )
-    with pytest.raises(OutOfDomain):
-        score(narrow, Forecast((0.1, 0.9)), 1)
-    assert score(narrow, Forecast((0.5, 0.5)), 1) == pytest.approx(-0.25)
+    # A generator finite at 0 and 1 scores neither: it is defined on (0, 1).
+    square = custom_binary_rule(ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r))
+    for r in (0.0, 1.0):
+        with pytest.raises(OutOfDomain, match=rf"^report probability {r!r} outside open domain \(0\.0, 1\.0\)$"):
+            score(square, Forecast((r, 1.0 - r)), 1)
+    assert score(square, Forecast((0.5, 0.5)), 1) == pytest.approx(-0.25)
     for outcome in (-1, 2):
         with pytest.raises(DimensionMismatch):
             score(quadratic_rule(), Forecast((0.5, 0.5)), outcome)
@@ -361,9 +356,8 @@ def _score_columns_by_entry(rule, reports, outcomes):
         for i in np.flatnonzero(table[:, j] == -np.inf):
             r = reports[i]
             if rule.kind is RuleKind.CUSTOM_BINARY:
-                lo, hi = rule.generator.domain
-                if not lo < r[0] < hi:
-                    raise OutOfDomain(f"report probability {r[0]!r} outside open domain ({lo!r}, {hi!r})")
+                if not 0.0 < r[0] < 1.0:
+                    raise OutOfDomain(f"report probability {r[0]!r} outside open domain (0.0, 1.0)")
             elif rule.kind in (RuleKind.LOGARITHMIC, RuleKind.GENERALIZED_LOG) and r[j] <= 0.0:
                 raise LogOfZero(
                     f"state {j + 1} has probability {r[j]!r}; "
@@ -384,13 +378,13 @@ def test_score_columns_raises_what_the_entry_loop_raised():
     # outcomes: the first error, its type and its text are the entry
     # loop's, and every table is the unit rule's score_table bit for bit.
     rng = np.random.default_rng(4242)
-    narrow = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
+    square = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r)  # finite at 0 and 1
     candidates = [  # a rule and its number of states, None for any
         (logarithmic_rule(), None),
         (generalized_log_rule(0.0, b=2.0), None),
         (generalized_log_rule(0.1, a=(0.0, 1.0, 2.0)), 3),
         (custom_binary_rule(logit_generator()), 2),
-        (custom_binary_rule(narrow, a=(0.5, -0.5)), 2),
+        (custom_binary_rule(square, a=(0.5, -0.5)), 2),
         (quadratic_rule(), None),
         (spherical_rule(), None),
     ]
@@ -485,7 +479,7 @@ def test_score_into_overwrites_only_its_rows_of_a_larger_buffer():
     # scans hand it each block, every table is the unit rule's score_table
     # bit for bit and the rows past it stay NaN.
     rng = np.random.default_rng(909)
-    narrow = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r, domain=(0.1, 0.9))
+    square = ConvexGenerator(g=lambda r: r * r, g_prime=lambda r: 2.0 * r)
     for m in (2, 3, 5, 9):
         a = tuple(float(x) for x in rng.uniform(-1.0, 1.0, m))
         R = rng.dirichlet(np.full(m, 0.5), size=40)
@@ -501,10 +495,10 @@ def test_score_into_overwrites_only_its_rows_of_a_larger_buffer():
             linear_rule(a, 0.4),
         ]
         if m == 2:
-            R[2] = (0.05, 0.95)  # outside the narrow generator's domain
+            R[2] = (1.0, 0.0)  # the other edge of (0, 1) from R[1]
             kinds += [
                 custom_binary_rule(logit_generator(), a, 1.7),
-                custom_binary_rule(narrow, b=0.8),
+                custom_binary_rule(square, b=0.8),
             ]
         # A column-major buffer, as the lattice scans hand it, gives the
         # same bits.

@@ -55,7 +55,7 @@ def test_validate_accepts_tiny_rounding_slack():
 def test_validate_rejects_bad_sum():
     with pytest.raises(SumOutOfTolerance) as err:
         validate_forecast([0.5, 0.6])
-    assert err.value.actual_sum == pytest.approx(1.1)
+    assert str(err.value) == "entries sum to 1.1, outside 1 +/- 1e-09"
 
 
 def test_validate_rejects_negative_entry():
@@ -90,7 +90,7 @@ def test_forecast_rejects_entries_whose_sum_overflows():
     for probs in [(1e308, 1e308), (0.5, 1.7e308, 1.7e308)]:
         with pytest.raises(SumOutOfTolerance) as err:
             Forecast(probs)
-        assert err.value.actual_sum == math.inf
+        assert str(err.value) == "entries sum to inf, outside 1 +/- 1e-09"
         with pytest.raises(ValidationError):
             validate_forecast(list(probs))
 
@@ -99,7 +99,7 @@ def test_validate_forecast_checks_with_the_forecast_tolerance():
     # Off by 1e-8: outside the 1e-9 budget, and there is no looser one.
     with pytest.raises(SumOutOfTolerance) as err:
         validate_forecast([0.3, 0.7 + 1e-8])
-    assert err.value.tol == simplex.SUM_TOL
+    assert str(err.value).endswith(f", outside 1 +/- {simplex.SUM_TOL!r}")
     with pytest.raises(TypeError):
         validate_forecast([0.3, 0.7], tol=1e-6)
 
