@@ -223,9 +223,7 @@ def _member_arrays(
     players with at least minimum members."""
     coalition.validate(len(players), minimum)
     chosen = [players[i] for i in coalition.members]
-    P = _stack([p.belief for p in chosen])
-    if P is None:
-        raise DimensionMismatch("member beliefs have mixed lengths")
+    P = _stack([p.belief for p in chosen], "member beliefs")
     return P, *_scaled_wagers(np.asarray([p.wager for p in chosen], dtype=np.float64))
 
 
@@ -414,9 +412,10 @@ def _payments(kind: MechanismKind, table: np.ndarray, w: np.ndarray) -> np.ndarr
                 return wagered
             # The share w / W and the pool's total are formed on the wagers
             # w / 2**k, the total then scaled back: either may pass the
-            # float range where the payments do not.
+            # float range where the payments do not. At k = 0 the scaled
+            # wagers are w itself.
             scaled, k = _scaled_wagers(w)
-            total = _column_fsum(wagered if k == 0 else scaled[:, None] * table, w)
+            total = _column_fsum(scaled[:, None] * table, w)
             return wagered - (scaled / math.fsum(scaled.tolist()))[:, None] * total * 2.0**k
     except FloatingPointError:
         raise PaymentOverflow(

@@ -31,6 +31,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .arbitrage import (
     AGREEMENT_TOL,
@@ -53,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .mechanisms import payment_table
-from .rules import _properness_scan
+from .rules import _properness_scan, _score_columns
 from .scenario import Scenario, load_scenario, scenario_digest
 from .simplex import uniform_prior
 from .simulate import (
@@ -313,8 +315,10 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
         # The outsiders' share of the pool, from their own wagers: 1 - w_c / w_n
         # would round it away where the members hold nearly all of the pool.
         # Both sums are of the wagers w / 2**k, which keeps the share finite.
-        wagers = _scaled_wagers([p.wager for p in players])[0].tolist()
-        w_out = math.fsum(w for k, w in enumerate(wagers) if k not in sc.coalition.members)
+        scaled_wagers, k = _scaled_wagers([p.wager for p in players])
+        wagers = scaled_wagers.tolist()
+        members = sc.coalition.members
+        w_out = math.fsum(w for i, w in enumerate(wagers) if i not in members)
         w_n = math.fsum(wagers)
         # Both gains on the unit rule, where the identity holds up to
         # rounding whatever the rule's offsets and scale.
@@ -322,10 +326,20 @@ def _verify_checks(sc: Scenario, resolution: int) -> list[tuple[str, str, str]]:
             _coalition_surplus(kind, sc.rule, players, sc.coalition, coordinated, range(sc.m)).tolist()
             for kind in (MechanismKind.TRADITIONAL, MechanismKind.COMPETITIVE)
         )
+        # Each outcome's error is taken over the magnitudes of the terms the
+        # gains are formed from, sum_i w_i * (|S_q,j| + |S_i,j|) at the wagers
+        # w / 2**k, the gains being scaled down by 2**k with them: members
+        # whose wagers dwarf the outsiders' leave rounding error of their
+        # wagered scores in the competitive gain, however small the share.
+        c = len(members)
+        S = np.abs(_score_columns(sc.rule, [*coordinated, *(players[i].belief for i in members)], range(sc.m)))
+        w_c = np.asarray([wagers[i] for i in members])[:, None]
+        with np.errstate(over="ignore"):  # a magnitude past the float range bounds no error
+            magnitudes = (w_c * (S[:c] + S[c:])).sum(axis=0).tolist()
         max_err = 0.0
-        for direct, traditional in zip(competitive_gain, traditional_gain):
-            scaled = (w_out / w_n) * traditional
-            max_err = max(max_err, abs(direct - scaled) / max(1.0, abs(scaled)))
+        for direct, traditional, size in zip(competitive_gain, traditional_gain, magnitudes):
+            err = abs(direct / 2.0**k - (w_out / w_n) * traditional / 2.0**k)
+            max_err = max(max_err, err / size if size else err)
         scaling = ("pass" if max_err <= 1e-9 else "fail", f"max relative error {max_err!r}")
     return [
         ("properness", *properness),
@@ -403,13 +417,13 @@ def cmd_simulate(args: argparse.Namespace, sc: Scenario, digest: Callable[[], st
     payload = {
         "surplus_by_outcome": list(result.surplus_by_outcome),
         "ordering_ok": result.ordering_ok,
-        "agreement": result.agreement,
+        "agreement": result.arbitrage.agreement,
         "q": list(result.arbitrage.q.probs),
     }
     return _by_outcome(
         "surplus", result.surplus_by_outcome, payload,
         [f"ordering satisfies alternation: {result.ordering_ok}"]
-        + ["members agree: surplus is zero"] * result.agreement,
+        + ["members agree: surplus is zero"] * result.arbitrage.agreement,
     )
 
 

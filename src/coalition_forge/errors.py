@@ -79,7 +79,8 @@ class FractionOutOfRange(ValidationError):
 
 
 class PaymentOverflow(ValidationError):
-    """Payments at the players' wagers sum past the float range."""
+    """Payments at the players' wagers, their sums, or a sweep's surplus
+    statistics pass the float range."""
 
 
 class ScenarioError(ValidationError):

@@ -28,6 +28,7 @@ from .arbitrage import (
 )
 from .errors import (
     MissingReport,
+    PaymentOverflow,
     SinglePlayer,
     UnsupportedMechanism,
     ValidationError,
@@ -73,7 +74,15 @@ class PaymentTable:
     payments: tuple[tuple[float, ...], ...]
 
     def column_sum(self, outcome: int) -> float:
-        return math.fsum(row[outcome] for row in self.payments)
+        """The payments at the outcome (0-based) summed exactly; a sum past
+        the float range is a PaymentOverflow naming the outcome."""
+        try:
+            return math.fsum(row[outcome] for row in self.payments)
+        except OverflowError:
+            raise PaymentOverflow(
+                f"payments at outcome {outcome + 1} sum past the float range; "
+                "scale the wagers down"
+            ) from None
 
 
 def _require_reports(players: Sequence[Player]) -> list[Forecast]:

@@ -295,9 +295,7 @@ def _score_columns(
     in place; when every outcome is requested in order it is returned as
     _score_into left it, not copied.
     """
-    R = _stack(reports)
-    if R is None:
-        raise DimensionMismatch("reports have mixed lengths")
+    R = _stack(reports, "reports")
     m = R.shape[1]
     cols = list(outcomes)
     for j in cols:
@@ -375,11 +373,7 @@ def _properness_scan(
     """
     if resolution < 2:
         raise ValidationError(f"resolution must be >= 2, got {resolution}")
-    if not beliefs:
-        return []
-    ps = _stack(beliefs)
-    if ps is None:
-        raise DimensionMismatch("beliefs have mixed lengths")
+    ps = _stack(beliefs, "beliefs")
     m = ps.shape[1]
     supports = [np.flatnonzero(p).tolist() for p in ps]
     # Under an unfloored log rule and beliefs with no zero state, a report
@@ -477,9 +471,7 @@ def _lattice_scan(
     return list(zip(best, best_parts, checked, [s + left_out for s in skipped]))
 
 
-def _expected_scores(
-    S: np.ndarray, p: np.ndarray, support: list[int], less: float = 0.0
-) -> np.ndarray:
+def _expected_scores(S: np.ndarray, p: np.ndarray, support: list[int], less: float) -> np.ndarray:
     """The expected score of each row of S under belief p, less the given
     value, in a row vector of its own: one fixed sum, left to right over
     p's nonzero states j1 < j2 < ... (support), S[:, j1] * p[j1] +

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     NegativeEntry,
     SumOutOfTolerance,
     TooFewStates,
@@ -103,9 +104,9 @@ def uniform_prior(m: int) -> Forecast:
     return Forecast(tuple(1.0 / m for _ in range(m)))
 
 
-def _stack(forecasts: Sequence[Forecast]) -> np.ndarray | None:
-    """The forecasts as the rows of an (n, m) float64 array, or None when
-    their lengths differ, for the caller to raise its own error.
+def _stack(forecasts: Sequence[Forecast], what: str) -> np.ndarray:
+    """The forecasts as the rows of an (n, m) float64 array; forecasts of
+    different lengths are DimensionMismatch, `<what> have mixed lengths`.
 
     Every library call that scores or aggregates forecasts stacks them
     here: one length test, then one pass over the entries, which numpy
@@ -114,7 +115,7 @@ def _stack(forecasts: Sequence[Forecast]) -> np.ndarray | None:
     probs = [f.probs for f in forecasts]
     m = len(probs[0])
     if len(set(map(len, probs))) != 1:
-        return None
+        raise DimensionMismatch(f"{what} have mixed lengths")
     flat = np.fromiter(chain.from_iterable(probs), np.float64, count=len(probs) * m)
     return flat.reshape(len(probs), m)
 

@@ -27,6 +27,7 @@ from .arbitrage import (
 )
 from .errors import (
     FractionOutOfRange,
+    PaymentOverflow,
     UnsupportedMechanism,
     ValidationError,
 )
@@ -217,8 +218,8 @@ class SweepResult:
     fit holds polynomial coefficients of mean surplus against fraction
     (degree 1 for the traditional contract, degree 2 for the competitive
     pool, highest power first); vertex is the fitted peak fraction for
-    the competitive case.  Sweeps with fewer points than the fit degree
-    needs carry an empty fit and no vertex.
+    the competitive case.  Sweeps with no more distinct fractions than
+    the fit's degree carry an empty fit and no vertex.
     """
 
     mechanism: MechanismKind
@@ -249,7 +250,8 @@ def expected_surplus_sweep(
     (offsets 0, scale 1, rules._unit_table) and multiplied by the rule's
     scale b once, as the public gains multiply arbitrage._coalition_surplus;
     the pool's formula is written out here for equal wagers, which keeps
-    the sweep's pinned bits.
+    the sweep's pinned bits. A fraction whose mean surplus or standard
+    error passes the float range is a PaymentOverflow.
     """
     if mechanism.kind is MechanismKind.MARKET:
         raise UnsupportedMechanism(
@@ -295,26 +297,22 @@ def expected_surplus_sweep(
 
     rows = []
     for fi, f in enumerate(fractions):
-        vals = surplus[fi]
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        mean, se = _mean_and_se(surplus[fi], f, rule.b)
         rows.append(
             SweepRow(float(f), mean, se, trials, sizes[fi], mean / sizes[fi])
         )
     means = np.asarray([r.mean for r in rows])
     fr = np.asarray([r.fraction for r in rows], dtype=np.float64)
     argmax_fraction = float(fr[int(np.argmax(means))])
-    # A fit needs more points than its degree; short sweeps get no fit
-    # rather than an underdetermined one.
+    # A fit needs more distinct fractions than its degree; a sweep with
+    # fewer gets no fit rather than an underdetermined one.
+    degree = 2 if competitive else 1
     vertex = None
-    if competitive and len(fractions) >= 3:
-        coeffs = np.polyfit(fr, means, 2)
-        if coeffs[0] != 0.0:
+    coeffs = np.zeros(0)
+    if len(set(fr.tolist())) > degree:
+        coeffs = np.polyfit(fr, means, degree)
+        if competitive and coeffs[0] != 0.0:
             vertex = float(-coeffs[1] / (2.0 * coeffs[0]))
-    elif not competitive and len(fractions) >= 2:
-        coeffs = np.polyfit(fr, means, 1)
-    else:
-        coeffs = np.zeros(0)
     return SweepResult(
         mechanism.kind,
         n,
@@ -323,6 +321,25 @@ def expected_surplus_sweep(
         argmax_fraction,
         tuple(float(x) for x in coeffs),
         vertex,
+    )
+
+
+def _mean_and_se(vals: np.ndarray, fraction: float, b: float) -> tuple[float, float]:
+    """The mean of one fraction's surpluses and its standard error; where
+    either passes the float range, as at a rule scale b near the float
+    maximum, the sweep is a PaymentOverflow, with no numpy warning."""
+    trials = len(vals)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mean = float(vals.mean())
+            se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        if math.isfinite(mean) and math.isfinite(se):
+            return mean, se
+    except FloatingPointError:
+        pass
+    raise PaymentOverflow(
+        f"surpluses at fraction {fraction!r} under rule scale b = {b!r} pass "
+        "the float range; scale the rule down"
     )
 
 
@@ -347,9 +364,8 @@ def intermediary_run(
     involved. A market mechanism is refused, by
     intermediary_profit_by_outcome, whether or not the clients agree."""
     arb = arbitrage_report(mechanism.rule, players, coalition)
-    m = players[coalition.members[0]].belief.m
     if arb.agreement and mechanism.kind is not MechanismKind.MARKET:
-        return IntermediaryRun(scenario_id, tuple(0.0 for _ in range(m)), 0.0, True)
+        return IntermediaryRun(scenario_id, (0.0,) * arb.q.m, 0.0, True)
     profits = intermediary_profit_by_outcome(mechanism, players, coalition, arb.q)
     return IntermediaryRun(scenario_id, profits, min(profits), False)
 
@@ -358,11 +374,11 @@ def intermediary_run(
 class MarketSessionResult:
     """Outcome of one sequential market session with a coordinating
     coalition; ordering_ok records whether every member reported right
-    after a non-member."""
+    after a non-member, and arbitrage is the coalition's equalizing report
+    with its flags: the surplus is zero where arbitrage.agreement holds."""
 
     surplus_by_outcome: tuple[float, ...]
     ordering_ok: bool
-    agreement: bool
     arbitrage: ArbitrageResult
 
 
@@ -393,11 +409,9 @@ def market_session(
     ordering_ok = ordering_satisfies_alternation(ordering, coalition)
     m = sampler.m
     if arb.agreement:
-        return MarketSessionResult(
-            tuple(0.0 for _ in range(m)), ordering_ok, True, arb
-        )
+        return MarketSessionResult((0.0,) * m, ordering_ok, arb)
     surpluses = mechanism.rule.b * _coalition_surplus(
         mechanism.kind, mechanism.rule, players, coalition, arb.q, range(m),
         ordering, mechanism.market_prior, stacklevel=2,
     )
-    return MarketSessionResult(tuple(surpluses.tolist()), ordering_ok, False, arb)
+    return MarketSessionResult(tuple(surpluses.tolist()), ordering_ok, arb)

@@ -1,10 +1,13 @@
-"""Shared test helpers: seeded random instance builders and the
-acceptance-summary hook."""
+"""Shared test helpers: seeded random instance builders, the collector
+of the package's public fields and the acceptance-summary hook."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 import io
+import textwrap
 import tokenize
 from pathlib import Path
 
@@ -41,6 +44,28 @@ def code_lines(path: Path) -> int:
     return len(lines - docstrings)
 
 
+def _attributes_set(cls: type) -> set[str]:
+    """The attributes the class's own methods set on self."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "self"
+    }
+
+
+def public_fields() -> dict[type, set[str]]:
+    """The package's public fields, by exported class: the fields of each
+    exported dataclass, and the attributes each exported exception sets."""
+    fields = {}
+    for cls in (getattr(coalition_forge, n) for n in coalition_forge.__all__):
+        if dataclasses.is_dataclass(cls) and isinstance(cls, type):
+            fields[cls] = {f.name for f in dataclasses.fields(cls)}
+        elif isinstance(cls, type) and issubclass(cls, BaseException):
+            fields[cls] = _attributes_set(cls)
+    return fields
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return
@@ -53,6 +78,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     total = sum(code_lines(path) for path in package.glob("*.py"))
     terminalreporter.write_line(f"src code lines: {total}")
     terminalreporter.write_line(f"public names: {len(coalition_forge.__all__)}")
+    terminalreporter.write_line(f"public fields: {sum(map(len, public_fields().values()))}")
     # The lattice scans use no matrix product, so no bit-for-bit test
     # depends on the BLAS kernels; the summary names the BLAS as a record
     # of the build the tests ran on ("unknown" on numpy before 1.26, which

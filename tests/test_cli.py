@@ -19,26 +19,34 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coalition_forge import (
+    Coalition,
+    Forecast,
     MechanismKind,
+    Player,
     RuleKind,
     ScenarioError,
     ValidationError,
     canonical_json,
     load_scenario,
     parse_scenario,
+    quadratic_rule,
     scenario_digest,
 )
 from coalition_forge import cli, scenario, simulate
+from coalition_forge.arbitrage import _coalition_surplus, arbitrage_report
 from coalition_forge.mechanisms import lambert
 from coalition_forge import scenarios as bundled
 from coalition_forge.cli import build_parser, main
 from coalition_forge.simplex import MAX_GRID_POINTS
+
+import exact
 
 BUNDLED_NAMES = {
     "example1",
@@ -792,6 +800,52 @@ def test_cli_verify_scaling_identity_survives_large_member_wagers():
     assert checked >= 40
 
 
+def _large_wager_cases():
+    """Seeded quadratic coalitions of two, the members first, against one
+    outsider at wager 1, at member wagers 2**k: for each k, 30 members
+    with Dirichlet(1) beliefs over 2 or 3 states and 10 pairs 1e-9 to
+    1e-3 apart. Yields (k, beliefs, wagers)."""
+    rng = np.random.default_rng(77)
+    for k in (-30, 0, 25, 30, 40):
+        for case in range(40):
+            m = int(rng.integers(2, 4))
+            if case < 30:
+                a, b, outsider = rng.dirichlet(np.ones(m), size=3)
+            else:
+                a = 0.1 / m + 0.9 * rng.dirichlet(np.ones(m))
+                step = rng.standard_normal(m)
+                step -= step.mean()
+                b = a + 10 ** rng.uniform(-9, -3) * step / np.abs(step).max()
+                outsider = rng.dirichlet(np.ones(m))
+            yield k, [a.tolist(), b.tolist(), outsider.tolist()], [2.0**k, 2.0**k, 1.0]
+
+
+def test_verify_and_the_competitive_gain_hold_at_large_member_wagers():
+    # verify's scaling identity never FAILs, and the competitive gain lies
+    # within a rounding bound, derived from its terms' magnitudes, of its
+    # exact value at the program's q (tests/exact.py).
+    rule, coalition = quadratic_rule(), Coalition((0, 1))
+    checked = 0
+    for k, beliefs, wagers in _large_wager_cases():
+        m = len(beliefs[0])
+        raw = _minimal_raw(event={"m": m}, mechanism="competitive")
+        raw["players"] = [{"belief": b, "wager": w} for b, w in zip(beliefs, wagers)]
+        checks = {c: (status, detail) for c, status, detail in
+                  cli._verify_checks(parse_scenario(raw), 10)}
+        assert checks["surplus_scaling_identity"][0] != "fail", (k, beliefs, checks)
+        checked += checks["surplus_scaling_identity"][0] == "pass"
+        players = [Player(Forecast(tuple(b)), w) for b, w in zip(beliefs, wagers)]
+        q = arbitrage_report(rule, players, coalition).q
+        gains = _coalition_surplus(MechanismKind.COMPETITIVE, rule, players, coalition, q, range(m))
+        for got, want, bound in zip(
+            gains.tolist(),
+            exact.competitive_gains(beliefs, wagers, coalition.members, q.probs),
+            exact.competitive_gain_bounds(beliefs, wagers, coalition.members, q.probs),
+        ):
+            assert abs(Fraction(got) - want) <= bound, (k, beliefs, got, want)
+    assert checked >= 150
+
+
 def test_cli_verify_passes_large_wagers_near_agreement(tmp_path, capsys):
     # Members 3e-8 apart at wager 1e9 each, an outsider at wager 1: the
     # competitive gain is the payment of the members' score differences,
@@ -804,6 +858,22 @@ def test_cli_verify_passes_large_wagers_near_agreement(tmp_path, capsys):
     ]
     assert main(["verify", "--scenario", _write_scenario(tmp_path, raw)]) == 0
     assert "surplus_scaling_identity: PASS" in capsys.readouterr().out
+
+
+def test_cli_verify_passes_members_at_wager_2_1000(tmp_path, capsys):
+    # Logarithmic rule, members at wager 2**1000 against an outsider at
+    # wager 1: the competitive gain keeps rounding error of the members'
+    # wagered scores, 2**1000 times the outsiders' share of the traditional
+    # gain, so its error is taken over the terms' magnitudes.
+    raw = _minimal_raw(event={"m": 3}, rule={"kind": "logarithmic"}, mechanism="competitive")
+    raw["players"] = [
+        {"belief": [0.98, 0.01, 0.01], "wager": 2.0**1000},
+        {"belief": [0.01, 0.01, 0.98], "wager": 2.0**1000},
+        {"belief": [0.3, 0.3, 0.4], "wager": 1.0},
+    ]
+    assert main(["verify", "--scenario", _write_scenario(tmp_path, raw)]) == 0
+    out = capsys.readouterr().out
+    assert "surplus_scaling_identity: PASS" in out and "result: PASS" in out
 
 
 def test_cli_commands_take_member_wagers_summing_past_the_float_range(tmp_path, capsys):
@@ -905,6 +975,44 @@ def test_cli_simulate_sweep_table_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "argmax fraction:" in out
     assert "fitted vertex:" in out
+
+
+def _bundled_sweep(**simulation):
+    raw = json.loads(bundled.path("sweep_competitive").read_text(encoding="utf-8"))
+    raw["simulation"].update(simulation)
+    return raw
+
+
+def test_cli_simulate_sweep_of_repeated_fractions_has_no_fit(tmp_path, capsys):
+    # Fewer distinct fractions than the quadratic fit needs: no fit, no
+    # vertex and no numpy RankWarning, as for a sweep of fewer fractions.
+    for fractions in ([0.5, 0.5, 0.5], [0.3, 0.3, 0.5]):
+        path = _write_scenario(tmp_path, _bundled_sweep(fractions=fractions, trials=50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--scenario", path, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)["payload"]
+        assert (payload["fit"], payload["vertex"], captured.err) == ([], None, "")
+        assert main(["simulate", "--scenario", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"argmax fraction: {max(fractions)}"
+
+
+def test_cli_simulate_sweep_past_the_float_range_is_refused(tmp_path, capsys):
+    # At b = 1e308 the surpluses' mean and spread pass the float range: a
+    # PaymentOverflow, exit 2, with no numpy warning and no Infinity or NaN
+    # written.
+    raw = _bundled_sweep(trials=20)
+    raw["rule"]["b"] = 1e308
+    path = _write_scenario(tmp_path, raw)
+    for fmt in ("json", "csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--scenario", path, "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: surpluses at fraction 0.1 under rule scale b = 1e+308 pass the "
+            "float range; scale the rule down\n"
+        ))
 
 
 def test_cli_simulate_out_writes_csv_and_json(tmp_path, capsys):

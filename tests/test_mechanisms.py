@@ -428,6 +428,19 @@ def test_competitive_pool_total_past_the_float_range_is_a_payment_overflow():
     )
 
 
+def test_column_sum_past_the_float_range_is_a_payment_overflow():
+    # Payments of +-1e308 are finite; two at one outcome sum past the range.
+    players = _reporting(((1.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 0.0)), wagers=[1e308, 1e308])
+    table = payment_table(MechanismSpec(MechanismKind.TRADITIONAL, quadratic_rule()), players)
+    assert table.payments == ((1e308, -1e308), (1e308, -1e308))
+    for outcome in (0, 1):
+        with pytest.raises(PaymentOverflow) as err:
+            table.column_sum(outcome)
+        assert str(err.value) == (
+            f"payments at outcome {outcome + 1} sum past the float range; scale the wagers down"
+        )
+
+
 def test_payment_table_rejects_empty_pool():
     for kind in MechanismKind:
         with pytest.raises(ValidationError, match="^no players$"):

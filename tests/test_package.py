@@ -5,21 +5,20 @@ private helpers."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
-import inspect
 import os
 import pkgutil
 import re
 import subprocess
 import sys
-import textwrap
 import types
 from pathlib import Path
 
 import numpy as np
 
 import coalition_forge
+
+from conftest import public_fields
 
 
 def test_star_import_binds_exactly_all():
@@ -154,16 +153,6 @@ def _attributes_read(tree: ast.Module, name: str) -> set[str]:
     return read
 
 
-def _attributes_set(cls: type) -> set[str]:
-    """The attributes the class's own methods set on self."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
-    return {
-        node.attr for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-        and getattr(node.value, "id", None) == "self"
-    }
-
-
 def test_every_public_field_has_a_reader():
     # A field of an exported dataclass, or an attribute an exported
     # exception sets, earns its place by a read as an attribute outside its
@@ -186,12 +175,8 @@ def test_every_public_field_has_a_reader():
     ]
     readme = set(re.findall(r"\.(\w+)", (root / "README.md").read_text(encoding="utf-8")))
     unread = []
-    for cls in (getattr(coalition_forge, n) for n in coalition_forge.__all__):
-        if dataclasses.is_dataclass(cls) and cls.__name__ not in SERIALIZED_DATACLASSES:
-            fields = {f.name for f in dataclasses.fields(cls)}
-        elif isinstance(cls, type) and issubclass(cls, BaseException):
-            fields = _attributes_set(cls)
-        else:
+    for cls, fields in public_fields().items():
+        if cls.__name__ in SERIALIZED_DATACLASSES:
             continue
         read = readme.union(*(_attributes_read(t, cls.__name__) for t in trees))
         unread += [f"{cls.__name__}.{name}" for name in sorted(fields - read)]

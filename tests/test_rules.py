@@ -1093,7 +1093,6 @@ def test_properness_scan_equals_one_check_per_belief(monkeypatch, block_rows):
 
 def test_properness_scan_arguments():
     rule = logarithmic_rule()
-    assert rules._properness_scan(rule, [], 10) == []
     with pytest.raises(ValidationError, match="resolution"):
         rules._properness_scan(rule, [], 1)
     with pytest.raises(DimensionMismatch):

@@ -424,7 +424,7 @@ def test_market_session_alternating_order_gains_everywhere():
         _market_spec(), (0, 1, 2, 3), coalition, sampler, seed=seed
     )
     assert result.ordering_ok
-    assert not result.agreement
+    assert not result.arbitrage.agreement
     assert all(s > 0.0 for s in result.surplus_by_outcome)
     # Under alternation the gain is each member's score improvement.
     beliefs = sampler.draw(substream(seed, 0), 4)
@@ -456,7 +456,7 @@ def test_market_session_agreement_gives_zero_surplus():
     result = market_session(
         _market_spec(), (0, 1, 2, 3), Coalition((1, 3)), sampler, seed=0
     )
-    assert result.agreement
+    assert result.arbitrage.agreement
     assert result.surplus_by_outcome == (0.0, 0.0)
 
 
